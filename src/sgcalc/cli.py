@@ -29,11 +29,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-cosets", type=int, default=100_000, metavar="N",
-                   help="coset budget for enumerations (default 100000)")
-    p.add_argument("--tietze-budget", type=int, default=1000, metavar="N",
-                   help="step budget for presentation simplification (default 1000)")
+def _add_common(
+    p: argparse.ArgumentParser, max_cosets: bool, tietze_budget: int | None
+) -> None:
+    if max_cosets:
+        p.add_argument("--max-cosets", type=int, default=100_000, metavar="N",
+                       help="coset budget for enumerations (default 100000)")
+    if tietze_budget is not None:
+        p.add_argument("--tietze-budget", type=int, default=tietze_budget, metavar="N",
+                       help=f"step budget for presentation simplification (default {tietze_budget})")
     p.add_argument("--emit", choices=("json", "text"), default="json",
                    help="report format (default json)")
     p.add_argument("--trace", action="store_true",
@@ -49,6 +53,11 @@ def _emit(payload: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(payload)
+
+
+def _emit_report(report: construction.VerdictReport, args: argparse.Namespace) -> int:
+    _emit(report.to_json() if args.emit == "json" else report.to_text(trace=args.trace), args.out)
+    return report.exit_code
 
 
 def _read(path: str) -> str:
@@ -67,50 +76,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except sgc.ParseError as err:
         print(f"sgcalc: parse error in {args.file}: {err}", file=sys.stderr)
         return USAGE_EXIT
-    report = sgc.execute(parsed, sgc.Budgets(args.max_cosets, args.tietze_budget))
-    if args.emit == "json":
-        _emit(report.to_json(), args.out)
-    else:
-        _emit(report.to_text(trace=args.trace), args.out)
-    return report.exit_code
-
-
-def _verify_text(report: construction.ConstructionReport, trace: bool) -> str:
-    lines = []
-    for c in report.checks:
-        mark = "ok  " if c.ok else "FAIL"
-        lines.append(f"{mark} {c.name}: {c.detail}")
-    if trace and report.replay is not None:
-        lines.append("")
-        lines.append("kill-order replay:")
-        for step in report.replay.steps:
-            cited = ", ".join(str(i) for i in step.uses)
-            lines.append(f"  kill {step.generator} (relations {cited})")
-            for d in step.derivation:
-                lines.append(f"    {d}")
-    if trace and report.trace is not None:
-        lines.append("")
-        lines.append(
-            "simplification: "
-            + ", ".join(report.trace.eliminated_generators())
-            + f" eliminated in {len(report.trace.steps)} steps"
-        )
-    lines.append("")
-    lines.append("assumptions:")
-    lines += [f"  {a}" for a in report.assumptions]
-    lines.append("axioms:")
-    lines += [f"  {a}" for a in report.axioms]
-    lines.append(f"verdict: {report.verdict}")
-    return "\n".join(lines) + "\n"
+    return _emit_report(sgc.execute(parsed, sgc.Budgets(args.max_cosets)), args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = construction.verify_main_theorem(args.max_cosets, args.tietze_budget)
-    if args.emit == "json":
-        _emit(json.dumps(report.to_dict(), indent=2), args.out)
-    else:
-        _emit(_verify_text(report, args.trace), args.out)
-    return {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}[report.verdict]
+    return _emit_report(construction.verify_main_theorem(args.max_cosets, args.tietze_budget), args)
 
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
@@ -124,14 +94,8 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
     if args.emit == "json":
         payload = json.dumps(
             {
-                "initial": {
-                    "generators": list(p.alphabet.names),
-                    "relators": [str(r) for r in p.relators],
-                },
-                "final": {
-                    "generators": list(final.alphabet.names),
-                    "relators": [str(r) for r in final.relators],
-                },
+                "initial": construction.presentation_dict(p),
+                "final": construction.presentation_dict(final),
                 "steps": len(trace.steps),
                 "eliminated": trace.eliminated_generators(),
                 "complete": trace.complete,
@@ -149,7 +113,7 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
         if args.trace:
             lines += [f"  {step!r}" for step in trace.steps]
         _emit("\n".join(lines) + "\n", args.out)
-    return 0 if trace.complete else 2
+    return construction.VERDICT_EXIT["PASS" if trace.complete else "INCONCLUSIVE"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,19 +123,19 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="execute a .sgc construction script")
     p_run.add_argument("file")
-    _add_common(p_run)
+    _add_common(p_run, max_cosets=True, tietze_budget=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser(
         "verify-paper",
         help="verify the built-in exotic CP^2 # 3 CP^2bar construction end to end",
     )
-    _add_common(p_verify)
+    _add_common(p_verify, max_cosets=True, tietze_budget=construction.TIETZE_BUDGET)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_simp = sub.add_parser("simplify", help="simplify a presentation document")
     p_simp.add_argument("file")
-    _add_common(p_simp)
+    _add_common(p_simp, max_cosets=False, tietze_budget=1000)
     p_simp.set_defaults(func=_cmd_simplify)
 
     args = parser.parse_args(argv)

@@ -20,12 +20,14 @@ generic simplification certify triviality independently.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import json
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .coset_enum import EnumResult, TrivialityCertificate, certify_trivial
 from .manifolds import (
     LagrangianTorusMark,
+    ManifoldError,
     ManifoldState,
     Minimality,
     Parity,
@@ -161,7 +163,8 @@ def relabel(data: ComplementData, images: Mapping[str, Word]) -> ComplementData:
         bases[name] = image.syllables[0][0]
     if len(set(bases.values())) != len(bases):
         raise WordError("assignment is not invertible: images share a base generator")
-    assert target is not None
+    if target is None:
+        raise WordError("the complement data has no generators to relabel")
 
     def sub(w: Word) -> Word:
         return substitute(w, images, target)
@@ -203,9 +206,12 @@ class SurgeryRecord:
 
 @dataclass(frozen=True)
 class BlockBuild:
+    """A built state with its surgeries, pruned relators and the blocks built on the way."""
+
     state: ManifoldState
     surgeries: tuple[SurgeryRecord, ...]
     pruned: tuple[PruneRecord, ...]
+    blocks: tuple[ManifoldState, ...] = ()
 
 
 def _direction_core(direction: Word) -> str:
@@ -378,18 +384,12 @@ def assemble_w() -> BlockBuild:
         replace(m, no_minus_one_sphere_off_surface=True) if m.id == "G" else m
         for m in state.surfaces
     )
-    return BlockBuild(replace(state, surfaces=surfaces, name="W"), built.surgeries, built.pruned)
+    return BlockBuild(
+        replace(state, surfaces=surfaces, name="W"), built.surgeries, built.pruned, (built.state,)
+    )
 
 
-@dataclass(frozen=True)
-class AssemblyBuild:
-    state: ManifoldState
-    surgeries: tuple[SurgeryRecord, ...]
-    pruned: tuple[PruneRecord, ...]
-    blocks: tuple[ManifoldState, ...]
-
-
-def assemble_p(include_wall_relation: bool = False) -> AssemblyBuild:
+def assemble_p(include_wall_relation: bool = False) -> BlockBuild:
     """Sum the two closed surgery blocks along their torus marks.
 
     The pairing identifies x1 with x2 and y1 with y2; the halves of the
@@ -407,29 +407,29 @@ def assemble_p(include_wall_relation: bool = False) -> AssemblyBuild:
         "F", 2, 0, (ab.gen("s1"), ab.gen("t1"), ab.gen("s2"), ab.gen("t2"))
     )
     state = replace(state, surfaces=state.surfaces + (f_mark,), name="P")
-    return AssemblyBuild(
+    return BlockBuild(
         state, b1.surgeries + b2.surgeries, b1.pruned + b2.pruned, (b1.state, b2.state)
     )
 
 
-def assemble_x() -> AssemblyBuild:
+def assemble_x() -> BlockBuild:
     """Sum P along F with W along G, identifying generators by name.
 
     G's meridian is killed and its side's relations ride through the
     pairing, so the result keeps P's 8 generators and gains W's 6 relations:
     20 relations in all, a surjective bound whose triviality is then
-    certified independently.
+    certified independently.  ``blocks`` holds P1, P2, P, V and W.
     """
     p = assemble_p()
     w = assemble_w()
     state = symplectic_sum(
         p.state, "F", w.state, "G", pairing=((0, 0), (1, 1), (2, 2), (3, 3))
     )
-    return AssemblyBuild(
+    return BlockBuild(
         replace(state, name="X"),
         p.surgeries + w.surgeries,
         p.pruned + w.pruned,
-        p.blocks + (p.state, w.state),
+        p.blocks + (p.state,) + w.blocks + (w.state,),
     )
 
 
@@ -684,22 +684,146 @@ AXIOMS: tuple[str, ...] = (
 )
 
 
+# -- checks, verdicts and reports shared by verify_main_theorem and scripts ----
+
+VERDICT_EXIT = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}
+
+
 @dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    ok: bool
+class StatementResult:
+    """One script statement or verification check and how it came out."""
+
+    index: int
+    text: str
+    status: str  # ok | pass | fail | inconclusive | error
     detail: str
+    data: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return self.status in ("ok", "pass")
+
+    def to_dict(self) -> dict:
+        return {
+            "index": self.index,
+            "statement": self.text,
+            "status": self.status,
+            "detail": self.detail,
+            "data": self.data,
+        }
+
+    def lines(self, trace: bool = False) -> list[str]:
+        out = [f"[{self.index}] {self.text}"]
+        out.append(f"    {self.status.upper()}: {self.detail}" if self.detail else f"    {self.status.upper()}")
+        if trace:
+            out += [f"      {key}: {self.data[key]}" for key in sorted(self.data)]
+        return out
+
+
+def verdict_of(results: Sequence[StatementResult]) -> str:
+    """FAIL if any check failed or errored, else INCONCLUSIVE if any is undecided, else PASS."""
+    statuses = {r.status for r in results}
+    if statuses & {"fail", "error"}:
+        return "FAIL"
+    return "INCONCLUSIVE" if "inconclusive" in statuses else "PASS"
+
+
+class VerdictReport:
+    """JSON text and exit code of a report with a ``verdict`` and a ``to_dict``."""
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    @property
+    def exit_code(self) -> int:
+        return VERDICT_EXIT[self.verdict]
+
+
+def presentation_dict(p: Presentation) -> dict:
+    return {"generators": list(p.alphabet.names), "relators": [str(r) for r in p.relators]}
+
+
+def check_invariants(state: ManifoldState, euler: int, signature: int) -> tuple[str, str, dict]:
+    ok = (state.euler, state.signature) == (euler, signature)
+    return (
+        "pass" if ok else "fail",
+        f"(e, sigma) = ({state.euler}, {state.signature})"
+        + ("" if ok else f", expected ({euler}, {signature})"),
+        {"euler": state.euler, "signature": state.signature},
+    )
+
+
+def check_trivial(
+    p: Presentation, h1: tuple[int, list[int]], max_cosets: int
+) -> tuple[str, str, dict, TrivialityCertificate | EnumResult | None]:
+    """Triviality of ``p`` given its H1; the last item is the enumeration's outcome.
+
+    A nonzero H1 refutes triviality without enumerating (the outcome is then
+    ``None``); an exhausted coset budget is inconclusive.
+    """
+    rank, torsion = h1
+    if (rank, torsion) != (0, []):
+        return (
+            "fail",
+            f"refuted without enumeration: H1 has rank {rank} and torsion {torsion}",
+            {"h1_rank": rank, "h1_torsion": torsion, "enumeration": "skipped"},
+            None,
+        )
+    outcome = certify_trivial(p, max_cosets)
+    if not isinstance(outcome, TrivialityCertificate):
+        data = {"index": outcome.index, "cosets_defined": outcome.defined}
+        if outcome.index is None:
+            detail = f"coset budget of {max_cosets} exhausted ({outcome.defined} defined)"
+            return "inconclusive", detail, data, outcome
+        return "fail", f"refuted: the group has order {outcome.index}", data, outcome
+    result = outcome.result
+    data = {
+        "index": 1,
+        "cosets_defined": result.defined,
+        "cosets_collapsed": result.collapsed,
+        "witnesses": [list(w) for w in outcome.witnesses],
+    }
+    detail = f"trivial: index 1 with {result.defined} cosets defined, {result.collapsed} collapsed"
+    return "pass", detail, data, outcome
+
+
+def check_classify(
+    state: ManifoldState, trivial: tuple[str, str, dict, object]
+) -> tuple[str, str, dict, HomeoType | None]:
+    """Classify ``state`` from the result of :func:`check_trivial` on its group.
+
+    Without a certificate the triviality check's status and detail stand:
+    a refuted group fails, an undecided one is inconclusive.
+    """
+    status, detail, data, outcome = trivial
+    if not isinstance(outcome, TrivialityCertificate):
+        return status, detail, data, None
+    try:
+        homeo = classify(state, outcome)
+    except ManifoldError as err:
+        return "fail", str(err), data, None
+    detail = f"b+ = {homeo.b_plus}, b- = {homeo.b_minus}: {homeo.description}"
+    if homeo.exotic_note:
+        detail += f" ({homeo.exotic_note})"
+    data = dict(
+        data,
+        b_plus=homeo.b_plus,
+        b_minus=homeo.b_minus,
+        description=homeo.description,
+        exotic_note=homeo.exotic_note,
+    )
+    return "pass", detail, data, homeo
 
 
 @dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(VerdictReport):
     verdict: str
-    checks: tuple[CheckOutcome, ...]
+    checks: tuple[StatementResult, ...]
     blocks: tuple[ManifoldState, ...]
     state: ManifoldState
     surgeries: tuple[SurgeryRecord, ...]
     certificate: TrivialityCertificate | None
-    enum_stats: EnumResult
+    enum_stats: EnumResult | None
     trace: DerivationTrace | None
     simplified: Presentation | None
     replay: KillReplayReport | None
@@ -717,8 +841,7 @@ class ConstructionReport:
                 "minimality": s.minimality.value,
                 "minimality_rules": list(s.minimality_rules),
                 "parity": s.parity.value,
-                "generators": list(s.pi1.alphabet.names),
-                "relators": [str(r) for r in s.pi1.relators],
+                **presentation_dict(s.pi1),
                 "exactness": s.pi1.exactness.value,
                 "surfaces": [
                     {
@@ -739,9 +862,7 @@ class ConstructionReport:
 
         return {
             "verdict": self.verdict,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
             "blocks": [state_dict(b) for b in self.blocks],
             "result": state_dict(self.state),
             "surgeries": [
@@ -756,11 +877,15 @@ class ConstructionReport:
                 }
                 for r in self.surgeries
             ],
-            "enumeration": {
-                "index": self.enum_stats.index,
-                "cosets_defined": self.enum_stats.defined,
-                "cosets_collapsed": self.enum_stats.collapsed,
-            },
+            "enumeration": (
+                None
+                if self.enum_stats is None
+                else {
+                    "index": self.enum_stats.index,
+                    "cosets_defined": self.enum_stats.defined,
+                    "cosets_collapsed": self.enum_stats.collapsed,
+                }
+            ),
             "certificate": (
                 None
                 if self.certificate is None
@@ -806,82 +931,84 @@ class ConstructionReport:
             "axioms": list(self.axioms),
         }
 
+    def to_text(self, trace: bool = False) -> str:
+        lines = [line for c in self.checks for line in c.lines(trace)]
+        if trace and self.replay is not None:
+            lines += ["", "kill-order replay:"]
+            for step in self.replay.steps:
+                cited = ", ".join(str(i) for i in step.uses)
+                lines.append(f"  kill {step.generator} (relations {cited})")
+                lines += [f"    {d}" for d in step.derivation]
+        if trace and self.trace is not None:
+            lines += [
+                "",
+                "simplification: "
+                + ", ".join(self.trace.eliminated_generators())
+                + f" eliminated in {len(self.trace.steps)} steps",
+            ]
+        lines += ["", "assumptions:"] + [f"  {a}" for a in self.assumptions]
+        lines += ["axioms:"] + [f"  {a}" for a in self.axioms]
+        lines.append(f"verdict: {self.verdict}")
+        return "\n".join(lines) + "\n"
+
+
+TIETZE_BUDGET = 2000
+
 
 def verify_main_theorem(
-    max_cosets: int = 100_000, tietze_budget: int = 2000
+    max_cosets: int = 100_000, tietze_budget: int = TIETZE_BUDGET
 ) -> ConstructionReport:
     """Run the whole construction and verify every numbered claim.
 
     Triviality of the final group is certified two independent ways (coset
     enumeration and generic simplification) and cross-checked against the
-    scripted kill-order.  Budget exhaustion is reported as INCONCLUSIVE,
-    never as success; any failed check makes the verdict FAIL.
+    scripted kill-order.  The verdict follows :func:`verdict_of`: any failed
+    check makes it FAIL, and an exhausted budget makes it INCONCLUSIVE,
+    never PASS.
     """
-    checks: list[CheckOutcome] = []
+    checks: list[StatementResult] = []
 
-    def check(name: str, ok: bool, detail: str) -> None:
-        checks.append(CheckOutcome(name, bool(ok), detail))
+    def check(name: str, status: str, detail: str, data: dict | None = None) -> None:
+        checks.append(StatementResult(len(checks), name, status, detail, data or {}))
 
-    v = assemble_v()
-    w = assemble_w()
+    def expect(name: str, ok: bool, detail: str) -> None:
+        check(name, "pass" if ok else "fail", detail)
+
     x = assemble_x()
-    p_state = next(b for b in x.blocks if b.name == "P")
-    blocks = (v.state, w.state, p_state, x.state)
+    built = {b.name: b for b in x.blocks}
+    blocks = (built["V"], built["W"], built["P"], x.state)
 
-    for state, e, sig in ((v.state, 0, 0), (w.state, 2, -2), (p_state, 0, 0), (x.state, 6, -2)):
-        check(
-            f"invariants {state.name}",
-            state.euler == e and state.signature == sig,
-            f"(e, sigma) = ({state.euler}, {state.signature}), expected ({e}, {sig})",
-        )
-    check(
+    for state, e, sig in zip(blocks, (0, 2, 0, 6), (0, -2, 0, -2)):
+        check(f"invariants {state.name}", *check_invariants(state, e, sig))
+    expect(
         "presentation size X",
         x.state.pi1.ngens == 8 and x.state.pi1.nrels == 20,
         f"{x.state.pi1.ngens} generators, {x.state.pi1.nrels} relators",
     )
-    h1v = homology_invariants(v.state.pi1)
-    check("H1 V", h1v == (2, []), f"H1 = (rank {h1v[0]}, torsion {h1v[1]}), expected Z^2")
+    h1v = homology_invariants(built["V"].pi1)
+    expect("H1 V", h1v == (2, []), f"H1 = (rank {h1v[0]}, torsion {h1v[1]}), expected Z^2")
     h1x = homology_invariants(x.state.pi1)
-    check("H1 X", h1x == (0, []), f"H1 = (rank {h1x[0]}, torsion {h1x[1]}), expected 0")
-    check(
+    expect("H1 X", h1x == (0, []), f"H1 = (rank {h1x[0]}, torsion {h1x[1]}), expected 0")
+    expect(
         "minimality X",
         x.state.minimality is Minimality.MINIMAL
         and x.state.minimality_rules == ("R1", "R2", "R3"),
         f"{x.state.minimality.value} via {'->'.join(x.state.minimality_rules) or 'nothing'}",
     )
-    check("parity X", x.state.parity is Parity.ODD, x.state.parity.value)
-    check("symplectic X", x.state.symplectic, str(x.state.symplectic))
+    expect("parity X", x.state.parity is Parity.ODD, x.state.parity.value)
+    expect("symplectic X", x.state.symplectic, str(x.state.symplectic))
 
-    outcome = certify_trivial(x.state.pi1, max_cosets)
-    inconclusive = False
-    certificate = None
-    if isinstance(outcome, TrivialityCertificate):
-        certificate = outcome
-        enum_stats = outcome.result
-        check(
-            "coset enumeration",
-            True,
-            f"index 1 with {enum_stats.defined} cosets defined, "
-            f"{enum_stats.collapsed} collapsed",
-        )
-    else:
-        enum_stats = outcome
-        if outcome.index is None:
-            inconclusive = True
-            check(
-                "coset enumeration",
-                False,
-                f"budget of {max_cosets} cosets exhausted: inconclusive",
-            )
-        else:
-            check("coset enumeration", False, f"index {outcome.index} refutes triviality")
+    trivial = check_trivial(x.state.pi1, h1x, max_cosets)
+    check("coset enumeration", *trivial[:3])
+    outcome = trivial[3]
+    certificate = outcome if isinstance(outcome, TrivialityCertificate) else None
+    enum_stats = certificate.result if certificate is not None else outcome
 
     simplified, trace = tietze_simplify(x.state.pi1, tietze_budget)
     if not trace.complete:
-        inconclusive = True
-        check("simplification", False, f"budget of {tietze_budget} steps exhausted")
+        check("simplification", "inconclusive", f"budget of {tietze_budget} steps exhausted")
     else:
-        check(
+        expect(
             "simplification",
             simplified.is_empty(),
             f"reached {simplified} in {len(trace.steps)} steps, eliminating "
@@ -891,41 +1018,26 @@ def verify_main_theorem(
     replay_report = None
     try:
         replay_report = replay_kill_order(x.state.pi1)
-        check("kill-order replay", True, " -> ".join(replay_report.killed))
+        check("kill-order replay", "pass", " -> ".join(replay_report.killed))
     except ReplayError as err:
-        check("kill-order replay", False, str(err))
+        check("kill-order replay", "fail", str(err))
 
-    homeo = None
-    if certificate is not None:
-        try:
-            homeo = classify(x.state, certificate)
-            check(
-                "classification",
-                homeo.b_plus == 1 and homeo.b_minus == 3,
-                f"b+ = {homeo.b_plus}, b- = {homeo.b_minus}: {homeo.description}",
-            )
-            check("exotic note", bool(homeo.exotic_note), homeo.exotic_note or "missing")
-        except Exception as err:  # pragma: no cover - defensive
-            check("classification", False, str(err))
-    else:
-        check("classification", False, "no triviality certificate")
+    status, detail, data, homeo = check_classify(x.state, trivial)
+    if homeo is not None and (homeo.b_plus, homeo.b_minus) != (1, 3):
+        status = "fail"
+    check("classification", status, detail, data)
+    if homeo is not None:
+        expect("exotic note", bool(homeo.exotic_note), homeo.exotic_note or "missing")
 
-    data = complement_data(Variant.FOUR_TORUS)
+    commutations = commutation_status(complement_data(Variant.FOUR_TORUS))
     assumptions = tuple(
         f"torus {torus} triple ({label}): {status}"
-        for (torus, label), status in sorted(commutation_status(data).items())
+        for (torus, label), status in sorted(commutations.items())
         if status != "proved"
     )
 
-    failed = [c for c in checks if not c.ok]
-    if failed and not inconclusive:
-        verdict = "FAIL"
-    elif inconclusive:
-        verdict = "INCONCLUSIVE"
-    else:
-        verdict = "PASS"
     return ConstructionReport(
-        verdict=verdict,
+        verdict=verdict_of(checks),
         checks=tuple(checks),
         blocks=blocks,
         state=x.state,

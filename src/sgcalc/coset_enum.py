@@ -22,7 +22,7 @@ from .words import Word, cyclic_core
 
 
 class EnumerationError(ValueError):
-    """Malformed input to the enumerator."""
+    """Malformed input to the enumerator, or a closed table that fails its check."""
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class EnumResult:
     @property
     def found(self) -> bool:
         return self.index is not None
-
-    @property
-    def cosets_used(self) -> int:
-        return self.defined
 
 
 @dataclass(frozen=True)
@@ -246,24 +242,26 @@ def todd_coxeter(
 
 
 def _verify_closed(table: _Table, relators: list[list[int]], subgens: list[list[int]]) -> None:
-    """Deduction-consistency check of a finished table (defensive)."""
+    """Deduction-consistency check of a finished table; raises :class:`EnumerationError`."""
     live = table.live_cosets()
     for c in live:
         for x in range(table.ncols):
             d = table.rows[c][x]
-            assert d is not None, "incomplete coset table after closure"
-            assert table.rows[table.find(d)][x ^ 1] is not None
+            if d is None or table.rows[table.find(d)][x ^ 1] is None:
+                raise EnumerationError("incomplete coset table after closure")
     for c in live:
         for word in relators:
             cur = c
             for x in word:
                 cur = table.find(table.rows[cur][x])
-            assert cur == c, "relator scan does not close"
+            if cur != c:
+                raise EnumerationError("relator scan does not close")
     for word in subgens:
         cur = 0
         for x in word:
             cur = table.find(table.rows[cur][x])
-        assert cur == 0, "subgroup generator leaves coset 1"
+        if cur != 0:
+            raise EnumerationError("subgroup generator leaves coset 1")
 
 
 def certify_trivial(

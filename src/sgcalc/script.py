@@ -22,13 +22,16 @@ budget is inconclusive, never a pass or a fail.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 from . import construction
-from .coset_enum import TrivialityCertificate, certify_trivial
-from .manifolds import ManifoldError, ManifoldState, blow_up, classify
+from .construction import StatementResult, VerdictReport, presentation_dict, verdict_of
+from .manifolds import ManifoldError, ManifoldState, blow_up
+# The checks call these through construction; they stay attributes of this
+# module because bench/tracing.py wraps them here.
+from .coset_enum import certify_trivial  # noqa: F401
+from .manifolds import classify  # noqa: F401
 from .manifolds import luttinger as _luttinger
 from .manifolds import resolve_intersection as _resolve
 from .manifolds import symplectic_sum as _sum
@@ -430,58 +433,23 @@ def format_presentation_document(p: Presentation) -> str:
 @dataclass(frozen=True)
 class Budgets:
     max_cosets: int = 100_000
-    tietze_budget: int = 1000
 
 
 @dataclass(frozen=True)
-class StatementResult:
-    index: int
-    text: str
-    status: str  # ok | pass | fail | inconclusive | error
-    detail: str
-    data: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Report:
+class Report(VerdictReport):
     statements: tuple[StatementResult, ...]
     verdict: str  # PASS | FAIL | INCONCLUSIVE
     budgets: Budgets
 
-    @property
-    def exit_code(self) -> int:
-        return {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}[self.verdict]
-
     def to_dict(self) -> dict:
         return {
-            "budgets": {
-                "max_cosets": self.budgets.max_cosets,
-                "tietze_budget": self.budgets.tietze_budget,
-            },
-            "statements": [
-                {
-                    "index": s.index,
-                    "statement": s.text,
-                    "status": s.status,
-                    "detail": s.detail,
-                    "data": s.data,
-                }
-                for s in self.statements
-            ],
+            "budgets": {"max_cosets": self.budgets.max_cosets},
+            "statements": [s.to_dict() for s in self.statements],
             "verdict": self.verdict,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def to_text(self, trace: bool = False) -> str:
-        lines = []
-        for s in self.statements:
-            lines.append(f"[{s.index}] {s.text}")
-            lines.append(f"    {s.status.upper()}: {s.detail}" if s.detail else f"    {s.status.upper()}")
-            if trace and s.data:
-                for key in sorted(s.data):
-                    lines.append(f"      {key}: {s.data[key]}")
+        lines = [line for s in self.statements for line in s.lines(trace)]
         lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines) + "\n"
 
@@ -539,34 +507,32 @@ def _resolve_pairing(state_a: ManifoldState, surf_a: str, state_b: ManifoldState
     return tuple(pairs)
 
 
-def _op_presentation(args: dict, budgets: Budgets) -> Presentation:
+def _relators(items: object, alphabet: Alphabet) -> tuple[Word, ...]:
+    try:
+        return tuple(
+            parse_word(_want_str(text, "relator"), alphabet) for text in _want_list(items, "relators")
+        )
+    except ParseError as err:
+        raise ScriptRuntimeError(f"bad relator: {err}") from None
+
+
+def _op_presentation(args: dict) -> Presentation:
     gens = [_want_str(g, "generator") for g in _want_list(args.pop("generators"), "generators")]
     try:
         alphabet = Alphabet(gens)
     except WordError as err:
         raise ScriptRuntimeError(str(err)) from None
-    relators = []
-    for text in _want_list(args.pop("relators", []), "relators"):
-        try:
-            relators.append(parse_word(_want_str(text, "relator"), alphabet))
-        except ParseError as err:
-            raise ScriptRuntimeError(f"bad relator: {err}") from None
+    relators = _relators(args.pop("relators", []), alphabet)
     exactness = Exactness(_want_str(args.pop("exactness", "exact"), "exactness"))
-    return Presentation(alphabet, tuple(relators), exactness)
+    return Presentation(alphabet, relators, exactness)
 
 
-def _op_quotient(args: dict, budgets: Budgets) -> Presentation:
+def _op_quotient(args: dict) -> Presentation:
     p = _want_presentation(args.pop("p"))
-    relators = []
-    for text in _want_list(args.pop("relators"), "relators"):
-        try:
-            relators.append(parse_word(_want_str(text, "relator"), p.alphabet))
-        except ParseError as err:
-            raise ScriptRuntimeError(f"bad relator: {err}") from None
-    return quotient_by(p, relators)
+    return quotient_by(p, _relators(args.pop("relators"), p.alphabet))
 
 
-def _op_luttinger(args: dict, budgets: Budgets) -> ManifoldState:
+def _op_luttinger(args: dict) -> ManifoldState:
     return _luttinger(
         _want_state(args.pop("s"), "s"),
         _want_str(args.pop("torus"), "torus"),
@@ -576,14 +542,14 @@ def _op_luttinger(args: dict, budgets: Budgets) -> ManifoldState:
     )
 
 
-def _op_blow_up(args: dict, budgets: Budgets) -> ManifoldState:
+def _op_blow_up(args: dict) -> ManifoldState:
     state = _want_state(args.pop("s"), "s")
     count = _want_int(args.pop("count", 1), "count")
     on = args.pop("on", None)
     return blow_up(state, None if on is None else _want_str(on, "on"), count)
 
 
-def _op_resolve(args: dict, budgets: Budgets) -> ManifoldState:
+def _op_resolve(args: dict) -> ManifoldState:
     state = _want_state(args.pop("s"), "s")
     a = _want_str(args.pop("a"), "a")
     b = _want_str(args.pop("b"), "b")
@@ -591,7 +557,7 @@ def _op_resolve(args: dict, budgets: Budgets) -> ManifoldState:
     return _resolve(state, a, b, None if new_id is None else _want_str(new_id, "id"))
 
 
-def _op_symplectic_sum(args: dict, budgets: Budgets) -> ManifoldState:
+def _op_symplectic_sum(args: dict) -> ManifoldState:
     a = _want_state(args.pop("a"), "a")
     b = _want_state(args.pop("b"), "b")
     surf_a = _want_str(args.pop("surf_a"), "surf_a")
@@ -609,7 +575,7 @@ _BUILDERS: dict[str, Callable[[], ManifoldState]] = {
     "X": construction.build_x,
 }
 
-_OPS: dict[str, Callable[[dict, Budgets], object]] = {
+_OPS: dict[str, Callable[[dict], object]] = {
     "presentation": _op_presentation,
     "quotient": _op_quotient,
     "luttinger": _op_luttinger,
@@ -618,8 +584,7 @@ _OPS: dict[str, Callable[[dict, Budgets], object]] = {
     "symplectic_sum": _op_symplectic_sum,
 }
 for _name, _builder in _BUILDERS.items():
-    _OPS[_name] = lambda args, budgets, _b=_builder: _b()
-    _OPS[f"build_{_name}"] = lambda args, budgets, _b=_builder: _b()
+    _OPS[_name] = _OPS[f"build_{_name}"] = lambda args, _b=_builder: _b()
 
 
 def _summary(value: object) -> tuple[str, dict]:
@@ -635,66 +600,33 @@ def _summary(value: object) -> tuple[str, dict]:
             "signature": value.signature,
             "parity": value.parity.value,
             "minimality": value.minimality.value,
-            "generators": list(value.pi1.alphabet.names),
-            "relators": [str(r) for r in value.pi1.relators],
+            **presentation_dict(value.pi1),
         }
         return detail, data
     if isinstance(value, Presentation):
         return (
             f"presentation: {value.ngens} generators, {value.nrels} relators",
-            {
-                "generators": list(value.alphabet.names),
-                "relators": [str(r) for r in value.relators],
-            },
+            presentation_dict(value),
         )
     return repr(value), {}
-
-
-def _check_trivial(p: Presentation, budgets: Budgets) -> tuple[str, str, dict]:
-    rank, torsion = homology_invariants(p)
-    if (rank, torsion) != (0, []):
-        return (
-            "fail",
-            f"refuted without enumeration: H1 has rank {rank} and torsion {torsion}",
-            {"h1_rank": rank, "h1_torsion": torsion, "enumeration": "skipped"},
-        )
-    outcome = certify_trivial(p, budgets.max_cosets)
-    if isinstance(outcome, TrivialityCertificate):
-        stats = {
-            "index": 1,
-            "cosets_defined": outcome.result.defined,
-            "cosets_collapsed": outcome.result.collapsed,
-            "witnesses": [list(w) for w in outcome.witnesses],
-        }
-        return (
-            "pass",
-            f"trivial: index 1 with {outcome.result.defined} cosets defined, "
-            f"{outcome.result.collapsed} collapsed",
-            stats,
-        )
-    if outcome.index is None:
-        return (
-            "inconclusive",
-            f"coset budget of {budgets.max_cosets} exhausted "
-            f"({outcome.defined} defined)",
-            {"index": None, "cosets_defined": outcome.defined},
-        )
-    return (
-        "fail",
-        f"refuted: the group has order {outcome.index}",
-        {"index": outcome.index, "cosets_defined": outcome.defined},
-    )
 
 
 def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
     """Evaluate statements in order.
 
     The first failed check (or runtime error) aborts execution; an
-    inconclusive check downgrades the verdict but does not abort.
+    inconclusive check downgrades the verdict but does not abort.  Each
+    presentation's triviality is checked once per call: ``check classify``
+    reuses the certificate of an earlier ``check trivial``.
     """
     env: dict[str, object] = {}
     results: list[StatementResult] = []
-    verdict = "PASS"
+    trivial: dict[Presentation, tuple] = {}
+
+    def triviality(p: Presentation) -> tuple:
+        if p not in trivial:
+            trivial[p] = construction.check_trivial(p, homology_invariants(p), budgets.max_cosets)
+        return trivial[p]
 
     def resolve(value: Value) -> object:
         if isinstance(value, Ref):
@@ -723,7 +655,7 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
                     seen.add(key)
                     args[key] = resolve(value)
                 try:
-                    result = _OPS[stmt.call.op](args, budgets)
+                    result = _OPS[stmt.call.op](args)
                 except (ManifoldError, PresentationError, WordError, KeyError, TypeError) as err:
                     if isinstance(err, KeyError):
                         raise ScriptRuntimeError(f"missing argument {err.args[0]!r}") from None
@@ -737,56 +669,24 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
                 results.append(StatementResult(index, text, "ok", detail, data))
             else:
                 target = resolve(stmt.args[0])
-                data: dict = {}
                 if stmt.kind == "trivial":
-                    status, detail, data = _check_trivial(
-                        _want_presentation(target), budgets
-                    )
+                    status, detail, data, _ = triviality(_want_presentation(target))
                 elif stmt.kind == "invariants":
                     state = _want_state(target, "invariants target")
                     e = _want_int(resolve(stmt.args[1]), "e")
                     sig = _want_int(resolve(stmt.args[2]), "sigma")
-                    ok = state.euler == e and state.signature == sig
-                    status = "pass" if ok else "fail"
-                    detail = (
-                        f"(e, sigma) = ({state.euler}, {state.signature})"
-                        + ("" if ok else f", expected ({e}, {sig})")
-                    )
-                    data = {"euler": state.euler, "signature": state.signature}
+                    status, detail, data = construction.check_invariants(state, e, sig)
                 elif stmt.kind == "classify":
                     state = _want_state(target, "classify target")
-                    status, detail, data = _check_trivial(state.pi1, budgets)
-                    if status == "pass":
-                        cert = certify_trivial(state.pi1, budgets.max_cosets)
-                        assert isinstance(cert, TrivialityCertificate)
-                        try:
-                            homeo = classify(state, cert)
-                        except ManifoldError as err:
-                            status, detail = "fail", str(err)
-                        else:
-                            detail = (
-                                f"b+ = {homeo.b_plus}, b- = {homeo.b_minus}: "
-                                f"{homeo.description}"
-                            )
-                            if homeo.exotic_note:
-                                detail += f" ({homeo.exotic_note})"
-                            data = dict(
-                                data,
-                                b_plus=homeo.b_plus,
-                                b_minus=homeo.b_minus,
-                                description=homeo.description,
-                                exotic_note=homeo.exotic_note,
-                            )
+                    status, detail, data, _ = construction.check_classify(
+                        state, triviality(state.pi1)
+                    )
                 else:  # pragma: no cover - parser rejects
                     raise ScriptRuntimeError(f"unknown check {stmt.kind!r}")
                 results.append(StatementResult(index, text, status, detail, data))
                 if status == "fail":
-                    verdict = "FAIL"
                     break
-                if status == "inconclusive" and verdict == "PASS":
-                    verdict = "INCONCLUSIVE"
         except ScriptRuntimeError as err:
             results.append(StatementResult(index, text, "error", str(err)))
-            verdict = "FAIL"
             break
-    return Report(tuple(results), verdict, budgets)
+    return Report(tuple(results), verdict_of(results), budgets)

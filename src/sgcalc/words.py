@@ -249,11 +249,6 @@ def cyclic_core(w: Word) -> tuple[Word, Word]:
     return core, prefix
 
 
-def is_cyclically_reduced(w: Word) -> bool:
-    core, _ = cyclic_core(w)
-    return core == w
-
-
 def rotations(w: Word) -> list[Word]:
     """All letter rotations of a word (for conjugacy tests)."""
     letters = list(w.letters())

@@ -324,7 +324,7 @@ def test_verify_main_theorem_passes():
     assert report.certificate is not None
     assert report.enum_stats.index == 1
     assert report.simplified is not None and report.simplified.is_empty()
-    names = [c.name for c in report.checks]
+    names = [c.text for c in report.checks]
     assert "kill-order replay" in names and "classification" in names
 
 

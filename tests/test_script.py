@@ -23,7 +23,7 @@ from sgcalc.script import (
 )
 from sgcalc.words import Alphabet, commutator
 
-FAST = Budgets(max_cosets=20_000, tietze_budget=500)
+FAST = Budgets(max_cosets=20_000)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -190,7 +190,7 @@ def test_execute_is_deterministic():
 
 def test_execute_inconclusive_on_tiny_budget():
     script = parse("let x = build_X()\ncheck trivial(x)")
-    report = execute(script, Budgets(max_cosets=10, tietze_budget=10))
+    report = execute(script, Budgets(max_cosets=10))
     assert report.verdict == "INCONCLUSIVE"
     assert report.exit_code == 2
 
