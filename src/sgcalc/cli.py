@@ -29,14 +29,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(
     p: argparse.ArgumentParser, max_cosets: bool, tietze_budget: int | None
 ) -> None:
     if max_cosets:
-        p.add_argument("--max-cosets", type=int, default=100_000, metavar="N",
+        p.add_argument("--max-cosets", type=_positive_int, default=100_000, metavar="N",
                        help="coset budget for enumerations (default 100000)")
     if tietze_budget is not None:
-        p.add_argument("--tietze-budget", type=int, default=tietze_budget, metavar="N",
+        p.add_argument("--tietze-budget", type=_positive_int, default=tietze_budget, metavar="N",
                        help=f"step budget for presentation simplification (default {tietze_budget})")
     p.add_argument("--emit", choices=("json", "text"), default="json",
                    help="report format (default json)")
@@ -72,11 +82,11 @@ def _read(path: str) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     text = _read(args.file)
     try:
-        parsed = sgc.parse(text)
-    except sgc.ParseError as err:
+        report = sgc.execute(sgc.parse(text), sgc.Budgets(args.max_cosets))
+    except sgc.ParseError as err:  # a syntax error, or a word over the length bound
         print(f"sgcalc: parse error in {args.file}: {err}", file=sys.stderr)
         return USAGE_EXIT
-    return _emit_report(sgc.execute(parsed, sgc.Budgets(args.max_cosets)), args)
+    return _emit_report(report, args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -181,14 +181,6 @@ class _Table:
             self.deduce(f, word[i], self.new_coset())
 
 
-def _encode(word: Word, alphabet_rank) -> list[int]:
-    cols = []
-    for name, e in word.letters():
-        idx = 2 * alphabet_rank(name)
-        cols.append(idx if e > 0 else idx | 1)
-    return cols
-
-
 def todd_coxeter(
     p: Presentation, subgroup_gens: Sequence[Word] = (), max_cosets: int = 100_000
 ) -> EnumResult:
@@ -206,13 +198,12 @@ def todd_coxeter(
     if p.ngens == 0:
         return EnumResult(index=1, defined=1, collapsed=0)
 
-    rank = p.alphabet.rank
     relators = []
     for r in p.relators:
         core, _ = cyclic_core(r)
         if not core.is_identity:
-            relators.append(_encode(core, rank))
-    subgens = [_encode(w, rank) for w in subgroup_gens]
+            relators.append(core.codes())
+    subgens = [w.codes() for w in subgroup_gens]
 
     table = _Table(2 * p.ngens, max_cosets)
     try:

@@ -52,8 +52,16 @@ class ParseError(ValueError):
         self.col = col
 
 
+class WordTooLong(ParseError):
+    """A word over ``MAX_WORD_LETTERS``: bad input, never a script error."""
+
+
 class ScriptRuntimeError(RuntimeError):
     pass
+
+
+# Longest word the textual syntax may denote, checked before a power is built.
+MAX_WORD_LETTERS = 100_000
 
 
 # -- lexer --------------------------------------------------------------------
@@ -341,6 +349,8 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             if tok.kind == "END" or (tok.kind == "SYM" and tok.value in stop):
                 return out
             out = out * parse_factor()
+            if len(out) > MAX_WORD_LETTERS:
+                raise WordTooLong(f"word longer than {MAX_WORD_LETTERS} letters", tok.line, tok.col)
 
     def parse_factor() -> Word:
         tok = advance()
@@ -367,7 +377,10 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             exp = advance()
             if exp.kind != "INT":
                 raise ParseError("expected integer exponent", exp.line, exp.col)
-            return atom ** int(exp.value)
+            k = int(exp.value)
+            if abs(k) * len(atom) > MAX_WORD_LETTERS:
+                raise WordTooLong(f"power longer than {MAX_WORD_LETTERS} letters", exp.line, exp.col)
+            return atom ** k
         return atom
 
     word = parse_sequence(set())
@@ -512,6 +525,8 @@ def _relators(items: object, alphabet: Alphabet) -> tuple[Word, ...]:
         return tuple(
             parse_word(_want_str(text, "relator"), alphabet) for text in _want_list(items, "relators")
         )
+    except WordTooLong:
+        raise
     except ParseError as err:
         raise ScriptRuntimeError(f"bad relator: {err}") from None
 
@@ -523,7 +538,12 @@ def _op_presentation(args: dict) -> Presentation:
     except WordError as err:
         raise ScriptRuntimeError(str(err)) from None
     relators = _relators(args.pop("relators", []), alphabet)
-    exactness = Exactness(_want_str(args.pop("exactness", "exact"), "exactness"))
+    text = _want_str(args.pop("exactness", "exact"), "exactness")
+    try:
+        exactness = Exactness(text)
+    except ValueError:
+        allowed = ", ".join(repr(e.value) for e in Exactness)
+        raise ScriptRuntimeError(f"unknown exactness {text!r} (allowed: {allowed})") from None
     return Presentation(alphabet, relators, exactness)
 
 
@@ -689,4 +709,6 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
         except ScriptRuntimeError as err:
             results.append(StatementResult(index, text, "error", str(err)))
             break
+        except WordTooLong as err:
+            raise WordTooLong(f"in a word: {err}", stmt.line, 1) from None
     return Report(tuple(results), verdict_of(results), budgets)

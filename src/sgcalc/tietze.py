@@ -14,6 +14,11 @@ The greedy strategy eliminates the generator with the shortest definition,
 ties broken by generator declaration order, so traces are stable across
 runs.  Every step carries enough data to be re-applied from scratch;
 ``replay`` recomputes the whole derivation and is used to validate traces.
+
+The searches work on letter codes: duplicates share a ``cyclic_key``, and
+shortening chunks are found by substring search.  Applying a step, during
+simplification and in ``replay`` alike, re-checks it by brute force over
+``rotations`` and ``_shortened``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
-from .words import Alphabet, Word, cyclic_core, from_letters, rotations, substitute
+from .words import Alphabet, Word, cyclic_core, cyclic_key, from_letters, rotations, substitute
 
 
 @dataclass(frozen=True)
@@ -140,29 +145,27 @@ def _shortened(target: Word, other: Word, inverted: bool, rotation: int, positio
 
 
 def _find_shortening(relators: Sequence[Word]) -> Shorten | None:
-    for ti, target in enumerate(relators):
-        t_letters = list(target.letters())
-        for oi, other in enumerate(relators):
-            if oi == ti:
-                continue
+    # Letter codes as strings, so chunks are found with str.find.  Every
+    # match shortens: an overlap above n/2 replaces ``overlap`` letters by
+    # ``n - overlap``.  Each chunk of a rotation starts with its shortest,
+    # so a rotation whose shortest chunk is absent is skipped whole.
+    codes = [r.codes() for r in relators]
+    texts = ["".join(map(chr, c)) for c in codes]
+    inverses = ["".join(chr(x ^ 1) for x in reversed(c)) for c in codes]
+    for ti, t in enumerate(texts):
+        for oi, other in enumerate(texts):
             n = len(other)
-            if n < 2 or n > len(t_letters):
+            if oi == ti or n < 2 or n > len(t):
                 continue
             for inverted in (False, True):
-                src = ~other if inverted else other
-                letters = list(src.letters())
+                doubled = (inverses[oi] if inverted else other) * 2
                 for rotation in range(n):
-                    rot = letters[rotation:] + letters[:rotation]
+                    if doubled[rotation : rotation + n // 2 + 1] not in t:
+                        continue
                     for overlap in range(n, n // 2, -1):
-                        chunk = rot[:overlap]
-                        # replacement shortens iff overlap > n - overlap
-                        if overlap <= n - overlap:
-                            break
-                        for pos in range(len(t_letters) - overlap + 1):
-                            if t_letters[pos : pos + overlap] == chunk:
-                                cand = _shortened(target, other, inverted, rotation, pos, overlap)
-                                if len(cand) < len(target):
-                                    return Shorten(ti, oi, inverted, rotation, pos, overlap)
+                        pos = t.find(doubled[rotation : rotation + overlap])
+                        if pos >= 0:
+                            return Shorten(ti, oi, inverted, rotation, pos, overlap)
     return None
 
 
@@ -227,15 +230,15 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> tuple[Presentation, 
                     break
             if changed or exhausted:
                 continue
+            # relators are now cyclically reduced and nontrivial, so being a
+            # rotation of another relator or of its inverse is key equality
+            seen: dict[tuple[int, ...], int] = {}
             for i, r in enumerate(state.relators):
-                for j in range(i):
-                    kept = state.relators[j]
-                    if r in rotations(kept) or r in rotations(~kept):
-                        if not spend(RemoveDuplicate(i, j)):
-                            exhausted = True
-                        changed = True
-                        break
-                if changed:
+                j = seen.setdefault(min(cyclic_key(r), cyclic_key(~r)), i)
+                if j != i:
+                    if not spend(RemoveDuplicate(i, j)):
+                        exhausted = True
+                    changed = True
                     break
         if exhausted:
             break

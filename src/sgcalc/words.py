@@ -145,10 +145,7 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self
-        out = self.alphabet.identity()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return Word(self.alphabet, base.syllables * abs(n))
 
     def exponent_sum(self, name: str) -> int:
         self.alphabet.rank(name)
@@ -156,6 +153,14 @@ class Word:
 
     def generators(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.syllables)
+
+    def codes(self) -> list[int]:
+        """Letters as integers: ``2*rank`` for ``g`` and ``2*rank + 1`` for ``g^-1``."""
+        out: list[int] = []
+        for name, exp in self.syllables:
+            code = 2 * self.alphabet.rank(name)
+            out += [code if exp > 0 else code + 1] * abs(exp)
+        return out
 
     def letters(self) -> Iterator[Syllable]:
         """Expand syllables into single-exponent letters."""
@@ -250,7 +255,7 @@ def cyclic_core(w: Word) -> tuple[Word, Word]:
 
 
 def rotations(w: Word) -> list[Word]:
-    """All letter rotations of a word (for conjugacy tests)."""
+    """All letter rotations of a word (Tietze replay's brute-force duplicate check)."""
     letters = list(w.letters())
     out = []
     for k in range(max(1, len(letters))):
@@ -258,12 +263,45 @@ def rotations(w: Word) -> list[Word]:
     return out
 
 
+def _least_rotation(s: list[int]) -> int:
+    """Start of the lexicographically least rotation of ``s`` (Booth, 1980)."""
+    s = s + s
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def cyclic_key(w: Word) -> tuple[int, ...]:
+    """Canonical key of ``w``'s conjugacy class: the least rotation of the
+    letter codes of its cyclic reduction.
+
+    Two words are conjugate iff their keys are equal; for cyclically reduced
+    words, ``cyclic_key(u) == cyclic_key(v)`` iff ``v in rotations(u)``.
+    """
+    codes = w.codes()
+    i, j = 0, len(codes)
+    while i < j - 1 and codes[i] == codes[j - 1] ^ 1:  # cyclic reduction
+        i, j = i + 1, j - 1
+    codes = codes[i:j]
+    k = _least_rotation(codes)
+    return tuple(codes[k:] + codes[:k])
+
+
 def are_conjugate(u: Word, v: Word) -> bool:
-    """Conjugacy in the free group: equal cyclic reductions up to rotation."""
+    """Conjugacy in the free group: equal cyclic keys."""
     if u.alphabet != v.alphabet:
         raise WordError("conjugacy test across different alphabets")
-    cu, _ = cyclic_core(u)
-    cv, _ = cyclic_core(v)
-    if len(cu) != len(cv):
-        return False
-    return cv in rotations(cu)
+    return cyclic_key(u) == cyclic_key(v)

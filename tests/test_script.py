@@ -10,6 +10,7 @@ from sgcalc.script import (
     Check,
     IntVal,
     Let,
+    MAX_WORD_LETTERS,
     ListVal,
     ParseError,
     Ref,
@@ -109,6 +110,19 @@ def test_parse_word_errors():
         parse_word("x^y", ab)
     with pytest.raises(ParseError):
         parse_word("[x", ab)
+
+
+def test_parse_word_bounds_length_before_building():
+    ab = Alphabet(("x", "y"))
+    assert len(parse_word(f"x^{MAX_WORD_LETTERS}", ab)) == MAX_WORD_LETTERS
+    for text in (
+        "x^1000000000",  # refused before a single multiplication
+        f"[x, y]^{MAX_WORD_LETTERS // 4 + 1}",
+        f"x^{MAX_WORD_LETTERS} y",
+        "[[[[[[[[[[[[[[[[x^9, y], y], y], y], y], y], y], y], y], y], y], y], y], y], y], y]",
+    ):
+        with pytest.raises(ParseError, match="longer than"):
+            parse_word(text, ab)
 
 
 def test_word_print_parse_round_trip():
@@ -218,6 +232,13 @@ def test_execute_runtime_errors_carry_statement_index():
     assert "unknown operation" in report.statements[0].detail
 
 
+def test_execute_unknown_exactness_is_an_error_statement():
+    report = execute(parse('let p = presentation(generators=["x"], exactness="bogus")'), FAST)
+    assert report.verdict == "FAIL"
+    assert report.statements[0].status == "error"
+    assert "'exact', 'surjective-bound'" in report.statements[0].detail
+
+
 def test_execute_manifold_ops_and_presentation_ops():
     script = parse(
         "\n".join(
@@ -277,6 +298,47 @@ def test_cli_run_parse_error_exit_64(tmp_path, capsys):
     assert main(["run", str(path)]) == 64
     err = capsys.readouterr().err
     assert "column 5" in err
+
+
+def test_cli_huge_power_exit_64(tmp_path, capsys):
+    path = tmp_path / "huge.sgc"
+    path.write_text('# huge\nlet p = presentation(generators=["x"], relators=["x^1000000000"])\n')
+    assert main(["run", str(path)]) == 64
+    assert "line 2" in capsys.readouterr().err
+    doc = tmp_path / "huge.txt"
+    doc.write_text("generators: x\nrelator: x^1000000000\n")
+    assert main(["simplify", str(doc)]) == 64
+    capsys.readouterr()
+
+
+def test_cli_unknown_exactness_exit_1(tmp_path, capsys):
+    path = tmp_path / "bogus.sgc"
+    path.write_text('let p = presentation(generators=["x"], exactness="bogus")\n')
+    assert main(["run", str(path), "--emit", "text"]) == 1
+    assert "ERROR: unknown exactness 'bogus'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "verify-paper"])
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_cli_max_cosets_must_be_positive(tmp_path, capsys, command, value):
+    path = tmp_path / "ok.sgc"
+    path.write_text("let v = build_V()\n")
+    argv = [command] + ([str(path)] if command == "run" else []) + ["--max-cosets", value]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 64
+    assert "--max-cosets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-paper", "simplify"])
+def test_cli_tietze_budget_must_be_positive(tmp_path, capsys, command):
+    doc = tmp_path / "pres.txt"
+    doc.write_text("generators: x\nrelator: x\n")
+    argv = [command] + ([str(doc)] if command == "simplify" else []) + ["--tietze-budget", "-5"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 64
+    assert "positive integer" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_64(capsys):

@@ -1,5 +1,10 @@
+import random
+from pathlib import Path
+
 import pytest
 
+from conftest import random_word
+from sgcalc.construction import TIETZE_BUDGET, assemble_x
 from sgcalc.coset_enum import todd_coxeter
 from sgcalc.presentations import (
     Exactness,
@@ -7,7 +12,7 @@ from sgcalc.presentations import (
     PresentationError,
     homology_invariants,
 )
-from sgcalc.tietze import Eliminate, replay, tietze_simplify
+from sgcalc.tietze import Eliminate, RemoveDuplicate, Shorten, replay, tietze_simplify
 from sgcalc.words import Alphabet, commutator
 
 
@@ -96,3 +101,33 @@ def test_exactness_preserved():
     p = Presentation(ab, (ab.gen("x"),), Exactness.SURJECTIVE_BOUND)
     final, _ = tietze_simplify(p)
     assert final.exactness is Exactness.SURJECTIVE_BOUND
+
+
+def test_x_trace_matches_golden():
+    """The paper's simplification, step by step: one repr per step, then the result."""
+    final, trace = tietze_simplify(assemble_x().state.pi1, TIETZE_BUDGET)
+    lines = [repr(step) for step in trace.steps] + [repr(final)]
+    golden = Path(__file__).parent / "golden" / "x_trace.txt"
+    assert "\n".join(lines) + "\n" == golden.read_text()
+
+
+def _random_presentation(rng: random.Random) -> Presentation:
+    ab = Alphabet(("a", "b", "c", "d")[: rng.randint(1, 4)])
+    relators = [random_word(rng, ab, 8) for _ in range(rng.randint(1, 6))]
+    for _ in range(rng.randint(0, 2)):  # exact and inverted duplicates
+        copy = rng.choice(relators)
+        relators.insert(rng.randint(0, len(relators)), ~copy if rng.random() < 0.5 else copy)
+    return Presentation(ab, tuple(relators))
+
+
+def test_random_traces_replay_to_their_result():
+    rng = random.Random(1984)
+    kinds = set()
+    for _ in range(120):
+        p = _random_presentation(rng)
+        for budget in (3, 50, 1000):
+            final, trace = tietze_simplify(p, budget)
+            assert len(trace.steps) <= budget
+            assert replay(p, trace) == final
+            kinds.update(type(step) for step in trace.steps)
+    assert {RemoveDuplicate, Shorten} <= kinds

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from sgcalc.words import (
     commutator,
     conjugate,
     cyclic_core,
+    cyclic_key,
     invert,
     multiply,
     reduce,
@@ -133,6 +135,51 @@ def test_rotations(xyab):
     x, y = xyab.gen("x"), xyab.gen("y")
     rots = rotations(x * y * x)
     assert x * y * x in rots and x * x * y in rots and y * x * x in rots
+
+
+def test_codes(xyab):
+    x, b = xyab.gen("x"), xyab.gen("b")
+    assert (x ** 2 * ~b).codes() == [0, 0, 7]
+    assert xyab.identity().codes() == []
+
+
+def test_cyclic_key_is_rotation_class():
+    """On cyclically reduced words, equal keys iff one word is a rotation of the other."""
+    ab = Alphabet(("x", "y"))  # two letters, so distinct words often share a key
+    rng = random.Random(1980)
+    seen = set()
+    for _ in range(1500):
+        u, _ = cyclic_core(random_word(rng, ab, 6))
+        rots = rotations(u)
+        if rng.random() < 0.5:
+            v = rng.choice(rots)
+        else:
+            v, _ = cyclic_core(random_word(rng, ab, 6))
+        same = v in rots
+        seen.add(same)
+        assert (cyclic_key(u) == cyclic_key(v)) == same, (u, v)
+        assert cyclic_key(u) == cyclic_key(conjugate(u, random_word(rng, ab, 3)))
+    assert seen == {True, False}
+
+
+def test_power_is_linear(xyab):
+    x, y = xyab.gen("x"), xyab.gen("y")
+    assert (x * y) ** 3 == x * y * x * y * x * y
+    assert (x * y) ** -2 == ~y * ~x * ~y * ~x
+    assert (x * y * ~x) ** 4 == x * y ** 4 * ~x
+    assert (x * y) ** 0 == xyab.identity()
+
+    def best(n: int) -> float:
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            (x * y) ** n
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(4000) < 0.5  # one reduction pass, not 4000 re-reductions
+    # linear: 4x the exponent costs about 4x; the repeated product cost 16x
+    assert best(80_000) < 10 * best(20_000)
 
 
 def test_word_str_and_len(xyab):
