@@ -14,7 +14,6 @@ from .words import (
     conjugate,
     cyclic_core,
     invert,
-    multiply,
     reduce,
     substitute,
 )
@@ -54,6 +53,7 @@ from .construction import (
     ConstructionReport,
     KILL_SCRIPT,
     ReplayError,
+    Report,
     Variant,
     build_p,
     build_p1,
@@ -66,7 +66,7 @@ from .construction import (
     replay_kill_order,
     verify_main_theorem,
 )
-from .script import Budgets, ParseError, Report, Script, execute, parse, parse_word
+from .script import Budgets, ParseError, Script, execute, parse, parse_word
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

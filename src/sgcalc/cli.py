@@ -65,7 +65,7 @@ def _emit(payload: str, out: str | None) -> None:
             handle.write(payload)
 
 
-def _emit_report(report: construction.VerdictReport, args: argparse.Namespace) -> int:
+def _emit_report(report: construction.Report, args: argparse.Namespace) -> int:
     _emit(report.to_json() if args.emit == "json" else report.to_text(trace=args.trace), args.out)
     return report.exit_code
 

@@ -62,7 +62,7 @@ from .words import (
     commutator,
     conjugate,
     cyclic_core,
-    from_letters,
+    relator_key,
     substitute,
 )
 
@@ -154,13 +154,14 @@ def relabel(data: ComplementData, images: Mapping[str, Word]) -> ComplementData:
         if name not in images:
             raise WordError(f"no image for generator {name!r}")
         image = images[name]
-        if len(image.syllables) != 1 or abs(image.syllables[0][1]) != 1:
+        letter = image.as_letter()
+        if letter is None:
             raise WordError(f"image of {name!r} is not a single signed generator: {image}")
         if target is None:
             target = image.alphabet
         elif image.alphabet != target:
             raise WordError("images span different alphabets")
-        bases[name] = image.syllables[0][0]
+        bases[name] = letter[0]
     if len(set(bases.values())) != len(bases):
         raise WordError("assignment is not invertible: images share a base generator")
     if target is None:
@@ -215,10 +216,10 @@ class BlockBuild:
 
 
 def _direction_core(direction: Word) -> str:
-    core, _ = cyclic_core(direction)
-    if len(core.syllables) != 1 or abs(core.syllables[0][1]) != 1:
+    letter = cyclic_core(direction)[0].as_letter()
+    if letter is None:
         raise PresentationError(f"direction {direction} is not a conjugated single generator")
-    return core.syllables[0][0]
+    return letter[0]
 
 
 def isolate_direction(relator: Word, gen: str) -> tuple[Word, Word]:
@@ -233,8 +234,8 @@ def isolate_direction(relator: Word, gen: str) -> tuple[Word, Word]:
     if len(hits) != 1:
         raise PresentationError(f"generator {gen!r} does not occur exactly once in {relator}")
     i = hits[0]
-    rotated = from_letters(relator.alphabet, letters[i + 1 :] + letters[: i + 1])
-    conjugator = from_letters(relator.alphabet, letters[i + 1 :]) * ~prefix
+    rotated = Word(relator.alphabet, letters[i + 1 :] + letters[: i + 1])
+    conjugator = Word(relator.alphabet, letters[i + 1 :]) * ~prefix
     if conjugate(relator, conjugator) != rotated or not are_conjugate(relator, rotated):
         raise PresentationError("rotation check failed")
     return rotated, conjugator
@@ -518,7 +519,7 @@ def _single_generator_equation(w: Word, prefer: str | None = None) -> tuple[str,
             definition = solve_relator(w, name)
         except PresentationError:
             continue
-        if len(definition.syllables) == 1 and abs(definition.syllables[0][1]) == 1:
+        if definition.as_letter() is not None:
             return name, definition
     return None
 
@@ -624,7 +625,7 @@ def replay_kill_order(
                 )
             if word.exponent_sum(mobile) != 0:
                 raise ReplayError(step.generator, f"{mobile} does not cancel")
-            word = from_letters(alphabet, (l for l in word.letters() if l[0] != mobile))
+            word = Word(alphabet, (l for l in word.letters() if l[0] != mobile))
             derivation.append(f"{word}   [{mobile} commutes with the rest and cancels]")
 
         word = sigma(word)
@@ -651,6 +652,7 @@ def commutation_status(data: ComplementData) -> dict[tuple[str, str], str]:
     """
     relators = data.universal_relators + data.closure_relators
     pairs = commuting_pairs(relators)
+    keys = {relator_key(r) for r in relators}
     out: dict[tuple[str, str], str] = {}
     for mark in (data.t1, data.t2):
         for label, u, v in (
@@ -659,9 +661,7 @@ def commutation_status(data: ComplementData) -> dict[tuple[str, str], str]:
             ("m,l", mark.m, mark.l),
         ):
             word = commutator(u, v)
-            proved = any(
-                are_conjugate(word, r) or are_conjugate(word, ~r) for r in relators
-            ) or commutation_normal_form(word, pairs).is_identity
+            proved = relator_key(word) in keys or commutation_normal_form(word, pairs).is_identity
             out[(mark.id, label)] = "proved" if proved else "assumed (boundary three-torus)"
     return out
 
@@ -689,9 +689,22 @@ AXIOMS: tuple[str, ...] = (
 VERDICT_EXIT = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}
 
 
+def _data_lines(data: dict, pad: str) -> list[str]:
+    """``key: value`` lines; a list of strings or records goes one item per line below its key."""
+    out = []
+    for key, value in data.items():
+        if isinstance(value, list) and value and isinstance(value[0], (str, dict)):
+            out.append(f"{pad}{key}:")
+            for item in value:
+                out += _data_lines(item, pad + "  ") if isinstance(item, dict) else [f"{pad}  {item}"]
+        else:
+            out.append(f"{pad}{key}: {value}")
+    return out
+
+
 @dataclass(frozen=True)
 class StatementResult:
-    """One script statement or verification check and how it came out."""
+    """One script statement or verification check, how it came out, and its evidence."""
 
     index: int
     text: str
@@ -715,9 +728,7 @@ class StatementResult:
     def lines(self, trace: bool = False) -> list[str]:
         out = [f"[{self.index}] {self.text}"]
         out.append(f"    {self.status.upper()}: {self.detail}" if self.detail else f"    {self.status.upper()}")
-        if trace:
-            out += [f"      {key}: {self.data[key]}" for key in sorted(self.data)]
-        return out
+        return out + (_data_lines(self.data, "      ") if trace else [])
 
 
 def verdict_of(results: Sequence[StatementResult]) -> str:
@@ -728,8 +739,29 @@ def verdict_of(results: Sequence[StatementResult]) -> str:
     return "INCONCLUSIVE" if "inconclusive" in statuses else "PASS"
 
 
-class VerdictReport:
-    """JSON text and exit code of a report with a ``verdict`` and a ``to_dict``."""
+@dataclass(frozen=True)
+class Report:
+    """The statements of a run, its verdict and the budgets it ran under."""
+
+    statements: tuple[StatementResult, ...]
+    verdict: str  # PASS | FAIL | INCONCLUSIVE
+    budgets: dict[str, int]
+
+    def to_dict(self) -> dict:
+        return {
+            "budgets": self.budgets,
+            "statements": [s.to_dict() for s in self.statements],
+            "verdict": self.verdict,
+        }
+
+    def notes(self) -> list[str]:
+        """Text lines between the statements and the verdict."""
+        return []
+
+    def to_text(self, trace: bool = False) -> str:
+        lines = [line for s in self.statements for line in s.lines(trace)]
+        lines += self.notes() + [f"verdict: {self.verdict}"]
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -777,12 +809,7 @@ def check_trivial(
             return "inconclusive", detail, data, outcome
         return "fail", f"refuted: the group has order {outcome.index}", data, outcome
     result = outcome.result
-    data = {
-        "index": 1,
-        "cosets_defined": result.defined,
-        "cosets_collapsed": result.collapsed,
-        "witnesses": [list(w) for w in outcome.witnesses],
-    }
+    data = {"index": 1, "cosets_defined": result.defined, "cosets_collapsed": result.collapsed}
     detail = f"trivial: index 1 with {result.defined} cosets defined, {result.collapsed} collapsed"
     return "pass", detail, data, outcome
 
@@ -795,37 +822,38 @@ def check_classify(
     Without a certificate the triviality check's status and detail stand:
     a refuted group fails, an undecided one is inconclusive.
     """
-    status, detail, data, outcome = trivial
+    status, detail, _, outcome = trivial
     if not isinstance(outcome, TrivialityCertificate):
-        return status, detail, data, None
+        return status, detail, {}, None
     try:
         homeo = classify(state, outcome)
     except ManifoldError as err:
-        return "fail", str(err), data, None
+        return "fail", str(err), {}, None
     detail = f"b+ = {homeo.b_plus}, b- = {homeo.b_minus}: {homeo.description}"
     if homeo.exotic_note:
         detail += f" ({homeo.exotic_note})"
-    data = dict(
-        data,
-        b_plus=homeo.b_plus,
-        b_minus=homeo.b_minus,
-        description=homeo.description,
-        exotic_note=homeo.exotic_note,
-    )
+    data = {
+        "b_plus": homeo.b_plus,
+        "b_minus": homeo.b_minus,
+        "description": homeo.description,
+        "exotic_note": homeo.exotic_note,
+    }
     return "pass", detail, data, homeo
 
 
 @dataclass(frozen=True)
-class ConstructionReport(VerdictReport):
-    verdict: str
-    checks: tuple[StatementResult, ...]
+class ConstructionReport(Report):
+    """The paper's report: its checks plus the objects they certify.
+
+    ``blocks`` holds V, W and P; the assembled X is ``state``.
+    """
+
     blocks: tuple[ManifoldState, ...]
     state: ManifoldState
     surgeries: tuple[SurgeryRecord, ...]
     certificate: TrivialityCertificate | None
-    enum_stats: EnumResult | None
-    trace: DerivationTrace | None
-    simplified: Presentation | None
+    trace: DerivationTrace
+    simplified: Presentation
     replay: KillReplayReport | None
     homeo: HomeoType | None
     assumptions: tuple[str, ...]
@@ -861,8 +889,7 @@ class ConstructionReport(VerdictReport):
             }
 
         return {
-            "verdict": self.verdict,
-            "checks": [c.to_dict() for c in self.checks],
+            **super().to_dict(),
             "blocks": [state_dict(b) for b in self.blocks],
             "result": state_dict(self.state),
             "surgeries": [
@@ -877,79 +904,17 @@ class ConstructionReport(VerdictReport):
                 }
                 for r in self.surgeries
             ],
-            "enumeration": (
-                None
-                if self.enum_stats is None
-                else {
-                    "index": self.enum_stats.index,
-                    "cosets_defined": self.enum_stats.defined,
-                    "cosets_collapsed": self.enum_stats.collapsed,
-                }
-            ),
-            "certificate": (
-                None
-                if self.certificate is None
-                else {
-                    "index": self.certificate.result.index,
-                    "witnesses": [list(w) for w in self.certificate.witnesses],
-                }
-            ),
-            "simplification": (
-                None
-                if self.trace is None
-                else {
-                    "steps": len(self.trace.steps),
-                    "complete": self.trace.complete,
-                    "eliminated": self.trace.eliminated_generators(),
-                    "final_generators": list(self.simplified.alphabet.names),
-                    "final_relators": [str(r) for r in self.simplified.relators],
-                }
-            ),
-            "kill_replay": (
-                None
-                if self.replay is None
-                else [
-                    {
-                        "generator": s.generator,
-                        "relations": list(s.uses),
-                        "derivation": list(s.derivation),
-                    }
-                    for s in self.replay.steps
-                ]
-            ),
-            "classification": (
-                None
-                if self.homeo is None
-                else {
-                    "b_plus": self.homeo.b_plus,
-                    "b_minus": self.homeo.b_minus,
-                    "description": self.homeo.description,
-                    "exotic_note": self.homeo.exotic_note,
-                }
-            ),
             "assumptions": list(self.assumptions),
             "axioms": list(self.axioms),
         }
 
-    def to_text(self, trace: bool = False) -> str:
-        lines = [line for c in self.checks for line in c.lines(trace)]
-        if trace and self.replay is not None:
-            lines += ["", "kill-order replay:"]
-            for step in self.replay.steps:
-                cited = ", ".join(str(i) for i in step.uses)
-                lines.append(f"  kill {step.generator} (relations {cited})")
-                lines += [f"    {d}" for d in step.derivation]
-        if trace and self.trace is not None:
-            lines += [
-                "",
-                "simplification: "
-                + ", ".join(self.trace.eliminated_generators())
-                + f" eliminated in {len(self.trace.steps)} steps",
-            ]
-        lines += ["", "assumptions:"] + [f"  {a}" for a in self.assumptions]
-        lines += ["axioms:"] + [f"  {a}" for a in self.axioms]
-        lines.append(f"verdict: {self.verdict}")
-        return "\n".join(lines) + "\n"
+    def notes(self) -> list[str]:
+        return (
+            ["", "assumptions:"]
+            + [f"  {a}" for a in self.assumptions]
+            + ["axioms:"]
+            + [f"  {a}" for a in self.axioms]
+        )
 
 
 TIETZE_BUDGET = 2000
@@ -964,21 +929,21 @@ def verify_main_theorem(
     enumeration and generic simplification) and cross-checked against the
     scripted kill-order.  The verdict follows :func:`verdict_of`: any failed
     check makes it FAIL, and an exhausted budget makes it INCONCLUSIVE,
-    never PASS.
+    never PASS.  Each check's evidence is its statement's ``data``.
     """
     checks: list[StatementResult] = []
 
     def check(name: str, status: str, detail: str, data: dict | None = None) -> None:
         checks.append(StatementResult(len(checks), name, status, detail, data or {}))
 
-    def expect(name: str, ok: bool, detail: str) -> None:
-        check(name, "pass" if ok else "fail", detail)
+    def expect(name: str, ok: bool, detail: str, data: dict | None = None) -> None:
+        check(name, "pass" if ok else "fail", detail, data)
 
     x = assemble_x()
     built = {b.name: b for b in x.blocks}
-    blocks = (built["V"], built["W"], built["P"], x.state)
+    blocks = (built["V"], built["W"], built["P"])
 
-    for state, e, sig in zip(blocks, (0, 2, 0, 6), (0, -2, 0, -2)):
+    for state, e, sig in zip(blocks + (x.state,), (0, 2, 0, 6), (0, -2, 0, -2)):
         check(f"invariants {state.name}", *check_invariants(state, e, sig))
     expect(
         "presentation size X",
@@ -1000,25 +965,35 @@ def verify_main_theorem(
 
     trivial = check_trivial(x.state.pi1, h1x, max_cosets)
     check("coset enumeration", *trivial[:3])
-    outcome = trivial[3]
-    certificate = outcome if isinstance(outcome, TrivialityCertificate) else None
-    enum_stats = certificate.result if certificate is not None else outcome
+    certificate = trivial[3] if isinstance(trivial[3], TrivialityCertificate) else None
 
     simplified, trace = tietze_simplify(x.state.pi1, tietze_budget)
+    progress = {
+        "steps": len(trace.steps),
+        "complete": trace.complete,
+        "eliminated": trace.eliminated_generators(),
+        "final_generators": list(simplified.alphabet.names),
+        "final_relators": [str(r) for r in simplified.relators],
+    }
     if not trace.complete:
-        check("simplification", "inconclusive", f"budget of {tietze_budget} steps exhausted")
+        check("simplification", "inconclusive", f"budget of {tietze_budget} steps exhausted", progress)
     else:
         expect(
             "simplification",
             simplified.is_empty(),
             f"reached {simplified} in {len(trace.steps)} steps, eliminating "
             f"{', '.join(trace.eliminated_generators())}",
+            progress,
         )
 
     replay_report = None
     try:
         replay_report = replay_kill_order(x.state.pi1)
-        check("kill-order replay", "pass", " -> ".join(replay_report.killed))
+        kills = [
+            {"generator": s.generator, "relations": list(s.uses), "derivation": list(s.derivation)}
+            for s in replay_report.steps
+        ]
+        check("kill-order replay", "pass", " -> ".join(replay_report.killed), {"steps": kills})
     except ReplayError as err:
         check("kill-order replay", "fail", str(err))
 
@@ -1037,13 +1012,13 @@ def verify_main_theorem(
     )
 
     return ConstructionReport(
+        statements=tuple(checks),
         verdict=verdict_of(checks),
-        checks=tuple(checks),
+        budgets={"max_cosets": max_cosets, "tietze_budget": tietze_budget},
         blocks=blocks,
         state=x.state,
         surgeries=x.surgeries,
         certificate=certificate,
-        enum_stats=enum_stats,
         trace=trace,
         simplified=simplified,
         replay=replay_report,

@@ -45,15 +45,10 @@ class EnumResult:
 
 @dataclass(frozen=True)
 class TrivialityCertificate:
-    """Index-1 enumeration plus per-generator stabilizer witnesses.
-
-    Each witness records that the generator, read from coset 1, returns to
-    coset 1: every generator lies in the subgroup, which is trivial.
-    """
+    """An index-1 enumeration of the trivial subgroup of ``presentation``."""
 
     presentation: Presentation
     result: EnumResult
-    witnesses: tuple[tuple[str, int, int], ...]
 
 
 class _Budget(Exception):
@@ -268,5 +263,4 @@ def certify_trivial(
     result = todd_coxeter(p, (), max_cosets)
     if result.index != 1:
         return result
-    witnesses = tuple((name, 1, 1) for name in p.alphabet.names)
-    return TrivialityCertificate(p, result, witnesses)
+    return TrivialityCertificate(p, result)

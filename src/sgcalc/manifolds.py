@@ -26,7 +26,7 @@ from math import gcd
 
 from .coset_enum import TrivialityCertificate
 from .presentations import Exactness, Presentation, quotient_by
-from .words import Word, merge_alphabets, reword, substitute
+from .words import Word, merge_alphabets, substitute
 
 
 class ManifoldError(ValueError):
@@ -306,12 +306,13 @@ def symplectic_sum(
             pairs = [(w2, w1) for w1, w2 in _paired_words(mark1, mark2, pairing)]
         images: dict[str, Word] = {}
         for host_word, donor_word in pairs:
-            if len(donor_word.syllables) != 1 or abs(donor_word.syllables[0][1]) != 1:
+            letter = donor_word.as_letter()
+            if letter is None:
                 raise ManifoldError(
                     "killed-meridian sum needs single-generator boundary words "
                     f"on the {donor_mark.id!r} side"
                 )
-            name, exp = donor_word.syllables[0]
+            name, exp = letter
             images[name] = host_word**exp
         needed = set()
         for r in donor_mark.carried_relators:
@@ -335,18 +336,18 @@ def symplectic_sum(
         )
     else:
         alphabet = merge_alphabets(s1.pi1.alphabet, s2.pi1.alphabet)
-        rel1 = tuple(reword(r, alphabet) for r in s1.pi1.relators)
-        rel2 = tuple(reword(r, alphabet) for r in s2.pi1.relators)
+        rel1 = tuple(Word(alphabet, r.syllables) for r in s1.pi1.relators)
+        rel2 = tuple(Word(alphabet, r.syllables) for r in s2.pi1.relators)
         idents = tuple(
-            reword(w1, alphabet) * ~reword(w2, alphabet)
+            Word(alphabet, w1.syllables) * ~Word(alphabet, w2.syllables)
             for w1, w2 in _paired_words(mark1, mark2, pairing)
         )
         pi1 = Presentation(alphabet, rel1 + rel2 + idents, Exactness.SURJECTIVE_BOUND)
         surfaces = tuple(
             replace(
                 m,
-                boundary_generators=tuple(reword(w, alphabet) for w in m.boundary_generators),
-                carried_relators=tuple(reword(w, alphabet) for w in m.carried_relators),
+                boundary_generators=tuple(Word(alphabet, w.syllables) for w in m.boundary_generators),
+                carried_relators=tuple(Word(alphabet, w.syllables) for w in m.carried_relators),
             )
             for m in s1.surfaces + s2.surfaces
             if m.id not in (surface1, surface2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .words import Alphabet, Word, are_conjugate, from_letters
+from .words import Alphabet, Word, are_conjugate, relator_key
 
 
 class PresentationError(ValueError):
@@ -76,8 +76,8 @@ def solve_relator(relator: Word, gen: str) -> Word:
     if len(hits) != 1:
         raise PresentationError(f"generator {gen!r} does not occur exactly once in {relator}")
     i = hits[0]
-    p = from_letters(relator.alphabet, letters[:i])
-    q = from_letters(relator.alphabet, letters[i + 1 :])
+    p = Word(relator.alphabet, letters[:i])
+    q = Word(relator.alphabet, letters[i + 1 :])
     if letters[i][1] == 1:
         return ~p * ~q
     return q * p
@@ -137,7 +137,7 @@ def commutation_normal_form(w: Word, pairs: frozenset[frozenset[str]]) -> Word:
     alphabet = w.alphabet
     letters = list(w.letters())
     while True:
-        word = from_letters(alphabet, letters)
+        word = Word(alphabet, letters)
         letters = list(word.letters())
         swapped = False
         for i in range(len(letters) - 1):
@@ -181,7 +181,7 @@ def prune_redundant(
             if not kept[j]:
                 continue
             nfj = commutation_normal_form(relators[j], pairs)
-            if not nfj.is_identity and (are_conjugate(nf, nfj) or are_conjugate(nf, ~nfj)):
+            if not nfj.is_identity and relator_key(nf) == relator_key(nfj):
                 kept[i] = False
                 removed.append(PruneRecord(i, r, f"restates relator {j}"))
                 break

@@ -22,11 +22,11 @@ budget is inconclusive, never a pass or a fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Union
 
 from . import construction
-from .construction import StatementResult, VerdictReport, presentation_dict, verdict_of
+from .construction import Report, StatementResult, presentation_dict, verdict_of
 from .manifolds import ManifoldError, ManifoldState, blow_up
 # The checks call these through construction; they stay attributes of this
 # module because bench/tracing.py wraps them here.
@@ -75,6 +75,14 @@ class Token:
 
 
 _SYMBOLS = "=(),[]^"
+
+
+def _int(tok: Token) -> int:
+    """The value of an INT token; a literal over Python's digit limit is a parse error."""
+    try:
+        return int(tok.value)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(tok.value)} characters is too long", tok.line, tok.col) from None
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -266,7 +274,7 @@ class _Parser:
             for _ in range(2):
                 self.expect("SYM", ",")
                 tok = self.expect("INT", what="integer")
-                args.append(IntVal(int(tok.value)))
+                args.append(IntVal(_int(tok)))
         self.expect("SYM", ")")
         return Check(kind.value, tuple(args), line)
 
@@ -277,7 +285,7 @@ class _Parser:
             return Ref(tok.value)
         if tok.kind == "INT":
             self.next()
-            return IntVal(int(tok.value))
+            return IntVal(_int(tok))
         if tok.kind == "STRING":
             self.next()
             return StrVal(tok.value)
@@ -377,7 +385,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             exp = advance()
             if exp.kind != "INT":
                 raise ParseError("expected integer exponent", exp.line, exp.col)
-            k = int(exp.value)
+            k = _int(exp)
             if abs(k) * len(atom) > MAX_WORD_LETTERS:
                 raise WordTooLong(f"power longer than {MAX_WORD_LETTERS} letters", exp.line, exp.col)
             return atom ** k
@@ -446,25 +454,6 @@ def format_presentation_document(p: Presentation) -> str:
 @dataclass(frozen=True)
 class Budgets:
     max_cosets: int = 100_000
-
-
-@dataclass(frozen=True)
-class Report(VerdictReport):
-    statements: tuple[StatementResult, ...]
-    verdict: str  # PASS | FAIL | INCONCLUSIVE
-    budgets: Budgets
-
-    def to_dict(self) -> dict:
-        return {
-            "budgets": {"max_cosets": self.budgets.max_cosets},
-            "statements": [s.to_dict() for s in self.statements],
-            "verdict": self.verdict,
-        }
-
-    def to_text(self, trace: bool = False) -> str:
-        lines = [line for s in self.statements for line in s.lines(trace)]
-        lines.append(f"verdict: {self.verdict}")
-        return "\n".join(lines) + "\n"
 
 
 def _want_state(value: object, what: str) -> ManifoldState:
@@ -711,4 +700,4 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
             break
         except WordTooLong as err:
             raise WordTooLong(f"in a word: {err}", stmt.line, 1) from None
-    return Report(tuple(results), verdict_of(results), budgets)
+    return Report(tuple(results), verdict_of(results), asdict(budgets))

@@ -15,7 +15,7 @@ ties broken by generator declaration order, so traces are stable across
 runs.  Every step carries enough data to be re-applied from scratch;
 ``replay`` recomputes the whole derivation and is used to validate traces.
 
-The searches work on letter codes: duplicates share a ``cyclic_key``, and
+The searches work on letter codes: duplicates share a ``relator_key``, and
 shortening chunks are found by substring search.  Applying a step, during
 simplification and in ``replay`` alike, re-checks it by brute force over
 ``rotations`` and ``_shortened``.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
-from .words import Alphabet, Word, cyclic_core, cyclic_key, from_letters, rotations, substitute
+from .words import Alphabet, Word, cyclic_core, relator_key, rotations, substitute
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def _shortened(target: Word, other: Word, inverted: bool, rotation: int, positio
     if t[position : position + overlap] != chunk:
         raise PresentationError("replay: overlap does not match")
     inv_rem = [(n, -e) for n, e in reversed(remainder)]
-    return from_letters(target.alphabet, t[:position] + inv_rem + t[position + overlap :])
+    return Word(target.alphabet, t[:position] + inv_rem + t[position + overlap :])
 
 
 def _find_shortening(relators: Sequence[Word]) -> Shorten | None:
@@ -188,6 +188,31 @@ def _find_elimination(alphabet: Alphabet, relators: Sequence[Word]) -> tuple[str
     return choice
 
 
+def _next_step(state: _State) -> TietzeStep | None:
+    """The first applicable move: cyclic reduction, trivial and duplicate
+    removal, elimination, then shortening."""
+    relators = state.relators
+    for i, r in enumerate(relators):
+        _, prefix = cyclic_core(r)
+        if not prefix.is_identity:
+            return CyclicReduce(i, prefix)
+    for i, r in enumerate(relators):
+        if r.is_identity:
+            return RemoveTrivial(i)
+    # relators are now cyclically reduced and nontrivial, so being a
+    # rotation of another relator or of its inverse is key equality
+    seen: dict[tuple[int, ...], int] = {}
+    for i, r in enumerate(relators):
+        j = seen.setdefault(relator_key(r), i)
+        if j != i:
+            return RemoveDuplicate(i, j)
+    pick = _find_elimination(state.alphabet, relators)
+    if pick is not None:
+        gen, idx = pick
+        return Eliminate(gen, idx, solve_relator(relators[idx], gen))
+    return _find_shortening(relators)
+
+
 def tietze_simplify(p: Presentation, budget: int = 1000) -> tuple[Presentation, DerivationTrace]:
     """Greedily simplify ``p``, recording a replayable trace.
 
@@ -199,66 +224,12 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> tuple[Presentation, 
         raise PresentationError("budget must be positive")
     state = _State(p)
     steps: list[TietzeStep] = []
-
-    def spend(step: TietzeStep) -> bool:
+    while (step := _next_step(state)) is not None:
         if len(steps) >= budget:
-            return False
+            return state.presentation(), DerivationTrace(tuple(steps), complete=False)
         state.apply(step)
         steps.append(step)
-        return True
-
-    exhausted = False
-    while not exhausted:
-        # housekeeping: cyclic reduction, trivial and duplicate removal
-        changed = True
-        while changed and not exhausted:
-            changed = False
-            for i, r in enumerate(state.relators):
-                core, prefix = cyclic_core(r)
-                if not prefix.is_identity:
-                    if not spend(CyclicReduce(i, prefix)):
-                        exhausted = True
-                    changed = True
-                    break
-            if changed or exhausted:
-                continue
-            for i, r in enumerate(state.relators):
-                if r.is_identity:
-                    if not spend(RemoveTrivial(i)):
-                        exhausted = True
-                    changed = True
-                    break
-            if changed or exhausted:
-                continue
-            # relators are now cyclically reduced and nontrivial, so being a
-            # rotation of another relator or of its inverse is key equality
-            seen: dict[tuple[int, ...], int] = {}
-            for i, r in enumerate(state.relators):
-                j = seen.setdefault(min(cyclic_key(r), cyclic_key(~r)), i)
-                if j != i:
-                    if not spend(RemoveDuplicate(i, j)):
-                        exhausted = True
-                    changed = True
-                    break
-        if exhausted:
-            break
-
-        pick = _find_elimination(state.alphabet, state.relators)
-        if pick is not None:
-            gen, idx = pick
-            definition = solve_relator(state.relators[idx], gen)
-            if not spend(Eliminate(gen, idx, definition)):
-                exhausted = True
-            continue
-
-        shorten = _find_shortening(state.relators)
-        if shorten is not None:
-            if not spend(shorten):
-                exhausted = True
-            continue
-        break
-
-    return state.presentation(), DerivationTrace(tuple(steps), complete=not exhausted)
+    return state.presentation(), DerivationTrace(tuple(steps), complete=True)
 
 
 def replay(initial: Presentation, trace: DerivationTrace) -> Presentation:

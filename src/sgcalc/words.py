@@ -140,9 +140,6 @@ class Word:
     def __invert__(self) -> "Word":
         return Word(self.alphabet, tuple((n, -e) for n, e in reversed(self.syllables)))
 
-    def inverse(self) -> "Word":
-        return ~self
-
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self
         return Word(self.alphabet, base.syllables * abs(n))
@@ -153,6 +150,12 @@ class Word:
 
     def generators(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.syllables)
+
+    def as_letter(self) -> Syllable | None:
+        """``(name, +-1)`` if the word is a single signed generator, else ``None``."""
+        if len(self.syllables) == 1 and abs(self.syllables[0][1]) == 1:
+            return self.syllables[0]
+        return None
 
     def codes(self) -> list[int]:
         """Letters as integers: ``2*rank`` for ``g`` and ``2*rank + 1`` for ``g^-1``."""
@@ -181,10 +184,6 @@ class Word:
 def reduce(alphabet: Alphabet, syllables: Iterable[Syllable]) -> Word:
     """Freely reduce a raw syllable list over ``alphabet``."""
     return Word(alphabet, syllables)
-
-
-def multiply(w1: Word, w2: Word) -> Word:
-    return w1 * w2
 
 
 def invert(w: Word) -> Word:
@@ -224,15 +223,6 @@ def substitute(w: Word, images: Mapping[str, Word], target: Alphabet | None = No
     return out
 
 
-def reword(w: Word, target: Alphabet) -> Word:
-    """Move ``w`` to a larger alphabet containing the same generator names."""
-    return Word(target, w.syllables)
-
-
-def from_letters(alphabet: Alphabet, letters: Iterable[Syllable]) -> Word:
-    return Word(alphabet, letters)
-
-
 def cyclic_core(w: Word) -> tuple[Word, Word]:
     """Cyclically reduce ``w``.
 
@@ -249,8 +239,8 @@ def cyclic_core(w: Word) -> tuple[Word, Word]:
             j -= 1
         else:
             break
-    prefix = from_letters(w.alphabet, letters[:i])
-    core = from_letters(w.alphabet, letters[i:j])
+    prefix = Word(w.alphabet, letters[:i])
+    core = Word(w.alphabet, letters[i:j])
     return core, prefix
 
 
@@ -259,7 +249,7 @@ def rotations(w: Word) -> list[Word]:
     letters = list(w.letters())
     out = []
     for k in range(max(1, len(letters))):
-        out.append(from_letters(w.alphabet, letters[k:] + letters[:k]))
+        out.append(Word(w.alphabet, letters[k:] + letters[:k]))
     return out
 
 
@@ -305,3 +295,12 @@ def are_conjugate(u: Word, v: Word) -> bool:
     if u.alphabet != v.alphabet:
         raise WordError("conjugacy test across different alphabets")
     return cyclic_key(u) == cyclic_key(v)
+
+
+def relator_key(w: Word) -> tuple[int, ...]:
+    """Key of ``w`` up to conjugacy and inversion.
+
+    ``relator_key(u) == relator_key(v)`` iff ``u`` is conjugate to ``v`` or
+    to ``v^-1``: the two words are the same relator.
+    """
+    return min(cyclic_key(w), cyclic_key(~w))

@@ -1,5 +1,7 @@
-"""One verdict rule, and no block built or group enumerated twice in one run."""
+"""One report type and verdict rule, each fact reported once, and no block built or
+group enumerated twice in one run."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +10,15 @@ from pathlib import Path
 import sgcalc
 from sgcalc import construction, coset_enum
 from sgcalc.cli import main
-from sgcalc.construction import ReplayError, verify_main_theorem
+from sgcalc.construction import (
+    KILL_SCRIPT,
+    ConstructionReport,
+    Report,
+    ReplayError,
+    build_x,
+    replay_kill_order,
+    verify_main_theorem,
+)
 from sgcalc.script import execute, parse
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "scripts" / "exotic_cp2_3.sgc"
@@ -48,16 +58,16 @@ def test_failed_check_is_not_hidden_by_an_exhausted_budget(monkeypatch):
     report = verify_main_theorem(max_cosets=10)
     assert report.verdict == "FAIL"
     assert report.exit_code == 1
-    assert [c.text for c in report.checks if c.status == "fail"] == ["kill-order replay"]
+    assert [c.text for c in report.statements if c.status == "fail"] == ["kill-order replay"]
 
 
 def test_exhausted_budget_alone_is_inconclusive():
     report = verify_main_theorem(max_cosets=10)
     assert report.verdict == "INCONCLUSIVE"
-    status = {c.text: c.status for c in report.checks}
+    status = {c.text: c.status for c in report.statements}
     assert status["coset enumeration"] == "inconclusive"
     assert status["classification"] == "inconclusive"
-    assert not [c for c in report.checks if c.status == "fail"]
+    assert not [c for c in report.statements if c.status == "fail"]
 
 
 def test_cli_verify_paper_inconclusive_prints_no_fail_line(capsys):
@@ -98,3 +108,50 @@ def test_closed_table_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised: incomplete coset table after closure\n"
+
+
+def test_one_report_type():
+    assert issubclass(ConstructionReport, Report)
+    assert type(execute(parse("let v = build_V()"))) is Report
+    assert not hasattr(construction, "VerdictReport")
+
+
+def test_verify_paper_json_states_each_fact_once(capsys):
+    assert main(["verify-paper", "--max-cosets", "50000", "--tietze-budget", "500"]) == 0
+    text = capsys.readouterr().out
+    payload = json.loads(text)
+    assert list(payload) == [
+        "budgets", "statements", "verdict", "blocks", "result", "surgeries", "assumptions", "axioms"
+    ]
+    assert payload["budgets"] == {"max_cosets": 50000, "tietze_budget": 500}
+    assert [b["name"] for b in payload["blocks"]] == ["V", "W", "P"]
+    assert payload["result"]["name"] == "X"
+    data = {s["statement"]: s["data"] for s in payload["statements"]}
+    assert data["coset enumeration"] == {"index": 1, "cosets_defined": 5460, "cosets_collapsed": 5459}
+    assert set(data["classification"]) == {"b_plus", "b_minus", "description", "exotic_note"}
+    assert data["simplification"]["complete"] and data["simplification"]["final_relators"] == []
+    kills = data["kill-order replay"]["steps"]
+    assert [k["generator"] for k in kills] == [step.generator for step in KILL_SCRIPT]
+    assert "witnesses" not in text
+
+
+def test_run_json_budgets_unchanged(capsys):
+    assert main(["run", str(EXAMPLE), "--max-cosets", "50000"]) == 0
+    assert json.loads(capsys.readouterr().out)["budgets"] == {"max_cosets": 50000}
+
+
+def test_text_trace_prints_each_kill_derivation_line_once_in_kill_order(capsys):
+    assert main(["verify-paper", "--emit", "text", "--trace"]) == 0
+    block = capsys.readouterr().out.split("] kill-order replay\n", 1)[1].split("\n[", 1)[0]
+    expected = [line for step in replay_kill_order(build_x().pi1).steps for line in step.derivation]
+    assert expected[:4] == [
+        "y1",
+        "s1^-1 x1^-1 s1 x1   [relation 1: y1 = s1^-1 x1^-1 s1 x1]",
+        "t1^-1 t2^-1 t1 t2 x1^-1 t2^-1 t1^-1 t2 t1 x1   [relation 19: s1 = t2^-1 t1^-1 t2 t1]",
+        "1   [x1 commutes with the rest and cancels]",
+    ]
+    lines = [line.strip() for line in block.splitlines()]
+    assert [line for line in lines if line in expected] == expected
+    assert [line for line in lines if line.startswith("generator: ")] == [
+        f"generator: {g}" for g in ("y1", "y2", "t1", "s1", "s2", "t2", "x1", "x2")
+    ]

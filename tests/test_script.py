@@ -311,6 +311,26 @@ def test_cli_huge_power_exit_64(tmp_path, capsys):
     capsys.readouterr()
 
 
+NINES = "9" * 5000  # over Python's default limit of 4300 digits for int()
+
+
+def test_cli_run_huge_integer_literal_exit_64(tmp_path, capsys):
+    path = tmp_path / "huge.sgc"
+    path.write_text(f"let v = build_V()\ncheck invariants(v, {NINES}, 0)\n")
+    assert main(["run", str(path)]) == 64
+    assert "line 2" in capsys.readouterr().err
+    path.write_text(f"let v = build_V()\nlet s = luttinger(s=v, torus=\"T1\", p=1, q=0, k={NINES})\n")
+    assert main(["run", str(path)]) == 64
+    assert "integer literal of 5000 characters is too long" in capsys.readouterr().err
+
+
+def test_cli_simplify_huge_exponent_exit_64(tmp_path, capsys):
+    doc = tmp_path / "huge.txt"
+    doc.write_text(f"generators: x\nrelator: x^{NINES}\n")
+    assert main(["simplify", str(doc)]) == 64
+    assert "too long" in capsys.readouterr().err
+
+
 def test_cli_unknown_exactness_exit_1(tmp_path, capsys):
     path = tmp_path / "bogus.sgc"
     path.write_text('let p = presentation(generators=["x"], exactness="bogus")\n')
@@ -384,13 +404,14 @@ def test_cli_verify_paper_json(capsys):
     assert main(["verify-paper"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "PASS"
-    assert payload["classification"] == {
+    classification = next(s for s in payload["statements"] if s["statement"] == "classification")
+    assert classification["data"] == {
         "b_plus": 1,
         "b_minus": 3,
         "description": "CP^2 # 3 CP^2bar",
-        "exotic_note": payload["classification"]["exotic_note"],
+        "exotic_note": classification["data"]["exotic_note"],
     }
-    assert payload["classification"]["exotic_note"]
+    assert classification["data"]["exotic_note"]
     assert len(payload["result"]["relators"]) == 20
 
 

@@ -14,8 +14,8 @@ from sgcalc.words import (
     cyclic_core,
     cyclic_key,
     invert,
-    multiply,
     reduce,
+    relator_key,
     rotations,
     substitute,
 )
@@ -50,8 +50,8 @@ def test_reduce_unknown_generator(xyab):
 
 def test_multiply(xyab):
     x, b, a = xyab.gen("x"), xyab.gen("b"), xyab.gen("a")
-    assert multiply(x, ~x).is_identity
-    assert multiply(b * a, ~b) == b * a * ~b
+    assert (x * ~x).is_identity
+    assert (b * a) * ~b == b * a * ~b
 
 
 def test_multiply_derived_example():
@@ -64,7 +64,7 @@ def test_multiply_derived_example():
 def test_multiply_alphabet_mismatch(xyab):
     other = Alphabet(("x", "y"))
     with pytest.raises(WordError):
-        multiply(xyab.gen("x"), other.gen("x"))
+        xyab.gen("x") * other.gen("x")
 
 
 def test_invert(xyab):
@@ -160,6 +160,28 @@ def test_cyclic_key_is_rotation_class():
         assert (cyclic_key(u) == cyclic_key(v)) == same, (u, v)
         assert cyclic_key(u) == cyclic_key(conjugate(u, random_word(rng, ab, 3)))
     assert seen == {True, False}
+
+
+def test_relator_key_is_conjugacy_up_to_inversion():
+    ab = Alphabet(("x", "y"))
+    rng = random.Random(1984)
+    seen = set()
+    for _ in range(1500):
+        u = random_word(rng, ab, 5)
+        v = rng.choice((conjugate(u, random_word(rng, ab, 2)), ~u, random_word(rng, ab, 5)))
+        same = are_conjugate(u, v) or are_conjugate(u, ~v)
+        seen.add(same)
+        assert (relator_key(u) == relator_key(v)) == same, (u, v)
+    assert seen == {True, False}
+
+
+def test_as_letter(xyab):
+    x, y = xyab.gen("x"), xyab.gen("y")
+    assert x.as_letter() == ("x", 1)
+    assert (~y).as_letter() == ("y", -1)
+    assert (x * x).as_letter() is None
+    assert (x * y).as_letter() is None
+    assert xyab.identity().as_letter() is None
 
 
 def test_power_is_linear(xyab):
