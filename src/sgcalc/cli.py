@@ -17,7 +17,8 @@ import json
 import sys
 
 from . import construction, script as sgc
-from .tietze import tietze_simplify
+from .coset_enum import MAX_COSETS
+from .tietze import TIETZE_BUDGET, tietze_simplify
 
 USAGE_EXIT = 64
 
@@ -39,15 +40,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(
-    p: argparse.ArgumentParser, max_cosets: bool, tietze_budget: int | None
-) -> None:
+def _add_common(p: argparse.ArgumentParser, max_cosets: bool, tietze_budget: bool) -> None:
     if max_cosets:
-        p.add_argument("--max-cosets", type=_positive_int, default=100_000, metavar="N",
-                       help="coset budget for enumerations (default 100000)")
-    if tietze_budget is not None:
-        p.add_argument("--tietze-budget", type=_positive_int, default=tietze_budget, metavar="N",
-                       help=f"step budget for presentation simplification (default {tietze_budget})")
+        p.add_argument("--max-cosets", type=_positive_int, default=MAX_COSETS, metavar="N",
+                       help=f"coset budget for enumerations (default {MAX_COSETS})")
+    if tietze_budget:
+        p.add_argument("--tietze-budget", type=_positive_int, default=TIETZE_BUDGET, metavar="N",
+                       help=f"step budget for presentation simplification (default {TIETZE_BUDGET})")
     p.add_argument("--emit", choices=("json", "text"), default="json",
                    help="report format (default json)")
     p.add_argument("--trace", action="store_true",
@@ -133,19 +132,19 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="execute a .sgc construction script")
     p_run.add_argument("file")
-    _add_common(p_run, max_cosets=True, tietze_budget=None)
+    _add_common(p_run, max_cosets=True, tietze_budget=False)
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser(
         "verify-paper",
         help="verify the built-in exotic CP^2 # 3 CP^2bar construction end to end",
     )
-    _add_common(p_verify, max_cosets=True, tietze_budget=construction.TIETZE_BUDGET)
+    _add_common(p_verify, max_cosets=True, tietze_budget=True)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_simp = sub.add_parser("simplify", help="simplify a presentation document")
     p_simp.add_argument("file")
-    _add_common(p_simp, max_cosets=False, tietze_budget=1000)
+    _add_common(p_simp, max_cosets=False, tietze_budget=True)
     p_simp.set_defaults(func=_cmd_simplify)
 
     args = parser.parse_args(argv)

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .coset_enum import EnumResult, TrivialityCertificate, certify_trivial
+from .coset_enum import MAX_COSETS, EnumResult, TrivialityCertificate, certify_trivial
 from .manifolds import (
     LagrangianTorusMark,
     ManifoldError,
@@ -53,7 +53,7 @@ from .presentations import (
     simple_commutator_pair,
     solve_relator,
 )
-from .tietze import DerivationTrace, tietze_simplify
+from .tietze import TIETZE_BUDGET, DerivationTrace, tietze_simplify
 from .words import (
     Alphabet,
     Word,
@@ -229,13 +229,13 @@ def isolate_direction(relator: Word, gen: str) -> tuple[Word, Word]:
     ``rotated == conjugator * relator * conjugator^-1``.
     """
     core, prefix = cyclic_core(relator)
-    letters = list(core.letters())
-    hits = [i for i, (n, _) in enumerate(letters) if n == gen]
+    codes, names = core.codes(), relator.alphabet.names
+    hits = [i for i, c in enumerate(codes) if names[c >> 1] == gen]
     if len(hits) != 1:
         raise PresentationError(f"generator {gen!r} does not occur exactly once in {relator}")
     i = hits[0]
-    rotated = Word(relator.alphabet, letters[i + 1 :] + letters[: i + 1])
-    conjugator = Word(relator.alphabet, letters[i + 1 :]) * ~prefix
+    rotated = Word(relator.alphabet, codes[i + 1 :] + codes[: i + 1])
+    conjugator = Word(relator.alphabet, codes[i + 1 :]) * ~prefix
     if conjugate(relator, conjugator) != rotated or not are_conjugate(relator, rotated):
         raise PresentationError("rotation check failed")
     return rotated, conjugator
@@ -615,7 +615,8 @@ def replay_kill_order(
                 partners.update(pair)
             if not mobiles:
                 raise ReplayError(step.generator, "commuting pairs share no mobile generator")
-            mobile = sorted(mobiles, key=alphabet.rank)[0]
+            mobile_rank = min(map(alphabet.rank, mobiles))
+            mobile = alphabet.names[mobile_rank]
             allowed = partners - {mobile}
             rest = word.generators() - {mobile}
             if not rest <= allowed:
@@ -625,7 +626,7 @@ def replay_kill_order(
                 )
             if word.exponent_sum(mobile) != 0:
                 raise ReplayError(step.generator, f"{mobile} does not cancel")
-            word = Word(alphabet, (l for l in word.letters() if l[0] != mobile))
+            word = Word(alphabet, [c for c in word.codes() if c >> 1 != mobile_rank])
             derivation.append(f"{word}   [{mobile} commutes with the rest and cancels]")
 
         word = sigma(word)
@@ -917,11 +918,8 @@ class ConstructionReport(Report):
         )
 
 
-TIETZE_BUDGET = 2000
-
-
 def verify_main_theorem(
-    max_cosets: int = 100_000, tietze_budget: int = TIETZE_BUDGET
+    max_cosets: int = MAX_COSETS, tietze_budget: int = TIETZE_BUDGET
 ) -> ConstructionReport:
     """Run the whole construction and verify every numbered claim.
 
@@ -998,11 +996,9 @@ def verify_main_theorem(
         check("kill-order replay", "fail", str(err))
 
     status, detail, data, homeo = check_classify(x.state, trivial)
-    if homeo is not None and (homeo.b_plus, homeo.b_minus) != (1, 3):
+    if homeo is not None and ((homeo.b_plus, homeo.b_minus) != (1, 3) or not homeo.exotic_note):
         status = "fail"
     check("classification", status, detail, data)
-    if homeo is not None:
-        expect("exotic note", bool(homeo.exotic_note), homeo.exotic_note or "missing")
 
     commutations = commutation_status(complement_data(Variant.FOUR_TORUS))
     assumptions = tuple(

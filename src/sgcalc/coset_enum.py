@@ -21,6 +21,10 @@ from .presentations import Presentation
 from .words import Word, cyclic_core
 
 
+# Default cap on the cosets one enumeration may define.
+MAX_COSETS = 100_000
+
+
 class EnumerationError(ValueError):
     """Malformed input to the enumerator, or a closed table that fails its check."""
 
@@ -177,7 +181,7 @@ class _Table:
 
 
 def todd_coxeter(
-    p: Presentation, subgroup_gens: Sequence[Word] = (), max_cosets: int = 100_000
+    p: Presentation, subgroup_gens: Sequence[Word] = (), max_cosets: int = MAX_COSETS
 ) -> EnumResult:
     """Enumerate cosets of the subgroup generated by ``subgroup_gens``.
 
@@ -251,7 +255,7 @@ def _verify_closed(table: _Table, relators: list[list[int]], subgens: list[list[
 
 
 def certify_trivial(
-    p: Presentation, max_cosets: int = 100_000
+    p: Presentation, max_cosets: int = MAX_COSETS
 ) -> TrivialityCertificate | EnumResult:
     """Certify that the presented group is trivial, if it is.
 

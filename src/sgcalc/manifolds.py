@@ -336,18 +336,18 @@ def symplectic_sum(
         )
     else:
         alphabet = merge_alphabets(s1.pi1.alphabet, s2.pi1.alphabet)
-        rel1 = tuple(Word(alphabet, r.syllables) for r in s1.pi1.relators)
-        rel2 = tuple(Word(alphabet, r.syllables) for r in s2.pi1.relators)
+        rel1 = tuple(alphabet.word(r.syllables) for r in s1.pi1.relators)
+        rel2 = tuple(alphabet.word(r.syllables) for r in s2.pi1.relators)
         idents = tuple(
-            Word(alphabet, w1.syllables) * ~Word(alphabet, w2.syllables)
+            alphabet.word(w1.syllables) * ~alphabet.word(w2.syllables)
             for w1, w2 in _paired_words(mark1, mark2, pairing)
         )
         pi1 = Presentation(alphabet, rel1 + rel2 + idents, Exactness.SURJECTIVE_BOUND)
         surfaces = tuple(
             replace(
                 m,
-                boundary_generators=tuple(Word(alphabet, w.syllables) for w in m.boundary_generators),
-                carried_relators=tuple(Word(alphabet, w.syllables) for w in m.carried_relators),
+                boundary_generators=tuple(alphabet.word(w.syllables) for w in m.boundary_generators),
+                carried_relators=tuple(alphabet.word(w.syllables) for w in m.carried_relators),
             )
             for m in s1.surfaces + s2.surfaces
             if m.id not in (surface1, surface2)

@@ -71,16 +71,16 @@ def solve_relator(relator: Word, gen: str) -> Word:
     ``relator = p g^e q`` the solution is ``p^-1 q^-1`` (e = 1) or ``q p``
     (e = -1); it never mentions ``gen``.
     """
-    letters = list(relator.letters())
-    hits = [i for i, (n, _) in enumerate(letters) if n == gen]
+    codes, names = relator.codes(), relator.alphabet.names
+    hits = [i for i, c in enumerate(codes) if names[c >> 1] == gen]
     if len(hits) != 1:
         raise PresentationError(f"generator {gen!r} does not occur exactly once in {relator}")
     i = hits[0]
-    p = Word(relator.alphabet, letters[:i])
-    q = Word(relator.alphabet, letters[i + 1 :])
-    if letters[i][1] == 1:
-        return ~p * ~q
-    return q * p
+    p = Word(relator.alphabet, codes[:i])
+    q = Word(relator.alphabet, codes[i + 1 :])
+    if codes[i] & 1:
+        return q * p
+    return ~p * ~q
 
 
 def replace_relator_with_conjugate(p: Presentation, index: int, new: Word) -> Presentation:
@@ -108,12 +108,12 @@ def reorder_relators(p: Presentation, order: Sequence[int]) -> Presentation:
 
 def simple_commutator_pair(w: Word) -> tuple[str, str] | None:
     """If ``w`` is the commutator of two signed single generators, the bases."""
-    letters = list(w.letters())
-    if len(letters) != 4:
+    codes = w.codes()
+    if len(codes) != 4:
         return None
-    (g, e), (h, f), (g2, e2), (h2, f2) = letters
-    if g == g2 and h == h2 and e == -e2 and f == -f2 and g != h:
-        return (g, h)
+    g, h, g2, h2 = codes
+    if g2 == g ^ 1 and h2 == h ^ 1 and g >> 1 != h >> 1:
+        return (w.alphabet.names[g >> 1], w.alphabet.names[h >> 1])
     return None
 
 
@@ -134,20 +134,18 @@ def commutation_normal_form(w: Word, pairs: frozenset[frozenset[str]]) -> Word:
     whose bases commute, then freely reduces; the (length, inversions)
     measure strictly drops, so the loop terminates deterministically.
     """
-    alphabet = w.alphabet
-    letters = list(w.letters())
+    names = w.alphabet.names
+    word = w
     while True:
-        word = Word(alphabet, letters)
-        letters = list(word.letters())
-        swapped = False
-        for i in range(len(letters) - 1):
-            g, h = letters[i][0], letters[i + 1][0]
-            if g != h and frozenset((g, h)) in pairs and alphabet.rank(h) < alphabet.rank(g):
-                letters[i], letters[i + 1] = letters[i + 1], letters[i]
-                swapped = True
+        codes = word.codes()
+        for i in range(len(codes) - 1):
+            g, h = codes[i] >> 1, codes[i + 1] >> 1
+            if h < g and frozenset((names[g], names[h])) in pairs:
+                codes[i], codes[i + 1] = codes[i + 1], codes[i]
                 break
-        if not swapped:
+        else:
             return word
+        word = Word(w.alphabet, codes)
 
 
 @dataclass(frozen=True)

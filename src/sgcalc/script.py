@@ -27,6 +27,7 @@ from typing import Callable, Union
 
 from . import construction
 from .construction import Report, StatementResult, presentation_dict, verdict_of
+from .coset_enum import MAX_COSETS
 from .manifolds import ManifoldError, ManifoldState, blow_up
 # The checks call these through construction; they stay attributes of this
 # module because bench/tracing.py wraps them here.
@@ -52,8 +53,9 @@ class ParseError(ValueError):
         self.col = col
 
 
-class WordTooLong(ParseError):
-    """A word over ``MAX_WORD_LETTERS``: bad input, never a script error."""
+class InputTooLarge(ParseError):
+    """A word over ``MAX_WORD_LETTERS`` or an integer literal over Python's
+    digit limit: bad input, never a script error."""
 
 
 class ScriptRuntimeError(RuntimeError):
@@ -82,7 +84,7 @@ def _int(tok: Token) -> int:
     try:
         return int(tok.value)
     except ValueError:
-        raise ParseError(f"integer literal of {len(tok.value)} characters is too long", tok.line, tok.col) from None
+        raise InputTooLarge(f"integer literal of {len(tok.value)} characters is too long", tok.line, tok.col) from None
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -358,7 +360,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
                 return out
             out = out * parse_factor()
             if len(out) > MAX_WORD_LETTERS:
-                raise WordTooLong(f"word longer than {MAX_WORD_LETTERS} letters", tok.line, tok.col)
+                raise InputTooLarge(f"word longer than {MAX_WORD_LETTERS} letters", tok.line, tok.col)
 
     def parse_factor() -> Word:
         tok = advance()
@@ -387,7 +389,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
                 raise ParseError("expected integer exponent", exp.line, exp.col)
             k = _int(exp)
             if abs(k) * len(atom) > MAX_WORD_LETTERS:
-                raise WordTooLong(f"power longer than {MAX_WORD_LETTERS} letters", exp.line, exp.col)
+                raise InputTooLarge(f"power longer than {MAX_WORD_LETTERS} letters", exp.line, exp.col)
             return atom ** k
         return atom
 
@@ -453,7 +455,7 @@ def format_presentation_document(p: Presentation) -> str:
 
 @dataclass(frozen=True)
 class Budgets:
-    max_cosets: int = 100_000
+    max_cosets: int = MAX_COSETS
 
 
 def _want_state(value: object, what: str) -> ManifoldState:
@@ -514,7 +516,7 @@ def _relators(items: object, alphabet: Alphabet) -> tuple[Word, ...]:
         return tuple(
             parse_word(_want_str(text, "relator"), alphabet) for text in _want_list(items, "relators")
         )
-    except WordTooLong:
+    except InputTooLarge:
         raise
     except ParseError as err:
         raise ScriptRuntimeError(f"bad relator: {err}") from None
@@ -698,6 +700,6 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
         except ScriptRuntimeError as err:
             results.append(StatementResult(index, text, "error", str(err)))
             break
-        except WordTooLong as err:
-            raise WordTooLong(f"in a word: {err}", stmt.line, 1) from None
+        except InputTooLarge as err:
+            raise InputTooLarge(f"in a word: {err}", stmt.line, 1) from None
     return Report(tuple(results), verdict_of(results), asdict(budgets))

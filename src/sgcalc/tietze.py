@@ -15,19 +15,25 @@ ties broken by generator declaration order, so traces are stable across
 runs.  Every step carries enough data to be re-applied from scratch;
 ``replay`` recomputes the whole derivation and is used to validate traces.
 
-The searches work on letter codes: duplicates share a ``relator_key``, and
-shortening chunks are found by substring search.  Applying a step, during
-simplification and in ``replay`` alike, re-checks it by brute force over
-``rotations`` and ``_shortened``.
+Everything works on the words' letter codes: duplicates share a
+``relator_key``, and shortening chunks are found by substring search.
+Applying a step, during simplification and in ``replay`` alike, re-checks
+it by brute force: a duplicate against ``rotations``, a shortening letter by
+letter.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
 from .words import Alphabet, Word, cyclic_core, relator_key, rotations, substitute
+
+
+# Default cap on the recorded steps of one simplification.
+TIETZE_BUDGET = 2000
 
 
 @dataclass(frozen=True)
@@ -115,33 +121,22 @@ class _State:
                 raise PresentationError("replay: eliminated definition mismatch")
             target = self.alphabet.without(step.gen)
             images = {n: target.gen(n) for n in target.names}
-            images[step.gen] = substitute(definition, {n: target.gen(n) for n in target.names}, target)
+            images[step.gen] = substitute(definition, images, target)
             del self.relators[step.relator_index]
             self.relators = [substitute(r, images, target) for r in self.relators]
             self.alphabet = target
         elif isinstance(step, Shorten):
-            self.relators[step.target] = _shortened(
-                self.relators[step.target],
-                self.relators[step.other],
-                step.inverted,
-                step.rotation,
-                step.position,
-                step.overlap,
-            )
+            other = self.relators[step.other]
+            src = (~other if step.inverted else other).codes()
+            src = src[step.rotation :] + src[: step.rotation]
+            t = self.relators[step.target].codes()
+            at, overlap = step.position, step.overlap
+            if t[at : at + overlap] != src[:overlap]:
+                raise PresentationError("replay: overlap does not match")
+            inverse_rest = [c ^ 1 for c in reversed(src[overlap:])]
+            self.relators[step.target] = Word(self.alphabet, t[:at] + inverse_rest + t[at + overlap :])
         else:
             raise PresentationError(f"unknown step {step!r}")
-
-
-def _shortened(target: Word, other: Word, inverted: bool, rotation: int, position: int, overlap: int) -> Word:
-    src = ~other if inverted else other
-    letters = list(src.letters())
-    letters = letters[rotation:] + letters[:rotation]
-    chunk, remainder = letters[:overlap], letters[overlap:]
-    t = list(target.letters())
-    if t[position : position + overlap] != chunk:
-        raise PresentationError("replay: overlap does not match")
-    inv_rem = [(n, -e) for n, e in reversed(remainder)]
-    return Word(target.alphabet, t[:position] + inv_rem + t[position + overlap :])
 
 
 def _find_shortening(relators: Sequence[Word]) -> Shorten | None:
@@ -169,23 +164,22 @@ def _find_shortening(relators: Sequence[Word]) -> Shorten | None:
     return None
 
 
-def _find_elimination(alphabet: Alphabet, relators: Sequence[Word]) -> tuple[str, int] | None:
+def _find_elimination(alphabet: Alphabet, relators: Sequence[Word]) -> Eliminate | None:
     # shortest definition first; ties eliminate the latest-declared
     # generator, so earlier-declared names survive
-    best: tuple[int, int, int] | None = None
-    choice: tuple[str, int] | None = None
-    for idx, r in enumerate(relators):
-        counts: dict[str, int] = {}
-        for name, _ in r.letters():
-            counts[name] = counts.get(name, 0) + 1
-        for name, count in counts.items():
-            if count != 1:
-                continue
-            key = (len(r) - 1, -alphabet.rank(name), idx)
-            if best is None or key < best:
-                best = key
-                choice = (name, idx)
-    return choice
+    best = min(
+        (
+            (len(r) - 1, -rank, idx)
+            for idx, r in enumerate(relators)
+            for rank, count in Counter(c >> 1 for c in r.codes()).items()
+            if count == 1
+        ),
+        default=None,
+    )
+    if best is None:
+        return None
+    gen, idx = alphabet.names[-best[1]], best[2]
+    return Eliminate(gen, idx, solve_relator(relators[idx], gen))
 
 
 def _next_step(state: _State) -> TietzeStep | None:
@@ -206,14 +200,10 @@ def _next_step(state: _State) -> TietzeStep | None:
         j = seen.setdefault(relator_key(r), i)
         if j != i:
             return RemoveDuplicate(i, j)
-    pick = _find_elimination(state.alphabet, relators)
-    if pick is not None:
-        gen, idx = pick
-        return Eliminate(gen, idx, solve_relator(relators[idx], gen))
-    return _find_shortening(relators)
+    return _find_elimination(state.alphabet, relators) or _find_shortening(relators)
 
 
-def tietze_simplify(p: Presentation, budget: int = 1000) -> tuple[Presentation, DerivationTrace]:
+def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> tuple[Presentation, DerivationTrace]:
     """Greedily simplify ``p``, recording a replayable trace.
 
     Runs until no move applies or ``budget`` recorded steps are spent; an

@@ -1,12 +1,17 @@
 """Free-group words over named generator alphabets.
 
-Words are immutable and always freely reduced, so equality of words is
-equality of syllable lists.  Words attached to different alphabets never
-combine; moving a word to another alphabet goes through ``substitute``.
+A word stores its freely reduced letter codes, ``2*rank`` for ``g`` and
+``2*rank + 1`` for ``g^-1``, and every algorithm works on these codes.
+Syllables ``(name, exponent)`` enter through ``Alphabet.word`` and are read
+back through ``Word.syllables``.  Words over different alphabets never
+combine; a word moves to another alphabet through ``substitute`` or its
+syllables.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 Syllable = tuple[str, int]
@@ -67,14 +72,20 @@ class Alphabet:
             raise WordError(f"unknown generator {name!r}") from None
 
     def identity(self) -> "Word":
-        return Word(self, ())
+        return self.word(())
 
     def gen(self, name: str, exp: int = 1) -> "Word":
-        self.rank(name)
-        return Word(self, ((name, exp),))
+        return self.word(((name, exp),))
 
     def word(self, syllables: Iterable[Syllable]) -> "Word":
-        return Word(self, syllables)
+        """The reduced word of ``(name, exponent)`` syllables."""
+        codes: list[int] = []
+        for name, exp in syllables:
+            code = 2 * self.rank(name)
+            if not isinstance(exp, int):
+                raise WordError(f"exponent of {name!r} is not an integer")
+            codes += [code if exp > 0 else code + 1] * abs(exp)
+        return Word(self, codes)
 
     def without(self, name: str) -> "Alphabet":
         self.rank(name)
@@ -89,91 +100,84 @@ def merge_alphabets(a: Alphabet, b: Alphabet) -> Alphabet:
 
 
 class Word:
-    """A freely reduced word; the empty word is the identity."""
+    """A freely reduced word; the empty word is the identity.
 
-    __slots__ = ("alphabet", "syllables")
+    The constructor validates and freely reduces any sequence of letter codes.
+    """
 
-    def __init__(self, alphabet: Alphabet, syllables: Iterable[Syllable] = ()):
-        reduced: list[Syllable] = []
-        for name, exp in syllables:
-            alphabet.rank(name)
-            if not isinstance(exp, int):
-                raise WordError(f"exponent of {name!r} is not an integer")
-            if exp == 0:
-                continue
-            if reduced and reduced[-1][0] == name:
-                merged = reduced[-1][1] + exp
+    __slots__ = ("alphabet", "_codes")
+
+    def __init__(self, alphabet: Alphabet, codes: Iterable[int] = ()):
+        limit = 2 * len(alphabet)
+        reduced: list[int] = []
+        for c in codes:
+            if type(c) is not int or not 0 <= c < limit:
+                raise WordError(f"invalid letter code {c!r} over {alphabet!r}")
+            if reduced and reduced[-1] == c ^ 1:
                 reduced.pop()
-                if merged != 0:
-                    reduced.append((name, merged))
             else:
-                reduced.append((name, exp))
+                reduced.append(c)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "syllables", tuple(reduced))
+        object.__setattr__(self, "_codes", tuple(reduced))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Word is immutable")
 
     @property
     def is_identity(self) -> bool:
-        return not self.syllables
+        return not self._codes
 
     def __len__(self) -> int:
-        """Letter length (sum of absolute exponents)."""
-        return sum(abs(e) for _, e in self.syllables)
+        """Letter length."""
+        return len(self._codes)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Word)
-            and self.alphabet == other.alphabet
-            and self.syllables == other.syllables
-        )
+        return isinstance(other, Word) and (self.alphabet, self._codes) == (other.alphabet, other._codes)
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.syllables))
+        return hash((self.alphabet, self._codes))
 
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise WordError("cannot multiply words over different alphabets")
-        return Word(self.alphabet, self.syllables + other.syllables)
+        return Word(self.alphabet, self._codes + other._codes)
 
     def __invert__(self) -> "Word":
-        return Word(self.alphabet, tuple((n, -e) for n, e in reversed(self.syllables)))
+        return Word(self.alphabet, [c ^ 1 for c in reversed(self._codes)])
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self
-        return Word(self.alphabet, base.syllables * abs(n))
+        return Word(self.alphabet, base._codes * abs(n))
 
     def exponent_sum(self, name: str) -> int:
-        self.alphabet.rank(name)
-        return sum(e for n, e in self.syllables if n == name)
+        code = 2 * self.alphabet.rank(name)
+        return self._codes.count(code) - self._codes.count(code + 1)
 
     def generators(self) -> frozenset[str]:
-        return frozenset(n for n, _ in self.syllables)
+        return frozenset(self.alphabet.names[c >> 1] for c in self._codes)
 
     def as_letter(self) -> Syllable | None:
         """``(name, +-1)`` if the word is a single signed generator, else ``None``."""
-        if len(self.syllables) == 1 and abs(self.syllables[0][1]) == 1:
-            return self.syllables[0]
-        return None
+        return next(self.letters()) if len(self._codes) == 1 else None
 
     def codes(self) -> list[int]:
-        """Letters as integers: ``2*rank`` for ``g`` and ``2*rank + 1`` for ``g^-1``."""
-        out: list[int] = []
-        for name, exp in self.syllables:
-            code = 2 * self.alphabet.rank(name)
-            out += [code if exp > 0 else code + 1] * abs(exp)
-        return out
+        """The letter codes, as a new list."""
+        return list(self._codes)
 
     def letters(self) -> Iterator[Syllable]:
-        """Expand syllables into single-exponent letters."""
-        for name, exp in self.syllables:
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield (name, step)
+        """The letters as ``(name, +-1)``."""
+        names = self.alphabet.names
+        return ((names[c >> 1], -1 if c & 1 else 1) for c in self._codes)
+
+    @property
+    def syllables(self) -> tuple[Syllable, ...]:
+        """Maximal runs of one letter as ``(name, exponent)``."""
+        return tuple(
+            (name, sum(e for _, e in run)) for name, run in groupby(self.letters(), key=itemgetter(0))
+        )
 
     def __str__(self) -> str:
-        if not self.syllables:
+        if not self._codes:
             return "1"
         return " ".join(n if e == 1 else f"{n}^{e}" for n, e in self.syllables)
 
@@ -183,7 +187,7 @@ class Word:
 
 def reduce(alphabet: Alphabet, syllables: Iterable[Syllable]) -> Word:
     """Freely reduce a raw syllable list over ``alphabet``."""
-    return Word(alphabet, syllables)
+    return alphabet.word(syllables)
 
 
 def invert(w: Word) -> Word:
@@ -213,14 +217,26 @@ def substitute(w: Word, images: Mapping[str, Word], target: Alphabet | None = No
             raise WordError("substitution images span different alphabets")
     if target is None:
         if w.is_identity:
-            return Word(w.alphabet, ())
+            return Word(w.alphabet)
         raise WordError("substitution with no images needs an explicit target alphabet")
-    out = target.identity()
-    for name, exp in w.syllables:
-        if name not in images:
-            raise WordError(f"no image for generator {name!r}")
-        out = out * images[name] ** exp
-    return out
+    pieces: dict[int, tuple[int, ...]] = {}
+    out: list[int] = []
+    for c in w._codes:
+        if c not in pieces:
+            name = w.alphabet.names[c >> 1]
+            if name not in images:
+                raise WordError(f"no image for generator {name!r}")
+            pieces[c] = (~images[name] if c & 1 else images[name])._codes
+        out += pieces[c]
+    return Word(target, out)
+
+
+def _cyclic_reduction(codes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(prefix, core)`` of reduced ``codes``: they are prefix, core, prefix^-1."""
+    i, j = 0, len(codes)
+    while i < j - 1 and codes[i] == codes[j - 1] ^ 1:
+        i, j = i + 1, j - 1
+    return codes[:i], codes[i:j]
 
 
 def cyclic_core(w: Word) -> tuple[Word, Word]:
@@ -229,31 +245,17 @@ def cyclic_core(w: Word) -> tuple[Word, Word]:
     Returns ``(core, prefix)`` with ``w == prefix * core * prefix^-1`` and
     ``core`` cyclically reduced.
     """
-    letters = list(w.letters())
-    i, j = 0, len(letters)
-    while i < j - 1:
-        n1, e1 = letters[i]
-        n2, e2 = letters[j - 1]
-        if n1 == n2 and e1 == -e2:
-            i += 1
-            j -= 1
-        else:
-            break
-    prefix = Word(w.alphabet, letters[:i])
-    core = Word(w.alphabet, letters[i:j])
-    return core, prefix
+    prefix, core = _cyclic_reduction(w._codes)
+    return Word(w.alphabet, core), Word(w.alphabet, prefix)
 
 
 def rotations(w: Word) -> list[Word]:
     """All letter rotations of a word (Tietze replay's brute-force duplicate check)."""
-    letters = list(w.letters())
-    out = []
-    for k in range(max(1, len(letters))):
-        out.append(Word(w.alphabet, letters[k:] + letters[:k]))
-    return out
+    codes = w._codes
+    return [Word(w.alphabet, codes[k:] + codes[:k]) for k in range(max(1, len(codes)))]
 
 
-def _least_rotation(s: list[int]) -> int:
+def _least_rotation(s: tuple[int, ...]) -> int:
     """Start of the lexicographically least rotation of ``s`` (Booth, 1980)."""
     s = s + s
     fail = [-1] * len(s)
@@ -281,13 +283,9 @@ def cyclic_key(w: Word) -> tuple[int, ...]:
     Two words are conjugate iff their keys are equal; for cyclically reduced
     words, ``cyclic_key(u) == cyclic_key(v)`` iff ``v in rotations(u)``.
     """
-    codes = w.codes()
-    i, j = 0, len(codes)
-    while i < j - 1 and codes[i] == codes[j - 1] ^ 1:  # cyclic reduction
-        i, j = i + 1, j - 1
-    codes = codes[i:j]
-    k = _least_rotation(codes)
-    return tuple(codes[k:] + codes[:k])
+    core = _cyclic_reduction(w._codes)[1]
+    k = _least_rotation(core)
+    return core[k:] + core[:k]
 
 
 def are_conjugate(u: Word, v: Word) -> bool:

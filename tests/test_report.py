@@ -1,6 +1,7 @@
 """One report type and verdict rule, each fact reported once, and no block built or
 group enumerated twice in one run."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -38,6 +39,18 @@ def _counted(monkeypatch, module, name: str) -> list:
 
 def _failing_replay(p, *args, **kwargs):
     raise ReplayError("y1", "forced failure")
+
+
+def test_classification_fails_without_exotic_note(monkeypatch):
+    classify = construction.classify
+    monkeypatch.setattr(
+        construction, "classify", lambda *args: dataclasses.replace(classify(*args), exotic_note="")
+    )
+    report = verify_main_theorem()
+    status = {c.text: c.status for c in report.statements}
+    assert status["classification"] == "fail"
+    assert "exotic note" not in status
+    assert report.verdict == "FAIL"
 
 
 def test_verdict_rule():

@@ -331,6 +331,40 @@ def test_cli_simplify_huge_exponent_exit_64(tmp_path, capsys):
     assert "too long" in capsys.readouterr().err
 
 
+def test_cli_run_huge_integer_in_relator_exit_64(tmp_path, capsys):
+    path = tmp_path / "huge.sgc"
+    path.write_text(f'let p = presentation(generators=["x"], relators=["x^{NINES}"])\n')
+    assert main(["run", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert "integer literal of 5000 characters is too long" in err
+    assert len(err) < 300 and "99999" not in err
+
+
+def test_one_default_per_budget(capsys):
+    import inspect
+
+    from sgcalc import construction, coset_enum, tietze
+    from sgcalc.coset_enum import MAX_COSETS
+    from sgcalc.tietze import TIETZE_BUDGET
+
+    def default(f, name):
+        return inspect.signature(f).parameters[name].default
+
+    assert default(tietze.tietze_simplify, "budget") == TIETZE_BUDGET == construction.TIETZE_BUDGET
+    assert default(construction.verify_main_theorem, "tietze_budget") == TIETZE_BUDGET
+    for f in (coset_enum.todd_coxeter, coset_enum.certify_trivial, construction.verify_main_theorem):
+        assert default(f, "max_cosets") == MAX_COSETS
+    assert Budgets().max_cosets == MAX_COSETS
+    for command in ("run", "verify-paper", "simplify"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        if command != "simplify":
+            assert f"enumerations (default {MAX_COSETS})" in text
+        if command != "run":
+            assert f"simplification (default {TIETZE_BUDGET})" in text
+
+
 def test_cli_unknown_exactness_exit_1(tmp_path, capsys):
     path = tmp_path / "bogus.sgc"
     path.write_text('let p = presentation(generators=["x"], exactness="bogus")\n')

@@ -141,6 +141,16 @@ def test_codes(xyab):
     x, b = xyab.gen("x"), xyab.gen("b")
     assert (x ** 2 * ~b).codes() == [0, 0, 7]
     assert xyab.identity().codes() == []
+    # codes are the constructor's input: validated, then freely reduced
+    assert Word(xyab, [0, 1, 2]) == xyab.gen(xyab.names[1])
+    for bad in ([8], [-1], [("x", 1)], [True]):
+        with pytest.raises(WordError):
+            Word(xyab, bad)
+    rng = random.Random(2007)
+    for _ in range(200):
+        w = random_word(rng, xyab)
+        assert Word(xyab, w.codes()) == w
+        assert xyab.word(w.syllables) == w
 
 
 def test_cyclic_key_is_rotation_class():
