@@ -2,11 +2,17 @@
 
 The enumeration is relator-scan driven: every live coset is scanned against
 every relator, defining new cosets to fill gaps, and coincidences are merged
-immediately through a union-find table with path compression.  When the scan
-queue drains, the table is a complete permutation representation of the
-presented group on the cosets of the given subgroup, so the coset count is
-the exact subgroup index.  The loop is deterministic: identical inputs give
-identical tables.
+immediately through a union-find table with path compression.  Merging
+follows COINCIDENCE in Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory* (2005), §5.1: each entry ``dead.x = d`` of a dead coset is
+moved to the live representatives only after the back-pointer
+``d.x^-1 = dead`` is undefined.  So once a coincidence is processed, every
+entry of a live row names a live coset and ``c.x = d`` holds exactly when
+``d.x^-1 = c``; no stale back-pointer to a dead coset can hide a deduction.
+When the scan queue drains, the table is a complete permutation
+representation of the presented group on the cosets of the given subgroup,
+so the coset count is the exact subgroup index.  The loop is deterministic:
+identical inputs give identical tables.
 
 Index 1 for the trivial subgroup certifies that the presented group - and
 therefore anything it surjects onto - is trivial.
@@ -108,6 +114,10 @@ class _Table:
             self.coincide(eb, a)
 
     def coincide(self, a: int, b: int) -> None:
+        """Merge cosets ``a`` and ``b`` and every coincidence they force.
+
+        Handbook of Computational Group Theory, §5.1 (COINCIDENCE).
+        """
         queue: list[int] = []
 
         def merge(u: int, v: int) -> None:
@@ -128,6 +138,10 @@ class _Table:
                 if d is None:
                     continue
                 row[x] = None
+                # Undefine d.x^-1 = dead first: left in place, it would make
+                # the lookup below resolve to mu itself and drop mu.x = nu.
+                if self.rows[d][x ^ 1] == dead:
+                    self.rows[d][x ^ 1] = None
                 mu, nu = self.find(dead), self.find(d)
                 ex = self.rows[mu][x]
                 if ex is not None:

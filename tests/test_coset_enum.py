@@ -209,3 +209,31 @@ def test_input_validation():
     other = Alphabet(("y",))
     with pytest.raises(EnumerationError):
         todd_coxeter(p, (other.gen("y"),))
+
+
+def lost_deduction_cases():
+    """Order-2 groups whose coincidences once dropped a deduction.
+
+    A coincidence left the back-pointer ``d.x^-1 = dead`` in place, so the
+    transfer of ``dead.x = d`` merged a coset with itself and the table
+    failed its closing check at every budget.
+    """
+    ab = Alphabet(("x", "y"))
+    x, y = ab.gen("x"), ab.gen("y")
+    two = Presentation(ab, (y ** 3 * x * ~y * x, x ** -3 * y ** -3 * x ** 3 * y, y ** 3))
+    ab = Alphabet(("x", "y", "z"))
+    x, y, z = ab.gen("x"), ab.gen("y"), ab.gen("z")
+    three = Presentation(ab, (~y * ~x * z, y * x * y * ~z, ~y * z ** -2))
+    return two, three
+
+
+@pytest.mark.parametrize("max_cosets", [50, 500, 5_000])
+def test_coincidence_keeps_its_deductions(max_cosets):
+    two, _ = lost_deduction_cases()
+    assert todd_coxeter(two, (), max_cosets).index == 2
+    assert todd_coxeter(two, two.relators[:1], max_cosets).index == 2
+
+
+def test_coincidence_keeps_its_deductions_on_three_generators():
+    _, three = lost_deduction_cases()
+    assert todd_coxeter(three).index == 2
