@@ -247,7 +247,6 @@ def _surgery_block(
     marks: tuple[SurfaceMark, ...],
     transverse: tuple[tuple[str, str], ...],
     closures_first: bool,
-    surgeries_first: bool,
     name: str,
     extra_relations: bool = False,
 ) -> BlockBuild:
@@ -256,9 +255,10 @@ def _surgery_block(
     The template presentation keeps the closure relations and the three
     mixed universal relations, pruned of restatements; it is a surjective
     bound for the block's fundamental group, and stays one after each
-    surgery quotient.  ``closures_first``/``surgeries_first`` fix the
-    relator numbering conventions of the individual blocks, which the
-    assembled 20-relation numbering depends on.
+    surgery quotient.  ``closures_first`` picks the relator numbering of the
+    block, which the assembled 20-relation numbering depends on: closures,
+    universal relations, then surgery relators (V), or surgery relators,
+    universal relations, then closures (P1, P2).
     """
     closures = data.closure_relators
     core = data.core_universal
@@ -291,7 +291,7 @@ def _surgery_block(
                 pi1=replace_relator_with_conjugate(state.pi1, state.pi1.nrels - 1, rotated),
             )
         records.append(SurgeryRecord(torus_id, p, q, k, raw, conjugator, rotated))
-    if surgeries_first:
+    if not closures_first:
         n = state.pi1.nrels
         order = list(range(n - len(plan), n)) + list(range(n - len(plan)))
         state = replace(state, pi1=reorder_relators(state.pi1, order))
@@ -331,7 +331,6 @@ def assemble_v(extra_relations: bool = False) -> BlockBuild:
         marks=marks,
         transverse=(("H", "K"),),
         closures_first=True,
-        surgeries_first=False,
         name="V",
         extra_relations=extra_relations,
     )
@@ -348,7 +347,6 @@ def assemble_p1(extra_relations: bool = False) -> BlockBuild:
         marks=marks,
         transverse=(),
         closures_first=False,
-        surgeries_first=True,
         name="P1",
         extra_relations=extra_relations,
     )
@@ -365,7 +363,6 @@ def assemble_p2(extra_relations: bool = False) -> BlockBuild:
         marks=marks,
         transverse=(),
         closures_first=False,
-        surgeries_first=True,
         name="P2",
         extra_relations=extra_relations,
     )
@@ -509,21 +506,6 @@ class KillReplayReport:
         return tuple(s.generator for s in self.steps)
 
 
-def _single_generator_equation(w: Word, prefer: str | None = None) -> tuple[str, Word] | None:
-    """Read ``w`` as ``g = (other signed generator)`` if possible."""
-    names = sorted(w.generators(), key=w.alphabet.rank)
-    if prefer is not None and prefer in names:
-        names = [prefer] + [n for n in names if n != prefer]
-    for name in names:
-        try:
-            definition = solve_relator(w, name)
-        except PresentationError:
-            continue
-        if definition.as_letter() is not None:
-            return name, definition
-    return None
-
-
 def _establish_pair(
     generator: str, want: tuple[str, str], cited: list[Word]
 ) -> None:
@@ -534,12 +516,15 @@ def _establish_pair(
         if hit and frozenset(hit) == wanted:
             return
     if len(cited) == 2:
+        # one cited relation reads g = (other signed generator); substitute it
         for ident, comm in (cited, cited[::-1]):
-            for prefer in frozenset(ident.generators()):
-                eq = _single_generator_equation(ident, prefer)
-                if eq is None:
+            for name in ident.generators():
+                try:
+                    image = solve_relator(ident, name)
+                except PresentationError:
                     continue
-                name, image = eq
+                if image.as_letter() is None:
+                    continue
                 images = {n: ident.alphabet.gen(n) for n in ident.alphabet.names}
                 images[name] = image
                 hit = simple_commutator_pair(substitute(comm, images, ident.alphabet))
@@ -550,12 +535,8 @@ def _establish_pair(
     )
 
 
-def replay_kill_order(
-    p: Presentation,
-    script: tuple[KillStep, ...] = KILL_SCRIPT,
-    drop: tuple[int, ...] = (),
-) -> KillReplayReport:
-    """Replay a scripted generator elimination against numbered relations.
+def replay_kill_order(p: Presentation, drop: tuple[int, ...] = ()) -> KillReplayReport:
+    """Replay :data:`KILL_SCRIPT`'s generator elimination against numbered relations.
 
     Relations are numbered 1..n in presentation order; ``drop`` removes
     numbers for negative-control runs.  Each step derives the target
@@ -575,7 +556,7 @@ def replay_kill_order(
         return substitute(w, images, alphabet)
 
     results = []
-    for step in script:
+    for step in KILL_SCRIPT:
         cited_all = set(step.uses)
         for _, cites in step.commuting:
             cited_all.update(cites)
@@ -592,8 +573,6 @@ def replay_kill_order(
                 try:
                     definition = solve_relator(rel, name)
                 except PresentationError:
-                    continue
-                if name in definition.generators():
                     continue
                 images = {n: alphabet.gen(n) for n in alphabet.names}
                 images[name] = definition

@@ -1,18 +1,17 @@
 """Todd-Coxeter coset enumeration (HLT strategy).
 
-The enumeration is relator-scan driven: every live coset is scanned against
-every relator, defining new cosets to fill gaps, and coincidences are merged
-immediately through a union-find table with path compression.  Merging
-follows COINCIDENCE in Holt, Eick and O'Brien, *Handbook of Computational
-Group Theory* (2005), §5.1: each entry ``dead.x = d`` of a dead coset is
-moved to the live representatives only after the back-pointer
-``d.x^-1 = dead`` is undefined.  So once a coincidence is processed, every
-entry of a live row names a live coset and ``c.x = d`` holds exactly when
-``d.x^-1 = c``; no stale back-pointer to a dead coset can hide a deduction.
-When the scan queue drains, the table is a complete permutation
-representation of the presented group on the cosets of the given subgroup,
-so the coset count is the exact subgroup index.  The loop is deterministic:
-identical inputs give identical tables.
+The procedures are those of Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory* (2005), §5.1-5.2: the HLT loop runs SCANANDFILL
+(:meth:`_Table.scan_and_fill`) of every relator from every live coset in
+order of definition, filling gaps with DEFINE (:meth:`_Table.define`) and
+merging coincidences with COINCIDENCE (:meth:`_Table.coincide`) through a
+union-find table.  COINCIDENCE undefines each back-pointer ``d.x^-1 = dead``
+before it moves ``dead.x = d`` to the live representatives, so outside it
+every entry ``c.x = d`` of a live row names a live coset ``d`` with
+``d.x^-1 = c``.  The scan relies on this invariant and never calls ``find``;
+:func:`_verify_closed` checks it on the finished table.  A closed table is a
+permutation representation of the group on the cosets of the subgroup, so
+the coset count is the exact index.  Identical inputs give identical tables.
 
 Index 1 for the trivial subgroup certifies that the presented group - and
 therefore anything it surjects onto - is trivial.
@@ -92,26 +91,14 @@ class _Table:
             self.parent[c], c = root, self.parent[c]
         return root
 
-    def alive(self, c: int) -> bool:
-        return self.find(c) == c
-
     def live_cosets(self) -> list[int]:
         return [c for c in range(len(self.rows)) if self.parent[c] == c]
 
-    def deduce(self, a: int, x: int, b: int) -> None:
-        """Record a.x = b in both directions, merging on conflict."""
-        xi = x ^ 1
-        ea = self.rows[a][x]
-        if ea is None:
-            self.rows[a][x] = b
-        elif self.find(ea) != self.find(b):
-            self.coincide(ea, b)
-            return
-        eb = self.rows[b][xi]
-        if eb is None:
-            self.rows[b][xi] = a
-        elif self.find(eb) != self.find(a):
-            self.coincide(eb, a)
+    def define(self, c: int, x: int) -> None:
+        """DEFINE (Handbook §5.1): a new coset ``d`` with ``c.x = d`` and ``d.x^-1 = c``."""
+        d = self.new_coset()
+        self.rows[c][x] = d
+        self.rows[d][x ^ 1] = c
 
     def coincide(self, a: int, b: int) -> None:
         """Merge cosets ``a`` and ``b`` and every coincidence they force.
@@ -154,44 +141,33 @@ class _Table:
                         self.rows[mu][x] = nu
                         self.rows[nu][x ^ 1] = mu
 
-    def scan_and_fill(self, start: int, word: Sequence[int]) -> bool:
-        """Trace ``word`` from ``start`` back to ``start``, filling gaps.
+    def scan_and_fill(self, c: int, word: Sequence[int]) -> None:
+        """SCANANDFILL (Handbook §5.2): trace ``word`` from live ``c`` back to ``c``.
 
-        Returns False when a coincidence interrupted the scan (the caller
-        retries while the coset is still alive).
+        Forward and backward traces follow defined entries, which name live
+        cosets by the table invariant; DEFINE fills the first gap while more
+        than one letter is missing.  The scan ends with a closed trace, one
+        deduction written in both directions, or a COINCIDENCE of the ends.
         """
-        if not word:
-            return True
+        rows = self.rows
         i, j = 0, len(word) - 1
-        f = b = self.find(start)
+        f = b = c
         while True:
-            while i <= j:
-                nxt = self.rows[f][word[i]]
-                if nxt is None:
-                    break
-                f = self.find(nxt)
+            while i <= j and rows[f][word[i]] is not None:
+                f = rows[f][word[i]]
                 i += 1
-            if i > j:
-                if f != b:
-                    self.coincide(f, b)
-                    return False
-                return True
-            while j >= i:
-                prv = self.rows[b][word[j] ^ 1]
-                if prv is None:
-                    break
-                b = self.find(prv)
+            while j >= i and rows[b][word[j] ^ 1] is not None:
+                b = rows[b][word[j] ^ 1]
                 j -= 1
             if j < i:
                 if f != b:
                     self.coincide(f, b)
-                    return False
-                return True
+                return
             if j == i:
-                before = self.collapsed
-                self.deduce(f, word[i], b)
-                return self.collapsed == before
-            self.deduce(f, word[i], self.new_coset())
+                rows[f][word[i]] = b
+                rows[b][word[i] ^ 1] = f
+                return
+            self.define(f, word[i])
 
 
 def todd_coxeter(
@@ -199,44 +175,33 @@ def todd_coxeter(
 ) -> EnumResult:
     """Enumerate cosets of the subgroup generated by ``subgroup_gens``.
 
-    Single-coset shortcut for empty alphabets aside, the run either closes
-    with the exact index or stops once ``max_cosets`` cosets have been
-    defined in total.
+    The run either closes with the exact index or stops once
+    ``max_cosets`` cosets have been defined in total.
     """
     if max_cosets < 1:
         raise EnumerationError("max_cosets must be at least 1")
     for w in subgroup_gens:
         if w.alphabet != p.alphabet:
             raise EnumerationError(f"subgroup word {w} is not over the presentation alphabet")
-    if p.ngens == 0:
-        return EnumResult(index=1, defined=1, collapsed=0)
 
-    relators = []
-    for r in p.relators:
-        core, _ = cyclic_core(r)
-        if not core.is_identity:
-            relators.append(core.codes())
+    relators = [cyclic_core(r)[0].codes() for r in p.relators]
     subgens = [w.codes() for w in subgroup_gens]
 
     table = _Table(2 * p.ngens, max_cosets)
     try:
         for word in subgens:
-            while not table.scan_and_fill(0, word):
-                pass
+            table.scan_and_fill(0, word)
         q = 0
         while q < len(table.rows):
-            if table.alive(q):
-                for word in relators:
-                    while not table.scan_and_fill(q, word):
-                        if not table.alive(q):
-                            break
-                    if not table.alive(q):
-                        break
-                # complete the row: generators outside every relator still act
-                if table.alive(q):
-                    for x in range(table.ncols):
-                        if table.rows[q][x] is None:
-                            table.deduce(q, x, table.new_coset())
+            for word in relators:
+                if table.parent[q] != q:
+                    break
+                table.scan_and_fill(q, word)
+            # complete the row: generators outside every relator still act
+            if table.parent[q] == q:
+                for x in range(table.ncols):
+                    if table.rows[q][x] is None:
+                        table.define(q, x)
             q += 1
     except _Budget:
         return EnumResult(index=None, defined=table.defined, collapsed=table.collapsed)
@@ -246,13 +211,18 @@ def todd_coxeter(
 
 
 def _verify_closed(table: _Table, relators: list[list[int]], subgens: list[list[int]]) -> None:
-    """Deduction-consistency check of a finished table; raises :class:`EnumerationError`."""
+    """Deduction-consistency check of a finished table; raises :class:`EnumerationError`.
+
+    It also checks, without ``find``, the invariant the scan relies on.
+    """
     live = table.live_cosets()
     for c in live:
         for x in range(table.ncols):
             d = table.rows[c][x]
-            if d is None or table.rows[table.find(d)][x ^ 1] is None:
+            if d is None or table.rows[d][x ^ 1] is None:
                 raise EnumerationError("incomplete coset table after closure")
+            if table.parent[d] != d or table.rows[d][x ^ 1] != c:
+                raise EnumerationError("live coset row names a dead or unmatched coset")
     for c in live:
         for word in relators:
             cur = c

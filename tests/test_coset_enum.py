@@ -13,6 +13,8 @@ from sgcalc.coset_enum import (
     EnumResult,
     EnumerationError,
     TrivialityCertificate,
+    _Table,
+    _verify_closed,
     certify_trivial,
     todd_coxeter,
 )
@@ -133,6 +135,15 @@ def test_subgroup_index():
     assert todd_coxeter(p, (ab.gen("x"),)).index == 1
 
 
+def test_empty_alphabet_and_identity_words_scan_as_no_ops():
+    empty = Alphabet(())
+    assert todd_coxeter(Presentation(empty, (empty.identity(),)), (), 1) == EnumResult(1, 1, 0)
+    ab = Alphabet(("x",))
+    p = Presentation(ab, (ab.identity(), ab.gen("x", 3)))
+    assert todd_coxeter(p, (ab.identity(),), 10) == EnumResult(3, 3, 0)
+    assert todd_coxeter(p, (), 1) == EnumResult(None, 1, 0)
+
+
 def test_budget_exhaustion_is_a_value():
     ab = Alphabet(("x", "y"))
     free = Presentation(ab)  # free of rank 2: enumeration cannot close
@@ -237,3 +248,14 @@ def test_coincidence_keeps_its_deductions(max_cosets):
 def test_coincidence_keeps_its_deductions_on_three_generators():
     _, three = lost_deduction_cases()
     assert todd_coxeter(three).index == 2
+
+
+def test_closed_table_check_rejects_a_live_row_naming_a_dead_coset():
+    # < x | x >: coset 1 was merged into 0, but row 0 still names it
+    table = _Table(2, 10)
+    table.new_coset()
+    table.parent[1] = 0
+    table.rows[0] = [1, 1]
+    table.rows[1] = [0, 0]
+    with pytest.raises(EnumerationError, match="dead"):
+        _verify_closed(table, [[0]], [])
