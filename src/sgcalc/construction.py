@@ -43,7 +43,6 @@ from .presentations import (
     Exactness,
     Presentation,
     PresentationError,
-    PruneRecord,
     commutation_normal_form,
     commuting_pairs,
     homology_invariants,
@@ -88,7 +87,6 @@ _CLOSURES = {
 class ComplementData:
     """Generators, torus triples and relations of the two-torus complement."""
 
-    variant: Variant
     alphabet: Alphabet
     t1: LagrangianTorusMark
     t2: LagrangianTorusMark
@@ -128,7 +126,6 @@ def complement_data(variant: Variant) -> ComplementData:
         commutator(commutator(~x, b), b * a * ~b),
     )
     return ComplementData(
-        variant=variant,
         alphabet=ab,
         t1=LagrangianTorusMark("T1", mu=commutator(~b, ~y), m=x, l=a),
         t2=LagrangianTorusMark("T2", mu=commutator(~x, b), m=y, l=b * a * ~b),
@@ -175,7 +172,6 @@ def relabel(data: ComplementData, images: Mapping[str, Word]) -> ComplementData:
         return (u, v) if target.rank(u) < target.rank(v) else (v, u)
 
     return ComplementData(
-        variant=data.variant,
         alphabet=target,
         t1=LagrangianTorusMark(data.t1.id, sub(data.t1.mu), sub(data.t1.m), sub(data.t1.l)),
         t2=LagrangianTorusMark(data.t2.id, sub(data.t2.mu), sub(data.t2.m), sub(data.t2.l)),
@@ -207,11 +203,10 @@ class SurgeryRecord:
 
 @dataclass(frozen=True)
 class BlockBuild:
-    """A built state with its surgeries, pruned relators and the blocks built on the way."""
+    """A built state with its surgeries and the blocks built on the way."""
 
     state: ManifoldState
     surgeries: tuple[SurgeryRecord, ...]
-    pruned: tuple[PruneRecord, ...]
     blocks: tuple[ManifoldState, ...] = ()
 
 
@@ -263,7 +258,7 @@ def _surgery_block(
     closures = data.closure_relators
     core = data.core_universal
     base = list(closures + core if closures_first else core + closures)
-    kept, pruned = prune_redundant(data.alphabet, base)
+    kept = prune_redundant(data.alphabet, base)[0]
     if extra_relations:
         kept = kept + [w for w in data.universal_relators[3:]] + list(data.optional_relators)
     state = ManifoldState(
@@ -295,7 +290,7 @@ def _surgery_block(
         n = state.pi1.nrels
         order = list(range(n - len(plan), n)) + list(range(n - len(plan)))
         state = replace(state, pi1=reorder_relators(state.pi1, order))
-    return BlockBuild(replace(state, name=name), tuple(records), tuple(pruned))
+    return BlockBuild(replace(state, name=name), tuple(records))
 
 
 def _v_assignment() -> Mapping[str, Word]:
@@ -382,9 +377,7 @@ def assemble_w() -> BlockBuild:
         replace(m, no_minus_one_sphere_off_surface=True) if m.id == "G" else m
         for m in state.surfaces
     )
-    return BlockBuild(
-        replace(state, surfaces=surfaces, name="W"), built.surgeries, built.pruned, (built.state,)
-    )
+    return BlockBuild(replace(state, surfaces=surfaces, name="W"), built.surgeries, (built.state,))
 
 
 def assemble_p(include_wall_relation: bool = False) -> BlockBuild:
@@ -405,9 +398,7 @@ def assemble_p(include_wall_relation: bool = False) -> BlockBuild:
         "F", 2, 0, (ab.gen("s1"), ab.gen("t1"), ab.gen("s2"), ab.gen("t2"))
     )
     state = replace(state, surfaces=state.surfaces + (f_mark,), name="P")
-    return BlockBuild(
-        state, b1.surgeries + b2.surgeries, b1.pruned + b2.pruned, (b1.state, b2.state)
-    )
+    return BlockBuild(state, b1.surgeries + b2.surgeries, (b1.state, b2.state))
 
 
 def assemble_x() -> BlockBuild:
@@ -426,7 +417,6 @@ def assemble_x() -> BlockBuild:
     return BlockBuild(
         replace(state, name="X"),
         p.surgeries + w.surgeries,
-        p.pruned + w.pruned,
         p.blocks + (p.state,) + w.blocks + (w.state,),
     )
 

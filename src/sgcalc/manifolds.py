@@ -99,7 +99,6 @@ class ManifoldState:
     symplectic: bool
     minimality: Minimality = Minimality.UNKNOWN
     minimality_rules: tuple[str, ...] = ()
-    minimality_reason: str = ""
     parity: Parity = Parity.UNKNOWN
     surfaces: tuple[SurfaceMark, ...] = ()
     tori: tuple[LagrangianTorusMark, ...] = ()
@@ -140,8 +139,8 @@ class HomeoType:
     exotic_note: str = ""
 
 
-def _parity_from_signature(signature: int, fallback: Parity) -> Parity:
-    return Parity.ODD if signature % 8 else fallback
+def _parity_from_signature(signature: int) -> Parity:
+    return Parity.ODD if signature % 8 else Parity.UNKNOWN
 
 
 def luttinger(s: ManifoldState, torus_id: str, p: int, q: int, k: int) -> ManifoldState:
@@ -161,16 +160,14 @@ def luttinger(s: ManifoldState, torus_id: str, p: int, q: int, k: int) -> Manifo
     pure_direction = (abs(p), abs(q)) in ((1, 0), (0, 1))
     tori = tuple(t for t in s.tori if t.id != torus_id)
     pattern = s.two_torus_pattern and pure_direction
-    minimality, rules, reason = s.minimality, s.minimality_rules, s.minimality_reason
+    minimality, rules = s.minimality, s.minimality_rules
     if s.minimality is not Minimality.NOT_MINIMAL:
         if pattern and not tori:
             minimality = Minimality.MINIMAL
             rules = ("R1",)
-            reason = "two-torus surgery block fibers as a circle bundle"
         else:
             minimality = Minimality.UNKNOWN
             rules = ()
-            reason = ""
     return replace(
         s,
         pi1=quotient_by(s.pi1, [relator]),
@@ -178,8 +175,7 @@ def luttinger(s: ManifoldState, torus_id: str, p: int, q: int, k: int) -> Manifo
         two_torus_pattern=pattern,
         minimality=minimality,
         minimality_rules=rules,
-        minimality_reason=reason,
-        parity=_parity_from_signature(s.signature, Parity.UNKNOWN),
+        parity=_parity_from_signature(s.signature),
         name="",
     )
 
@@ -219,7 +215,6 @@ def blow_up(s: ManifoldState, on_surface: str | None = None, count: int = 1) -> 
         parity=Parity.ODD,
         minimality=Minimality.NOT_MINIMAL,
         minimality_rules=("R4",),
-        minimality_reason="exceptional spheres of square -1 are present",
         surfaces=surfaces,
         name="",
     )
@@ -358,7 +353,7 @@ def symplectic_sum(
             if surface1 not in pair and surface2 not in pair
         )
 
-    minimality, rules, reason = Minimality.UNKNOWN, (), ""
+    minimality, rules = Minimality.UNKNOWN, ()
     killed_flag = (mark2.meridian_killed and mark2.no_minus_one_sphere_off_surface) or (
         mark1.meridian_killed and mark1.no_minus_one_sphere_off_surface
     )
@@ -366,7 +361,6 @@ def symplectic_sum(
     if killed_flag and other.minimality is Minimality.MINIMAL:
         minimality = Minimality.MINIMAL
         rules = other.minimality_rules + ("R3",)
-        reason = "every -1 sphere of the glued side met the gluing surface"
     elif s1.minimality is Minimality.MINIMAL and s2.minimality is Minimality.MINIMAL:
         minimality = Minimality.MINIMAL
         seen: list[str] = []
@@ -374,7 +368,6 @@ def symplectic_sum(
             if rule not in seen:
                 seen.append(rule)
         rules = tuple(seen) + ("R2",)
-        reason = "symplectic sum of minimal states"
 
     return ManifoldState(
         pi1=pi1,
@@ -383,8 +376,7 @@ def symplectic_sum(
         symplectic=s1.symplectic and s2.symplectic,
         minimality=minimality,
         minimality_rules=rules,
-        minimality_reason=reason,
-        parity=_parity_from_signature(signature, Parity.UNKNOWN),
+        parity=_parity_from_signature(signature),
         surfaces=surfaces,
         tori=(),
         transverse_pairs=transverse,

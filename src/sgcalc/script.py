@@ -12,18 +12,31 @@ Script grammar (``.sgc`` files)::
             | 'invariants' '(' ID ',' INT ',' INT ')'
             | 'classify' '(' ID ')'
 
-``#`` starts a comment.  Quoted strings hold words in the textual word
-syntax: space-separated generators with ``^`` exponents and ``[u, v]``
-commutator brackets, e.g. ``"[b^-1, y^-1]"`` or ``"b a b^-1"``; ``1`` is the
-identity.  Checks run with the abelianization short-circuit: a nonzero H1
-refutes triviality without touching the enumerator, and an exhausted coset
-budget is inconclusive, never a pass or a fail.
+Quoted strings hold words over a known alphabet, read by the same tokenizer
+and parser::
+
+    word   := factor*
+    factor := atom ('^' INT)?
+    atom   := NAME | '1' | '[' word ',' word ']'
+
+``1`` is the identity and ``[u, v]`` is ``u v u^-1 v^-1``, e.g.
+``"[b^-1, y^-1]"`` or ``"b a b^-1"``.  Tokens: a NAME starts with a letter
+or ``_`` and goes on with letters, digits and ``_`` (the rule for generator
+names); an INT is an optional ``-`` and decimal digits; a STRING is quoted,
+stays on one line, and ``\\`` escapes the next character; the symbols are
+``= ( ) , [ ] ^``.  Spaces, tabs and CR separate tokens, ``#`` comments to the
+end of the line, and columns count characters from the start of the line.
+
+Checks run with the abelianization short-circuit: a nonzero H1 refutes
+triviality without touching the enumerator, and an exhausted coset budget is
+inconclusive, never a pass or a fail.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from . import construction
 from .construction import Report, StatementResult, presentation_dict, verdict_of
@@ -43,7 +56,7 @@ from .presentations import (
     homology_invariants,
     quotient_by,
 )
-from .words import Alphabet, Word, WordError, commutator
+from .words import Alphabet, Word, WordError
 
 
 class ParseError(ValueError):
@@ -68,15 +81,22 @@ MAX_WORD_LETTERS = 100_000
 
 # -- lexer --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME INT STRING SYM END
     value: str
     line: int
     col: int
 
 
-_SYMBOLS = "=(),[]^"
+# One alternative per token class; ``BAD`` catches any other character.  A
+# NAME match whose first character is a non-decimal digit (``²``, ``½``) is
+# an unexpected character, which leaves NAME as ``words._valid_name``'s rule.
+_TOKEN = re.compile(
+    r'(?P<NEWLINE>\n)|[ \t\r]+|(?P<COMMENT>#[^\n]*)'
+    r'|(?P<NAME>[^\W\d]\w*)|(?P<INT>-?\d+)'
+    r'|(?P<STRING>"(?:[^"\\\n]|\\.)*")|(?P<SYM>[=(),\[\]^])|(?P<BAD>.)'
+)
+_ESCAPE = re.compile(r"\\(.)")
 
 
 def _int(tok: Token) -> int:
@@ -88,67 +108,28 @@ def _int(tok: Token) -> int:
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of ``text`` and a final END, which sits where a trailing
+    comment starts."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "COMMENT":
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", line, start_col)
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, start_col)
-            tokens.append(Token("STRING", "".join(out), line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c in _SYMBOLS:
-            tokens.append(Token("SYM", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    tokens.append(Token("END", "", line, col))
+        end = m.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, end
+        elif kind:
+            value, col = m.group(), m.start() - line_start + 1
+            if kind == "NAME" and not (value[0].isalpha() or value[0] == "_"):
+                kind, value = "BAD", value[0]
+            if kind == "BAD":
+                message = "unterminated string" if value == '"' else f"unexpected character {value!r}"
+                raise ParseError(message, line, col)
+            if kind == "STRING":
+                value = _ESCAPE.sub(r"\1", value[1:-1])
+            tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("END", "", line, end - line_start + 1))
     return tokens
 
 
@@ -205,9 +186,25 @@ class Script:
     statements: tuple[Statement, ...]
 
 
+def _extend(out: list[int], codes: list[int]) -> list[int]:
+    """Append letter codes to the freely reduced ``out``, cancelling as they go."""
+    for c in codes:
+        if out and out[-1] == c ^ 1:
+            out.pop()
+        else:
+            out.append(c)
+    return out
+
+
+def _inverse(codes: list[int]) -> list[int]:
+    return [c ^ 1 for c in reversed(codes)]
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent over the tokens of one script or one word."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> Token:
@@ -218,6 +215,10 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def at(self, symbol: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == "SYM" and tok.value == symbol
+
     def expect(self, kind: str, value: str | None = None, what: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (value is not None and tok.value != value):
@@ -226,47 +227,48 @@ class _Parser:
             raise ParseError(f"expected {expected}, found {shown!r}", tok.line, tok.col)
         return self.next()
 
-    def parse_script(self) -> Script:
+    def skip(self, symbol: str, message: str) -> None:
+        tok = self.next()
+        if tok.kind != "SYM" or tok.value != symbol:
+            raise ParseError(message, tok.line, tok.col)
+
+    def items(self, close: str, item: Callable[[], object]) -> tuple:
+        """A comma list of ``item`` up to the ``close`` symbol."""
+        out = []
+        if not self.at(close):
+            out.append(item())
+            while self.at(","):
+                self.next()
+                out.append(item())
+        self.expect("SYM", close)
+        return tuple(out)
+
+    def script(self) -> Script:
         statements: list[Statement] = []
         while self.peek().kind != "END":
-            statements.append(self.parse_statement())
+            statements.append(self.statement())
         return Script(tuple(statements))
 
-    def parse_statement(self) -> Statement:
-        tok = self.peek()
+    def statement(self) -> Statement:
+        tok = self.next()
         if tok.kind == "NAME" and tok.value == "let":
-            self.next()
             name_tok = self.expect("NAME", what="identifier after 'let'")
             if name_tok.value in ("let", "check"):
-                raise ParseError(
-                    f"{name_tok.value!r} is a keyword", name_tok.line, name_tok.col
-                )
+                raise ParseError(f"{name_tok.value!r} is a keyword", name_tok.line, name_tok.col)
             self.expect("SYM", "=")
-            call = self.parse_call()
-            return Let(name_tok.value, call, tok.line)
+            op = self.expect("NAME", what="operation name")
+            self.expect("SYM", "(")
+            return Let(name_tok.value, Call(op.value, self.items(")", self.argument)), tok.line)
         if tok.kind == "NAME" and tok.value == "check":
-            self.next()
-            return self.parse_check(tok.line)
+            return self.check(tok.line)
         raise ParseError(f"expected 'let' or 'check', found {tok.value!r}", tok.line, tok.col)
 
-    def parse_call(self) -> Call:
-        name = self.expect("NAME", what="operation name")
-        self.expect("SYM", "(")
-        args: list[tuple[str, Value]] = []
-        if not (self.peek().kind == "SYM" and self.peek().value == ")"):
-            while True:
-                key = self.expect("NAME", what="argument keyword")
-                self.expect("SYM", "=")
-                args.append((key.value, self.parse_value()))
-                tok = self.peek()
-                if tok.kind == "SYM" and tok.value == ",":
-                    self.next()
-                    continue
-                break
-        self.expect("SYM", ")")
-        return Call(name.value, tuple(args))
+    def argument(self) -> tuple[str, Value]:
+        key = self.expect("NAME", what="argument keyword")
+        self.expect("SYM", "=")
+        return key.value, self.value()
 
-    def parse_check(self, line: int) -> Check:
+    def check(self, line: int) -> Check:
         kind = self.expect("NAME", what="check kind")
         if kind.value not in ("trivial", "invariants", "classify"):
             raise ParseError(f"unknown check {kind.value!r}", kind.line, kind.col)
@@ -275,40 +277,63 @@ class _Parser:
         if kind.value == "invariants":
             for _ in range(2):
                 self.expect("SYM", ",")
-                tok = self.expect("INT", what="integer")
-                args.append(IntVal(_int(tok)))
+                args.append(IntVal(_int(self.expect("INT", what="integer"))))
         self.expect("SYM", ")")
         return Check(kind.value, tuple(args), line)
 
-    def parse_value(self) -> Value:
-        tok = self.peek()
+    def value(self) -> Value:
+        tok = self.next()
         if tok.kind == "NAME":
-            self.next()
             return Ref(tok.value)
         if tok.kind == "INT":
-            self.next()
             return IntVal(_int(tok))
         if tok.kind == "STRING":
-            self.next()
             return StrVal(tok.value)
         if tok.kind == "SYM" and tok.value == "[":
-            self.next()
-            items = []
-            if not (self.peek().kind == "SYM" and self.peek().value == "]"):
-                while True:
-                    items.append(self.parse_value())
-                    if self.peek().kind == "SYM" and self.peek().value == ",":
-                        self.next()
-                        continue
-                    break
-            self.expect("SYM", "]")
-            return ListVal(tuple(items))
+            return ListVal(self.items("]", self.value))
         raise ParseError(f"expected a value, found {tok.value!r}", tok.line, tok.col)
+
+    def word(self, alphabet: Alphabet, stop: str = "") -> list[int]:
+        """The freely reduced letter codes of factors up to ``stop`` or END."""
+        out: list[int] = []
+        while not (self.peek().kind == "END" or self.at(stop)):
+            tok = self.peek()
+            _extend(out, self.factor(alphabet))
+            if len(out) > MAX_WORD_LETTERS:
+                raise InputTooLarge(f"word longer than {MAX_WORD_LETTERS} letters", tok.line, tok.col)
+        return out
+
+    def factor(self, alphabet: Alphabet) -> list[int]:
+        tok = self.next()
+        if tok.kind == "NAME":
+            if tok.value not in alphabet:
+                raise ParseError(f"unknown generator {tok.value!r}", tok.line, tok.col)
+            atom = [2 * alphabet.rank(tok.value)]
+        elif tok.kind == "INT" and tok.value == "1":
+            atom = []
+        elif tok.kind == "SYM" and tok.value == "[":
+            left = self.word(alphabet, ",")
+            self.skip(",", "expected ',' in commutator")
+            right = self.word(alphabet, "]")
+            self.skip("]", "expected ']'")
+            atom = _extend(list(left), right + _inverse(left) + _inverse(right))
+        else:
+            raise ParseError(f"unexpected {tok.value!r} in word", tok.line, tok.col)
+        if not self.at("^"):
+            return atom
+        self.next()
+        exp = self.next()
+        if exp.kind != "INT":
+            raise ParseError("expected integer exponent", exp.line, exp.col)
+        k = _int(exp)
+        if abs(k) * len(atom) > MAX_WORD_LETTERS:
+            raise InputTooLarge(f"power longer than {MAX_WORD_LETTERS} letters", exp.line, exp.col)
+        return _extend([], (atom if k >= 0 else _inverse(atom)) * abs(k))
 
 
 def parse(text: str) -> Script:
     """Parse script text into an AST; raises :class:`ParseError`."""
-    return _Parser(_tokenize(text)).parse_script()
+    return _Parser(text).script()
 
 
 def _print_value(v: Value) -> str:
@@ -340,64 +365,7 @@ def print_script(script: Script) -> str:
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse the textual word syntax over a known alphabet."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> Token:
-        return tokens[pos]
-
-    def advance() -> Token:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_sequence(stop: set[str]) -> Word:
-        out = alphabet.identity()
-        while True:
-            tok = peek()
-            if tok.kind == "END" or (tok.kind == "SYM" and tok.value in stop):
-                return out
-            out = out * parse_factor()
-            if len(out) > MAX_WORD_LETTERS:
-                raise InputTooLarge(f"word longer than {MAX_WORD_LETTERS} letters", tok.line, tok.col)
-
-    def parse_factor() -> Word:
-        tok = advance()
-        if tok.kind == "NAME":
-            if tok.value not in alphabet:
-                raise ParseError(f"unknown generator {tok.value!r}", tok.line, tok.col)
-            atom = alphabet.gen(tok.value)
-        elif tok.kind == "INT" and tok.value == "1":
-            atom = alphabet.identity()
-        elif tok.kind == "SYM" and tok.value == "[":
-            left = parse_sequence({","})
-            comma = advance()
-            if comma.kind != "SYM" or comma.value != ",":
-                raise ParseError("expected ',' in commutator", comma.line, comma.col)
-            right = parse_sequence({"]"})
-            closing = advance()
-            if closing.kind != "SYM" or closing.value != "]":
-                raise ParseError("expected ']'", closing.line, closing.col)
-            atom = commutator(left, right)
-        else:
-            raise ParseError(f"unexpected {tok.value!r} in word", tok.line, tok.col)
-        if peek().kind == "SYM" and peek().value == "^":
-            advance()
-            exp = advance()
-            if exp.kind != "INT":
-                raise ParseError("expected integer exponent", exp.line, exp.col)
-            k = _int(exp)
-            if abs(k) * len(atom) > MAX_WORD_LETTERS:
-                raise InputTooLarge(f"power longer than {MAX_WORD_LETTERS} letters", exp.line, exp.col)
-            return atom ** k
-        return atom
-
-    word = parse_sequence(set())
-    tok = peek()
-    if tok.kind != "END":
-        raise ParseError(f"trailing {tok.value!r} in word", tok.line, tok.col)
-    return word
+    return Word(alphabet, _Parser(text).word(alphabet))
 
 
 def parse_presentation_document(text: str) -> Presentation:
@@ -458,9 +426,12 @@ class Budgets:
     max_cosets: int = MAX_COSETS
 
 
-def _want_state(value: object, what: str) -> ManifoldState:
-    if not isinstance(value, ManifoldState):
-        raise ScriptRuntimeError(f"{what} must be a manifold state")
+_KINDS = {ManifoldState: "a manifold state", int: "an integer", str: "a string", list: "a list"}
+
+
+def _want(value: object, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ScriptRuntimeError(f"{what} must be {_KINDS[kind]}")
     return value
 
 
@@ -472,29 +443,11 @@ def _want_presentation(value: object) -> Presentation:
     raise ScriptRuntimeError("expected a manifold state or a presentation")
 
 
-def _want_int(value: object, what: str) -> int:
-    if not isinstance(value, int):
-        raise ScriptRuntimeError(f"{what} must be an integer")
-    return value
-
-
-def _want_str(value: object, what: str) -> str:
-    if not isinstance(value, str):
-        raise ScriptRuntimeError(f"{what} must be a string")
-    return value
-
-
-def _want_list(value: object, what: str) -> list:
-    if not isinstance(value, list):
-        raise ScriptRuntimeError(f"{what} must be a list")
-    return value
-
-
 def _resolve_pairing(state_a: ManifoldState, surf_a: str, state_b: ManifoldState, surf_b: str, items: list) -> tuple[tuple[int, int], ...]:
     mark_a, mark_b = state_a.surface(surf_a), state_b.surface(surf_b)
     pairs = []
     for item in items:
-        text = _want_str(item, "pairing entry")
+        text = _want(item, str, "pairing entry")
         left, sep, right = text.partition(":")
         if not sep:
             raise ScriptRuntimeError(f"pairing entry {text!r} is not 'left:right'")
@@ -514,7 +467,7 @@ def _resolve_pairing(state_a: ManifoldState, surf_a: str, state_b: ManifoldState
 def _relators(items: object, alphabet: Alphabet) -> tuple[Word, ...]:
     try:
         return tuple(
-            parse_word(_want_str(text, "relator"), alphabet) for text in _want_list(items, "relators")
+            parse_word(_want(text, str, "relator"), alphabet) for text in _want(items, list, "relators")
         )
     except InputTooLarge:
         raise
@@ -523,13 +476,13 @@ def _relators(items: object, alphabet: Alphabet) -> tuple[Word, ...]:
 
 
 def _op_presentation(args: dict) -> Presentation:
-    gens = [_want_str(g, "generator") for g in _want_list(args.pop("generators"), "generators")]
+    gens = [_want(g, str, "generator") for g in _want(args.pop("generators"), list, "generators")]
     try:
         alphabet = Alphabet(gens)
     except WordError as err:
         raise ScriptRuntimeError(str(err)) from None
     relators = _relators(args.pop("relators", []), alphabet)
-    text = _want_str(args.pop("exactness", "exact"), "exactness")
+    text = _want(args.pop("exactness", "exact"), str, "exactness")
     try:
         exactness = Exactness(text)
     except ValueError:
@@ -545,35 +498,35 @@ def _op_quotient(args: dict) -> Presentation:
 
 def _op_luttinger(args: dict) -> ManifoldState:
     return _luttinger(
-        _want_state(args.pop("s"), "s"),
-        _want_str(args.pop("torus"), "torus"),
-        _want_int(args.pop("p"), "p"),
-        _want_int(args.pop("q"), "q"),
-        _want_int(args.pop("k"), "k"),
+        _want(args.pop("s"), ManifoldState, "s"),
+        _want(args.pop("torus"), str, "torus"),
+        _want(args.pop("p"), int, "p"),
+        _want(args.pop("q"), int, "q"),
+        _want(args.pop("k"), int, "k"),
     )
 
 
 def _op_blow_up(args: dict) -> ManifoldState:
-    state = _want_state(args.pop("s"), "s")
-    count = _want_int(args.pop("count", 1), "count")
+    state = _want(args.pop("s"), ManifoldState, "s")
+    count = _want(args.pop("count", 1), int, "count")
     on = args.pop("on", None)
-    return blow_up(state, None if on is None else _want_str(on, "on"), count)
+    return blow_up(state, None if on is None else _want(on, str, "on"), count)
 
 
 def _op_resolve(args: dict) -> ManifoldState:
-    state = _want_state(args.pop("s"), "s")
-    a = _want_str(args.pop("a"), "a")
-    b = _want_str(args.pop("b"), "b")
+    state = _want(args.pop("s"), ManifoldState, "s")
+    a = _want(args.pop("a"), str, "a")
+    b = _want(args.pop("b"), str, "b")
     new_id = args.pop("id", None)
-    return _resolve(state, a, b, None if new_id is None else _want_str(new_id, "id"))
+    return _resolve(state, a, b, None if new_id is None else _want(new_id, str, "id"))
 
 
 def _op_symplectic_sum(args: dict) -> ManifoldState:
-    a = _want_state(args.pop("a"), "a")
-    b = _want_state(args.pop("b"), "b")
-    surf_a = _want_str(args.pop("surf_a"), "surf_a")
-    surf_b = _want_str(args.pop("surf_b"), "surf_b")
-    pairing = _resolve_pairing(a, surf_a, b, surf_b, _want_list(args.pop("pairing"), "pairing"))
+    a = _want(args.pop("a"), ManifoldState, "a")
+    b = _want(args.pop("b"), ManifoldState, "b")
+    surf_a = _want(args.pop("surf_a"), str, "surf_a")
+    surf_b = _want(args.pop("surf_b"), str, "surf_b")
+    pairing = _resolve_pairing(a, surf_a, b, surf_b, _want(args.pop("pairing"), list, "pairing"))
     return _sum(a, surf_a, b, surf_b, pairing)
 
 
@@ -658,12 +611,10 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
                     raise ScriptRuntimeError(f"identifier {stmt.name!r} already bound")
                 if stmt.call.op not in _OPS:
                     raise ScriptRuntimeError(f"unknown operation {stmt.call.op!r}")
-                seen = set()
                 args = {}
                 for key, value in stmt.call.args:
-                    if key in seen:
+                    if key in args:
                         raise ScriptRuntimeError(f"duplicate argument {key!r}")
-                    seen.add(key)
                     args[key] = resolve(value)
                 try:
                     result = _OPS[stmt.call.op](args)
@@ -683,12 +634,12 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
                 if stmt.kind == "trivial":
                     status, detail, data, _ = triviality(_want_presentation(target))
                 elif stmt.kind == "invariants":
-                    state = _want_state(target, "invariants target")
-                    e = _want_int(resolve(stmt.args[1]), "e")
-                    sig = _want_int(resolve(stmt.args[2]), "sigma")
+                    state = _want(target, ManifoldState, "invariants target")
+                    e = _want(resolve(stmt.args[1]), int, "e")
+                    sig = _want(resolve(stmt.args[2]), int, "sigma")
                     status, detail, data = construction.check_invariants(state, e, sig)
                 elif stmt.kind == "classify":
-                    state = _want_state(target, "classify target")
+                    state = _want(target, ManifoldState, "classify target")
                     status, detail, data, _ = construction.check_classify(
                         state, triviality(state.pi1)
                     )
