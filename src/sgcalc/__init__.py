@@ -54,7 +54,6 @@ from .construction import (
     KILL_SCRIPT,
     ReplayError,
     Report,
-    Variant,
     build_p,
     build_p1,
     build_p2,
@@ -62,7 +61,6 @@ from .construction import (
     build_w,
     build_x,
     complement_data,
-    relabel,
     replay_kill_order,
     verify_main_theorem,
 )

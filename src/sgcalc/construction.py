@@ -8,18 +8,18 @@ complement of a fixed pair of disjoint Lagrangian tori in a product of
     T2: mu = [x^-1, b],     m = y,  l = b a b^-1
 
 and universal relations [x,a], [y,a], [y,bab^-1], [[x,y],b], [x,[a,b]],
-[y,[a,b]]; closing up a factor adds [x,y] and/or [a,b].  Blocks relabel this
-data through invertible generator assignments, perform 1/k surgeries (the
-surgery relator is mu * m^(kp) * l^(kq)), and the assembly sums the blocks
-along marked surfaces.  The final presentation has 8 generators and 20
-relations, numbered in block order; a scripted elimination replays the
-generator kill-order against those numbers, and coset enumeration plus
-generic simplification certify triviality independently.
+[y,[a,b]]; closing up a factor adds [x,y] and/or [a,b].  Each block evaluates
+this data at its own generators (an invertible assignment of x, y, a, b to
+signed generators), performs 1/k surgeries (the surgery relator is
+mu * m^(kp) * l^(kq)), and the assembly sums the blocks along marked
+surfaces.  The final presentation has 8 generators and 20 relations,
+numbered in block order; a scripted elimination replays the generator
+kill-order against those numbers, and coset enumeration plus generic
+simplification certify triviality independently.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -66,118 +66,70 @@ from .words import (
 )
 
 
-class Variant(enum.Enum):
-    """Which factors of the ambient product are closed up."""
-
-    OPEN_OPEN = "open-open"
-    CLOSED_FIRST = "closed-first"
-    CLOSED_SECOND = "closed-second"
-    FOUR_TORUS = "four-torus"
-
-
-_CLOSURES = {
-    Variant.OPEN_OPEN: (),
-    Variant.CLOSED_FIRST: (("x", "y"),),
-    Variant.CLOSED_SECOND: (("a", "b"),),
-    Variant.FOUR_TORUS: (("x", "y"), ("a", "b")),
-}
-
-
 @dataclass(frozen=True)
 class ComplementData:
-    """Generators, torus triples and relations of the two-torus complement."""
+    """Torus triples and relations of the two-torus complement over some alphabet."""
 
     alphabet: Alphabet
     t1: LagrangianTorusMark
     t2: LagrangianTorusMark
     universal_relators: tuple[Word, ...]
-    closure_pairs: tuple[tuple[str, str], ...]
-    optional_relators: tuple[Word, ...]
-
-    @property
-    def core_universal(self) -> tuple[Word, ...]:
-        """The three mixed relations the surgery blocks keep."""
-        return self.universal_relators[:3]
-
-    @property
-    def closure_relators(self) -> tuple[Word, ...]:
-        return tuple(
-            commutator(self.alphabet.gen(g), self.alphabet.gen(h))
-            for g, h in self.closure_pairs
-        )
+    closure_relators: tuple[Word, ...]
 
 
-def complement_data(variant: Variant) -> ComplementData:
-    """The complement data over the base alphabet x, y, a, b."""
-    ab = Alphabet(("x", "y", "a", "b"))
-    x, y, a, b = (ab.gen(n) for n in "xyab")
-    universal = (
-        commutator(x, a),
-        commutator(y, a),
-        commutator(y, b * a * ~b),
-        commutator(commutator(x, y), b),
-        commutator(x, commutator(a, b)),
-        commutator(y, commutator(a, b)),
-    )
-    optional = (
-        commutator(commutator(~b, ~y), x),
-        commutator(commutator(~b, ~y), a),
-        commutator(commutator(~x, b), y),
-        commutator(commutator(~x, b), b * a * ~b),
-    )
-    return ComplementData(
-        alphabet=ab,
-        t1=LagrangianTorusMark("T1", mu=commutator(~b, ~y), m=x, l=a),
-        t2=LagrangianTorusMark("T2", mu=commutator(~x, b), m=y, l=b * a * ~b),
-        universal_relators=universal,
-        closure_pairs=_CLOSURES[variant],
-        optional_relators=optional,
-    )
-
-
-def relabel(data: ComplementData, images: Mapping[str, Word]) -> ComplementData:
-    """Push the complement data through an invertible generator assignment.
+def complement_data(
+    images: Mapping[str, Word] | None = None,
+    closures: Sequence[tuple[str, str]] = (("x", "y"), ("a", "b")),
+) -> ComplementData:
+    """The complement data evaluated at an invertible assignment of x, y, a, b.
 
     Every image must be a single signed generator and the images must hit
-    distinct generators, so the assignment is invertible and relations pull
-    back faithfully.  Closure pairs are re-rendered as commutators of the
-    (positive) image generators in declaration order; commutation of two
-    elements is insensitive to inversion and swap, so this is the same
-    relation.
+    distinct generators of one alphabet, so the assignment is invertible and
+    relations pull back faithfully.  A free-group homomorphism preserves
+    products, so the data written over the images is the base data pushed
+    through the assignment.  Each closed factor in ``closures`` adds the
+    commutator of its (positive) image generators in declaration order;
+    commutation of two elements is insensitive to inversion and swap, so
+    this is the same relation.  Without ``images`` the data is over x, y, a, b.
     """
-    target: Alphabet | None = None
+    if images is None:
+        base = Alphabet(("x", "y", "a", "b"))
+        images = {n: base.gen(n) for n in base.names}
+    alphabet: Alphabet | None = None
     bases: dict[str, str] = {}
-    for name in data.alphabet.names:
+    for name in "xyab":
         if name not in images:
             raise WordError(f"no image for generator {name!r}")
         image = images[name]
         letter = image.as_letter()
         if letter is None:
             raise WordError(f"image of {name!r} is not a single signed generator: {image}")
-        if target is None:
-            target = image.alphabet
-        elif image.alphabet != target:
+        if alphabet is None:
+            alphabet = image.alphabet
+        elif image.alphabet != alphabet:
             raise WordError("images span different alphabets")
         bases[name] = letter[0]
     if len(set(bases.values())) != len(bases):
         raise WordError("assignment is not invertible: images share a base generator")
-    if target is None:
-        raise WordError("the complement data has no generators to relabel")
+    x, y, a, b = (images[n] for n in "xyab")
 
-    def sub(w: Word) -> Word:
-        return substitute(w, images, target)
-
-    def pair(g: str, h: str) -> tuple[str, str]:
-        u, v = bases[g], bases[h]
-        return (u, v) if target.rank(u) < target.rank(v) else (v, u)
+    def closure(g: str, h: str) -> Word:
+        u, v = sorted((bases[g], bases[h]), key=alphabet.rank)
+        return commutator(alphabet.gen(u), alphabet.gen(v))
 
     return ComplementData(
-        alphabet=target,
-        t1=LagrangianTorusMark(data.t1.id, sub(data.t1.mu), sub(data.t1.m), sub(data.t1.l)),
-        t2=LagrangianTorusMark(data.t2.id, sub(data.t2.mu), sub(data.t2.m), sub(data.t2.l)),
-        universal_relators=tuple(sub(w) for w in data.universal_relators),
-        closure_pairs=tuple(pair(g, h) for g, h in data.closure_pairs),
-        optional_relators=tuple(sub(w) for w in data.optional_relators),
+        alphabet=alphabet,
+        t1=LagrangianTorusMark("T1", mu=commutator(~b, ~y), m=x, l=a),
+        t2=LagrangianTorusMark("T2", mu=commutator(~x, b), m=y, l=b * a * ~b),
+        universal_relators=(
+            commutator(x, a),
+            commutator(y, a),
+            commutator(y, b * a * ~b),
+            commutator(commutator(x, y), b),
+            commutator(x, commutator(a, b)),
+            commutator(y, commutator(a, b)),
+        ),
+        closure_relators=tuple(closure(g, h) for g, h in closures),
     )
 
 
@@ -237,37 +189,39 @@ def isolate_direction(relator: Word, gen: str) -> tuple[Word, Word]:
 
 
 def _surgery_block(
-    data: ComplementData,
+    name: str,
+    generators: tuple[str, ...],
+    images: Sequence[tuple[str, int]],
+    closed: tuple[tuple[str, str], ...],
     plan: Sequence[tuple[str, int, int, int]],
-    marks: tuple[SurfaceMark, ...],
+    marks: Sequence[tuple[str, str, str]],
     transverse: tuple[tuple[str, str], ...],
     closures_first: bool,
-    name: str,
-    extra_relations: bool = False,
 ) -> BlockBuild:
-    """Assemble one surgery block from relabeled complement data.
+    """Build one surgery block from its recipe.
 
-    The template presentation keeps the closure relations and the three
-    mixed universal relations, pruned of restatements; it is a surjective
-    bound for the block's fundamental group, and stays one after each
-    surgery quotient.  ``closures_first`` picks the relator numbering of the
-    block, which the assembled 20-relation numbering depends on: closures,
-    universal relations, then surgery relators (V), or surgery relators,
-    universal relations, then closures (P1, P2).
+    The complement data is evaluated at ``images``, the signed generators
+    that x, y, a, b go to, with the factors in ``closed`` closed up.  The
+    template presentation keeps the closure relations and the three mixed
+    universal relations, pruned of restatements; it is a surjective bound
+    for the block's fundamental group, and stays one after each surgery
+    quotient of ``plan``.  Each of ``marks`` is a torus surface ``(id, s, t)``
+    with directions s and t.  ``closures_first`` picks the relator numbering
+    of the block, which the assembled 20-relation numbering depends on:
+    closures, universal relations, then surgery relators (V), or surgery
+    relators, universal relations, then closures (P1, P2).
     """
-    closures = data.closure_relators
-    core = data.core_universal
-    base = list(closures + core if closures_first else core + closures)
-    kept = prune_redundant(data.alphabet, base)[0]
-    if extra_relations:
-        kept = kept + [w for w in data.universal_relators[3:]] + list(data.optional_relators)
+    ab = Alphabet(generators)
+    data = complement_data({n: ab.gen(g, e) for n, (g, e) in zip("xyab", images)}, closed)
+    closures, core = data.closure_relators, data.universal_relators[:3]
+    kept = prune_redundant(ab, list(closures + core if closures_first else core + closures))[0]
     state = ManifoldState(
-        pi1=Presentation(data.alphabet, tuple(kept), Exactness.SURJECTIVE_BOUND),
+        pi1=Presentation(ab, tuple(kept), Exactness.SURJECTIVE_BOUND),
         euler=0,
         signature=0,
         symplectic=True,
         parity=Parity.EVEN,
-        surfaces=marks,
+        surfaces=tuple(SurfaceMark(i, 1, 0, (ab.gen(s), ab.gen(t))) for i, s, t in marks),
         tori=(data.t1, data.t2),
         transverse_pairs=transverse,
         two_torus_pattern=True,
@@ -293,74 +247,51 @@ def _surgery_block(
     return BlockBuild(replace(state, name=name), tuple(records))
 
 
-def _v_assignment() -> Mapping[str, Word]:
-    target = Alphabet(("s1", "t1", "s2", "t2"))
-    return {"x": target.gen("s1"), "y": target.gen("t1"), "a": target.gen("s2"), "b": target.gen("t2")}
-
-
-def _p_assignment(i: int) -> Mapping[str, Word]:
-    target = Alphabet((f"x{i}", f"y{i}", f"s{i}", f"t{i}"))
-    return {
-        "x": target.gen(f"y{i}", -1),
-        "y": target.gen(f"x{i}"),
-        "a": target.gen(f"t{i}", -1),
-        "b": target.gen(f"s{i}"),
-    }
-
-
-def assemble_v(extra_relations: bool = False) -> BlockBuild:
+def assemble_v() -> BlockBuild:
     """-1 surgery along m on T1 and -1 along l on T2 in the four-torus.
 
     The torus factors survive as once-meeting symplectic surface marks H
     (directions s1, t1) and K (directions s2, t2).
     """
-    data = relabel(complement_data(Variant.FOUR_TORUS), _v_assignment())
-    ab = data.alphabet
-    marks = (
-        SurfaceMark("H", 1, 0, (ab.gen("s1"), ab.gen("t1"))),
-        SurfaceMark("K", 1, 0, (ab.gen("s2"), ab.gen("t2"))),
-    )
     return _surgery_block(
-        data,
+        "V",
+        ("s1", "t1", "s2", "t2"),
+        images=(("s1", 1), ("t1", 1), ("s2", 1), ("t2", 1)),
+        closed=(("x", "y"), ("a", "b")),
         plan=(("T1", 1, 0, -1), ("T2", 0, 1, -1)),
-        marks=marks,
+        marks=(("H", "s1", "t1"), ("K", "s2", "t2")),
         transverse=(("H", "K"),),
         closures_first=True,
-        name="V",
-        extra_relations=extra_relations,
     )
 
 
-def assemble_p1(extra_relations: bool = False) -> BlockBuild:
+def _closed_first_block(i: int, plan: Sequence[tuple[str, int, int, int]]) -> BlockBuild:
+    """Block Pi: the first factor closed up, its torus the surface mark Hi.
+
+    The quarter turn x -> yi^-1, y -> xi, a -> ti^-1, b -> si carries the
+    complement data onto the block's generators xi, yi, si, ti.
+    """
+    x, y, s, t = (f"{g}{i}" for g in "xyst")
+    return _surgery_block(
+        f"P{i}",
+        (x, y, s, t),
+        images=((y, -1), (x, 1), (t, -1), (s, 1)),
+        closed=(("x", "y"),),
+        plan=plan,
+        marks=((f"H{i}", x, y),),
+        transverse=(),
+        closures_first=False,
+    )
+
+
+def assemble_p1() -> BlockBuild:
     """+1 along m on T1 and +1 along l on T2, first factor closed."""
-    data = relabel(complement_data(Variant.CLOSED_FIRST), _p_assignment(1))
-    ab = data.alphabet
-    marks = (SurfaceMark("H1", 1, 0, (ab.gen("x1"), ab.gen("y1"))),)
-    return _surgery_block(
-        data,
-        plan=(("T1", 1, 0, 1), ("T2", 0, 1, 1)),
-        marks=marks,
-        transverse=(),
-        closures_first=False,
-        name="P1",
-        extra_relations=extra_relations,
-    )
+    return _closed_first_block(1, (("T1", 1, 0, 1), ("T2", 0, 1, 1)))
 
 
-def assemble_p2(extra_relations: bool = False) -> BlockBuild:
+def assemble_p2() -> BlockBuild:
     """+1 along l on T1 and -1 along m on T2, first factor closed."""
-    data = relabel(complement_data(Variant.CLOSED_FIRST), _p_assignment(2))
-    ab = data.alphabet
-    marks = (SurfaceMark("H2", 1, 0, (ab.gen("x2"), ab.gen("y2"))),)
-    return _surgery_block(
-        data,
-        plan=(("T1", 0, 1, 1), ("T2", 1, 0, -1)),
-        marks=marks,
-        transverse=(),
-        closures_first=False,
-        name="P2",
-        extra_relations=extra_relations,
-    )
+    return _closed_first_block(2, (("T1", 0, 1, 1), ("T2", 1, 0, -1)))
 
 
 def assemble_w() -> BlockBuild:
@@ -380,20 +311,16 @@ def assemble_w() -> BlockBuild:
     return BlockBuild(replace(state, surfaces=surfaces, name="W"), built.surgeries, (built.state,))
 
 
-def assemble_p(include_wall_relation: bool = False) -> BlockBuild:
+def assemble_p() -> BlockBuild:
     """Sum the two closed surgery blocks along their torus marks.
 
     The pairing identifies x1 with x2 and y1 with y2; the halves of the
     marked surfaces line up to a genus 2 surface F carrying s1, t1, s2, t2.
-    The relation [s1,t1][s2,t2] also holds on F but is not needed, so it is
-    off unless requested.
+    The relation [s1,t1][s2,t2] also holds on F but is not needed.
     """
     b1, b2 = assemble_p1(), assemble_p2()
     state = symplectic_sum(b1.state, "H1", b2.state, "H2", pairing=((0, 0), (1, 1)))
     ab = state.pi1.alphabet
-    if include_wall_relation:
-        wall = commutator(ab.gen("s1"), ab.gen("t1")) * commutator(ab.gen("s2"), ab.gen("t2"))
-        state = replace(state, pi1=Presentation(ab, state.pi1.relators + (wall,), state.pi1.exactness))
     f_mark = SurfaceMark(
         "F", 2, 0, (ab.gen("s1"), ab.gen("t1"), ab.gen("s2"), ab.gen("t2"))
     )
@@ -969,7 +896,7 @@ def verify_main_theorem(
         status = "fail"
     check("classification", status, detail, data)
 
-    commutations = commutation_status(complement_data(Variant.FOUR_TORUS))
+    commutations = commutation_status(complement_data())
     assumptions = tuple(
         f"torus {torus} triple ({label}): {status}"
         for (torus, label), status in sorted(commutations.items())

@@ -62,6 +62,7 @@ from .words import Alphabet, Word, WordError
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -376,14 +377,15 @@ def parse_presentation_document(text: str) -> Presentation:
     ``exactness:`` line (``exact`` or ``surjective-bound``).
     """
     alphabet: Alphabet | None = None
-    relator_texts: list[tuple[str, int]] = []
+    relator_texts: list[tuple[str, int, int]] = []
     exactness = Exactness.EXACT
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         key, _, rest = line.partition(":")
         key = key.strip()
+        offset = len(line) - len(rest.lstrip())  # columns before the value
         rest = rest.strip()
         if key == "generators":
             if alphabet is not None:
@@ -393,7 +395,7 @@ def parse_presentation_document(text: str) -> Presentation:
             except WordError as err:
                 raise ParseError(str(err), lineno, 1) from None
         elif key == "relator":
-            relator_texts.append((rest, lineno))
+            relator_texts.append((rest, lineno, offset))
         elif key == "exactness":
             try:
                 exactness = Exactness(rest)
@@ -404,11 +406,11 @@ def parse_presentation_document(text: str) -> Presentation:
     if alphabet is None:
         raise ParseError("missing generators line", 1, 1)
     relators = []
-    for rel_text, lineno in relator_texts:
+    for rel_text, lineno, offset in relator_texts:
         try:
             relators.append(parse_word(rel_text, alphabet))
         except ParseError as err:
-            raise ParseError(f"in relator: {err}", lineno, 1) from None
+            raise type(err)(f"in relator: {err.message}", lineno, offset + err.col) from None
     return Presentation(alphabet, tuple(relators), exactness)
 
 

@@ -1,3 +1,5 @@
+import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -5,7 +7,6 @@ import pytest
 from sgcalc.construction import (
     KILL_SCRIPT,
     ReplayError,
-    Variant,
     assemble_p,
     assemble_p1,
     assemble_p2,
@@ -21,7 +22,6 @@ from sgcalc.construction import (
     commutation_status,
     complement_data,
     isolate_direction,
-    relabel,
     replay_kill_order,
     verify_main_theorem,
 )
@@ -29,7 +29,15 @@ from sgcalc.coset_enum import TrivialityCertificate, certify_trivial
 from sgcalc.manifolds import Minimality, Parity
 from sgcalc.presentations import homology_invariants
 from sgcalc.tietze import tietze_simplify
-from sgcalc.words import Alphabet, WordError, are_conjugate, commutator, conjugate
+from sgcalc.words import (
+    Alphabet,
+    WordError,
+    are_conjugate,
+    commutator,
+    conjugate,
+    relator_key,
+    substitute,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,7 +49,7 @@ def golden_lines(name):
 # -- complement data -----------------------------------------------------------
 
 def test_complement_data_torus_triples():
-    data = complement_data(Variant.OPEN_OPEN)
+    data = complement_data(closures=())
     ab = data.alphabet
     x, y, a, b = (ab.gen(n) for n in "xyab")
     assert data.t1.mu == commutator(~b, ~y)
@@ -51,7 +59,7 @@ def test_complement_data_torus_triples():
 
 
 def test_complement_data_universal_relators_exactly():
-    data = complement_data(Variant.OPEN_OPEN)
+    data = complement_data(closures=())
     ab = data.alphabet
     x, y, a, b = (ab.gen(n) for n in "xyab")
     assert data.universal_relators == (
@@ -66,15 +74,15 @@ def test_complement_data_universal_relators_exactly():
 
 
 def test_variant_closures():
-    four = complement_data(Variant.FOUR_TORUS)
+    four = complement_data()
     ab = four.alphabet
     assert four.closure_relators == (
         commutator(ab.gen("x"), ab.gen("y")),
         commutator(ab.gen("a"), ab.gen("b")),
     )
-    second = complement_data(Variant.CLOSED_SECOND)
+    second = complement_data(closures=(("a", "b"),))
     assert second.closure_relators == (commutator(ab.gen("a"), ab.gen("b")),)
-    first = complement_data(Variant.CLOSED_FIRST)
+    first = complement_data(closures=(("x", "y"),))
     assert first.closure_relators == (commutator(ab.gen("x"), ab.gen("y")),)
 
 
@@ -86,7 +94,7 @@ def test_relabel_to_v_symbols():
         "a": target.gen("s2"),
         "b": target.gen("t2"),
     }
-    data = relabel(complement_data(Variant.FOUR_TORUS), images)
+    data = complement_data(images)
     assert data.t1.mu == commutator(target.gen("t2", -1), target.gen("t1", -1))
     assert data.t1.m == target.gen("s1") and data.t1.l == target.gen("s2")
 
@@ -99,7 +107,7 @@ def test_relabel_through_quarter_turn():
         "a": target.gen("t1", -1),
         "b": target.gen("s1"),
     }
-    data = relabel(complement_data(Variant.CLOSED_FIRST), images)
+    data = complement_data(images, closures=(("x", "y"),))
     # l2 = b a b^-1 becomes s1 t1^-1 s1^-1
     assert data.t2.l == target.gen("s1") * target.gen("t1", -1) * target.gen("s1", -1)
     # the closure pair renders as the commutator of the positive generators
@@ -107,19 +115,47 @@ def test_relabel_through_quarter_turn():
 
 
 def test_relabel_identity_map_is_noop():
-    data = complement_data(Variant.FOUR_TORUS)
+    data = complement_data()
     ab = data.alphabet
-    same = relabel(data, {n: ab.gen(n) for n in ab.names})
+    same = complement_data({n: ab.gen(n) for n in ab.names})
     assert same == data
 
 
 def test_relabel_rejects_non_invertible_maps():
-    data = complement_data(Variant.FOUR_TORUS)
-    ab = data.alphabet
+    ab = complement_data().alphabet
     with pytest.raises(WordError):
-        relabel(data, {n: ab.gen("x") for n in ab.names})
+        complement_data({n: ab.gen("x") for n in ab.names})
     with pytest.raises(WordError):
-        relabel(data, {n: ab.gen(n) ** 2 for n in ab.names})
+        complement_data({n: ab.gen(n) ** 2 for n in ab.names})
+    with pytest.raises(WordError, match="no image for generator 'b'"):
+        complement_data({n: ab.gen(n) for n in "xya"})
+    other = Alphabet(("x", "y", "a", "b", "c"))
+    with pytest.raises(WordError, match="images span different alphabets"):
+        complement_data({"x": ab.gen("x"), "y": ab.gen("y"), "a": ab.gen("a"), "b": other.gen("b")})
+
+
+@pytest.mark.parametrize("closures", [(), (("x", "y"),), (("a", "b"),), (("x", "y"), ("a", "b"))])
+def test_complement_data_at_images_is_the_base_data_pushed_through(closures):
+    """Evaluating at an assignment equals substituting it into the base data, for all
+    384 signed assignments of x, y, a, b onto one 4-letter alphabet."""
+    base = complement_data(closures=closures)
+    target = Alphabet(("s1", "t1", "s2", "t2"))
+    for order in itertools.permutations(target.names):
+        for signs in itertools.product((1, -1), repeat=4):
+            images = {n: target.gen(g, e) for n, g, e in zip("xyab", order, signs)}
+            data = complement_data(images, closures)
+
+            def push(w):
+                return substitute(w, images, target)
+
+            for mark, pushed in ((data.t1, base.t1), (data.t2, base.t2)):
+                assert (mark.id, mark.mu, mark.m, mark.l) == (
+                    pushed.id, push(pushed.mu), push(pushed.m), push(pushed.l),
+                )
+            assert data.universal_relators == tuple(map(push, base.universal_relators))
+            assert [relator_key(r) for r in data.closure_relators] == [
+                relator_key(push(r)) for r in base.closure_relators
+            ]
 
 
 def test_isolate_direction():
@@ -149,6 +185,15 @@ def test_x_relators_match_golden():
     state = build_x()
     assert list(state.pi1.alphabet.names) == ["x1", "y1", "s1", "t1", "x2", "y2", "s2", "t2"]
     assert [str(r) for r in state.pi1.relators] == golden_lines("x_relators.txt")
+
+
+def test_construction_matches_golden():
+    """Every block's surface marks, torus triples, minimality rules, parity and relators,
+    X's, the surgery records and the stated assumptions."""
+    payload = verify_main_theorem().to_dict()
+    golden = json.loads((GOLDEN / "construction.json").read_text())
+    assert {key: payload[key] for key in golden} == golden
+    assert set(golden) == {"blocks", "result", "surgeries", "assumptions"}
 
 
 def test_surgery_normalization_records_are_proved_rotations():
@@ -206,14 +251,6 @@ def test_p_invariants():
     assert tuple(str(b) for b in f.boundary_generators) == ("s1", "t1", "s2", "t2")
 
 
-def test_p_optional_wall_relation():
-    p = assemble_p(include_wall_relation=True).state
-    assert p.pi1.nrels == 15
-    ab = p.pi1.alphabet
-    wall = commutator(ab.gen("s1"), ab.gen("t1")) * commutator(ab.gen("s2"), ab.gen("t2"))
-    assert p.pi1.relators[-1] == wall
-
-
 def test_x_invariants():
     x = build_x()
     assert (x.euler, x.signature) == (6, -2)
@@ -260,16 +297,6 @@ def test_x_simplifies_to_empty_presentation():
     assert sorted(trace.eliminated_generators()) == sorted(x.pi1.alphabet.names)
 
 
-def test_extra_relations_do_not_change_the_conclusions():
-    """Optional relators (off by default) leave every certificate intact."""
-    base = assemble_v().state
-    extra = assemble_v(extra_relations=True).state
-    assert extra.pi1.nrels == base.pi1.nrels + 7
-    assert homology_invariants(extra.pi1) == homology_invariants(base.pi1)
-    p1_extra = assemble_p1(extra_relations=True).state
-    assert homology_invariants(p1_extra.pi1) == homology_invariants(build_p1().pi1)
-
-
 # -- scripted kill-order ------------------------------------------------------------
 
 def test_kill_script_citations():
@@ -307,7 +334,7 @@ def test_replay_fails_on_wrong_presentation():
 # -- assumptions and the full verification -----------------------------------------
 
 def test_commutation_status_of_torus_triples():
-    status = commutation_status(complement_data(Variant.FOUR_TORUS))
+    status = commutation_status(complement_data())
     assert status[("T1", "m,l")] == "proved"
     assert status[("T2", "m,l")] == "proved"
     assert status[("T1", "mu,m")].startswith("assumed")

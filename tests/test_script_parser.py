@@ -72,7 +72,23 @@ def test_word_error_messages(text, message):
 
 def test_document_error_message():
     err = _error(parse_presentation_document, "generators: x\nrelator: [x")
-    assert str(err) == "line 2, column 1: in relator: line 1, column 3: expected ',' in commutator"
+    assert str(err) == "line 2, column 12: in relator: expected ',' in commutator"
+
+
+def test_document_relator_error_is_placed_in_its_line():
+    err = _error(parse_presentation_document, "generators: x y\nrelator:   x y [x")
+    assert str(err) == "line 2, column 18: in relator: expected ',' in commutator"
+    err = _error(parse_presentation_document, "generators: x\n  relator :  x^99999999 # c")
+    assert isinstance(err, InputTooLarge)
+    assert str(err) == "line 2, column 16: in relator: power longer than 100000 letters"
+
+
+@pytest.mark.parametrize(
+    "brk", ["\x0c", "\x1c", "\x85", "\u2028"], ids=["FF", "FS", "NEL", "LS"]
+)
+def test_document_lines_break_only_at_newline(brk):
+    err = _error(parse_presentation_document, f"generators: x{brk}relator: y")
+    assert err.line == 1
 
 
 # -- digits and strings ----------------------------------------------------------
