@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import construction, script as sgc
+from . import construction
 from .coset_enum import MAX_COSETS
 from .tietze import TIETZE_BUDGET, tietze_simplify
 
@@ -55,13 +55,18 @@ def _add_common(p: argparse.ArgumentParser, max_cosets: bool, tietze_budget: boo
 
 
 def _emit(payload: str, out: str | None) -> None:
+    """Write ``payload``, ending in a newline, to standard output or to ``out``."""
+    if not payload.endswith("\n"):
+        payload += "\n"
     if out is None:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(payload)
+    except OSError as err:
+        print(f"sgcalc: cannot write {out}: {err}", file=sys.stderr)
+        raise SystemExit(USAGE_EXIT)
 
 
 def _emit_report(report: construction.Report, args: argparse.Namespace) -> int:
@@ -79,6 +84,7 @@ def _read(path: str) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from . import script as sgc
     text = _read(args.file)
     try:
         report = sgc.execute(sgc.parse(text), sgc.Budgets(args.max_cosets))
@@ -93,6 +99,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
+    from . import script as sgc
     text = _read(args.file)
     try:
         p = sgc.parse_presentation_document(text)

@@ -21,7 +21,6 @@ simplification certify triviality independently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .coset_enum import MAX_COSETS, EnumResult, TrivialityCertificate, certify_trivial
@@ -52,6 +51,7 @@ from .presentations import (
     simple_commutator_pair,
     solve_relator,
 )
+from .records import Record, setfields
 from .tietze import TIETZE_BUDGET, DerivationTrace, tietze_simplify
 from .words import (
     Alphabet,
@@ -66,15 +66,14 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class ComplementData:
+class ComplementData(Record):
     """Torus triples and relations of the two-torus complement over some alphabet."""
 
-    alphabet: Alphabet
-    t1: LagrangianTorusMark
-    t2: LagrangianTorusMark
-    universal_relators: tuple[Word, ...]
-    closure_relators: tuple[Word, ...]
+    __slots__ = ("alphabet", "t1", "t2", "universal_relators", "closure_relators")
+
+    def __init__(self, alphabet: Alphabet, t1: LagrangianTorusMark, t2: LagrangianTorusMark,
+                 universal_relators: tuple[Word, ...], closure_relators: tuple[Word, ...]):
+        setfields(self, alphabet, t1, t2, universal_relators, closure_relators)
 
 
 def complement_data(
@@ -135,8 +134,7 @@ def complement_data(
 
 # -- surgery blocks -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurgeryRecord:
+class SurgeryRecord(Record):
     """One surgery: coefficients, raw relator, and its isolated form.
 
     ``relator = conjugator * raw_relator * conjugator^-1`` is the cyclic
@@ -144,22 +142,19 @@ class SurgeryRecord:
     words have the same normal closure; the rotation is proved, not assumed.
     """
 
-    torus_id: str
-    p: int
-    q: int
-    k: int
-    raw_relator: Word
-    conjugator: Word
-    relator: Word
+    __slots__ = ("torus_id", "p", "q", "k", "raw_relator", "conjugator", "relator")
+
+    def __init__(self, torus_id: str, p: int, q: int, k: int, raw_relator: Word, conjugator: Word, relator: Word):
+        setfields(self, torus_id, p, q, k, raw_relator, conjugator, relator)
 
 
-@dataclass(frozen=True)
-class BlockBuild:
+class BlockBuild(Record):
     """A built state with its surgeries and the blocks built on the way."""
 
-    state: ManifoldState
-    surgeries: tuple[SurgeryRecord, ...]
-    blocks: tuple[ManifoldState, ...] = ()
+    __slots__ = ("state", "surgeries", "blocks")
+
+    def __init__(self, state: ManifoldState, surgeries: tuple[SurgeryRecord, ...], blocks: tuple[ManifoldState, ...] = ()):
+        setfields(self, state, surgeries, blocks)
 
 
 def _direction_core(direction: Word) -> str:
@@ -235,16 +230,13 @@ def _surgery_block(
         raw = state.pi1.relators[-1]
         rotated, conjugator = isolate_direction(raw, core_gen)
         if rotated != raw:
-            state = replace(
-                state,
-                pi1=replace_relator_with_conjugate(state.pi1, state.pi1.nrels - 1, rotated),
-            )
+            state = state.replace(pi1=replace_relator_with_conjugate(state.pi1, state.pi1.nrels - 1, rotated))
         records.append(SurgeryRecord(torus_id, p, q, k, raw, conjugator, rotated))
     if not closures_first:
         n = state.pi1.nrels
         order = list(range(n - len(plan), n)) + list(range(n - len(plan)))
-        state = replace(state, pi1=reorder_relators(state.pi1, order))
-    return BlockBuild(replace(state, name=name), tuple(records))
+        state = state.replace(pi1=reorder_relators(state.pi1, order))
+    return BlockBuild(state.replace(name=name), tuple(records))
 
 
 def assemble_v() -> BlockBuild:
@@ -305,10 +297,10 @@ def assemble_w() -> BlockBuild:
     state = resolve_intersection(built.state, "H", "K", new_id="G")
     state = blow_up(state, on_surface="G", count=2)
     surfaces = tuple(
-        replace(m, no_minus_one_sphere_off_surface=True) if m.id == "G" else m
+        m.replace(no_minus_one_sphere_off_surface=True) if m.id == "G" else m
         for m in state.surfaces
     )
-    return BlockBuild(replace(state, surfaces=surfaces, name="W"), built.surgeries, (built.state,))
+    return BlockBuild(state.replace(surfaces=surfaces, name="W"), built.surgeries, (built.state,))
 
 
 def assemble_p() -> BlockBuild:
@@ -324,7 +316,7 @@ def assemble_p() -> BlockBuild:
     f_mark = SurfaceMark(
         "F", 2, 0, (ab.gen("s1"), ab.gen("t1"), ab.gen("s2"), ab.gen("t2"))
     )
-    state = replace(state, surfaces=state.surfaces + (f_mark,), name="P")
+    state = state.replace(surfaces=state.surfaces + (f_mark,), name="P")
     return BlockBuild(state, b1.surgeries + b2.surgeries, (b1.state, b2.state))
 
 
@@ -342,7 +334,7 @@ def assemble_x() -> BlockBuild:
         p.state, "F", w.state, "G", pairing=((0, 0), (1, 1), (2, 2), (3, 3))
     )
     return BlockBuild(
-        replace(state, name="X"),
+        state.replace(name="X"),
         p.surgeries + w.surgeries,
         p.blocks + (p.state,) + w.blocks + (w.state,),
     )
@@ -381,8 +373,7 @@ class ReplayError(RuntimeError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class KillStep:
+class KillStep(Record):
     """Kill one generator, citing relation numbers.
 
     ``uses`` are applied in order as rewrites of the running word;
@@ -390,9 +381,11 @@ class KillStep:
     them) that let the surviving mobile generator cancel out.
     """
 
-    generator: str
-    uses: tuple[int, ...]
-    commuting: tuple[tuple[tuple[str, str], tuple[int, ...]], ...] = ()
+    __slots__ = ("generator", "uses", "commuting")
+
+    def __init__(self, generator: str, uses: tuple[int, ...],
+                 commuting: tuple[tuple[tuple[str, str], tuple[int, ...]], ...] = ()):
+        setfields(self, generator, uses, commuting)
 
 
 KILL_SCRIPT: tuple[KillStep, ...] = (
@@ -407,16 +400,18 @@ KILL_SCRIPT: tuple[KillStep, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class KillStepResult:
-    generator: str
-    uses: tuple[int, ...]
-    derivation: tuple[str, ...]
+class KillStepResult(Record):
+    __slots__ = ("generator", "uses", "derivation")
+
+    def __init__(self, generator: str, uses: tuple[int, ...], derivation: tuple[str, ...]):
+        setfields(self, generator, uses, derivation)
 
 
-@dataclass(frozen=True)
-class KillReplayReport:
-    steps: tuple[KillStepResult, ...]
+class KillReplayReport(Record):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[KillStepResult, ...]):
+        setfields(self, steps)
 
     @property
     def killed(self) -> tuple[str, ...]:
@@ -599,15 +594,13 @@ def _data_lines(data: dict, pad: str) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class StatementResult:
+class StatementResult(Record):
     """One script statement or verification check, how it came out, and its evidence."""
 
-    index: int
-    text: str
-    status: str  # ok | pass | fail | inconclusive | error
-    detail: str
-    data: dict = field(default_factory=dict)
+    __slots__ = ("index", "text", "status", "detail", "data")  # status: ok | pass | fail | inconclusive | error
+
+    def __init__(self, index: int, text: str, status: str, detail: str, data: dict | None = None):
+        setfields(self, index, text, status, detail, {} if data is None else data)
 
     @property
     def ok(self) -> bool:
@@ -636,13 +629,13 @@ def verdict_of(results: Sequence[StatementResult]) -> str:
     return "INCONCLUSIVE" if "inconclusive" in statuses else "PASS"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """The statements of a run, its verdict and the budgets it ran under."""
 
-    statements: tuple[StatementResult, ...]
-    verdict: str  # PASS | FAIL | INCONCLUSIVE
-    budgets: dict[str, int]
+    __slots__ = ("statements", "verdict", "budgets")  # verdict: PASS | FAIL | INCONCLUSIVE
+
+    def __init__(self, statements: tuple[StatementResult, ...], verdict: str, budgets: dict[str, int]):
+        setfields(self, statements, verdict, budgets)
 
     def to_dict(self) -> dict:
         return {
@@ -738,23 +731,22 @@ def check_classify(
     return "pass", detail, data, homeo
 
 
-@dataclass(frozen=True)
 class ConstructionReport(Report):
     """The paper's report: its checks plus the objects they certify.
 
     ``blocks`` holds V, W and P; the assembled X is ``state``.
     """
 
-    blocks: tuple[ManifoldState, ...]
-    state: ManifoldState
-    surgeries: tuple[SurgeryRecord, ...]
-    certificate: TrivialityCertificate | None
-    trace: DerivationTrace
-    simplified: Presentation
-    replay: KillReplayReport | None
-    homeo: HomeoType | None
-    assumptions: tuple[str, ...]
-    axioms: tuple[str, ...] = AXIOMS
+    __slots__ = ("blocks", "state", "surgeries", "certificate", "trace", "simplified", "replay", "homeo",
+                 "assumptions", "axioms")
+
+    def __init__(self, statements: tuple[StatementResult, ...], verdict: str, budgets: dict[str, int],
+                 blocks: tuple[ManifoldState, ...], state: ManifoldState, surgeries: tuple[SurgeryRecord, ...],
+                 certificate: TrivialityCertificate | None, trace: DerivationTrace, simplified: Presentation,
+                 replay: KillReplayReport | None, homeo: HomeoType | None, assumptions: tuple[str, ...],
+                 axioms: tuple[str, ...] = AXIOMS):
+        setfields(self, statements, verdict, budgets, blocks, state, surgeries, certificate, trace, simplified,
+                  replay, homeo, assumptions, axioms)
 
     def to_dict(self) -> dict:
         def state_dict(s: ManifoldState) -> dict:

@@ -19,10 +19,10 @@ therefore anything it surjects onto - is trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .presentations import Presentation
+from .records import Record, setfields
 from .words import Word, cyclic_core
 
 
@@ -34,8 +34,7 @@ class EnumerationError(ValueError):
     """Malformed input to the enumerator, or a closed table that fails its check."""
 
 
-@dataclass(frozen=True)
-class EnumResult:
+class EnumResult(Record):
     """Outcome of one enumeration.
 
     ``index`` is the subgroup index when the table closed, or ``None`` when
@@ -43,21 +42,23 @@ class EnumResult:
     ever created and cosets removed by coincidences.
     """
 
-    index: int | None
-    defined: int
-    collapsed: int
+    __slots__ = ("index", "defined", "collapsed")
+
+    def __init__(self, index: int | None, defined: int, collapsed: int):
+        setfields(self, index, defined, collapsed)
 
     @property
     def found(self) -> bool:
         return self.index is not None
 
 
-@dataclass(frozen=True)
-class TrivialityCertificate:
+class TrivialityCertificate(Record):
     """An index-1 enumeration of the trivial subgroup of ``presentation``."""
 
-    presentation: Presentation
-    result: EnumResult
+    __slots__ = ("presentation", "result")
+
+    def __init__(self, presentation: Presentation, result: EnumResult):
+        setfields(self, presentation, result)
 
 
 class _Budget(Exception):

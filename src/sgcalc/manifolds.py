@@ -21,11 +21,11 @@ not divisible by 8, since an even unimodular intersection pairing forces
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from math import gcd
 
 from .coset_enum import TrivialityCertificate
 from .presentations import Exactness, Presentation, quotient_by
+from .records import Record, setfields
 from .words import Word, merge_alphabets, substitute
 
 
@@ -45,8 +45,7 @@ class Parity(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SurfaceMark:
+class SurfaceMark(Record):
     """An embedded surface remembered by id.
 
     ``boundary_generators`` are the images of the standard symplectic
@@ -56,65 +55,54 @@ class SurfaceMark:
     surface pushes onto the other side.
     """
 
-    id: str
-    genus: int
-    self_intersection: int
-    boundary_generators: tuple[Word, ...]
-    meridian_killed: bool = False
-    meridian_killed_reason: str = ""
-    carried_relators: tuple[Word, ...] = ()
-    no_minus_one_sphere_off_surface: bool = False
+    __slots__ = ("id", "genus", "self_intersection", "boundary_generators", "meridian_killed",
+                 "meridian_killed_reason", "carried_relators", "no_minus_one_sphere_off_surface")
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
+    def __init__(self, id: str, genus: int, self_intersection: int, boundary_generators: tuple[Word, ...],
+                 meridian_killed: bool = False, meridian_killed_reason: str = "",
+                 carried_relators: tuple[Word, ...] = (), no_minus_one_sphere_off_surface: bool = False):
+        if genus < 0:
             raise ManifoldError("genus must be nonnegative")
-        if len(self.boundary_generators) != 2 * self.genus:
-            raise ManifoldError(
-                f"surface {self.id!r} of genus {self.genus} needs "
-                f"{2 * self.genus} boundary generators"
-            )
-        if self.meridian_killed and not self.meridian_killed_reason:
+        if len(boundary_generators) != 2 * genus:
+            raise ManifoldError(f"surface {id!r} of genus {genus} needs {2 * genus} boundary generators")
+        if meridian_killed and not meridian_killed_reason:
             raise ManifoldError("a killed meridian requires a recorded reason")
+        setfields(self, id, genus, self_intersection, boundary_generators, meridian_killed,
+                  meridian_killed_reason, carried_relators, no_minus_one_sphere_off_surface)
 
     @property
     def normal_bundle(self) -> str:
         return "trivial" if self.self_intersection == 0 else "other"
 
 
-@dataclass(frozen=True)
-class LagrangianTorusMark:
+class LagrangianTorusMark(Record):
     """A Lagrangian torus with meridian and the two push-off directions."""
 
-    id: str
-    mu: Word
-    m: Word
-    l: Word
+    __slots__ = ("id", "mu", "m", "l")
+
+    def __init__(self, id: str, mu: Word, m: Word, l: Word):
+        setfields(self, id, mu, m, l)
 
 
-@dataclass(frozen=True)
-class ManifoldState:
-    pi1: Presentation
-    euler: int
-    signature: int
-    symplectic: bool
-    minimality: Minimality = Minimality.UNKNOWN
-    minimality_rules: tuple[str, ...] = ()
-    parity: Parity = Parity.UNKNOWN
-    surfaces: tuple[SurfaceMark, ...] = ()
-    tori: tuple[LagrangianTorusMark, ...] = ()
-    transverse_pairs: tuple[tuple[str, str], ...] = ()
-    two_torus_pattern: bool = False
-    name: str = ""
+class ManifoldState(Record):
+    __slots__ = ("pi1", "euler", "signature", "symplectic", "minimality", "minimality_rules", "parity",
+                 "surfaces", "tori", "transverse_pairs", "two_torus_pattern", "name")
 
-    def __post_init__(self) -> None:
-        for mark in self.surfaces:
+    def __init__(self, pi1: Presentation, euler: int, signature: int, symplectic: bool,
+                 minimality: Minimality = Minimality.UNKNOWN, minimality_rules: tuple[str, ...] = (),
+                 parity: Parity = Parity.UNKNOWN, surfaces: tuple[SurfaceMark, ...] = (),
+                 tori: tuple[LagrangianTorusMark, ...] = (), transverse_pairs: tuple[tuple[str, str], ...] = (),
+                 two_torus_pattern: bool = False, name: str = ""):
+        for mark in surfaces:
             for w in mark.boundary_generators + mark.carried_relators:
-                if w.alphabet != self.pi1.alphabet:
+                if w.alphabet != pi1.alphabet:
                     raise ManifoldError(f"surface {mark.id!r} carries foreign words")
-        for torus in self.tori:
+        for torus in tori:
             for w in (torus.mu, torus.m, torus.l):
-                if w.alphabet != self.pi1.alphabet:
+                if w.alphabet != pi1.alphabet:
                     raise ManifoldError(f"torus {torus.id!r} carries foreign words")
+        setfields(self, pi1, euler, signature, symplectic, minimality, minimality_rules, parity, surfaces,
+                  tori, transverse_pairs, two_torus_pattern, name)
 
     def surface(self, surface_id: str) -> SurfaceMark:
         for mark in self.surfaces:
@@ -129,14 +117,13 @@ class ManifoldState:
         raise ManifoldError(f"unknown torus {torus_id!r}")
 
 
-@dataclass(frozen=True)
-class HomeoType:
+class HomeoType(Record):
     """Homeomorphism type of a simply connected odd-form 4-manifold."""
 
-    b_plus: int
-    b_minus: int
-    description: str
-    exotic_note: str = ""
+    __slots__ = ("b_plus", "b_minus", "description", "exotic_note")
+
+    def __init__(self, b_plus: int, b_minus: int, description: str, exotic_note: str = ""):
+        setfields(self, b_plus, b_minus, description, exotic_note)
 
 
 def _parity_from_signature(signature: int) -> Parity:
@@ -168,8 +155,7 @@ def luttinger(s: ManifoldState, torus_id: str, p: int, q: int, k: int) -> Manifo
         else:
             minimality = Minimality.UNKNOWN
             rules = ()
-    return replace(
-        s,
+    return s.replace(
         pi1=quotient_by(s.pi1, [relator]),
         tori=tori,
         two_torus_pattern=pattern,
@@ -200,16 +186,14 @@ def blow_up(s: ManifoldState, on_surface: str | None = None, count: int = 1) -> 
         carried = mark.carried_relators
         if set(s.pi1.alphabet.names) <= boundary_bases:
             carried = s.pi1.relators
-        updated = replace(
-            mark,
+        updated = mark.replace(
             meridian_killed=True,
             meridian_killed_reason="meets an exceptional sphere transversally once",
             self_intersection=mark.self_intersection - count,
             carried_relators=carried,
         )
         surfaces = tuple(updated if m.id == on_surface else m for m in s.surfaces)
-    return replace(
-        s,
+    return s.replace(
         euler=s.euler + count,
         signature=s.signature - count,
         parity=Parity.ODD,
@@ -249,7 +233,7 @@ def resolve_intersection(
         for pair in s.transverse_pairs
         if set(pair) != {surface_a, surface_b}
     )
-    return replace(s, surfaces=keep + (merged,), transverse_pairs=pairs, name="")
+    return s.replace(surfaces=keep + (merged,), transverse_pairs=pairs, name="")
 
 
 def _paired_words(
@@ -339,8 +323,7 @@ def symplectic_sum(
         )
         pi1 = Presentation(alphabet, rel1 + rel2 + idents, Exactness.SURJECTIVE_BOUND)
         surfaces = tuple(
-            replace(
-                m,
+            m.replace(
                 boundary_generators=tuple(alphabet.word(w.syllables) for w in m.boundary_generators),
                 carried_relators=tuple(alphabet.word(w.syllables) for w in m.carried_relators),
             )

@@ -10,10 +10,10 @@ is tracked so reports never overclaim.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+from .records import Record, setfield, setfields
 from .words import Alphabet, Word, are_conjugate, relator_key
 
 
@@ -26,16 +26,15 @@ class Exactness(enum.Enum):
     SURJECTIVE_BOUND = "surjective-bound"
 
 
-@dataclass(frozen=True)
-class Presentation:
-    alphabet: Alphabet
-    relators: tuple[Word, ...] = ()
-    exactness: Exactness = Exactness.EXACT
+class Presentation(Record):
+    __slots__ = ("alphabet", "relators", "exactness")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "relators", tuple(self.relators))
+    def __init__(self, alphabet: Alphabet, relators: Iterable[Word] = (), exactness: Exactness = Exactness.EXACT):
+        setfield(self, "alphabet", alphabet)
+        setfield(self, "relators", tuple(relators))
+        setfield(self, "exactness", exactness)
         for r in self.relators:
-            if r.alphabet != self.alphabet:
+            if r.alphabet != alphabet:
                 raise PresentationError(f"relator {r} is not over the presentation alphabet")
 
     @property
@@ -148,11 +147,11 @@ def commutation_normal_form(w: Word, pairs: frozenset[frozenset[str]]) -> Word:
         word = Word(w.alphabet, codes)
 
 
-@dataclass(frozen=True)
-class PruneRecord:
-    index: int
-    relator: Word
-    reason: str
+class PruneRecord(Record):
+    __slots__ = ("index", "relator", "reason")
+
+    def __init__(self, index: int, relator: Word, reason: str):
+        setfields(self, index, relator, reason)
 
 
 def prune_redundant(

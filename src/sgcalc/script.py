@@ -35,7 +35,6 @@ inconclusive, never a pass or a fail.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Union
 
 from . import construction
@@ -56,6 +55,7 @@ from .presentations import (
     homology_invariants,
     quotient_by,
 )
+from .records import Record, setfield, setfields
 from .words import Alphabet, Word, WordError
 
 
@@ -136,55 +136,71 @@ def _tokenize(text: str) -> list[Token]:
 
 # -- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
+class Ref(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
-class IntVal:
-    value: int
+class IntVal(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class StrVal:
-    text: str
+class StrVal(Record):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        setfield(self, "text", text)
 
 
-@dataclass(frozen=True)
-class ListVal:
-    items: tuple["Value", ...]
+class ListVal(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Value, ...]):
+        setfield(self, "items", items)
 
 
 Value = Union[Ref, IntVal, StrVal, ListVal]
 
 
-@dataclass(frozen=True)
-class Call:
-    op: str
-    args: tuple[tuple[str, Value], ...]
+class Call(Record):
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: tuple[tuple[str, Value], ...]):
+        setfield(self, "op", op)
+        setfield(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Let:
-    name: str
-    call: Call
-    line: int
+class Let(Record):
+    __slots__ = ("name", "call", "line")
+
+    def __init__(self, name: str, call: Call, line: int):
+        setfield(self, "name", name)
+        setfield(self, "call", call)
+        setfield(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Check:
-    kind: str  # trivial | invariants | classify
-    args: tuple[Value, ...]
-    line: int
+class Check(Record):
+    __slots__ = ("kind", "args", "line")
+
+    def __init__(self, kind: str, args: tuple[Value, ...], line: int):
+        setfield(self, "kind", kind)  # trivial | invariants | classify
+        setfield(self, "args", args)
+        setfield(self, "line", line)
 
 
 Statement = Union[Let, Check]
 
 
-@dataclass(frozen=True)
-class Script:
-    statements: tuple[Statement, ...]
+class Script(Record):
+    __slots__ = ("statements",)
+
+    def __init__(self, statements: tuple[Statement, ...]):
+        setfield(self, "statements", statements)
 
 
 def _extend(out: list[int], codes: list[int]) -> list[int]:
@@ -343,6 +359,8 @@ def _print_value(v: Value) -> str:
     if isinstance(v, IntVal):
         return str(v.value)
     if isinstance(v, StrVal):
+        if "\n" in v.text:  # a string stays on one line, and no escape spells a newline
+            raise ValueError(f"string {v.text!r} holds a newline, which the script syntax cannot write")
         escaped = v.text.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
     return "[" + ", ".join(_print_value(i) for i in v.items) + "]"
@@ -423,9 +441,11 @@ def format_presentation_document(p: Presentation) -> str:
 
 # -- execution ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Budgets:
-    max_cosets: int = MAX_COSETS
+class Budgets(Record):
+    __slots__ = ("max_cosets",)
+
+    def __init__(self, max_cosets: int = MAX_COSETS):
+        setfields(self, max_cosets)
 
 
 _KINDS = {ManifoldState: "a manifold state", int: "an integer", str: "a string", list: "a list"}
@@ -655,4 +675,4 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
             break
         except InputTooLarge as err:
             raise InputTooLarge(f"in a word: {err}", stmt.line, 1) from None
-    return Report(tuple(results), verdict_of(results), asdict(budgets))
+    return Report(tuple(results), verdict_of(results), {"max_cosets": budgets.max_cosets})

@@ -25,10 +25,10 @@ letter.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
+from .records import Record, setfield, setfields
 from .words import Alphabet, Word, cyclic_core, relator_key, rotations, substitute
 
 
@@ -36,32 +36,39 @@ from .words import Alphabet, Word, cyclic_core, relator_key, rotations, substitu
 TIETZE_BUDGET = 2000
 
 
-@dataclass(frozen=True)
-class Eliminate:
-    gen: str
-    relator_index: int
-    definition: Word
+class Eliminate(Record):
+    __slots__ = ("gen", "relator_index", "definition")
+
+    def __init__(self, gen: str, relator_index: int, definition: Word):
+        setfield(self, "gen", gen)
+        setfield(self, "relator_index", relator_index)
+        setfield(self, "definition", definition)
 
 
-@dataclass(frozen=True)
-class RemoveTrivial:
-    relator_index: int
+class RemoveTrivial(Record):
+    __slots__ = ("relator_index",)
+
+    def __init__(self, relator_index: int):
+        setfield(self, "relator_index", relator_index)
 
 
-@dataclass(frozen=True)
-class RemoveDuplicate:
-    relator_index: int
-    kept_index: int
+class RemoveDuplicate(Record):
+    __slots__ = ("relator_index", "kept_index")
+
+    def __init__(self, relator_index: int, kept_index: int):
+        setfield(self, "relator_index", relator_index)
+        setfield(self, "kept_index", kept_index)
 
 
-@dataclass(frozen=True)
-class CyclicReduce:
-    relator_index: int
-    prefix: Word
+class CyclicReduce(Record):
+    __slots__ = ("relator_index", "prefix")
+
+    def __init__(self, relator_index: int, prefix: Word):
+        setfield(self, "relator_index", relator_index)
+        setfield(self, "prefix", prefix)
 
 
-@dataclass(frozen=True)
-class Shorten:
+class Shorten(Record):
     """Rewrite relator ``target`` with a chunk of relator ``other``.
 
     ``other`` rotated by ``rotation`` (inverted first when ``inverted``)
@@ -69,21 +76,25 @@ class Shorten:
     and replaced by the inverse of its remainder.
     """
 
-    target: int
-    other: int
-    inverted: bool
-    rotation: int
-    position: int
-    overlap: int
+    __slots__ = ("target", "other", "inverted", "rotation", "position", "overlap")
+
+    def __init__(self, target: int, other: int, inverted: bool, rotation: int, position: int, overlap: int):
+        setfield(self, "target", target)
+        setfield(self, "other", other)
+        setfield(self, "inverted", inverted)
+        setfield(self, "rotation", rotation)
+        setfield(self, "position", position)
+        setfield(self, "overlap", overlap)
 
 
 TietzeStep = Union[Eliminate, RemoveTrivial, RemoveDuplicate, CyclicReduce, Shorten]
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
-    steps: tuple[TietzeStep, ...]
-    complete: bool
+class DerivationTrace(Record):
+    __slots__ = ("steps", "complete")
+
+    def __init__(self, steps: tuple[TietzeStep, ...], complete: bool):
+        setfields(self, steps, complete)
 
     def eliminated_generators(self) -> list[str]:
         return [s.gen for s in self.steps if isinstance(s, Eliminate)]

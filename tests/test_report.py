@@ -1,7 +1,6 @@
 """One report type and verdict rule, each fact reported once, and no block built or
 group enumerated twice in one run."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -44,7 +43,7 @@ def _failing_replay(p, *args, **kwargs):
 def test_classification_fails_without_exotic_note(monkeypatch):
     classify = construction.classify
     monkeypatch.setattr(
-        construction, "classify", lambda *args: dataclasses.replace(classify(*args), exotic_note="")
+        construction, "classify", lambda *args: classify(*args).replace(exotic_note="")
     )
     report = verify_main_theorem()
     status = {c.text: c.status for c in report.statements}

@@ -1,7 +1,5 @@
 """The script front end: exact error positions, token rules and round trips."""
 
-from dataclasses import replace
-
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -149,12 +147,12 @@ names = st.builds(
     st.one_of(st.characters(categories=["L"]), st.just("_")),
     st.text(st.one_of(st.characters(categories=["L", "Nd"]), st.just("_")), max_size=4),
 )
-# Strings leave out "\n": the printer writes it raw and a string stays on one line.
+# Strings may hold "\n", which no script can write: printing such a script raises.
 values = st.recursive(
     st.one_of(
         names.map(Ref),
         st.integers().map(IntVal),
-        st.text(st.one_of(st.characters(exclude_characters="\n"), st.sampled_from('"\\')), max_size=8).map(StrVal),
+        st.text(st.one_of(st.characters(), st.sampled_from('"\\\n')), max_size=8).map(StrVal),
     ),
     lambda inner: st.lists(inner, max_size=3).map(lambda items: ListVal(tuple(items))),
     max_leaves=6,
@@ -179,8 +177,23 @@ checks = st.one_of(
 @PROPERTY
 @given(st.lists(st.one_of(lets, checks), max_size=4))
 def test_print_parse_round_trip_of_random_scripts(statements):
-    script = Script(tuple(replace(s, line=i) for i, s in enumerate(statements, start=1)))
-    assert parse(print_script(script)) == script
+    script = Script(tuple(s.replace(line=i) for i, s in enumerate(statements, start=1)))
+    values = [v for s in script.statements for v in (s.args if isinstance(s, Check) else [a for _, a in s.call.args])]
+    unprintable = [t for t in _texts(values) if "\n" in t]
+    if unprintable:
+        with pytest.raises(ValueError, match="holds a newline") as info:
+            print_script(script)
+        assert repr(unprintable[0]) in str(info.value)
+    else:
+        assert parse(print_script(script)) == script
+
+
+def _texts(values):
+    for v in values:
+        if isinstance(v, StrVal):
+            yield v.text
+        elif isinstance(v, ListVal):
+            yield from _texts(v.items)
 
 
 @PROPERTY
