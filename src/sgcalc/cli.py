@@ -60,12 +60,16 @@ def _emit(payload: str, out: str | None) -> None:
         payload += "\n"
     if out is None:
         sys.stdout.write(payload)
-        return
+    else:
+        _write(out, payload, "w")
+
+
+def _write(path: str, payload: str, mode: str) -> None:
     try:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(path, mode, encoding="utf-8") as handle:
             handle.write(payload)
     except OSError as err:
-        print(f"sgcalc: cannot write {out}: {err}", file=sys.stderr)
+        print(f"sgcalc: cannot write {path}: {err}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
 
 
@@ -155,6 +159,8 @@ def main(argv: list[str] | None = None) -> int:
     p_simp.set_defaults(func=_cmd_simplify)
 
     args = parser.parse_args(argv)
+    if args.out is not None:  # fail on an unwritable path before any work; "a" keeps what is there
+        _write(args.out, "", "a")
     return args.func(args)
 
 

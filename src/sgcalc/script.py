@@ -35,7 +35,7 @@ inconclusive, never a pass or a fail.
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from . import construction
 from .construction import Report, StatementResult, presentation_dict, verdict_of
@@ -287,14 +287,17 @@ class _Parser:
 
     def check(self, line: int) -> Check:
         kind = self.expect("NAME", what="check kind")
-        if kind.value not in ("trivial", "invariants", "classify"):
+        if kind.value not in TABLE["check"]:
             raise ParseError(f"unknown check {kind.value!r}", kind.line, kind.col)
         self.expect("SYM", "(")
-        args: list[Value] = [Ref(self.expect("NAME", what="identifier").value)]
-        if kind.value == "invariants":
-            for _ in range(2):
+        args: list[Value] = []
+        for i, (_, param_kind) in enumerate(TABLE["check"][kind.value]):
+            if i:
                 self.expect("SYM", ",")
+            if param_kind == "int":
                 args.append(IntVal(_int(self.expect("INT", what="integer"))))
+            else:
+                args.append(Ref(self.expect("NAME", what="identifier").value))
         self.expect("SYM", ")")
         return Check(kind.value, tuple(args), line)
 
@@ -448,129 +451,103 @@ class Budgets(Record):
         setfields(self, max_cosets)
 
 
-_KINDS = {ManifoldState: "a manifold state", int: "an integer", str: "a string", list: "a list"}
+_KINDS = {"state": (ManifoldState, "a manifold state"), "int": (int, "an integer"),
+          "string": (str, "a string"), "list": (list, "a list")}
 
 
-def _want(value: object, kind: type, what: str):
-    if not isinstance(value, kind):
-        raise ScriptRuntimeError(f"{what} must be {_KINDS[kind]}")
+def _want(value: object, kind: str, what: str):
+    """``value`` checked against a parameter kind of :data:`TABLE`."""
+    if kind == "group":
+        if isinstance(value, (ManifoldState, Presentation)):
+            return value.pi1 if isinstance(value, ManifoldState) else value
+        raise ScriptRuntimeError("expected a manifold state or a presentation")
+    if not isinstance(value, _KINDS[kind][0]):
+        raise ScriptRuntimeError(f"{what} must be {_KINDS[kind][1]}")
     return value
 
 
-def _want_presentation(value: object) -> Presentation:
-    if isinstance(value, ManifoldState):
-        return value.pi1
-    if isinstance(value, Presentation):
-        return value
-    raise ScriptRuntimeError("expected a manifold state or a presentation")
+def _symplectic_sum(a: ManifoldState, surf_a: str, b: ManifoldState, surf_b: str, pairing: list) -> ManifoldState:
+    """``symplectic_sum`` with its pairing given as ``"left:right"`` labels of boundary generators."""
+    mark_a, mark_b = a.surface(surf_a), b.surface(surf_b)
 
+    def index_of(mark, label):
+        for i, w in enumerate(mark.boundary_generators):
+            if str(w) == label.strip():
+                return i
+        raise ScriptRuntimeError(f"surface {mark.id!r} has no boundary generator {label.strip()!r}")
 
-def _resolve_pairing(state_a: ManifoldState, surf_a: str, state_b: ManifoldState, surf_b: str, items: list) -> tuple[tuple[int, int], ...]:
-    mark_a, mark_b = state_a.surface(surf_a), state_b.surface(surf_b)
     pairs = []
-    for item in items:
-        text = _want(item, str, "pairing entry")
+    for item in pairing:
+        text = _want(item, "string", "pairing entry")
         left, sep, right = text.partition(":")
         if not sep:
             raise ScriptRuntimeError(f"pairing entry {text!r} is not 'left:right'")
-
-        def index_of(mark, label):
-            for i, w in enumerate(mark.boundary_generators):
-                if str(w) == label.strip():
-                    return i
-            raise ScriptRuntimeError(
-                f"surface {mark.id!r} has no boundary generator {label.strip()!r}"
-            )
-
         pairs.append((index_of(mark_a, left), index_of(mark_b, right)))
-    return tuple(pairs)
+    return _sum(a, surf_a, b, surf_b, tuple(pairs))
 
 
-def _relators(items: object, alphabet: Alphabet) -> tuple[Word, ...]:
+def _relators(items: list, alphabet: Alphabet) -> tuple[Word, ...]:
     try:
-        return tuple(
-            parse_word(_want(text, str, "relator"), alphabet) for text in _want(items, list, "relators")
-        )
+        return tuple(parse_word(_want(text, "string", "relator"), alphabet) for text in items)
     except InputTooLarge:
         raise
     except ParseError as err:
         raise ScriptRuntimeError(f"bad relator: {err}") from None
 
 
-def _op_presentation(args: dict) -> Presentation:
-    gens = [_want(g, str, "generator") for g in _want(args.pop("generators"), list, "generators")]
-    try:
-        alphabet = Alphabet(gens)
-    except WordError as err:
-        raise ScriptRuntimeError(str(err)) from None
-    relators = _relators(args.pop("relators", []), alphabet)
-    text = _want(args.pop("exactness", "exact"), str, "exactness")
-    try:
-        exactness = Exactness(text)
-    except ValueError:
-        allowed = ", ".join(repr(e.value) for e in Exactness)
-        raise ScriptRuntimeError(f"unknown exactness {text!r} (allowed: {allowed})") from None
-    return Presentation(alphabet, relators, exactness)
+def _presentation(generators: list, relators: list, exactness: str) -> Presentation:
+    alphabet = Alphabet([_want(g, "string", "generator") for g in generators])
+    words = _relators(relators, alphabet)
+    known = {e.value: e for e in Exactness}
+    if exactness not in known:
+        raise ScriptRuntimeError(f"unknown exactness {exactness!r} (allowed: {', '.join(map(repr, known))})")
+    return Presentation(alphabet, words, known[exactness])
 
 
-def _op_quotient(args: dict) -> Presentation:
-    p = _want_presentation(args.pop("p"))
-    return quotient_by(p, _relators(args.pop("relators"), p.alphabet))
-
-
-def _op_luttinger(args: dict) -> ManifoldState:
-    return _luttinger(
-        _want(args.pop("s"), ManifoldState, "s"),
-        _want(args.pop("torus"), str, "torus"),
-        _want(args.pop("p"), int, "p"),
-        _want(args.pop("q"), int, "q"),
-        _want(args.pop("k"), int, "k"),
-    )
-
-
-def _op_blow_up(args: dict) -> ManifoldState:
-    state = _want(args.pop("s"), ManifoldState, "s")
-    count = _want(args.pop("count", 1), int, "count")
-    on = args.pop("on", None)
-    return blow_up(state, None if on is None else _want(on, str, "on"), count)
-
-
-def _op_resolve(args: dict) -> ManifoldState:
-    state = _want(args.pop("s"), ManifoldState, "s")
-    a = _want(args.pop("a"), str, "a")
-    b = _want(args.pop("b"), str, "b")
-    new_id = args.pop("id", None)
-    return _resolve(state, a, b, None if new_id is None else _want(new_id, str, "id"))
-
-
-def _op_symplectic_sum(args: dict) -> ManifoldState:
-    a = _want(args.pop("a"), ManifoldState, "a")
-    b = _want(args.pop("b"), ManifoldState, "b")
-    surf_a = _want(args.pop("surf_a"), str, "surf_a")
-    surf_b = _want(args.pop("surf_b"), str, "surf_b")
-    pairing = _resolve_pairing(a, surf_a, b, surf_b, _want(args.pop("pairing"), list, "pairing"))
-    return _sum(a, surf_a, b, surf_b, pairing)
-
-
-_BUILDERS: dict[str, Callable[[], ManifoldState]] = {
-    "V": construction.build_v,
-    "W": construction.build_w,
-    "P1": construction.build_p1,
-    "P2": construction.build_p2,
-    "P": construction.build_p,
-    "X": construction.build_x,
+# The script's one table: each operation's function and its (keyword, kind[,
+# default]) parameters, and each check's positional (name, kind) parameters.
+# A "group" is a presentation or a manifold state standing for its group.
+# The lambdas look their functions up at call time, so that wrapping a module
+# attribute (bench/tracing.py does) reaches scripts too.
+TABLE: dict[str, dict[str, tuple]] = {
+    "let": {
+        "presentation": (_presentation, (("generators", "list"), ("relators", "list", []), ("exactness", "string", "exact"))),
+        "quotient": (lambda p, rels: quotient_by(p, _relators(rels, p.alphabet)), (("p", "group"), ("relators", "list"))),
+        "luttinger": (lambda *args: _luttinger(*args),
+                      (("s", "state"), ("torus", "string"), ("p", "int"), ("q", "int"), ("k", "int"))),
+        "blow_up": (lambda *args: blow_up(*args), (("s", "state"), ("on", "string", None), ("count", "int", 1))),
+        "resolve_intersection": (lambda *args: _resolve(*args),
+                                 (("s", "state"), ("a", "string"), ("b", "string"), ("id", "string", None))),
+        "symplectic_sum": (_symplectic_sum, (("a", "state"), ("surf_a", "string"), ("b", "state"),
+                                             ("surf_b", "string"), ("pairing", "list"))),
+    },
+    "check": {
+        "trivial": (("target", "group"),),
+        "invariants": (("target", "state"), ("e", "int"), ("sigma", "int")),
+        "classify": (("target", "state"),),
+    },
 }
+for _block in ("V", "W", "P1", "P2", "P", "X"):
+    TABLE["let"][_block] = TABLE["let"][f"build_{_block}"] = (getattr(construction, f"build_{_block.lower()}"), ())
 
-_OPS: dict[str, Callable[[dict], object]] = {
-    "presentation": _op_presentation,
-    "quotient": _op_quotient,
-    "luttinger": _op_luttinger,
-    "blow_up": _op_blow_up,
-    "resolve_intersection": _op_resolve,
-    "symplectic_sum": _op_symplectic_sum,
-}
-for _name, _builder in _BUILDERS.items():
-    _OPS[_name] = _OPS[f"build_{_name}"] = lambda args, _b=_builder: _b()
+
+def _bind(name: str, params: tuple, args: Iterable[tuple[str, Value]], resolve: Callable[[Value], object]) -> list:
+    """The values of ``(keyword, value)`` pairs in parameter order, checked before any call."""
+    given: dict[str, object] = {}
+    for key, value in args:
+        if key in given:
+            raise ScriptRuntimeError(f"duplicate argument {key!r}")
+        given[key] = resolve(value)
+    unexpected = sorted(set(given) - {param[0] for param in params})
+    if unexpected:
+        raise ScriptRuntimeError(f"unexpected arguments: {', '.join(unexpected)}")
+    bound = []
+    for key, kind, *default in params:
+        if key not in given and not default:
+            raise ScriptRuntimeError(f"missing argument {key!r}")
+        what = f"{name} target" if key == "target" else key
+        bound.append(_want(given[key], kind, what) if key in given else default[0])
+    return bound
 
 
 def _summary(value: object) -> tuple[str, dict]:
@@ -598,13 +575,15 @@ def _summary(value: object) -> tuple[str, dict]:
 
 
 def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
-    """Evaluate statements in order.
+    """Evaluate statements in order, all printed before the first runs and
+    each bound against :data:`TABLE` before its operation or check runs.
 
     The first failed check (or runtime error) aborts execution; an
     inconclusive check downgrades the verdict but does not abort.  Each
     presentation's triviality is checked once per call: ``check classify``
     reuses the certificate of an earlier ``check trivial``.
     """
+    texts = [print_statement(stmt) for stmt in script.statements]
     env: dict[str, object] = {}
     results: list[StatementResult] = []
     trivial: dict[Presentation, tuple] = {}
@@ -625,51 +604,36 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
             return value.text
         return [resolve(item) for item in value.items]
 
-    for index, stmt in enumerate(script.statements):
-        text = print_statement(stmt)
+    for index, (stmt, text) in enumerate(zip(script.statements, texts)):
         try:
             if isinstance(stmt, Let):
                 if stmt.name in env:
                     raise ScriptRuntimeError(f"identifier {stmt.name!r} already bound")
-                if stmt.call.op not in _OPS:
+                if stmt.call.op not in TABLE["let"]:
                     raise ScriptRuntimeError(f"unknown operation {stmt.call.op!r}")
-                args = {}
-                for key, value in stmt.call.args:
-                    if key in args:
-                        raise ScriptRuntimeError(f"duplicate argument {key!r}")
-                    args[key] = resolve(value)
+                function, params = TABLE["let"][stmt.call.op]
                 try:
-                    result = _OPS[stmt.call.op](args)
-                except (ManifoldError, PresentationError, WordError, KeyError, TypeError) as err:
-                    if isinstance(err, KeyError):
-                        raise ScriptRuntimeError(f"missing argument {err.args[0]!r}") from None
+                    result = function(*_bind(stmt.call.op, params, stmt.call.args, resolve))
+                except (ManifoldError, PresentationError, WordError) as err:
                     raise ScriptRuntimeError(str(err)) from None
-                if args:
-                    raise ScriptRuntimeError(
-                        f"unexpected arguments: {', '.join(sorted(args))}"
-                    )
                 env[stmt.name] = result
-                detail, data = _summary(result)
-                results.append(StatementResult(index, text, "ok", detail, data))
+                results.append(StatementResult(index, text, "ok", *_summary(result)))
+                continue
+            params = TABLE["check"].get(stmt.kind)
+            if params is None:
+                raise ScriptRuntimeError(f"unknown check {stmt.kind!r}")
+            if len(stmt.args) != len(params):
+                raise ScriptRuntimeError(f"check {stmt.kind} takes {len(params)} argument(s), got {len(stmt.args)}")
+            target, *numbers = _bind(stmt.kind, params, zip([p[0] for p in params], stmt.args), resolve)
+            if stmt.kind == "trivial":
+                status, detail, data, _ = triviality(target)
+            elif stmt.kind == "invariants":
+                status, detail, data = construction.check_invariants(target, *numbers)
             else:
-                target = resolve(stmt.args[0])
-                if stmt.kind == "trivial":
-                    status, detail, data, _ = triviality(_want_presentation(target))
-                elif stmt.kind == "invariants":
-                    state = _want(target, ManifoldState, "invariants target")
-                    e = _want(resolve(stmt.args[1]), int, "e")
-                    sig = _want(resolve(stmt.args[2]), int, "sigma")
-                    status, detail, data = construction.check_invariants(state, e, sig)
-                elif stmt.kind == "classify":
-                    state = _want(target, ManifoldState, "classify target")
-                    status, detail, data, _ = construction.check_classify(
-                        state, triviality(state.pi1)
-                    )
-                else:  # pragma: no cover - parser rejects
-                    raise ScriptRuntimeError(f"unknown check {stmt.kind!r}")
-                results.append(StatementResult(index, text, status, detail, data))
-                if status == "fail":
-                    break
+                status, detail, data, _ = construction.check_classify(target, triviality(target.pi1))
+            results.append(StatementResult(index, text, status, detail, data))
+            if status == "fail":
+                break
         except ScriptRuntimeError as err:
             results.append(StatementResult(index, text, "error", str(err)))
             break

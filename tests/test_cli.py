@@ -44,3 +44,29 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err.startswith(f"sgcalc: cannot write {out}: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "verify-paper", "simplify"])
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    from sgcalc import construction, script
+
+    def never(*args, **kwargs):
+        pytest.fail("the command ran before --out was found unwritable")
+
+    monkeypatch.setattr(construction, "verify_main_theorem", never)
+    monkeypatch.setattr(script, "execute", never)
+    monkeypatch.setattr("sgcalc.cli.tietze_simplify", never)
+    out = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as info:
+        main(_commands(tmp_path)[command] + ["--out", str(out)])
+    assert info.value.code == 64
+    assert capsys.readouterr().err.startswith(f"sgcalc: cannot write {out}: ")
+
+
+def test_out_may_name_the_input_document(tmp_path, capsys):
+    document = tmp_path / "doc.txt"
+    document.write_text(DOCUMENT, encoding="utf-8")
+    assert main(["simplify", str(document), "--emit", "text"]) == 0
+    shown = capsys.readouterr().out
+    assert main(["simplify", str(document), "--emit", "text", "--out", str(document)]) == 0
+    assert document.read_text(encoding="utf-8") == shown

@@ -1,7 +1,11 @@
 import json
+import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from sgcalc import construction, script
 from sgcalc.cli import main
 from sgcalc.presentations import Exactness, Presentation
 from sgcalc.script import (
@@ -14,7 +18,9 @@ from sgcalc.script import (
     ListVal,
     ParseError,
     Ref,
+    Script,
     StrVal,
+    TABLE,
     execute,
     format_presentation_document,
     parse,
@@ -461,3 +467,125 @@ def test_example_script_in_repo(capsys):
     assert main(["run", str(script), "--emit", "text"]) == 0
     out = capsys.readouterr().out
     assert "verdict: PASS" in out
+
+
+# -- arguments: every operation and check of script.TABLE -------------------------
+
+NOUNS = {"state": "a manifold state", "int": "an integer", "string": "a string", "list": "a list"}
+GOOD = {"state": Ref("v"), "group": Ref("g"), "int": IntVal(1), "string": StrVal("H"), "list": ListVal(())}
+BAD = {"state": Ref("g"), "group": IntVal(1), "int": StrVal("x"), "string": IntVal(1), "list": StrVal("x")}
+PRELUDE = parse('let v = build_V()\nlet g = presentation(generators=["x"])').statements
+
+
+def _kind_error(kind: str, what: str) -> str:
+    return "expected a manifold state or a presentation" if kind == "group" else f"{what} must be {NOUNS[kind]}"
+
+
+def _operation_cases():
+    for op, (_, params) in TABLE["let"].items():
+        good = [(key, GOOD[kind]) for key, kind, *_ in params]
+        first = good[0] if good else ("a", IntVal(1))
+        yield pytest.param(op, good + [("bogus", IntVal(1))], "unexpected arguments: bogus", id=f"{op}-bogus")
+        yield pytest.param(op, [first, *good[1:], first], f"duplicate argument {first[0]!r}", id=f"{op}-duplicate")
+        for i, (key, kind, *default) in enumerate(params):
+            wrong = good[:i] + [(key, BAD[kind])] + good[i + 1:]
+            yield pytest.param(op, wrong, _kind_error(kind, key), id=f"{op}-{key}-kind")
+            if not default:
+                yield pytest.param(op, good[:i] + good[i + 1:], f"missing argument {key!r}", id=f"{op}-{key}-missing")
+
+
+def _check_cases():
+    for check, params in TABLE["check"].items():
+        good, n = [GOOD[kind] for _, kind in params], len(params)
+        arity = f"check {check} takes {n} argument(s), got"
+        yield pytest.param(check, good + [IntVal(1)], f"{arity} {n + 1}", id=f"{check}-extra")
+        yield pytest.param(check, good[:-1], f"{arity} {n - 1}", id=f"{check}-missing")
+        for i, (name, kind) in enumerate(params):
+            what = f"{check} target" if name == "target" else name
+            wrong = good[:i] + [BAD[kind]] + good[i + 1:]
+            yield pytest.param(check, wrong, _kind_error(kind, what), id=f"{check}-{name}-kind")
+
+
+def _error_of(statement, calls: list) -> tuple[str, int]:
+    """The error ``statement`` reports after PRELUDE, and the spied calls it made."""
+    execute(Script(PRELUDE), FAST)
+    prelude = len(calls)
+    calls.clear()
+    last = execute(Script(PRELUDE + (statement,)), FAST).statements[-1]
+    assert last.status == "error", last
+    return last.detail, len(calls) - prelude
+
+
+@pytest.mark.parametrize("op,args,message", list(_operation_cases()))
+def test_operation_argument_errors_are_reported_before_the_call(monkeypatch, op, args, message):
+    function, params = TABLE["let"][op]
+    calls = []
+    monkeypatch.setitem(TABLE["let"], op, (lambda *a: calls.append(a) or function(*a), params))
+    assert _error_of(Let("r", Call(op, tuple(args)), 3), calls) == (message, 0)
+
+
+@pytest.mark.parametrize("check,args,message", list(_check_cases()))
+def test_check_argument_errors_are_reported_before_the_check(monkeypatch, check, args, message):
+    calls = []
+    for name in ("check_trivial", "check_invariants", "check_classify"):
+        original = getattr(construction, name)
+        monkeypatch.setattr(construction, name, lambda *a, _f=original: calls.append(a) or _f(*a))
+    assert _error_of(Check(check, tuple(args), 3), calls) == (message, 0)
+
+
+def test_unexpected_keyword_builds_nothing(monkeypatch):
+    calls, original = [], construction.assemble_x
+    monkeypatch.setattr(construction, "assemble_x", lambda: calls.append(1) or original())
+    report = execute(parse("let x = build_X(foo=1)"), FAST)
+    assert report.statements[0].detail == "unexpected arguments: foo"
+    assert calls == []
+
+
+def test_operations_look_up_their_functions_when_called(monkeypatch):
+    state, calls = construction.build_v(), []
+    for module, attr in ((script, "_luttinger"), (script, "blow_up"), (script, "_resolve"), (script, "_sum")):
+        monkeypatch.setattr(module, attr, lambda *a, _n=attr: calls.append(_n) or state)
+    monkeypatch.setattr(construction, "assemble_w", lambda: calls.append("assemble_w") or SimpleNamespace(state=state))
+    text = "\n".join([
+        "let v = V()",
+        'let a = luttinger(s=v, torus="T", p=1, q=0, k=1)',
+        "let b = blow_up(s=v)",
+        'let c = resolve_intersection(s=v, a="H", b="K")',
+        'let d = symplectic_sum(a=v, surf_a="H", b=v, surf_b="K", pairing=[])',
+        "let w = build_W()",
+    ])
+    assert execute(parse(text), FAST).verdict == "PASS"
+    assert calls == ["_luttinger", "blow_up", "_resolve", "_sum", "assemble_w"]
+
+
+def test_execute_prints_every_statement_before_running_one(monkeypatch):
+    calls = []
+    original = construction.assemble_v
+    monkeypatch.setattr(construction, "assemble_v", lambda: calls.append(1) or original())
+    bad = Script((Let("v", Call("V", ()), 1), Let("w", Call("V", (("a", StrVal("x\ny")),)), 2)))
+    with pytest.raises(ValueError, match="holds a newline"):
+        execute(bad, FAST)
+    assert calls == []
+
+
+def _reference_line(name: str, params: tuple, check: bool) -> str:
+    def param(key, kind, *default):
+        shown = "" if not default else " = " + ("none" if default[0] is None else json.dumps(default[0]))
+        return f"{key}: {kind}{shown}"
+
+    return ("check " if check else "") + f"{name}({', '.join(param(*p) for p in params)})"
+
+
+def test_readme_reference_names_exactly_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"as `script.TABLE` declares them.*?```\n(.*?)```", readme, re.S)
+    assert block, "README has no reference block for script.TABLE"
+    documented = {}
+    for line in block.group(1).splitlines():
+        m = re.fullmatch(r"(check )?(\w+)\((.*)\)", line)
+        assert m, f"not a reference line: {line!r}"
+        documented[(bool(m.group(1)), m.group(2))] = line
+    declared = {(False, op): _reference_line(op, params, False) for op, (_, params) in TABLE["let"].items()}
+    declared.update({(True, c): _reference_line(c, params, True) for c, params in TABLE["check"].items()})
+    assert sorted(documented) == sorted(declared)
+    assert documented == declared
