@@ -15,11 +15,18 @@ ties broken by generator declaration order, so traces are stable across
 runs.  Every step carries enough data to be re-applied from scratch;
 ``replay`` recomputes the whole derivation and is used to validate traces.
 
-Everything works on the words' letter codes: duplicates share a
-``relator_key``, and shortening chunks are found by substring search.
-Applying a step, during simplification and in ``replay`` alike, re-checks
-it by brute force: a duplicate against ``rotations``, a shortening letter by
-letter.
+The state holds each relator as its tuple of letter codes.  What the step
+search reads off a relator is derived once per distinct tuple: its cyclic
+reduction prefix, its ``relator_key`` (duplicates share it), its code string
+and its inverse's (shortening chunks are found by substring search), the
+generators that occur in it once, and the relators found not to shorten it.
+``CyclicReduce`` and ``Shorten`` change one relator, so only that one is
+derived afresh; the removals change none; ``Eliminate`` renumbers the codes,
+so every relator is.  ``Word``s are built only for step records, the result
+and the duplicate re-check.  Applying a step, during simplification and in
+``replay`` alike, re-checks it: every index in range, a duplicate against
+``rotations`` of another relator, a shortening letter by letter against
+another relator.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
 from .records import Record, setfield, setfields
-from .words import Alphabet, Word, cyclic_core, relator_key, rotations, substitute
+from .words import Word, _core_key, _cyclic_reduction, rotations
 
 
 # Default cap on the recorded steps of one simplification.
@@ -100,71 +107,120 @@ class DerivationTrace(Record):
         return [s.gen for s in self.steps if isinstance(s, Eliminate)]
 
 
+def _inverse(codes: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(c ^ 1 for c in reversed(codes))
+
+
+def _reduce(codes: Sequence[int]) -> tuple[int, ...]:
+    """Freely reduce letter codes, as ``Word`` does."""
+    out: list[int] = []
+    for c in codes:
+        if out and out[-1] == c ^ 1:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+class _Relator:
+    """What the step search reads off one relator's letter codes."""
+
+    __slots__ = ("cut", "key", "text", "inverse_text", "singles", "unmatched")
+
+    def __init__(self, codes: tuple[int, ...]):
+        prefix, core = _cyclic_reduction(codes)
+        self.cut = len(prefix)  # letters cyclic reduction cuts from each end
+        self.key = None if prefix else _core_key(core)
+        # letter codes as strings, so shortening chunks are found with str.find
+        self.text = "".join(map(chr, codes))
+        self.inverse_text = "".join(map(chr, _inverse(codes)))
+        self.singles = [rank for rank, n in Counter(c >> 1 for c in codes).items() if n == 1]
+        self.unmatched: set[str] = set()  # texts of relators found not to shorten this one
+
+
+_INDEX_FIELDS = ("relator_index", "kept_index", "target", "other")
+
+
 class _State:
+    """A presentation being simplified: each relator as its tuple of letter
+    codes, with the ``_Relator`` of each distinct tuple computed once and
+    forgotten when an ``Eliminate`` renumbers the codes."""
+
     def __init__(self, p: Presentation):
         self.alphabet = p.alphabet
-        self.relators = list(p.relators)
+        self.relators = [tuple(r.codes()) for r in p.relators]
         self.exactness = p.exactness
+        self._derived: dict[tuple[int, ...], _Relator] = {}
 
     def presentation(self) -> Presentation:
-        return Presentation(self.alphabet, tuple(self.relators), self.exactness)
+        return Presentation(self.alphabet, tuple(Word(self.alphabet, r) for r in self.relators), self.exactness)
+
+    def derived(self) -> list[_Relator]:
+        table = self._derived
+        return [table[r] if r in table else table.setdefault(r, _Relator(r)) for r in self.relators]
 
     def apply(self, step: TietzeStep) -> None:
+        relators = self.relators
+        if not all(0 <= getattr(step, name, 0) < len(relators) for name in _INDEX_FIELDS):
+            raise PresentationError(f"replay: relator index out of range in {step!r}")
         if isinstance(step, RemoveTrivial):
-            if not self.relators[step.relator_index].is_identity:
+            if relators[step.relator_index]:
                 raise PresentationError("replay: relator is not trivial")
-            del self.relators[step.relator_index]
+            del relators[step.relator_index]
         elif isinstance(step, RemoveDuplicate):
-            r = self.relators[step.relator_index]
-            kept = self.relators[step.kept_index]
-            if r not in rotations(kept) and r not in rotations(~kept):
-                raise PresentationError("replay: relator is not a duplicate")
-            del self.relators[step.relator_index]
+            i, j = step.relator_index, step.kept_index
+            # a brute-force re-check on Words built for it: bench/tracing.py
+            # wraps ``tietze.rotations`` by name, so it must stay the check
+            r, kept = Word(self.alphabet, relators[i]), Word(self.alphabet, relators[j])
+            if i == j or (r not in rotations(kept) and r not in rotations(~kept)):
+                raise PresentationError("replay: relator is not a duplicate of another")
+            del relators[i]
         elif isinstance(step, CyclicReduce):
-            r = self.relators[step.relator_index]
-            core, prefix = cyclic_core(r)
-            if prefix != step.prefix:
+            prefix, core = _cyclic_reduction(relators[step.relator_index])
+            if Word(self.alphabet, prefix) != step.prefix:
                 raise PresentationError("replay: cyclic reduction mismatch")
-            self.relators[step.relator_index] = core
+            relators[step.relator_index] = core
         elif isinstance(step, Eliminate):
-            definition = solve_relator(self.relators[step.relator_index], step.gen)
+            definition = solve_relator(Word(self.alphabet, relators[step.relator_index]), step.gen)
             if definition != step.definition:
                 raise PresentationError("replay: eliminated definition mismatch")
-            target = self.alphabet.without(step.gen)
-            images = {n: target.gen(n) for n in target.names}
-            images[step.gen] = substitute(definition, images, target)
-            del self.relators[step.relator_index]
-            self.relators = [substitute(r, images, target) for r in self.relators]
-            self.alphabet = target
+            # renumber the codes past the eliminated generator's
+            dropped = 2 * self.alphabet.rank(step.gen)
+            image = [(c if c < dropped else c - 2,) for c in range(2 * len(self.alphabet))]
+            image[dropped] = tuple(c if c < dropped else c - 2 for c in definition.codes())
+            image[dropped + 1] = _inverse(image[dropped])
+            del relators[step.relator_index]
+            self.relators = [_reduce([x for c in r for x in image[c]]) for r in relators]
+            self.alphabet = self.alphabet.without(step.gen)
+            self._derived = {}
         elif isinstance(step, Shorten):
-            other = self.relators[step.other]
-            src = (~other if step.inverted else other).codes()
-            src = src[step.rotation :] + src[: step.rotation]
-            t = self.relators[step.target].codes()
-            at, overlap = step.position, step.overlap
+            t, other = relators[step.target], relators[step.other]
+            n, rotation, at, overlap = len(other), step.rotation, step.position, step.overlap
+            if step.target == step.other:
+                raise PresentationError("replay: relator cannot shorten itself")
+            if not (0 <= rotation < n and 0 <= overlap <= n and 0 <= at <= len(t) - overlap):
+                raise PresentationError("replay: shortening rotation, position or overlap out of range")
+            src = _inverse(other) if step.inverted else other
+            src = src[rotation:] + src[:rotation]
             if t[at : at + overlap] != src[:overlap]:
                 raise PresentationError("replay: overlap does not match")
-            inverse_rest = [c ^ 1 for c in reversed(src[overlap:])]
-            self.relators[step.target] = Word(self.alphabet, t[:at] + inverse_rest + t[at + overlap :])
+            relators[step.target] = _reduce(t[:at] + _inverse(src[overlap:]) + t[at + overlap :])
         else:
             raise PresentationError(f"unknown step {step!r}")
 
 
-def _find_shortening(relators: Sequence[Word]) -> Shorten | None:
-    # Letter codes as strings, so chunks are found with str.find.  Every
-    # match shortens: an overlap above n/2 replaces ``overlap`` letters by
-    # ``n - overlap``.  Each chunk of a rotation starts with its shortest,
-    # so a rotation whose shortest chunk is absent is skipped whole.
-    codes = [r.codes() for r in relators]
-    texts = ["".join(map(chr, c)) for c in codes]
-    inverses = ["".join(chr(x ^ 1) for x in reversed(c)) for c in codes]
-    for ti, t in enumerate(texts):
-        for oi, other in enumerate(texts):
-            n = len(other)
-            if oi == ti or n < 2 or n > len(t):
+def _find_shortening(derived: Sequence[_Relator]) -> Shorten | None:
+    # Every match shortens: an overlap above n/2 replaces ``overlap``
+    # letters by ``n - overlap``.  Each chunk of a rotation starts with its
+    # shortest, so a rotation whose shortest chunk is absent is skipped whole.
+    for ti, target in enumerate(derived):
+        t = target.text
+        for oi, other in enumerate(derived):
+            n = len(other.text)
+            if oi == ti or n < 2 or n > len(t) or other.text in target.unmatched:
                 continue
             for inverted in (False, True):
-                doubled = (inverses[oi] if inverted else other) * 2
+                doubled = (other.inverse_text if inverted else other.text) * 2
                 for rotation in range(n):
                     if doubled[rotation : rotation + n // 2 + 1] not in t:
                         continue
@@ -172,46 +228,41 @@ def _find_shortening(relators: Sequence[Word]) -> Shorten | None:
                         pos = t.find(doubled[rotation : rotation + overlap])
                         if pos >= 0:
                             return Shorten(ti, oi, inverted, rotation, pos, overlap)
+            target.unmatched.add(other.text)
     return None
 
 
-def _find_elimination(alphabet: Alphabet, relators: Sequence[Word]) -> Eliminate | None:
+def _find_elimination(state: _State, derived: Sequence[_Relator]) -> Eliminate | None:
     # shortest definition first; ties eliminate the latest-declared
     # generator, so earlier-declared names survive
     best = min(
-        (
-            (len(r) - 1, -rank, idx)
-            for idx, r in enumerate(relators)
-            for rank, count in Counter(c >> 1 for c in r.codes()).items()
-            if count == 1
-        ),
+        ((len(r) - 1, -rank, idx) for idx, r in enumerate(state.relators) for rank in derived[idx].singles),
         default=None,
     )
     if best is None:
         return None
-    gen, idx = alphabet.names[-best[1]], best[2]
-    return Eliminate(gen, idx, solve_relator(relators[idx], gen))
+    gen, idx = state.alphabet.names[-best[1]], best[2]
+    return Eliminate(gen, idx, solve_relator(Word(state.alphabet, state.relators[idx]), gen))
 
 
 def _next_step(state: _State) -> TietzeStep | None:
     """The first applicable move: cyclic reduction, trivial and duplicate
     removal, elimination, then shortening."""
-    relators = state.relators
+    relators, derived = state.relators, state.derived()
+    for i, d in enumerate(derived):
+        if d.cut:
+            return CyclicReduce(i, Word(state.alphabet, relators[i][: d.cut]))
     for i, r in enumerate(relators):
-        _, prefix = cyclic_core(r)
-        if not prefix.is_identity:
-            return CyclicReduce(i, prefix)
-    for i, r in enumerate(relators):
-        if r.is_identity:
+        if not r:
             return RemoveTrivial(i)
     # relators are now cyclically reduced and nontrivial, so being a
     # rotation of another relator or of its inverse is key equality
     seen: dict[tuple[int, ...], int] = {}
-    for i, r in enumerate(relators):
-        j = seen.setdefault(relator_key(r), i)
+    for i, d in enumerate(derived):
+        j = seen.setdefault(d.key, i)
         if j != i:
             return RemoveDuplicate(i, j)
-    return _find_elimination(state.alphabet, relators) or _find_shortening(relators)
+    return _find_elimination(state, derived) or _find_shortening(derived)
 
 
 def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> tuple[Presentation, DerivationTrace]:

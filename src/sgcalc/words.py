@@ -276,6 +276,11 @@ def _least_rotation(s: tuple[int, ...]) -> int:
     return k
 
 
+def _least_rotated(s: tuple[int, ...]) -> tuple[int, ...]:
+    k = _least_rotation(s)
+    return s[k:] + s[:k]
+
+
 def cyclic_key(w: Word) -> tuple[int, ...]:
     """Canonical key of ``w``'s conjugacy class: the least rotation of the
     letter codes of its cyclic reduction.
@@ -283,9 +288,7 @@ def cyclic_key(w: Word) -> tuple[int, ...]:
     Two words are conjugate iff their keys are equal; for cyclically reduced
     words, ``cyclic_key(u) == cyclic_key(v)`` iff ``v in rotations(u)``.
     """
-    core = _cyclic_reduction(w._codes)[1]
-    k = _least_rotation(core)
-    return core[k:] + core[:k]
+    return _least_rotated(_cyclic_reduction(w._codes)[1])
 
 
 def are_conjugate(u: Word, v: Word) -> bool:
@@ -301,4 +304,9 @@ def relator_key(w: Word) -> tuple[int, ...]:
     ``relator_key(u) == relator_key(v)`` iff ``u`` is conjugate to ``v`` or
     to ``v^-1``: the two words are the same relator.
     """
-    return min(cyclic_key(w), cyclic_key(~w))
+    return _core_key(_cyclic_reduction(w._codes)[1])
+
+
+def _core_key(core: tuple[int, ...]) -> tuple[int, ...]:
+    """``relator_key`` of the cyclically reduced word with letter codes ``core``."""
+    return min(_least_rotated(core), _least_rotated(tuple(c ^ 1 for c in reversed(core))))

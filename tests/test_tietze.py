@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,18 @@ from sgcalc.presentations import (
     PresentationError,
     homology_invariants,
 )
-from sgcalc.tietze import Eliminate, RemoveDuplicate, Shorten, replay, tietze_simplify
-from sgcalc.words import Alphabet, commutator
+from sgcalc import words
+from sgcalc.tietze import (
+    CyclicReduce,
+    DerivationTrace,
+    Eliminate,
+    RemoveDuplicate,
+    RemoveTrivial,
+    Shorten,
+    replay,
+    tietze_simplify,
+)
+from sgcalc.words import Alphabet, Word, commutator
 
 
 def test_single_generator_killed():
@@ -131,3 +142,141 @@ def test_random_traces_replay_to_their_result():
             assert replay(p, trace) == final
             kinds.update(type(step) for step in trace.steps)
     assert {RemoveDuplicate, Shorten} <= kinds
+
+
+def _random_trace_lines() -> list[str]:
+    # the inputs of test_random_traces_replay_to_their_result, in its order
+    rng = random.Random(1984)
+    lines = []
+    for _ in range(120):
+        p = _random_presentation(rng)
+        lines += [repr(tietze_simplify(p, budget)[1]) for budget in (3, 50, 1000)]
+    return lines
+
+
+def test_random_traces_match_golden():
+    """Trace determinism beyond X: every random trace, byte for byte."""
+    golden = Path(__file__).parent / "golden" / "random_traces.txt"
+    assert "\n".join(_random_trace_lines()) + "\n" == golden.read_text()
+
+
+def _replay_steps(p: Presentation, *steps) -> Presentation:
+    return replay(p, DerivationTrace(steps, complete=True))
+
+
+def test_replay_refuses_a_relator_as_its_own_duplicate():
+    # accepted, < x | x > would become < x | >: H1 from 0 to Z
+    ab = Alphabet(("x",))
+    with pytest.raises(PresentationError):
+        _replay_steps(Presentation(ab, (ab.gen("x"),)), RemoveDuplicate(0, 0))
+
+
+def test_replay_refuses_a_relator_shortened_by_itself():
+    # accepted, < x, y | x y, y > would become < x, y | y >: H1 from 0 to Z
+    ab = Alphabet(("x", "y"))
+    x, y = ab.gen("x"), ab.gen("y")
+    with pytest.raises(PresentationError):
+        _replay_steps(Presentation(ab, (x * y, y)), Shorten(0, 0, False, 0, 0, 2), RemoveTrivial(0))
+
+
+_AB = Alphabet(("x", "y"))
+_X, _Y = _AB.gen("x"), _AB.gen("y")
+# < x, y | x^2, y x y^-1, x^2, y x^-1, 1 >: each step below is valid on it
+# with its indices read as Python list indices, a negative one wrapping round
+_BAD_INDEX = Presentation(_AB, (_X ** 2, _Y * _X * ~_Y, _X ** 2, _Y * ~_X, _AB.identity()))
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        RemoveTrivial(-1),
+        RemoveTrivial(5),
+        RemoveDuplicate(-3, 0),
+        RemoveDuplicate(2, 5),
+        CyclicReduce(-4, _Y),
+        CyclicReduce(5, _Y),
+        Eliminate("y", -2, _X),
+        Eliminate("y", 5, _X),
+        Shorten(-3, 0, False, 0, 0, 2),
+        Shorten(2, -5, False, 0, 0, 2),
+        Shorten(2, 5, False, 0, 0, 2),
+        Shorten(2, 0, False, -1, 0, 2),
+        Shorten(2, 0, False, 2, 0, 2),
+        Shorten(2, 0, False, 0, -2, 1),
+        Shorten(2, 0, False, 0, 0, 3),
+        Shorten(2, 0, False, 0, 0, -1),
+    ],
+    ids=repr,
+)
+def test_replay_refuses_an_index_out_of_range(step):
+    """A negative index would wrap round, a large one raise IndexError."""
+    with pytest.raises(PresentationError):
+        _replay_steps(_BAD_INDEX, step)
+
+
+_PARTNER = {"relator_index": "kept_index", "kept_index": "relator_index", "target": "other", "other": "target"}
+
+
+def _mutants(step, size: int, rng: random.Random):
+    """Every one-field change of ``step``, applied to ``size`` relators."""
+    for name in type(step)._fields:
+        value = getattr(step, name)
+        if name in _PARTNER:  # an index: +-1, pointed at itself, negative, out of range
+            changed = {value + 1, value - 1, -1 - value, size}
+            if hasattr(step, _PARTNER[name]):
+                changed.add(getattr(step, _PARTNER[name]))
+        elif isinstance(value, Word):  # prefix or definition: one letter changed
+            codes = value.codes() or [0]
+            at = rng.randrange(len(codes))
+            codes[at] = rng.choice([c for c in range(2 * len(value.alphabet)) if c != codes[at]])
+            changed = {Word(value.alphabet, codes)}
+        elif isinstance(value, bool):
+            changed = {not value}
+        elif isinstance(value, int):  # rotation, position, overlap
+            changed = {value + 1, value - 1}
+        else:  # the eliminated generator's name
+            continue
+        for new in changed - {value}:
+            yield step.replace(**{name: new})
+
+
+def test_mutated_x_trace_never_changes_h1():
+    """One field of one step changed: replay refuses it, or H1 survives."""
+    x = assemble_x().state.pi1
+    h1 = homology_invariants(x)
+    _, trace = tietze_simplify(x, TIETZE_BUDGET)
+    rng = random.Random(52)
+    size, refused, accepted = len(x.relators), 0, 0
+    for k, step in enumerate(trace.steps):
+        for mutant in _mutants(step, size, rng):
+            steps = trace.steps[:k] + (mutant,) + trace.steps[k + 1 :]
+            try:
+                result = replay(x, trace.replace(steps=steps))
+            except PresentationError:
+                refused += 1
+                continue
+            accepted += 1
+            assert homology_invariants(result) == h1, (k, mutant)
+        size -= isinstance(step, (Eliminate, RemoveTrivial, RemoveDuplicate))
+    assert len(trace.steps) == 52 and refused > 10 * len(trace.steps)
+
+
+def test_x_simplification_work_counts(monkeypatch):
+    """Machine-independent work of one simplification of X: ``Word``s built
+    and least-rotation searches run."""
+    x = assemble_x().state.pi1
+    counts = Counter()
+    word_init, least_rotation = words.Word.__init__, words._least_rotation
+
+    def counted_init(self, *args):
+        counts["Word"] += 1
+        word_init(self, *args)
+
+    def counted_least_rotation(s):
+        counts["_least_rotation"] += 1
+        return least_rotation(s)
+
+    monkeypatch.setattr(words.Word, "__init__", counted_init)
+    monkeypatch.setattr(words, "_least_rotation", counted_least_rotation)
+    tietze_simplify(x, TIETZE_BUDGET)
+    assert counts["Word"] <= 1000 and counts["_least_rotation"] <= 400, counts
