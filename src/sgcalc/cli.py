@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import construction
-from .coset_enum import MAX_COSETS
+from .coset_enum import MAX_COSETS, MAX_COSETS_CEILING
 from .tietze import TIETZE_BUDGET, tietze_simplify
 
 USAGE_EXIT = 64
@@ -40,9 +40,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _coset_budget(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_COSETS_CEILING:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_COSETS_CEILING}, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, max_cosets: bool, tietze_budget: bool) -> None:
     if max_cosets:
-        p.add_argument("--max-cosets", type=_positive_int, default=MAX_COSETS, metavar="N",
+        p.add_argument("--max-cosets", type=_coset_budget, default=MAX_COSETS, metavar="N",
                        help=f"coset budget for enumerations (default {MAX_COSETS})")
     if tietze_budget:
         p.add_argument("--tietze-budget", type=_positive_int, default=TIETZE_BUDGET, metavar="N",

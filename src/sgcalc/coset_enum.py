@@ -3,13 +3,16 @@
 The procedures are those of Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory* (2005), §5.1-5.2: the HLT loop runs SCANANDFILL
 (:meth:`_Table.scan_and_fill`) of every relator from every live coset in
-order of definition, filling gaps with DEFINE (:meth:`_Table.define`) and
-merging coincidences with COINCIDENCE (:meth:`_Table.coincide`) through a
-union-find table.  COINCIDENCE undefines each back-pointer ``d.x^-1 = dead``
-before it moves ``dead.x = d`` to the live representatives, so outside it
-every entry ``c.x = d`` of a live row names a live coset ``d`` with
-``d.x^-1 = c``.  The scan relies on this invariant and never calls ``find``;
-:func:`_verify_closed` checks it on the finished table.  A closed table is a
+order of definition, filling gaps with DEFINE and merging coincidences with
+COINCIDENCE (:meth:`_Table.coincide`) through a union-find table.
+COINCIDENCE undefines each back-pointer ``d.x^-1 = dead`` before it moves
+``dead.x = d`` to the live representatives, so outside it every entry
+``c.x = d`` of a live row names a live coset ``d`` with ``d.x^-1 = c``.
+The kernel makes few Python calls per entry: it calls ``find`` only off a
+root (``parent[c] != c``), which compresses the same paths a call per
+lookup would; SCANANDFILL runs DEFINE inline and never calls ``find``; and
+:func:`_verify_closed` walks relators without ``find`` once its first pass
+has shown that live rows name only live cosets.  A closed table is a
 permutation representation of the group on the cosets of the subgroup, so
 the coset count is the exact index.  Identical inputs give identical tables.
 
@@ -26,8 +29,9 @@ from .records import Record, setfields
 from .words import Word, cyclic_core
 
 
-# Default cap on the cosets one enumeration may define.
+# Default and largest coset budget: a coset costs about 230 bytes at 8 generators.
 MAX_COSETS = 100_000
+MAX_COSETS_CEILING = 1_000_000
 
 
 class EnumerationError(ValueError):
@@ -71,76 +75,64 @@ class _Table:
         self.max_cosets = max_cosets
         self.rows: list[list[int | None]] = []
         self.parent: list[int] = []
-        self.defined = 0
-        self.collapsed = 0
         self.new_coset()
 
     def new_coset(self) -> int:
-        if self.defined >= self.max_cosets:
-            raise _Budget
         c = len(self.rows)
+        if c >= self.max_cosets:
+            raise _Budget
         self.rows.append([None] * self.ncols)
         self.parent.append(c)
-        self.defined += 1
         return c
 
     def find(self, c: int) -> int:
+        parent = self.parent
         root = c
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[c] != root:
-            self.parent[c], c = root, self.parent[c]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
         return root
 
     def live_cosets(self) -> list[int]:
         return [c for c in range(len(self.rows)) if self.parent[c] == c]
 
-    def define(self, c: int, x: int) -> None:
-        """DEFINE (Handbook §5.1): a new coset ``d`` with ``c.x = d`` and ``d.x^-1 = c``."""
-        d = self.new_coset()
-        self.rows[c][x] = d
-        self.rows[d][x ^ 1] = c
-
     def coincide(self, a: int, b: int) -> None:
-        """Merge cosets ``a`` and ``b`` and every coincidence they force.
+        """Merge distinct live cosets ``a`` and ``b`` and every coincidence they force.
 
-        Handbook of Computational Group Theory, §5.1 (COINCIDENCE).
+        Handbook of Computational Group Theory, §5.1 (COINCIDENCE).  Each
+        merge keeps the lesser coset as representative and queues the other.
         """
-        queue: list[int] = []
-
-        def merge(u: int, v: int) -> None:
-            u, v = self.find(u), self.find(v)
-            if u == v:
-                return
-            u, v = min(u, v), max(u, v)
-            self.parent[v] = u
-            self.collapsed += 1
-            queue.append(v)
-
-        merge(a, b)
+        rows, parent, find = self.rows, self.parent, self.find
+        queue = [max(a, b)]
+        parent[queue[0]] = min(a, b)
         while queue:
             dead = queue.pop()
-            row = self.rows[dead]
-            for x in range(self.ncols):
-                d = row[x]
+            row = rows[dead]
+            for x, d in enumerate(row):
                 if d is None:
                     continue
                 row[x] = None
+                xi = x ^ 1
                 # Undefine d.x^-1 = dead first: left in place, it would make
                 # the lookup below resolve to mu itself and drop mu.x = nu.
-                if self.rows[d][x ^ 1] == dead:
-                    self.rows[d][x ^ 1] = None
-                mu, nu = self.find(dead), self.find(d)
-                ex = self.rows[mu][x]
-                if ex is not None:
-                    merge(nu, self.find(ex))
-                else:
-                    exi = self.rows[nu][x ^ 1]
-                    if exi is not None:
-                        merge(mu, self.find(exi))
-                    else:
-                        self.rows[mu][x] = nu
-                        self.rows[nu][x ^ 1] = mu
+                if rows[d][xi] == dead:
+                    rows[d][xi] = None
+                mu = parent[dead]
+                mu = mu if parent[mu] == mu else find(dead)
+                nu = d if parent[d] == d else find(d)
+                u, v = nu, rows[mu][x]
+                if v is None:
+                    u, v = mu, rows[nu][xi]
+                    if v is None:
+                        rows[mu][x] = nu
+                        rows[nu][xi] = mu
+                        continue
+                v = v if parent[v] == v else find(v)
+                if u != v:
+                    u, v = (u, v) if u < v else (v, u)
+                    parent[v] = u
+                    queue.append(v)
 
     def scan_and_fill(self, c: int, word: Sequence[int]) -> None:
         """SCANANDFILL (Handbook §5.2): trace ``word`` from live ``c`` back to ``c``.
@@ -154,21 +146,26 @@ class _Table:
         i, j = 0, len(word) - 1
         f = b = c
         while True:
-            while i <= j and rows[f][word[i]] is not None:
-                f = rows[f][word[i]]
-                i += 1
-            while j >= i and rows[b][word[j] ^ 1] is not None:
-                b = rows[b][word[j] ^ 1]
-                j -= 1
+            while i <= j and (d := rows[f][word[i]]) is not None:
+                f, i = d, i + 1
+            while j >= i and (d := rows[b][word[j] ^ 1]) is not None:
+                b, j = d, j - 1
             if j < i:
                 if f != b:
                     self.coincide(f, b)
                 return
+            x = word[i]
             if j == i:
-                rows[f][word[i]] = b
-                rows[b][word[i] ^ 1] = f
+                rows[f][x] = b
+                rows[b][x ^ 1] = f
                 return
-            self.define(f, word[i])
+            if len(rows) >= self.max_cosets:  # DEFINE f.x = d, d.x^-1 = f
+                raise _Budget
+            rows[f][x] = d = len(rows)
+            rows.append([None] * self.ncols)
+            rows[d][x ^ 1] = f
+            self.parent.append(d)
+            f, i = d, i + 1
 
 
 def todd_coxeter(
@@ -177,10 +174,11 @@ def todd_coxeter(
     """Enumerate cosets of the subgroup generated by ``subgroup_gens``.
 
     The run either closes with the exact index or stops once
-    ``max_cosets`` cosets have been defined in total.
+    ``max_cosets`` cosets have been defined in total.  ``max_cosets`` must
+    be an ``int`` from 1 to :data:`MAX_COSETS_CEILING`.
     """
-    if max_cosets < 1:
-        raise EnumerationError("max_cosets must be at least 1")
+    if type(max_cosets) is not int or not 1 <= max_cosets <= MAX_COSETS_CEILING:
+        raise EnumerationError(f"max_cosets must be an int from 1 to {MAX_COSETS_CEILING}")
     for w in subgroup_gens:
         if w.alphabet != p.alphabet:
             raise EnumerationError(f"subgroup word {w} is not over the presentation alphabet")
@@ -189,54 +187,55 @@ def todd_coxeter(
     subgens = [w.codes() for w in subgroup_gens]
 
     table = _Table(2 * p.ngens, max_cosets)
+    rows, parent, scan = table.rows, table.parent, table.scan_and_fill
     try:
         for word in subgens:
-            table.scan_and_fill(0, word)
+            scan(0, word)
         q = 0
-        while q < len(table.rows):
+        while q < len(rows):
             for word in relators:
-                if table.parent[q] != q:
+                if parent[q] != q:
                     break
-                table.scan_and_fill(q, word)
+                scan(q, word)
             # complete the row: generators outside every relator still act
-            if table.parent[q] == q:
-                for x in range(table.ncols):
-                    if table.rows[q][x] is None:
-                        table.define(q, x)
+            if parent[q] == q:
+                row = rows[q]
+                for x, d in enumerate(row):
+                    if d is None:  # DEFINE q.x = d, d.x^-1 = q
+                        row[x] = d = table.new_coset()
+                        rows[d][x ^ 1] = q
             q += 1
-    except _Budget:
-        return EnumResult(index=None, defined=table.defined, collapsed=table.collapsed)
-
+    except _Budget:  # len(rows) counts the cosets defined, non-roots those collapsed
+        return EnumResult(None, len(rows), sum(c != r for c, r in enumerate(parent)))
     _verify_closed(table, relators, subgens)
-    return EnumResult(index=len(table.live_cosets()), defined=table.defined, collapsed=table.collapsed)
+    index = len(table.live_cosets())
+    return EnumResult(index, len(rows), len(rows) - index)
+
+
+def _walk(rows: list[list[int | None]], c: int, word: list[int]) -> int:
+    for x in word:
+        c = rows[c][x]
+    return c
 
 
 def _verify_closed(table: _Table, relators: list[list[int]], subgens: list[list[int]]) -> None:
     """Deduction-consistency check of a finished table; raises :class:`EnumerationError`.
 
-    It also checks, without ``find``, the invariant the scan relies on.
+    The first pass checks the invariant the scan relies on: live rows are
+    complete and name live cosets that point back.  So no walk needs ``find``.
     """
+    rows, parent = table.rows, table.parent
     live = table.live_cosets()
     for c in live:
-        for x in range(table.ncols):
-            d = table.rows[c][x]
-            if d is None or table.rows[d][x ^ 1] is None:
+        for x, d in enumerate(rows[c]):
+            if d is None or rows[d][x ^ 1] is None:
                 raise EnumerationError("incomplete coset table after closure")
-            if table.parent[d] != d or table.rows[d][x ^ 1] != c:
+            if parent[d] != d or rows[d][x ^ 1] != c:
                 raise EnumerationError("live coset row names a dead or unmatched coset")
-    for c in live:
-        for word in relators:
-            cur = c
-            for x in word:
-                cur = table.find(table.rows[cur][x])
-            if cur != c:
-                raise EnumerationError("relator scan does not close")
-    for word in subgens:
-        cur = 0
-        for x in word:
-            cur = table.find(table.rows[cur][x])
-        if cur != 0:
-            raise EnumerationError("subgroup generator leaves coset 1")
+    if any(_walk(rows, c, word) != c for c in live for word in relators):
+        raise EnumerationError("relator scan does not close")
+    if any(_walk(rows, 0, word) != 0 for word in subgens):
+        raise EnumerationError("subgroup generator leaves coset 1")
 
 
 def certify_trivial(

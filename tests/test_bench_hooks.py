@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 from sgcalc import construction, coset_enum, script, tietze, words
+from sgcalc.construction import assemble_x
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 MODULES = (construction, coset_enum, script, tietze, words)
@@ -33,3 +34,21 @@ def test_tracer_installs_runs_and_restores():
     for module, saved in zip(MODULES, before):
         changed = [k for k, v in saved.items() if vars(module).get(k) is not v]
         assert not changed, f"{module.__name__}: {changed} not restored"
+
+
+def test_certify_trivial_x_goes_through_the_traced_enumerator():
+    """The per-layer ``coset_enum.*`` numbers read the ``coset_enum.todd_coxeter`` span."""
+    tracing = _load_tracing()
+    x = assemble_x().state.pi1
+    tracer = tracing.Tracer()
+    tracer.counting = True
+    restore = tracing.install(tracer)
+    try:
+        outcome = construction.certify_trivial(x)
+    finally:
+        restore()
+    assert isinstance(outcome, coset_enum.TrivialityCertificate)
+    assert [span[0] for span in tracer.spans].count("coset_enum.todd_coxeter") == 1
+    assert tracer.counts["coset_enum.enumerations"] == 1
+    assert tracer.counts["coset_enum.cosets_defined"] == 1075
+    assert tracer.counts["coset_enum.cosets_collapsed"] == 1074

@@ -7,9 +7,21 @@ relators are checked to hold in the model, so the expected index is
 verified independently of the enumerator.
 """
 
+import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
+from conftest import random_word
+from sgcalc import coset_enum
+from sgcalc.construction import assemble_x
 from sgcalc.coset_enum import (
+    MAX_COSETS_CEILING,
     EnumResult,
     EnumerationError,
     TrivialityCertificate,
@@ -215,8 +227,11 @@ def test_certify_matches_enumeration():
 def test_input_validation():
     ab = Alphabet(("x",))
     p = Presentation(ab, (ab.gen("x", 3),))
-    with pytest.raises(EnumerationError):
-        todd_coxeter(p, max_cosets=0)
+    for bad in (0, True, 2.0, MAX_COSETS_CEILING + 1):
+        with pytest.raises(EnumerationError):
+            todd_coxeter(p, max_cosets=bad)
+    with pytest.raises(EnumerationError, match="from 1 to"):
+        certify_trivial(p, 10**9)  # rejected before any coset is defined
     other = Alphabet(("y",))
     with pytest.raises(EnumerationError):
         todd_coxeter(p, (other.gen("y"),))
@@ -259,3 +274,80 @@ def test_closed_table_check_rejects_a_live_row_naming_a_dead_coset():
     table.rows[1] = [0, 0]
     with pytest.raises(EnumerationError, match="dead"):
         _verify_closed(table, [[0]], [])
+
+
+@pytest.mark.parametrize(
+    "relators, subgens, message",
+    [
+        ([[0]], [], "relator scan does not close"),  # x is not a relator: 0.x = 1
+        ([[0, 0]], [[0]], "subgroup generator leaves coset 1"),  # x^2 closes, H = <x> does not
+    ],
+)
+def test_closed_table_check_rejects_a_consistent_table_that_breaks_a_word(relators, subgens, message):
+    # two live cosets swapped by x: complete, every entry points back, and
+    # a valid closed table of < x | x^2 > for the trivial subgroup
+    table = _Table(2, 10)
+    table.new_coset()
+    table.rows[0] = [1, 1]
+    table.rows[1] = [0, 0]
+    _verify_closed(table, [[0, 0]], [[0, 0]])
+    with pytest.raises(EnumerationError, match=message):
+        _verify_closed(table, relators, subgens)
+
+
+def test_subgroup_check_survives_python_O():
+    code = (
+        "from sgcalc.coset_enum import EnumerationError, _Table, _verify_closed\n"
+        "assert False, 'asserts are on'\n"
+        "table = _Table(2, 10)\n"
+        "table.new_coset()\n"
+        "table.rows[0], table.rows[1] = [1, 1], [0, 0]\n"
+        "try:\n"
+        "    _verify_closed(table, [[0, 0]], [[0]])\n"
+        "except EnumerationError as err:\n"
+        "    print('raised:', err)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(coset_enum.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: subgroup generator leaves coset 1\n"
+
+
+def _enum_counter_lines() -> list[str]:
+    """One line per enumeration: ``index defined collapsed`` and a digest of the final table.
+
+    Inputs: X, the classical corpus, then seeded random presentations on
+    1-3 generators with 0 or 1 subgroup words at budgets 20, 200 and 2,000,
+    so runs that exhaust their budget are covered too.
+    """
+    tables = []
+
+    class RecordingTable(coset_enum._Table):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    runs = [(assemble_x().state.pi1, (), 100_000)]
+    runs += [(p, (), 10_000) for p, _, _ in CORPUS]
+    rng = random.Random(2718)
+    for _ in range(135):
+        ab = Alphabet(("x", "y", "z")[: rng.randint(1, 3)])
+        p = Presentation(ab, tuple(random_word(rng, ab, 8) for _ in range(rng.randint(1, len(ab) + 1))))
+        subgroup = tuple(random_word(rng, ab, 6) for _ in range(rng.randint(0, 1)))
+        runs += [(p, subgroup, budget) for budget in (20, 200, 2_000)]
+    lines = []
+    with mock.patch.object(coset_enum, "_Table", RecordingTable):
+        for p, subgroup, budget in runs:
+            result = todd_coxeter(p, subgroup, budget)
+            table = tables.pop()
+            digest = hashlib.sha256(repr((table.rows, table.parent)).encode()).hexdigest()[:16]
+            lines.append(f"{result.index} {result.defined} {result.collapsed} {digest}")
+    return lines
+
+
+def test_enumeration_paths_match_golden():
+    """Same path, not only the same index: counters and final tables, byte for byte."""
+    golden = Path(__file__).parent / "golden" / "enum_counters.txt"
+    assert "\n".join(_enum_counter_lines()) + "\n" == golden.read_text()

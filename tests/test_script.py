@@ -7,6 +7,7 @@ import pytest
 
 from sgcalc import construction, script
 from sgcalc.cli import main
+from sgcalc.coset_enum import MAX_COSETS_CEILING
 from sgcalc.presentations import Exactness, Presentation
 from sgcalc.script import (
     Budgets,
@@ -388,6 +389,28 @@ def test_cli_max_cosets_must_be_positive(tmp_path, capsys, command, value):
         main(argv)
     assert info.value.code == 64
     assert "--max-cosets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "verify-paper"])
+def test_cli_max_cosets_ceiling_exits_64_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(construction, "verify_main_theorem", no_work)
+    monkeypatch.setattr(script, "execute", no_work)
+    path = tmp_path / "ok.sgc"
+    path.write_text("let v = build_V()\n")
+    argv = [command] + ([str(path)] if command == "run" else [])
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--max-cosets", str(MAX_COSETS_CEILING + 1)])
+    assert info.value.code == 64
+    assert f"--max-cosets: must be at most {MAX_COSETS_CEILING}" in capsys.readouterr().err
+
+
+def test_cli_max_cosets_ceiling_itself_is_accepted(tmp_path):
+    path = tmp_path / "ok.sgc"
+    path.write_text("let v = build_V()\n")  # no enumeration runs
+    assert main(["run", str(path), "--max-cosets", str(MAX_COSETS_CEILING), "--out", str(tmp_path / "r")]) == 0
 
 
 @pytest.mark.parametrize("command", ["verify-paper", "simplify"])
