@@ -48,8 +48,8 @@ from .presentations import (
     prune_redundant,
     replace_relator_with_conjugate,
     reorder_relators,
-    simple_commutator_pair,
     solve_relator,
+    unique_occurrence,
 )
 from .records import Record, setfields
 from .tietze import TIETZE_BUDGET, DerivationTrace, tietze_simplify
@@ -171,11 +171,8 @@ def isolate_direction(relator: Word, gen: str) -> tuple[Word, Word]:
     ``rotated == conjugator * relator * conjugator^-1``.
     """
     core, prefix = cyclic_core(relator)
-    codes, names = core.codes(), relator.alphabet.names
-    hits = [i for i, c in enumerate(codes) if names[c >> 1] == gen]
-    if len(hits) != 1:
-        raise PresentationError(f"generator {gen!r} does not occur exactly once in {relator}")
-    i = hits[0]
+    codes = core.codes()
+    i = unique_occurrence(relator, gen, codes)
     rotated = Word(relator.alphabet, codes[i + 1 :] + codes[: i + 1])
     conjugator = Word(relator.alphabet, codes[i + 1 :]) * ~prefix
     if conjugate(relator, conjugator) != rotated or not are_conjugate(relator, rotated):
@@ -418,33 +415,20 @@ class KillReplayReport(Record):
         return tuple(s.generator for s in self.steps)
 
 
-def _establish_pair(
-    generator: str, want: tuple[str, str], cited: list[Word]
-) -> None:
-    """Check that the cited relations force ``want`` to commute."""
-    wanted = frozenset(want)
-    for w in cited:
-        hit = simple_commutator_pair(w)
-        if hit and frozenset(hit) == wanted:
-            return
-    if len(cited) == 2:
-        # one cited relation reads g = (other signed generator); substitute it
-        for ident, comm in (cited, cited[::-1]):
-            for name in ident.generators():
-                try:
-                    image = solve_relator(ident, name)
-                except PresentationError:
-                    continue
-                if image.as_letter() is None:
-                    continue
-                images = {n: ident.alphabet.gen(n) for n in ident.alphabet.names}
-                images[name] = image
-                hit = simple_commutator_pair(substitute(comm, images, ident.alphabet))
-                if hit and frozenset(hit) == wanted:
-                    return
-    raise ReplayError(
-        generator, f"cited relations do not show {want[0]} and {want[1]} commute"
-    )
+def _shown_pairs(alphabet: Alphabet, cited: list[Word]) -> frozenset[frozenset[str]]:
+    """Generator pairs the cited relations show commute: simple commutators
+    among them, also after a cited identity ``g = h`` is substituted in."""
+    identity = {n: alphabet.gen(n) for n in alphabet.names}
+    words = list(cited)
+    for ident in cited:
+        for name in ident.generators():
+            try:
+                image = solve_relator(ident, name)
+            except PresentationError:
+                continue
+            if image.as_letter() is not None:
+                words += [substitute(w, {**identity, name: image}, alphabet) for w in cited]
+    return commuting_pairs(words)
 
 
 def replay_kill_order(p: Presentation, drop: tuple[int, ...] = ()) -> KillReplayReport:
@@ -454,25 +438,21 @@ def replay_kill_order(p: Presentation, drop: tuple[int, ...] = ()) -> KillReplay
     numbers for negative-control runs.  Each step derives the target
     generator's triviality in the quotient group using only its cited
     relations and the generators already killed; any gap raises
-    :class:`ReplayError` at that step.
+    :class:`ReplayError` at that step.  A step with commuting pairs needs
+    its cited relations to show each pair commutes; the mobile generator
+    they share then cancels by commutation rewriting.
     """
     alphabet = p.alphabet
     relations = {i + 1: r for i, r in enumerate(p.relators) if i + 1 not in drop}
-    killed: set[str] = set()
+    # each generator to itself, and each killed one to the identity
+    images = {n: alphabet.gen(n) for n in alphabet.names}
 
     def sigma(w: Word) -> Word:
-        images = {
-            n: (alphabet.identity() if n in killed else alphabet.gen(n))
-            for n in alphabet.names
-        }
         return substitute(w, images, alphabet)
 
     results = []
     for step in KILL_SCRIPT:
-        cited_all = set(step.uses)
-        for _, cites in step.commuting:
-            cited_all.update(cites)
-        for idx in sorted(cited_all):
+        for idx in sorted(set(step.uses).union(*(cites for _, cites in step.commuting))):
             if idx not in relations:
                 raise ReplayError(step.generator, f"cites relation {idx}, which is absent")
 
@@ -480,53 +460,41 @@ def replay_kill_order(p: Presentation, drop: tuple[int, ...] = ()) -> KillReplay
         derivation = [str(word)]
         for idx in step.uses:
             rel = sigma(relations[idx])
-            applied = False
             for name in sorted(word.generators(), key=alphabet.rank):
                 try:
                     definition = solve_relator(rel, name)
                 except PresentationError:
                     continue
-                images = {n: alphabet.gen(n) for n in alphabet.names}
-                images[name] = definition
-                word = sigma(substitute(word, images, alphabet))
+                word = substitute(word, {**images, name: definition}, alphabet)
                 derivation.append(f"{word}   [relation {idx}: {name} = {definition}]")
-                applied = True
                 break
-            if not applied:
-                raise ReplayError(
-                    step.generator, f"relation {idx} rewrites no generator of {word}"
-                )
+            else:
+                raise ReplayError(step.generator, f"relation {idx} rewrites no generator of {word}")
 
         if step.commuting:
-            partners = set()
-            mobiles = None
+            pairs = frozenset(frozenset(pair) for pair, _ in step.commuting)
             for pair, cites in step.commuting:
-                _establish_pair(step.generator, pair, [sigma(relations[c]) for c in cites])
-                mobiles = set(pair) if mobiles is None else mobiles & set(pair)
-                partners.update(pair)
+                if frozenset(pair) not in _shown_pairs(alphabet, [sigma(relations[c]) for c in cites]):
+                    raise ReplayError(step.generator, f"cited relations do not show {pair[0]} and {pair[1]} commute")
+            mobiles = frozenset.intersection(*pairs)
             if not mobiles:
                 raise ReplayError(step.generator, "commuting pairs share no mobile generator")
-            mobile_rank = min(map(alphabet.rank, mobiles))
-            mobile = alphabet.names[mobile_rank]
-            allowed = partners - {mobile}
-            rest = word.generators() - {mobile}
-            if not rest <= allowed:
-                raise ReplayError(
-                    step.generator,
-                    f"{mobile} is not known to commute with {sorted(rest - allowed)}",
-                )
+            mobile = min(mobiles, key=alphabet.rank)
+            stuck = word.generators() - frozenset.union(*pairs)
+            if stuck:
+                raise ReplayError(step.generator, f"{mobile} is not known to commute with {sorted(stuck)}")
             if word.exponent_sum(mobile) != 0:
                 raise ReplayError(step.generator, f"{mobile} does not cancel")
-            word = Word(alphabet, [c for c in word.codes() if c >> 1 != mobile_rank])
+            word = commutation_normal_form(word, pairs)
             derivation.append(f"{word}   [{mobile} commutes with the rest and cancels]")
 
         word = sigma(word)
         if not word.is_identity:
             raise ReplayError(step.generator, f"derivation leaves {word}, not the identity")
-        killed.add(step.generator)
+        images[step.generator] = alphabet.identity()
         results.append(KillStepResult(step.generator, step.uses, tuple(derivation)))
 
-    missing = set(alphabet.names) - killed
+    missing = set(alphabet.names) - {s.generator for s in results}
     if missing:
         raise ReplayError(sorted(missing)[0], "never killed by the script")
     return KillReplayReport(tuple(results))

@@ -168,6 +168,12 @@ class _Table:
             f, i = d, i + 1
 
 
+def check_max_cosets(max_cosets: int) -> None:
+    """Refuse a coset budget that is not an ``int`` from 1 to :data:`MAX_COSETS_CEILING`."""
+    if type(max_cosets) is not int or not 1 <= max_cosets <= MAX_COSETS_CEILING:
+        raise EnumerationError(f"max_cosets must be an int from 1 to {MAX_COSETS_CEILING}")
+
+
 def todd_coxeter(
     p: Presentation, subgroup_gens: Sequence[Word] = (), max_cosets: int = MAX_COSETS
 ) -> EnumResult:
@@ -177,8 +183,7 @@ def todd_coxeter(
     ``max_cosets`` cosets have been defined in total.  ``max_cosets`` must
     be an ``int`` from 1 to :data:`MAX_COSETS_CEILING`.
     """
-    if type(max_cosets) is not int or not 1 <= max_cosets <= MAX_COSETS_CEILING:
-        raise EnumerationError(f"max_cosets must be an int from 1 to {MAX_COSETS_CEILING}")
+    check_max_cosets(max_cosets)
     for w in subgroup_gens:
         if w.alphabet != p.alphabet:
             raise EnumerationError(f"subgroup word {w} is not over the presentation alphabet")

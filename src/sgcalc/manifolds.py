@@ -256,12 +256,13 @@ def symplectic_sum(
 ) -> ManifoldState:
     """Glue two states along same-genus surfaces with trivial normal bundles.
 
-    e(sum) = e1 + e2 - 2(2 - 2g) and signatures add.  When one side's
-    surface has a killed meridian, its carried relators are rewritten
-    through the pairing and appended to the other side's presentation (the
-    result presents a group surjecting onto the sum's fundamental group).
-    Otherwise the alphabets union and the pairing contributes identification
-    relators.
+    e(sum) = e1 + e2 - 2(2 - 2g) and signatures add.  The sum first orients
+    itself so that a side whose surface has a killed meridian comes second;
+    that side's carried relators are rewritten through the pairing and
+    appended to the first side's presentation (the result presents a group
+    surjecting onto the sum's fundamental group).  Otherwise the alphabets
+    union, every word moves to the union through ``substitute``, and the
+    pairing contributes identification relators.
     """
     mark1, mark2 = s1.surface(surface1), s2.surface(surface2)
     if mark1.genus != mark2.genus:
@@ -275,57 +276,44 @@ def symplectic_sum(
     genus = mark1.genus
     euler = s1.euler + s2.euler - 2 * (2 - 2 * genus)
     signature = s1.signature + s2.signature
+    # R2 lists the rules in argument order, so read them before orienting
+    r2_rules = tuple(dict.fromkeys(s1.minimality_rules + s2.minimality_rules)) + ("R2",)
+    if mark1.meridian_killed and not mark2.meridian_killed:
+        # orient the sum so that a killed-meridian side is always the second
+        s1, surface1, mark1, s2, surface2, mark2 = s2, surface2, mark2, s1, surface1, mark1
+        pairing = tuple((j, i) for i, j in pairing)
+    pairs = _paired_words(mark1, mark2, pairing)
 
-    if mark2.meridian_killed or mark1.meridian_killed:
-        if mark2.meridian_killed:
-            host, host_mark, donor, donor_mark = s1, mark1, s2, mark2
-            pairs = _paired_words(mark1, mark2, pairing)
-        else:
-            host, host_mark, donor, donor_mark = s2, mark2, s1, mark1
-            pairs = [(w2, w1) for w1, w2 in _paired_words(mark1, mark2, pairing)]
+    if mark2.meridian_killed:
+        # the second side donates its carried relators to the first
         images: dict[str, Word] = {}
         for host_word, donor_word in pairs:
             letter = donor_word.as_letter()
             if letter is None:
-                raise ManifoldError(
-                    "killed-meridian sum needs single-generator boundary words "
-                    f"on the {donor_mark.id!r} side"
-                )
+                raise ManifoldError("killed-meridian sum needs single-generator boundary words "
+                                    f"on the {mark2.id!r} side")
             name, exp = letter
             images[name] = host_word**exp
-        needed = set()
-        for r in donor_mark.carried_relators:
-            needed.update(r.generators())
-        if not needed <= set(images):
-            raise ManifoldError(
-                f"carried relators of {donor_mark.id!r} mention generators "
-                "outside the pairing"
-            )
-        transported = tuple(
-            substitute(r, images, host.pi1.alphabet) for r in donor_mark.carried_relators
-        )
-        pi1 = Presentation(
-            host.pi1.alphabet,
-            host.pi1.relators + transported,
-            Exactness.SURJECTIVE_BOUND,
-        )
-        surfaces = tuple(m for m in host.surfaces if m.id != host_mark.id)
-        transverse = tuple(
-            pair for pair in host.transverse_pairs if host_mark.id not in pair
-        )
+        if any(not r.generators() <= images.keys() for r in mark2.carried_relators):
+            raise ManifoldError(f"carried relators of {mark2.id!r} mention generators outside the pairing")
+        alphabet = s1.pi1.alphabet
+        relators = s1.pi1.relators + tuple(substitute(r, images, alphabet) for r in mark2.carried_relators)
+        surfaces = tuple(m for m in s1.surfaces if m.id != surface1)
+        transverse = tuple(pair for pair in s1.transverse_pairs if surface1 not in pair)
     else:
         alphabet = merge_alphabets(s1.pi1.alphabet, s2.pi1.alphabet)
-        rel1 = tuple(alphabet.word(r.syllables) for r in s1.pi1.relators)
-        rel2 = tuple(alphabet.word(r.syllables) for r in s2.pi1.relators)
-        idents = tuple(
-            alphabet.word(w1.syllables) * ~alphabet.word(w2.syllables)
-            for w1, w2 in _paired_words(mark1, mark2, pairing)
+        images = {n: alphabet.gen(n) for n in alphabet.names}
+
+        def lift(w: Word) -> Word:
+            return substitute(w, images, alphabet)
+
+        relators = tuple(map(lift, s1.pi1.relators + s2.pi1.relators)) + tuple(
+            lift(w1) * ~lift(w2) for w1, w2 in pairs
         )
-        pi1 = Presentation(alphabet, rel1 + rel2 + idents, Exactness.SURJECTIVE_BOUND)
         surfaces = tuple(
             m.replace(
-                boundary_generators=tuple(alphabet.word(w.syllables) for w in m.boundary_generators),
-                carried_relators=tuple(alphabet.word(w.syllables) for w in m.carried_relators),
+                boundary_generators=tuple(map(lift, m.boundary_generators)),
+                carried_relators=tuple(map(lift, m.carried_relators)),
             )
             for m in s1.surfaces + s2.surfaces
             if m.id not in (surface1, surface2)
@@ -337,23 +325,16 @@ def symplectic_sum(
         )
 
     minimality, rules = Minimality.UNKNOWN, ()
-    killed_flag = (mark2.meridian_killed and mark2.no_minus_one_sphere_off_surface) or (
-        mark1.meridian_killed and mark1.no_minus_one_sphere_off_surface
-    )
-    other = s1 if mark2.meridian_killed else s2
-    if killed_flag and other.minimality is Minimality.MINIMAL:
+    killed_flag = any(m.meridian_killed and m.no_minus_one_sphere_off_surface for m in (mark1, mark2))
+    if killed_flag and s1.minimality is Minimality.MINIMAL:
         minimality = Minimality.MINIMAL
-        rules = other.minimality_rules + ("R3",)
+        rules = s1.minimality_rules + ("R3",)
     elif s1.minimality is Minimality.MINIMAL and s2.minimality is Minimality.MINIMAL:
         minimality = Minimality.MINIMAL
-        seen: list[str] = []
-        for rule in s1.minimality_rules + s2.minimality_rules:
-            if rule not in seen:
-                seen.append(rule)
-        rules = tuple(seen) + ("R2",)
+        rules = r2_rules
 
     return ManifoldState(
-        pi1=pi1,
+        pi1=Presentation(alphabet, relators, Exactness.SURJECTIVE_BOUND),
         euler=euler,
         signature=signature,
         symplectic=s1.symplectic and s2.symplectic,

@@ -63,6 +63,15 @@ def quotient_by(p: Presentation, new_relators: Iterable[Word]) -> Presentation:
     return Presentation(p.alphabet, p.relators + new, p.exactness)
 
 
+def unique_occurrence(relator: Word, gen: str, codes: Sequence[int]) -> int:
+    """The position of the only ``gen`` letter in ``codes``, which spell ``relator`` or its cyclic core."""
+    names = relator.alphabet.names
+    hits = [i for i, c in enumerate(codes) if names[c >> 1] == gen]
+    if len(hits) != 1:
+        raise PresentationError(f"generator {gen!r} does not occur exactly once in {relator}")
+    return hits[0]
+
+
 def solve_relator(relator: Word, gen: str) -> Word:
     """Read a relator as an equation and solve for ``gen``.
 
@@ -70,11 +79,8 @@ def solve_relator(relator: Word, gen: str) -> Word:
     ``relator = p g^e q`` the solution is ``p^-1 q^-1`` (e = 1) or ``q p``
     (e = -1); it never mentions ``gen``.
     """
-    codes, names = relator.codes(), relator.alphabet.names
-    hits = [i for i, c in enumerate(codes) if names[c >> 1] == gen]
-    if len(hits) != 1:
-        raise PresentationError(f"generator {gen!r} does not occur exactly once in {relator}")
-    i = hits[0]
+    codes = relator.codes()
+    i = unique_occurrence(relator, gen, codes)
     p = Word(relator.alphabet, codes[:i])
     q = Word(relator.alphabet, codes[i + 1 :])
     if codes[i] & 1:
@@ -205,9 +211,11 @@ def _min_abs_pivot(m: list[list[int]], s: int) -> tuple[int, int] | None:
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    Elementary row/column operations over Python integers, so no overflow.
-    Pivots are the smallest-magnitude nonzero entries, which keeps entry
-    growth tame on small matrices.
+    Elementary row/column operations over Python integers, so no overflow,
+    bring the matrix to a diagonal; pivots are the smallest-magnitude nonzero
+    entries, which keeps entry growth tame on small matrices.  A final pass
+    replaces each pair of diagonal entries by their gcd and lcm, which turns
+    any diagonal into the chain of invariant factors.
     """
     m = [list(map(int, row)) for row in matrix]
     if not m or not m[0]:
@@ -242,31 +250,15 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
                     m[i][j] -= q * m[i][s]
                 if m[s][j]:
                     dirty = True
-        if dirty:
-            continue
+        if not dirty:
+            s += 1
 
-        # pivot must divide the untouched block; fold a bad row in and redo
-        bad = next(
-            (
-                i
-                for i in range(s + 1, rows)
-                for j in range(s + 1, cols)
-                if m[i][j] % m[s][s]
-            ),
-            None,
-        )
-        if bad is not None:
-            for j in range(s, cols):
-                m[s][j] += m[bad][j]
-            continue
-        s += 1
-
-    diag = [abs(m[i][i]) for i in range(min(rows, cols)) if m[i][i]]
+    diag = [abs(m[i][i]) for i in range(limit) if m[i][i]]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return sorted(diag)
+    return diag
 
 
 def homology_invariants(p: Presentation) -> tuple[int, list[int]]:

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple, Union
 
 from . import construction
 from .construction import Report, StatementResult, presentation_dict, verdict_of
-from .coset_enum import MAX_COSETS
+from .coset_enum import MAX_COSETS, check_max_cosets
 from .manifolds import ManifoldError, ManifoldState, blow_up
 # The checks call these through construction; they stay attributes of this
 # module because bench/tracing.py wraps them here.
@@ -56,7 +56,7 @@ from .presentations import (
     quotient_by,
 )
 from .records import Record, setfield, setfields
-from .words import Alphabet, Word, WordError
+from .words import Alphabet, Word, WordError, free_reduce, inverse_codes
 
 
 class ParseError(ValueError):
@@ -203,20 +203,6 @@ class Script(Record):
         setfield(self, "statements", statements)
 
 
-def _extend(out: list[int], codes: list[int]) -> list[int]:
-    """Append letter codes to the freely reduced ``out``, cancelling as they go."""
-    for c in codes:
-        if out and out[-1] == c ^ 1:
-            out.pop()
-        else:
-            out.append(c)
-    return out
-
-
-def _inverse(codes: list[int]) -> list[int]:
-    return [c ^ 1 for c in reversed(codes)]
-
-
 class _Parser:
     """Recursive descent over the tokens of one script or one word."""
 
@@ -318,7 +304,7 @@ class _Parser:
         out: list[int] = []
         while not (self.peek().kind == "END" or self.at(stop)):
             tok = self.peek()
-            _extend(out, self.factor(alphabet))
+            free_reduce(self.factor(alphabet), out)
             if len(out) > MAX_WORD_LETTERS:
                 raise InputTooLarge(f"word longer than {MAX_WORD_LETTERS} letters", tok.line, tok.col)
         return out
@@ -336,7 +322,7 @@ class _Parser:
             self.skip(",", "expected ',' in commutator")
             right = self.word(alphabet, "]")
             self.skip("]", "expected ']'")
-            atom = _extend(list(left), right + _inverse(left) + _inverse(right))
+            atom = free_reduce([*left, *right, *inverse_codes(left), *inverse_codes(right)])
         else:
             raise ParseError(f"unexpected {tok.value!r} in word", tok.line, tok.col)
         if not self.at("^"):
@@ -348,7 +334,7 @@ class _Parser:
         k = _int(exp)
         if abs(k) * len(atom) > MAX_WORD_LETTERS:
             raise InputTooLarge(f"power longer than {MAX_WORD_LETTERS} letters", exp.line, exp.col)
-        return _extend([], (atom if k >= 0 else _inverse(atom)) * abs(k))
+        return free_reduce((atom if k >= 0 else inverse_codes(atom)) * abs(k))
 
 
 def parse(text: str) -> Script:
@@ -448,6 +434,7 @@ class Budgets(Record):
     __slots__ = ("max_cosets",)
 
     def __init__(self, max_cosets: int = MAX_COSETS):
+        check_max_cosets(max_cosets)
         setfields(self, max_cosets)
 
 

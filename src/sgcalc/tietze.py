@@ -36,7 +36,7 @@ from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
 from .records import Record, setfield, setfields
-from .words import Word, _core_key, _cyclic_reduction, rotations
+from .words import Word, _core_key, _cyclic_reduction, free_reduce, inverse_codes, rotations
 
 
 # Default cap on the recorded steps of one simplification.
@@ -107,21 +107,6 @@ class DerivationTrace(Record):
         return [s.gen for s in self.steps if isinstance(s, Eliminate)]
 
 
-def _inverse(codes: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(c ^ 1 for c in reversed(codes))
-
-
-def _reduce(codes: Sequence[int]) -> tuple[int, ...]:
-    """Freely reduce letter codes, as ``Word`` does."""
-    out: list[int] = []
-    for c in codes:
-        if out and out[-1] == c ^ 1:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
-
-
 class _Relator:
     """What the step search reads off one relator's letter codes."""
 
@@ -133,7 +118,7 @@ class _Relator:
         self.key = None if prefix else _core_key(core)
         # letter codes as strings, so shortening chunks are found with str.find
         self.text = "".join(map(chr, codes))
-        self.inverse_text = "".join(map(chr, _inverse(codes)))
+        self.inverse_text = "".join(map(chr, inverse_codes(codes)))
         self.singles = [rank for rank, n in Counter(c >> 1 for c in codes).items() if n == 1]
         self.unmatched: set[str] = set()  # texts of relators found not to shorten this one
 
@@ -188,9 +173,9 @@ class _State:
             dropped = 2 * self.alphabet.rank(step.gen)
             image = [(c if c < dropped else c - 2,) for c in range(2 * len(self.alphabet))]
             image[dropped] = tuple(c if c < dropped else c - 2 for c in definition.codes())
-            image[dropped + 1] = _inverse(image[dropped])
+            image[dropped + 1] = inverse_codes(image[dropped])
             del relators[step.relator_index]
-            self.relators = [_reduce([x for c in r for x in image[c]]) for r in relators]
+            self.relators = [tuple(free_reduce(x for c in r for x in image[c])) for r in relators]
             self.alphabet = self.alphabet.without(step.gen)
             self._derived = {}
         elif isinstance(step, Shorten):
@@ -200,11 +185,11 @@ class _State:
                 raise PresentationError("replay: relator cannot shorten itself")
             if not (0 <= rotation < n and 0 <= overlap <= n and 0 <= at <= len(t) - overlap):
                 raise PresentationError("replay: shortening rotation, position or overlap out of range")
-            src = _inverse(other) if step.inverted else other
+            src = inverse_codes(other) if step.inverted else other
             src = src[rotation:] + src[:rotation]
             if t[at : at + overlap] != src[:overlap]:
                 raise PresentationError("replay: overlap does not match")
-            relators[step.target] = _reduce(t[:at] + _inverse(src[overlap:]) + t[at + overlap :])
+            relators[step.target] = tuple(free_reduce(t[:at] + inverse_codes(src[overlap:]) + t[at + overlap :]))
         else:
             raise PresentationError(f"unknown step {step!r}")
 

@@ -4,15 +4,16 @@ A word stores its freely reduced letter codes, ``2*rank`` for ``g`` and
 ``2*rank + 1`` for ``g^-1``, and every algorithm works on these codes.
 Syllables ``(name, exponent)`` enter through ``Alphabet.word`` and are read
 back through ``Word.syllables``.  Words over different alphabets never
-combine; a word moves to another alphabet through ``substitute`` or its
-syllables.
+combine; a word moves to another alphabet through ``substitute``.  Code
+that works on raw letter codes reduces and inverts them with
+``free_reduce`` and ``inverse_codes``.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Syllable = tuple[str, int]
 
@@ -143,7 +144,7 @@ class Word:
         return Word(self.alphabet, self._codes + other._codes)
 
     def __invert__(self) -> "Word":
-        return Word(self.alphabet, [c ^ 1 for c in reversed(self._codes)])
+        return Word(self.alphabet, inverse_codes(self._codes))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self
@@ -183,6 +184,22 @@ class Word:
 
     def __repr__(self) -> str:
         return f"<Word {self}>"
+
+
+def free_reduce(codes: Iterable[int], out: list[int] | None = None) -> list[int]:
+    """Append letter codes to the freely reduced ``out`` (a new list by default), cancelling as they go."""
+    out = [] if out is None else out
+    for c in codes:
+        if out and out[-1] == c ^ 1:
+            out.pop()
+        else:
+            out.append(c)
+    return out
+
+
+def inverse_codes(codes: Sequence[int]) -> tuple[int, ...]:
+    """The letter codes of the inverse word."""
+    return tuple(c ^ 1 for c in reversed(codes))
 
 
 def reduce(alphabet: Alphabet, syllables: Iterable[Syllable]) -> Word:
@@ -309,4 +326,4 @@ def relator_key(w: Word) -> tuple[int, ...]:
 
 def _core_key(core: tuple[int, ...]) -> tuple[int, ...]:
     """``relator_key`` of the cyclically reduced word with letter codes ``core``."""
-    return min(_least_rotated(core), _least_rotated(tuple(c ^ 1 for c in reversed(core))))
+    return min(_least_rotated(core), _least_rotated(inverse_codes(core)))

@@ -27,7 +27,7 @@ from sgcalc.construction import (
 )
 from sgcalc.coset_enum import TrivialityCertificate, certify_trivial
 from sgcalc.manifolds import Minimality, Parity
-from sgcalc.presentations import homology_invariants
+from sgcalc.presentations import Presentation, homology_invariants
 from sgcalc.tietze import tietze_simplify
 from sgcalc.words import (
     Alphabet,
@@ -324,6 +324,34 @@ def test_replay_fails_without_relation_19():
         replay_kill_order(build_x().pi1, drop=(19,))
     assert info.value.generator == "y1"
     assert "19" in info.value.reason
+
+
+# Each cited relation in turn becomes the identity word, numbering kept; the
+# replay must stop at the first step that needs it.  Relations 4, 10 and 13
+# reach the commuting argument of y1's step.
+IDENTITY_CONTROLS = [
+    (1, "y1", "relation 1 rewrites no generator of y1"),
+    (2, "t1", "relation 2 rewrites no generator of t1"),
+    (4, "y1", "cited relations do not show x1 and t1 commute"),
+    (7, "t2", "relation 7 rewrites no generator of t2"),
+    (8, "x1", "relation 8 rewrites no generator of x2"),
+    (10, "y1", "cited relations do not show x1 and t2 commute"),
+    (13, "y1", "cited relations do not show x1 and t2 commute"),
+    (14, "y2", "relation 14 rewrites no generator of y2"),
+    (19, "y1", "relation 19 rewrites no generator of s1^-1 x1^-1 s1 x1"),
+    (20, "s2", "relation 20 rewrites no generator of s2"),
+]
+
+
+@pytest.mark.parametrize("number, generator, reason", IDENTITY_CONTROLS)
+def test_replay_fails_when_a_cited_relation_is_the_identity(number, generator, reason):
+    p = build_x().pi1
+    relators = list(p.relators)
+    relators[number - 1] = p.alphabet.identity()
+    with pytest.raises(ReplayError) as info:
+        replay_kill_order(Presentation(p.alphabet, relators, p.exactness))
+    assert (info.value.generator, info.value.reason) == (generator, reason)
+    assert str(info.value) == f"kill step for {generator!r} failed: {reason}"
 
 
 def test_replay_fails_on_wrong_presentation():

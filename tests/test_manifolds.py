@@ -293,6 +293,8 @@ def test_killed_meridian_sum_transports_relators():
     assert out.parity is Parity.ODD
     assert out.minimality is Minimality.MINIMAL
     assert out.minimality_rules == ("R1", "R3")
+    # the killed side may come first: the sum orients itself
+    assert symplectic_sum(donor, "B", host, "A", ((0, 0), (1, 1))) == out
 
 
 def test_minimality_never_upgrades_not_minimal_without_r3():

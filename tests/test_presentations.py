@@ -196,6 +196,10 @@ def test_snf_examples():
     assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
     assert smith_normal_form([]) == []
     assert smith_normal_form([[0, 0], [0, 0]]) == []
+    # diagonals that are not a divisibility chain
+    assert smith_normal_form([[4, 0], [0, 6]]) == [2, 12]
+    assert smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == [1, 2, 12]
+    assert smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == [1, 30, 30]
 
 
 def test_snf_of_v_abelianization():

@@ -114,7 +114,9 @@ def test_record_contract(cls, samples):
         replaced += 1
         assert type(changed) is cls and getattr(changed, n) is marker
         assert all(getattr(changed, m) is kwargs[m] for m in names if m != n)
-    assert replaced > 0
+    # Budgets checks its only field, so it refuses every marker; tests/test_script.py
+    # checks that its replace runs that check
+    assert replaced > 0 or cls is Budgets
 
 
 def test_same_fields_in_different_record_types_are_unequal():

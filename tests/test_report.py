@@ -167,3 +167,11 @@ def test_text_trace_prints_each_kill_derivation_line_once_in_kill_order(capsys):
     assert [line for line in lines if line.startswith("generator: ")] == [
         f"generator: {g}" for g in ("y1", "y2", "t1", "s1", "s2", "t2", "x1", "x2")
     ]
+
+
+def test_verify_paper_text_trace_matches_golden(capsys):
+    # recorded before the kill-order replay's commuting argument was rewritten:
+    # every kill derivation is pinned as text, not against the replay itself
+    assert main(["verify-paper", "--emit", "text", "--trace"]) == 0
+    golden = Path(__file__).parent / "golden" / "verify_paper.txt"
+    assert capsys.readouterr().out == golden.read_text()

@@ -7,7 +7,7 @@ import pytest
 
 from sgcalc import construction, script
 from sgcalc.cli import main
-from sgcalc.coset_enum import MAX_COSETS_CEILING
+from sgcalc.coset_enum import MAX_COSETS, MAX_COSETS_CEILING, EnumerationError
 from sgcalc.presentations import Exactness, Presentation
 from sgcalc.script import (
     Budgets,
@@ -422,6 +422,43 @@ def test_cli_tietze_budget_must_be_positive(tmp_path, capsys, command):
         main(argv)
     assert info.value.code == 64
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, digits", [
+    ("--max-cosets", "9" * 5000),  # past Python's int digit limit
+    ("--tietze-budget", "9" * 5000),
+    ("--max-cosets", "-" + "9" * 4000),
+    ("--tietze-budget", "-" + "9" * 4000),
+    ("--max-cosets", "9" * 4000),  # over the coset ceiling
+], ids=["cosets-5000", "tietze-5000", "cosets-minus-4000", "tietze-minus-4000", "cosets-4000"])
+def test_cli_long_budget_argument_is_not_echoed(capsys, flag, digits):
+    with pytest.raises(SystemExit) as info:
+        main(["verify-paper", flag, digits])
+    assert info.value.code == 64
+    err = capsys.readouterr().err
+    assert flag in err and len(err.encode()) < 300
+    assert str(len(digits)) in err
+
+
+def test_cli_short_bad_budget_argument_is_echoed(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify-paper", "--max-cosets", "abc"])
+    assert info.value.code == 64
+    assert "--max-cosets: invalid integer 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, 0, -3, 10**7, 2.5])
+def test_budgets_refuse_a_bad_coset_budget_when_built(value):
+    with pytest.raises(EnumerationError, match="max_cosets must be an int"):
+        Budgets(max_cosets=value)
+    with pytest.raises(EnumerationError):
+        Budgets(10_000).replace(max_cosets=value)
+
+
+def test_budgets_keep_good_coset_budgets():
+    assert Budgets().max_cosets == MAX_COSETS
+    assert Budgets(10_000).max_cosets == 10_000
+    assert Budgets(10_000).replace(max_cosets=MAX_COSETS_CEILING).max_cosets == MAX_COSETS_CEILING
 
 
 def test_cli_missing_file_exit_64(capsys):
