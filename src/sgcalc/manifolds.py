@@ -9,8 +9,9 @@ Minimality is rule-based metadata, never computed geometry:
       is minimal (the result fibers as a circle bundle, so it carries no
       essential spheres);
   R2  the symplectic sum of two minimal states is minimal (Usher);
-  R3  a sum along a killed-meridian surface flagged as meeting every
-      embedded -1 sphere of its side is minimal when the other side is;
+  R3  a sum is minimal when one side's glued surface has a killed meridian
+      and is flagged as meeting every embedded -1 sphere of that side, and
+      the other side (the one glued to it) is minimal;
   R4  a blowup is never minimal (it contains exceptional spheres).
 
 Anything else is Unknown.  Parity upgrades to Odd whenever the signature is
@@ -51,16 +52,15 @@ class SurfaceMark(Record):
     ``boundary_generators`` are the images of the standard symplectic
     generating set of the surface (2g words).  The normal bundle is trivial
     exactly when the recorded self-intersection is 0.  A killed meridian
-    needs a reason, and may carry the relator set that a sum along this
-    surface pushes onto the other side.
+    needs a reason.
     """
 
     __slots__ = ("id", "genus", "self_intersection", "boundary_generators", "meridian_killed",
-                 "meridian_killed_reason", "carried_relators", "no_minus_one_sphere_off_surface")
+                 "meridian_killed_reason", "no_minus_one_sphere_off_surface")
 
     def __init__(self, id: str, genus: int, self_intersection: int, boundary_generators: tuple[Word, ...],
                  meridian_killed: bool = False, meridian_killed_reason: str = "",
-                 carried_relators: tuple[Word, ...] = (), no_minus_one_sphere_off_surface: bool = False):
+                 no_minus_one_sphere_off_surface: bool = False):
         if genus < 0:
             raise ManifoldError("genus must be nonnegative")
         if len(boundary_generators) != 2 * genus:
@@ -68,7 +68,7 @@ class SurfaceMark(Record):
         if meridian_killed and not meridian_killed_reason:
             raise ManifoldError("a killed meridian requires a recorded reason")
         setfields(self, id, genus, self_intersection, boundary_generators, meridian_killed,
-                  meridian_killed_reason, carried_relators, no_minus_one_sphere_off_surface)
+                  meridian_killed_reason, no_minus_one_sphere_off_surface)
 
     @property
     def normal_bundle(self) -> str:
@@ -85,6 +85,13 @@ class LagrangianTorusMark(Record):
 
 
 class ManifoldState(Record):
+    """A presentation with exact invariants, flags and marks.
+
+    Every mark's words are over the presentation's alphabet, no two surface
+    marks and no two torus marks share an id, and every transverse pair
+    names two of the state's surfaces.
+    """
+
     __slots__ = ("pi1", "euler", "signature", "symplectic", "minimality", "minimality_rules", "parity",
                  "surfaces", "tori", "transverse_pairs", "two_torus_pattern", "name")
 
@@ -93,14 +100,18 @@ class ManifoldState(Record):
                  parity: Parity = Parity.UNKNOWN, surfaces: tuple[SurfaceMark, ...] = (),
                  tori: tuple[LagrangianTorusMark, ...] = (), transverse_pairs: tuple[tuple[str, str], ...] = (),
                  two_torus_pattern: bool = False, name: str = ""):
-        for mark in surfaces:
-            for w in mark.boundary_generators + mark.carried_relators:
-                if w.alphabet != pi1.alphabet:
-                    raise ManifoldError(f"surface {mark.id!r} carries foreign words")
-        for torus in tori:
-            for w in (torus.mu, torus.m, torus.l):
-                if w.alphabet != pi1.alphabet:
-                    raise ManifoldError(f"torus {torus.id!r} carries foreign words")
+        for kind, marks in (("surface", surfaces), ("torus", tori)):
+            for mark in marks:
+                words = mark.boundary_generators if kind == "surface" else (mark.mu, mark.m, mark.l)
+                if any(w.alphabet != pi1.alphabet for w in words):
+                    raise ManifoldError(f"{kind} {mark.id!r} carries foreign words")
+            ids = [m.id for m in marks]
+            if len(set(ids)) < len(ids):
+                raise ManifoldError(f"two {kind} marks share an id: {sorted({i for i in ids if ids.count(i) > 1})}")
+        surface_ids = {m.id for m in surfaces}
+        for pair in transverse_pairs:
+            if not surface_ids.issuperset(pair):
+                raise ManifoldError(f"transverse pair {pair!r} names a surface the state lacks")
         setfields(self, pi1, euler, signature, symplectic, minimality, minimality_rules, parity, surfaces,
                   tori, transverse_pairs, two_torus_pattern, name)
 
@@ -114,7 +125,8 @@ class ManifoldState(Record):
         for mark in self.tori:
             if mark.id == torus_id:
                 return mark
-        raise ManifoldError(f"unknown torus {torus_id!r}")
+        known = f"tori {[t.id for t in self.tori]}" if self.tori else "no Lagrangian torus marks"
+        raise ManifoldError(f"unknown torus {torus_id!r}: this state has {known}")
 
 
 class HomeoType(Record):
@@ -171,26 +183,18 @@ def blow_up(s: ManifoldState, on_surface: str | None = None, count: int = 1) -> 
 
     e rises and the signature drops by ``count``; the form goes odd and the
     state is no longer minimal.  Blowing up on a marked surface kills its
-    meridian (it now meets an exceptional sphere once), lowers its recorded
-    self-intersection, and snapshots the current relators onto the mark when
-    the whole group is visible from the surface generators.
+    meridian (it now meets an exceptional sphere once) and lowers its
+    recorded self-intersection.
     """
     if count < 1:
         raise ManifoldError("blowup count must be positive")
     surfaces = s.surfaces
     if on_surface is not None:
         mark = s.surface(on_surface)
-        boundary_bases = set()
-        for w in mark.boundary_generators:
-            boundary_bases.update(w.generators())
-        carried = mark.carried_relators
-        if set(s.pi1.alphabet.names) <= boundary_bases:
-            carried = s.pi1.relators
         updated = mark.replace(
             meridian_killed=True,
             meridian_killed_reason="meets an exceptional sphere transversally once",
             self_intersection=mark.self_intersection - count,
-            carried_relators=carried,
         )
         surfaces = tuple(updated if m.id == on_surface else m for m in s.surfaces)
     return s.replace(
@@ -211,16 +215,12 @@ def resolve_intersection(
 
     The genera add, the boundary generator lists concatenate, and the new
     self-intersection gains 2 from the smoothed intersection point.  The
-    ambient manifold is untouched.
+    ambient manifold is untouched.  Every transverse pair naming either
+    surface is dropped, and the new id must not already be taken.
     """
     a, b = s.surface(surface_a), s.surface(surface_b)
-    if (surface_a, surface_b) not in s.transverse_pairs and (
-        surface_b,
-        surface_a,
-    ) not in s.transverse_pairs:
-        raise ManifoldError(
-            f"surfaces {surface_a!r} and {surface_b!r} are not marked as meeting once"
-        )
+    if (surface_a, surface_b) not in s.transverse_pairs and (surface_b, surface_a) not in s.transverse_pairs:
+        raise ManifoldError(f"surfaces {surface_a!r} and {surface_b!r} are not marked as meeting once")
     merged = SurfaceMark(
         id=new_id or f"{surface_a}+{surface_b}",
         genus=a.genus + b.genus,
@@ -228,11 +228,7 @@ def resolve_intersection(
         boundary_generators=a.boundary_generators + b.boundary_generators,
     )
     keep = tuple(m for m in s.surfaces if m.id not in (surface_a, surface_b))
-    pairs = tuple(
-        pair
-        for pair in s.transverse_pairs
-        if set(pair) != {surface_a, surface_b}
-    )
+    pairs = tuple(pair for pair in s.transverse_pairs if surface_a not in pair and surface_b not in pair)
     return s.replace(surfaces=keep + (merged,), transverse_pairs=pairs, name="")
 
 
@@ -256,13 +252,17 @@ def symplectic_sum(
 ) -> ManifoldState:
     """Glue two states along same-genus surfaces with trivial normal bundles.
 
-    e(sum) = e1 + e2 - 2(2 - 2g) and signatures add.  The sum first orients
-    itself so that a side whose surface has a killed meridian comes second;
-    that side's carried relators are rewritten through the pairing and
-    appended to the first side's presentation (the result presents a group
-    surjecting onto the sum's fundamental group).  Otherwise the alphabets
-    union, every word moves to the union through ``substitute``, and the
-    pairing contributes identification relators.
+    e(sum) = e1 + e2 - 2(2 - 2g) and signatures add; the result presents a
+    group surjecting onto the sum's fundamental group.  The sum orients
+    itself so that a side whose surface has a killed meridian comes second.
+    Only the result alphabet and the images of each side's generators
+    depend on the case.  With a killed second side the first side's
+    alphabet is kept and each generator of the second side, all of which
+    must be paired boundary letters, goes to its partner's word.  Otherwise
+    the alphabets union, each side maps identically, and the pairing adds
+    identification relators.  Each side then brings its own relators, its
+    surface marks but the glued one, and its transverse pairs not naming the
+    glued surface, all moved through its images.
     """
     mark1, mark2 = s1.surface(surface1), s2.surface(surface2)
     if mark1.genus != mark2.genus:
@@ -276,62 +276,54 @@ def symplectic_sum(
     genus = mark1.genus
     euler = s1.euler + s2.euler - 2 * (2 - 2 * genus)
     signature = s1.signature + s2.signature
-    # R2 lists the rules in argument order, so read them before orienting
-    r2_rules = tuple(dict.fromkeys(s1.minimality_rules + s2.minimality_rules)) + ("R2",)
+    # R3 reads the side across from the flagged surface, the second argument's
+    # side first; R2 lists the rules in argument order.  Both come before orienting.
+    minimality, rules = Minimality.UNKNOWN, ()
+    r3 = [other for mark, other in ((mark2, s1), (mark1, s2)) if mark.meridian_killed
+          and mark.no_minus_one_sphere_off_surface and other.minimality is Minimality.MINIMAL]
+    if r3:
+        minimality, rules = Minimality.MINIMAL, r3[0].minimality_rules + ("R3",)
+    elif s1.minimality is Minimality.MINIMAL and s2.minimality is Minimality.MINIMAL:
+        minimality = Minimality.MINIMAL
+        rules = tuple(dict.fromkeys(s1.minimality_rules + s2.minimality_rules)) + ("R2",)
     if mark1.meridian_killed and not mark2.meridian_killed:
-        # orient the sum so that a killed-meridian side is always the second
         s1, surface1, mark1, s2, surface2, mark2 = s2, surface2, mark2, s1, surface1, mark1
         pairing = tuple((j, i) for i, j in pairing)
     pairs = _paired_words(mark1, mark2, pairing)
 
+    # each side's generator images over the result alphabet; None keeps its words as they are
     if mark2.meridian_killed:
-        # the second side donates its carried relators to the first
-        images: dict[str, Word] = {}
+        alphabet = s1.pi1.alphabet
+        donor: dict[str, Word] = {}
         for host_word, donor_word in pairs:
             letter = donor_word.as_letter()
             if letter is None:
                 raise ManifoldError("killed-meridian sum needs single-generator boundary words "
                                     f"on the {mark2.id!r} side")
             name, exp = letter
-            images[name] = host_word**exp
-        if any(not r.generators() <= images.keys() for r in mark2.carried_relators):
-            raise ManifoldError(f"carried relators of {mark2.id!r} mention generators outside the pairing")
-        alphabet = s1.pi1.alphabet
-        relators = s1.pi1.relators + tuple(substitute(r, images, alphabet) for r in mark2.carried_relators)
-        surfaces = tuple(m for m in s1.surfaces if m.id != surface1)
-        transverse = tuple(pair for pair in s1.transverse_pairs if surface1 not in pair)
+            donor[name] = host_word**exp
+        unpaired = [n for n in s2.pi1.alphabet.names if n not in donor]
+        if unpaired:
+            raise ManifoldError(f"killed-meridian side {mark2.id!r} has generators off the glued surface: {unpaired}")
+        images, identified = (None, donor), []
     else:
         alphabet = merge_alphabets(s1.pi1.alphabet, s2.pi1.alphabet)
-        images = {n: alphabet.gen(n) for n in alphabet.names}
+        images = tuple(None if s.pi1.alphabet == alphabet else {n: alphabet.gen(n) for n in s.pi1.alphabet.names}
+                       for s in (s1, s2))
+        identified = pairs
 
-        def lift(w: Word) -> Word:
-            return substitute(w, images, alphabet)
+    def move(w: Word, side_images: dict[str, Word] | None) -> Word:
+        return w if side_images is None else substitute(w, side_images, alphabet)
 
-        relators = tuple(map(lift, s1.pi1.relators + s2.pi1.relators)) + tuple(
-            lift(w1) * ~lift(w2) for w1, w2 in pairs
-        )
-        surfaces = tuple(
-            m.replace(
-                boundary_generators=tuple(map(lift, m.boundary_generators)),
-                carried_relators=tuple(map(lift, m.carried_relators)),
-            )
-            for m in s1.surfaces + s2.surfaces
-            if m.id not in (surface1, surface2)
-        )
-        transverse = tuple(
-            pair
-            for pair in s1.transverse_pairs + s2.transverse_pairs
-            if surface1 not in pair and surface2 not in pair
-        )
-
-    minimality, rules = Minimality.UNKNOWN, ()
-    killed_flag = any(m.meridian_killed and m.no_minus_one_sphere_off_surface for m in (mark1, mark2))
-    if killed_flag and s1.minimality is Minimality.MINIMAL:
-        minimality = Minimality.MINIMAL
-        rules = s1.minimality_rules + ("R3",)
-    elif s1.minimality is Minimality.MINIMAL and s2.minimality is Minimality.MINIMAL:
-        minimality = Minimality.MINIMAL
-        rules = r2_rules
+    relators: list[Word] = []
+    surfaces: list[SurfaceMark] = []
+    transverse: list[tuple[str, str]] = []
+    for side, glued, side_images in zip((s1, s2), (surface1, surface2), images):
+        relators += (move(r, side_images) for r in side.pi1.relators)
+        surfaces += (m.replace(boundary_generators=tuple(move(w, side_images) for w in m.boundary_generators))
+                     for m in side.surfaces if m.id != glued)
+        transverse += (pair for pair in side.transverse_pairs if glued not in pair)
+    relators += (move(w1, images[0]) * ~move(w2, images[1]) for w1, w2 in identified)
 
     return ManifoldState(
         pi1=Presentation(alphabet, relators, Exactness.SURJECTIVE_BOUND),
@@ -341,9 +333,9 @@ def symplectic_sum(
         minimality=minimality,
         minimality_rules=rules,
         parity=_parity_from_signature(signature),
-        surfaces=surfaces,
+        surfaces=tuple(surfaces),
         tori=(),
-        transverse_pairs=transverse,
+        transverse_pairs=tuple(transverse),
     )
 
 

@@ -52,3 +52,15 @@ def test_certify_trivial_x_goes_through_the_traced_enumerator():
     assert tracer.counts["coset_enum.enumerations"] == 1
     assert tracer.counts["coset_enum.cosets_defined"] == 1075
     assert tracer.counts["coset_enum.cosets_collapsed"] == 1074
+
+
+def test_traced_assemble_x_records_both_symplectic_sums():
+    """The per-layer ``manifolds.*`` numbers read one span per sum: P1 with P2, then P with W."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        construction.assemble_x()
+    finally:
+        restore()
+    assert [span[0] for span in tracer.spans].count("manifolds.symplectic_sum") == 2

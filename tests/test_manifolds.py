@@ -73,6 +73,18 @@ def test_genus_two_surface_needs_four_boundary_generators():
         SurfaceMark("G", 1, 0, (ab.gen("s1"), ab.gen("t1")), meridian_killed=True)
 
 
+def test_state_refuses_inconsistent_marks():
+    state = four_torus_block()
+    h, k = state.surfaces
+    t1 = state.tori[0]
+    with pytest.raises(ManifoldError, match=r"two surface marks share an id: \['H'\]"):
+        state.replace(surfaces=(h, k, h.replace(self_intersection=1)))
+    with pytest.raises(ManifoldError, match=r"two torus marks share an id: \['T1'\]"):
+        state.replace(tori=state.tori + (t1,))
+    with pytest.raises(ManifoldError, match="names a surface the state lacks"):
+        state.replace(transverse_pairs=(("H", "K"), ("H", "Q")))
+
+
 # -- Luttinger surgery ----------------------------------------------------------
 
 def test_luttinger_adds_surgery_relator():
@@ -105,6 +117,14 @@ def test_luttinger_rejects_bad_input():
         luttinger(state, "T1", 2, 4, 1)
     with pytest.raises(ManifoldError):
         luttinger(state, "T9", 1, 0, 1)
+
+
+def test_unknown_torus_names_the_tori_the_state_has():
+    state = four_torus_block()
+    with pytest.raises(ManifoldError, match=r"this state has tori \['T1', 'T2'\]"):
+        luttinger(state, "T9", 1, 0, 1)
+    with pytest.raises(ManifoldError, match="this state has no Lagrangian torus marks"):
+        luttinger(state.replace(tori=()), "T1", 1, 0, 1)
 
 
 def test_luttinger_minimality_rule_r1():
@@ -144,7 +164,6 @@ def test_blow_up_on_surface_kills_meridian_and_fixes_normal_bundle():
     g = out.surface("G")
     assert g.meridian_killed and g.meridian_killed_reason
     assert g.self_intersection == 0 and g.normal_bundle == "trivial"
-    assert g.carried_relators == state.pi1.relators
     assert (out.euler, out.signature) == (2, -2)
 
 
@@ -187,6 +206,31 @@ def test_resolve_requires_recorded_intersection():
     state = resolve_intersection(state, "H", "K")
     with pytest.raises(ManifoldError):
         resolve_intersection(state, "H", "K")
+
+
+def _three_surface_state():
+    ab = Alphabet(("a", "b", "c", "d", "e", "f"))
+    g = ab.gen
+    return ManifoldState(
+        pi1=Presentation(ab, (), Exactness.SURJECTIVE_BOUND),
+        euler=0,
+        signature=0,
+        symplectic=True,
+        surfaces=(SurfaceMark("H", 1, 0, (g("a"), g("b"))), SurfaceMark("K", 1, 0, (g("c"), g("d"))),
+                  SurfaceMark("L", 1, 0, (g("e"), g("f")))),
+        transverse_pairs=(("H", "K"), ("H", "L")),
+    )
+
+
+def test_resolve_refuses_a_taken_id():
+    with pytest.raises(ManifoldError, match=r"share an id: \['L'\]"):
+        resolve_intersection(_three_surface_state(), "H", "K", new_id="L")
+
+
+def test_resolve_drops_every_pair_naming_a_merged_surface():
+    out = resolve_intersection(_three_surface_state(), "H", "K", new_id="G")
+    assert [m.id for m in out.surfaces] == ["L", "G"]
+    assert out.transverse_pairs == ()
 
 
 # -- symplectic sums --------------------------------------------------------------
@@ -274,7 +318,6 @@ def test_killed_meridian_sum_transports_relators():
         (ab2.gen("u2"), ab2.gen("v2")),
         meridian_killed=True,
         meridian_killed_reason="meets an exceptional sphere transversally once",
-        carried_relators=(relator,),
         no_minus_one_sphere_off_surface=True,
     )
     donor = ManifoldState(
@@ -302,6 +345,58 @@ def test_minimality_never_upgrades_not_minimal_without_r3():
     blown = blow_up(s1)
     out = symplectic_sum(blown, "A", s2, "B", ((0, 0), (1, 1)))
     assert out.minimality is Minimality.UNKNOWN
+
+
+def _killed(state, surface_id, flagged=False):
+    surfaces = tuple(
+        m.replace(meridian_killed=True, meridian_killed_reason="test", no_minus_one_sphere_off_surface=flagged)
+        if m.id == surface_id else m
+        for m in state.surfaces
+    )
+    return state.replace(surfaces=surfaces)
+
+
+def test_r3_reads_the_side_across_from_the_flagged_surface():
+    s1, s2 = _torus_block_pair()
+    first = _killed(s1, "A", flagged=True)
+    second = _killed(s2, "B").replace(minimality=Minimality.NOT_MINIMAL, minimality_rules=("R4",))
+    out = symplectic_sum(first, "A", second, "B", ((0, 0), (1, 1)))
+    assert (out.minimality, out.minimality_rules) == (Minimality.UNKNOWN, ())
+    # flagged second side, minimal first side: R3 on the first side's rules
+    out = symplectic_sum(second.replace(minimality=Minimality.MINIMAL, minimality_rules=("R1",)), "B",
+                         _killed(s1, "A", flagged=True), "A", ((0, 0), (1, 1)))
+    assert (out.minimality, out.minimality_rules) == (Minimality.MINIMAL, ("R1", "R3"))
+
+
+def test_unkilled_sum_keeps_a_surface_sharing_the_other_glued_id():
+    s1, s2 = _torus_block_pair()
+    ab = Alphabet(("u1", "v1", "w1", "x1"))
+    s1 = s1.replace(
+        pi1=Presentation(ab, (), Exactness.SURJECTIVE_BOUND),
+        surfaces=(SurfaceMark("A", 1, 0, (ab.gen("u1"), ab.gen("v1"))),
+                  SurfaceMark("B", 1, 0, (ab.gen("w1"), ab.gen("x1")))),
+    )
+    out = symplectic_sum(s1, "A", s2, "B", ((0, 0), (1, 1)))
+    assert [m.id for m in out.surfaces] == ["B"]
+    assert [str(w) for w in out.surface("B").boundary_generators] == ["w1", "x1"]
+
+
+def test_killed_sum_refuses_a_donor_generator_off_the_surface():
+    ab = Alphabet(("u2", "v2", "z"))
+    donor = ManifoldState(
+        pi1=Presentation(ab, (commutator(ab.gen("u2"), ab.gen("z")),), Exactness.SURJECTIVE_BOUND),
+        euler=0,
+        signature=0,
+        symplectic=True,
+        surfaces=(SurfaceMark("B", 1, 1, (ab.gen("u2"), ab.gen("v2"))),),
+    )
+    donor = blow_up(donor, on_surface="B")
+    host, _ = _torus_block_pair()
+    u1, v1 = (host.pi1.alphabet.gen(n) for n in ("u1", "v1"))
+    host = host.replace(pi1=Presentation(host.pi1.alphabet, (commutator(u1, v1),), Exactness.SURJECTIVE_BOUND))
+    for args in ((host, "A", donor, "B"), (donor, "B", host, "A")):
+        with pytest.raises(ManifoldError, match=r"off the glued surface: \['z'\]"):
+            symplectic_sum(*args, ((0, 0), (1, 1)))
 
 
 # -- classification ----------------------------------------------------------------
