@@ -46,8 +46,6 @@ from .presentations import (
     commuting_pairs,
     homology_invariants,
     prune_redundant,
-    replace_relator_with_conjugate,
-    reorder_relators,
     solve_relator,
     unique_occurrence,
 )
@@ -157,13 +155,6 @@ class BlockBuild(Record):
         setfields(self, state, surgeries, blocks)
 
 
-def _direction_core(direction: Word) -> str:
-    letter = cyclic_core(direction)[0].as_letter()
-    if letter is None:
-        raise PresentationError(f"direction {direction} is not a conjugated single generator")
-    return letter[0]
-
-
 def isolate_direction(relator: Word, gen: str) -> tuple[Word, Word]:
     """Rotate the unique ``gen`` letter of a relator to the end.
 
@@ -198,17 +189,19 @@ def _surgery_block(
     universal relations, pruned of restatements; it is a surjective bound
     for the block's fundamental group, and stays one after each surgery
     quotient of ``plan``.  Each of ``marks`` is a torus surface ``(id, s, t)``
-    with directions s and t.  ``closures_first`` picks the relator numbering
-    of the block, which the assembled 20-relation numbering depends on:
-    closures, universal relations, then surgery relators (V), or surgery
-    relators, universal relations, then closures (P1, P2).
+    with directions s and t.  Each surgery relator is rotated so that the
+    generator of its surgered direction comes last.  The block's numbering
+    is decided once, after the last surgery, and the assembled 20-relation
+    numbering depends on it: ``closures_first`` gives closures, universal
+    relations, then surgery relators (V); otherwise surgery relators,
+    universal relations, then closures (P1, P2).
     """
     ab = Alphabet(generators)
     data = complement_data({n: ab.gen(g, e) for n, (g, e) in zip("xyab", images)}, closed)
     closures, core = data.closure_relators, data.universal_relators[:3]
-    kept = prune_redundant(ab, list(closures + core if closures_first else core + closures))[0]
+    kept = tuple(prune_redundant(ab, list(closures + core if closures_first else core + closures))[0])
     state = ManifoldState(
-        pi1=Presentation(ab, tuple(kept), Exactness.SURJECTIVE_BOUND),
+        pi1=Presentation(ab, kept, Exactness.SURJECTIVE_BOUND),
         euler=0,
         signature=0,
         symplectic=True,
@@ -222,18 +215,16 @@ def _surgery_block(
     for torus_id, p, q, k in plan:
         mark = state.torus(torus_id)
         direction = mark.m if (abs(p), abs(q)) == (1, 0) else mark.l
-        core_gen = _direction_core(direction)
+        letter = cyclic_core(direction)[0].as_letter()
+        if letter is None:
+            raise PresentationError(f"direction {direction} is not a conjugated single generator")
         state = luttinger(state, torus_id, p, q, k)
         raw = state.pi1.relators[-1]
-        rotated, conjugator = isolate_direction(raw, core_gen)
-        if rotated != raw:
-            state = state.replace(pi1=replace_relator_with_conjugate(state.pi1, state.pi1.nrels - 1, rotated))
+        rotated, conjugator = isolate_direction(raw, letter[0])
         records.append(SurgeryRecord(torus_id, p, q, k, raw, conjugator, rotated))
-    if not closures_first:
-        n = state.pi1.nrels
-        order = list(range(n - len(plan), n)) + list(range(n - len(plan)))
-        state = state.replace(pi1=reorder_relators(state.pi1, order))
-    return BlockBuild(state.replace(name=name), tuple(records))
+    surgeries = tuple(r.relator for r in records)
+    relators = kept + surgeries if closures_first else surgeries + kept
+    return BlockBuild(state.replace(pi1=state.pi1.replace(relators=relators), name=name), tuple(records))
 
 
 def assemble_v() -> BlockBuild:
@@ -648,14 +639,21 @@ def check_trivial(
 ) -> tuple[str, str, dict, TrivialityCertificate | EnumResult | None]:
     """Triviality of ``p`` given its H1; the last item is the enumeration's outcome.
 
-    A nonzero H1 refutes triviality without enumerating (the outcome is then
-    ``None``); an exhausted coset budget is inconclusive.
+    A nonzero H1 shows the presented group nontrivial without enumerating
+    (the outcome is then ``None``), and so does a closed coset table of index
+    above 1.  That refutes triviality only for an exact presentation: a
+    surjective bound stays inconclusive, since a nontrivial group can surject
+    onto a trivial one.  An exhausted coset budget is inconclusive.
     """
+    exact = p.exactness is Exactness.EXACT
+    refuted = "fail" if exact else "inconclusive"
+    bound = "the presented group is nontrivial ({}), but it only bounds pi1 from above"
     rank, torsion = h1
     if (rank, torsion) != (0, []):
+        evidence = f"H1 has rank {rank} and torsion {torsion}"
         return (
-            "fail",
-            f"refuted without enumeration: H1 has rank {rank} and torsion {torsion}",
+            refuted,
+            f"refuted without enumeration: {evidence}" if exact else bound.format(evidence),
             {"h1_rank": rank, "h1_torsion": torsion, "enumeration": "skipped"},
             None,
         )
@@ -665,7 +663,9 @@ def check_trivial(
         if outcome.index is None:
             detail = f"coset budget of {max_cosets} exhausted ({outcome.defined} defined)"
             return "inconclusive", detail, data, outcome
-        return "fail", f"refuted: the group has order {outcome.index}", data, outcome
+        order = outcome.index
+        detail = f"refuted: the group has order {order}" if exact else bound.format(f"order {order}")
+        return refuted, detail, data, outcome
     result = outcome.result
     data = {"index": 1, "cosets_defined": result.defined, "cosets_collapsed": result.collapsed}
     detail = f"trivial: index 1 with {result.defined} cosets defined, {result.collapsed} collapsed"
@@ -678,7 +678,8 @@ def check_classify(
     """Classify ``state`` from the result of :func:`check_trivial` on its group.
 
     Without a certificate the triviality check's status and detail stand:
-    a refuted group fails, an undecided one is inconclusive.
+    a refuted group fails; an undecided one, or a surjective bound shown
+    nontrivial, is inconclusive.
     """
     status, detail, _, outcome = trivial
     if not isinstance(outcome, TrivialityCertificate):

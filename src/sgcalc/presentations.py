@@ -14,7 +14,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .records import Record, setfield, setfields
-from .words import Alphabet, Word, are_conjugate, relator_key
+from .words import Alphabet, Word, relator_key
 
 
 class PresentationError(ValueError):
@@ -86,27 +86,6 @@ def solve_relator(relator: Word, gen: str) -> Word:
     if codes[i] & 1:
         return q * p
     return ~p * ~q
-
-
-def replace_relator_with_conjugate(p: Presentation, index: int, new: Word) -> Presentation:
-    """Swap one relator for a word with the same normal closure.
-
-    The replacement must be conjugate to the old relator in the free group;
-    the proof obligation is checked, not assumed.
-    """
-    old = p.relators[index]
-    if not are_conjugate(old, new):
-        raise PresentationError(f"{new} is not a free-group conjugate of {old}")
-    relators = list(p.relators)
-    relators[index] = new
-    return Presentation(p.alphabet, tuple(relators), p.exactness)
-
-
-def reorder_relators(p: Presentation, order: Sequence[int]) -> Presentation:
-    """Permute the relator list (the presented group is unchanged)."""
-    if sorted(order) != list(range(p.nrels)):
-        raise PresentationError("reorder indices are not a permutation")
-    return Presentation(p.alphabet, tuple(p.relators[i] for i in order), p.exactness)
 
 
 # -- commutation rewriting ---------------------------------------------------

@@ -27,9 +27,10 @@ stays on one line, and ``\\`` escapes the next character; the symbols are
 ``= ( ) , [ ] ^``.  Spaces, tabs and CR separate tokens, ``#`` comments to the
 end of the line, and columns count characters from the start of the line.
 
-Checks run with the abelianization short-circuit: a nonzero H1 refutes
-triviality without touching the enumerator, and an exhausted coset budget is
-inconclusive, never a pass or a fail.
+Checks run with the abelianization short-circuit: a nonzero H1 shows the
+group nontrivial without touching the enumerator.  That refutes triviality
+of an exact presentation only; for a surjective bound it is inconclusive, as
+an exhausted coset budget is, never a pass or a fail.
 """
 
 from __future__ import annotations
@@ -143,44 +144,18 @@ class Ref(Record):
         setfield(self, "name", name)
 
 
-class IntVal(Record):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        setfield(self, "value", value)
-
-
-class StrVal(Record):
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        setfield(self, "text", text)
-
-
-class ListVal(Record):
-    __slots__ = ("items",)
-
-    def __init__(self, items: tuple[Value, ...]):
-        setfield(self, "items", items)
-
-
-Value = Union[Ref, IntVal, StrVal, ListVal]
-
-
-class Call(Record):
-    __slots__ = ("op", "args")
-
-    def __init__(self, op: str, args: tuple[tuple[str, Value], ...]):
-        setfield(self, "op", op)
-        setfield(self, "args", args)
+# An argument value is an int, a str, a tuple of values (a list literal) or a
+# Ref, which names a bound identifier.
+Value = Union[Ref, int, str, tuple]
 
 
 class Let(Record):
-    __slots__ = ("name", "call", "line")
+    __slots__ = ("name", "op", "args", "line")
 
-    def __init__(self, name: str, call: Call, line: int):
+    def __init__(self, name: str, op: str, args: tuple[tuple[str, Value], ...], line: int):
         setfield(self, "name", name)
-        setfield(self, "call", call)
+        setfield(self, "op", op)
+        setfield(self, "args", args)
         setfield(self, "line", line)
 
 
@@ -261,7 +236,7 @@ class _Parser:
             self.expect("SYM", "=")
             op = self.expect("NAME", what="operation name")
             self.expect("SYM", "(")
-            return Let(name_tok.value, Call(op.value, self.items(")", self.argument)), tok.line)
+            return Let(name_tok.value, op.value, self.items(")", self.argument), tok.line)
         if tok.kind == "NAME" and tok.value == "check":
             return self.check(tok.line)
         raise ParseError(f"expected 'let' or 'check', found {tok.value!r}", tok.line, tok.col)
@@ -281,7 +256,7 @@ class _Parser:
             if i:
                 self.expect("SYM", ",")
             if param_kind == "int":
-                args.append(IntVal(_int(self.expect("INT", what="integer"))))
+                args.append(_int(self.expect("INT", what="integer")))
             else:
                 args.append(Ref(self.expect("NAME", what="identifier").value))
         self.expect("SYM", ")")
@@ -292,11 +267,11 @@ class _Parser:
         if tok.kind == "NAME":
             return Ref(tok.value)
         if tok.kind == "INT":
-            return IntVal(_int(tok))
+            return _int(tok)
         if tok.kind == "STRING":
-            return StrVal(tok.value)
+            return tok.value
         if tok.kind == "SYM" and tok.value == "[":
-            return ListVal(self.items("]", self.value))
+            return self.items("]", self.value)
         raise ParseError(f"expected a value, found {tok.value!r}", tok.line, tok.col)
 
     def word(self, alphabet: Alphabet, stop: str = "") -> list[int]:
@@ -345,20 +320,20 @@ def parse(text: str) -> Script:
 def _print_value(v: Value) -> str:
     if isinstance(v, Ref):
         return v.name
-    if isinstance(v, IntVal):
-        return str(v.value)
-    if isinstance(v, StrVal):
-        if "\n" in v.text:  # a string stays on one line, and no escape spells a newline
-            raise ValueError(f"string {v.text!r} holds a newline, which the script syntax cannot write")
-        escaped = v.text.replace("\\", "\\\\").replace('"', '\\"')
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        if "\n" in v:  # a string stays on one line, and no escape spells a newline
+            raise ValueError(f"string {v!r} holds a newline, which the script syntax cannot write")
+        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
-    return "[" + ", ".join(_print_value(i) for i in v.items) + "]"
+    return "[" + ", ".join(_print_value(i) for i in v) + "]"
 
 
 def print_statement(stmt: Statement) -> str:
     if isinstance(stmt, Let):
-        args = ", ".join(f"{k}={_print_value(v)}" for k, v in stmt.call.args)
-        return f"let {stmt.name} = {stmt.call.op}({args})"
+        args = ", ".join(f"{k}={_print_value(v)}" for k, v in stmt.args)
+        return f"let {stmt.name} = {stmt.op}({args})"
     args = ", ".join(_print_value(v) for v in stmt.args)
     return f"check {stmt.kind}({args})"
 
@@ -515,7 +490,7 @@ TABLE: dict[str, dict[str, tuple]] = {
     },
 }
 for _block in ("V", "W", "P1", "P2", "P", "X"):
-    TABLE["let"][_block] = TABLE["let"][f"build_{_block}"] = (getattr(construction, f"build_{_block.lower()}"), ())
+    TABLE["let"][f"build_{_block}"] = (getattr(construction, f"build_{_block.lower()}"), ())
 
 
 def _bind(name: str, params: tuple, args: Iterable[tuple[str, Value]], resolve: Callable[[Value], object]) -> list:
@@ -537,7 +512,7 @@ def _bind(name: str, params: tuple, args: Iterable[tuple[str, Value]], resolve: 
     return bound
 
 
-def _summary(value: object) -> tuple[str, dict]:
+def _summary(value: ManifoldState | Presentation) -> tuple[str, dict]:
     if isinstance(value, ManifoldState):
         detail = (
             f"state{' ' + value.name if value.name else ''}: "
@@ -553,12 +528,7 @@ def _summary(value: object) -> tuple[str, dict]:
             **presentation_dict(value.pi1),
         }
         return detail, data
-    if isinstance(value, Presentation):
-        return (
-            f"presentation: {value.ngens} generators, {value.nrels} relators",
-            presentation_dict(value),
-        )
-    return repr(value), {}
+    return f"presentation: {value.ngens} generators, {value.nrels} relators", presentation_dict(value)
 
 
 def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
@@ -585,22 +555,20 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
             if value.name not in env:
                 raise ScriptRuntimeError(f"undefined identifier {value.name!r}")
             return env[value.name]
-        if isinstance(value, IntVal):
-            return value.value
-        if isinstance(value, StrVal):
-            return value.text
-        return [resolve(item) for item in value.items]
+        if isinstance(value, tuple):
+            return [resolve(item) for item in value]
+        return value
 
     for index, (stmt, text) in enumerate(zip(script.statements, texts)):
         try:
             if isinstance(stmt, Let):
                 if stmt.name in env:
                     raise ScriptRuntimeError(f"identifier {stmt.name!r} already bound")
-                if stmt.call.op not in TABLE["let"]:
-                    raise ScriptRuntimeError(f"unknown operation {stmt.call.op!r}")
-                function, params = TABLE["let"][stmt.call.op]
+                if stmt.op not in TABLE["let"]:
+                    raise ScriptRuntimeError(f"unknown operation {stmt.op!r}")
+                function, params = TABLE["let"][stmt.op]
                 try:
-                    result = function(*_bind(stmt.call.op, params, stmt.call.args, resolve))
+                    result = function(*_bind(stmt.op, params, stmt.args, resolve))
                 except (ManifoldError, PresentationError, WordError) as err:
                     raise ScriptRuntimeError(str(err)) from None
                 env[stmt.name] = result

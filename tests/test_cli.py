@@ -70,3 +70,18 @@ def test_out_may_name_the_input_document(tmp_path, capsys):
     shown = capsys.readouterr().out
     assert main(["simplify", str(document), "--emit", "text", "--out", str(document)]) == 0
     assert document.read_text(encoding="utf-8") == shown
+
+
+def test_simplify_text_trace_lists_each_step(tmp_path, capsys):
+    document = tmp_path / "doc.txt"
+    document.write_text("generators: x y\nrelator: [x, y]\nrelator: x y^-1\n", encoding="utf-8")
+    assert main(["simplify", str(document), "--emit", "text", "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "generators: x",
+        "exactness: exact",
+        "steps: 2",
+        "eliminated: y",
+        "complete: True",
+        "  Eliminate(gen='y', relator_index=1, definition=<Word x>)",
+        "  RemoveTrivial(relator_index=0)",
+    ]

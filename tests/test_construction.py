@@ -19,13 +19,15 @@ from sgcalc.construction import (
     build_v,
     build_w,
     build_x,
+    check_classify,
+    check_trivial,
     commutation_status,
     complement_data,
     isolate_direction,
     replay_kill_order,
     verify_main_theorem,
 )
-from sgcalc.coset_enum import TrivialityCertificate, certify_trivial
+from sgcalc.coset_enum import MAX_COSETS, TrivialityCertificate, certify_trivial
 from sgcalc.manifolds import Minimality, Parity
 from sgcalc.presentations import Presentation, homology_invariants
 from sgcalc.tietze import tietze_simplify
@@ -397,3 +399,10 @@ def test_verify_report_dict_is_serializable():
     classification = next(s for s in payload["statements"] if s["statement"] == "classification")
     assert classification["data"]["description"] == "CP^2 # 3 CP^2bar"
     assert len(payload["result"]["relators"]) == 20
+
+
+def test_classification_fails_for_a_trivial_group_without_an_odd_form():
+    state = build_x().replace(parity=Parity.EVEN)
+    trivial = check_trivial(state.pi1, homology_invariants(state.pi1), MAX_COSETS)
+    assert trivial[0] == "pass"
+    assert check_classify(state, trivial) == ("fail", "only odd intersection forms are classified here", {}, None)

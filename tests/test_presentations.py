@@ -14,8 +14,6 @@ from sgcalc.presentations import (
     homology_invariants,
     prune_redundant,
     quotient_by,
-    replace_relator_with_conjugate,
-    reorder_relators,
     simple_commutator_pair,
     smith_normal_form,
     solve_relator,
@@ -78,24 +76,6 @@ def test_solve_relator():
     assert solve_relator(x * ~y, "x") == y
     with pytest.raises(PresentationError):
         solve_relator(commutator(x, y), "x")
-
-
-def test_replace_relator_with_conjugate():
-    ab = Alphabet(("x", "y"))
-    x, y = ab.gen("x"), ab.gen("y")
-    p = Presentation(ab, (x * y,))
-    q = replace_relator_with_conjugate(p, 0, y * x)
-    assert q.relators == (y * x,)
-    with pytest.raises(PresentationError):
-        replace_relator_with_conjugate(p, 0, x * ~y)
-
-
-def test_reorder_relators():
-    p = v_presentation()
-    q = reorder_relators(p, [5, 4, 3, 2, 1, 0])
-    assert q.relators == tuple(reversed(p.relators))
-    with pytest.raises(PresentationError):
-        reorder_relators(p, [0, 0, 1, 2, 3, 4])
 
 
 def test_commutation_rewriting():

@@ -11,16 +11,12 @@ from sgcalc.coset_enum import MAX_COSETS, MAX_COSETS_CEILING, EnumerationError
 from sgcalc.presentations import Exactness, Presentation
 from sgcalc.script import (
     Budgets,
-    Call,
     Check,
-    IntVal,
     Let,
     MAX_WORD_LETTERS,
-    ListVal,
     ParseError,
     Ref,
     Script,
-    StrVal,
     TABLE,
     execute,
     format_presentation_document,
@@ -38,7 +34,7 @@ FAST = Budgets(max_cosets=20_000)
 
 def test_parse_zero_arg_call():
     script = parse("let v = build_V()")
-    assert script.statements == (Let("v", Call("build_V", ()), 1),)
+    assert script.statements == (Let("v", "build_V", (), 1),)
 
 
 def test_parse_five_arg_call():
@@ -48,19 +44,17 @@ def test_parse_five_arg_call():
     )
     (stmt,) = parse(text).statements
     assert isinstance(stmt, Let)
-    assert stmt.call.op == "symplectic_sum"
-    assert len(stmt.call.args) == 5
-    keys = [k for k, _ in stmt.call.args]
+    assert stmt.op == "symplectic_sum"
+    assert len(stmt.args) == 5
+    keys = [k for k, _ in stmt.args]
     assert keys == ["a", "surf_a", "b", "surf_b", "pairing"]
-    assert stmt.call.args[1][1] == StrVal("F")
-    assert stmt.call.args[4][1] == ListVal(
-        (StrVal("s1:s1"), StrVal("t1:t1"), StrVal("s2:s2"), StrVal("t2:t2"))
-    )
+    assert stmt.args[1][1] == "F"
+    assert stmt.args[4][1] == ("s1:s1", "t1:t1", "s2:s2", "t2:t2")
 
 
 def test_parse_check_invariants():
     (stmt,) = parse("check invariants(x, 6, -2)").statements
-    assert stmt == Check("invariants", (Ref("x"), IntVal(6), IntVal(-2)), 1)
+    assert stmt == Check("invariants", (Ref("x"), 6, -2), 1)
 
 
 def test_parse_error_position():
@@ -192,11 +186,60 @@ def test_execute_full_construction_script():
 
 
 def test_execute_refutes_v_without_enumeration():
-    script = parse("let v = build_V()\ncheck trivial(v)")
-    report = execute(script, FAST)
+    # V's group is a surjective bound: a nonzero H1 refutes nothing about pi1, and classify follows
+    report = execute(parse("let v = build_V()\ncheck trivial(v)\ncheck classify(v)"), FAST)
+    assert (report.verdict, report.exit_code) == ("INCONCLUSIVE", 2)
+    trivial, classify = report.statements[1:]
+    assert "(H1 has rank 2 and torsion []), but it only bounds pi1" in trivial.detail
+    assert trivial.data["enumeration"] == "skipped"
+    assert (classify.status, classify.detail) == ("inconclusive", trivial.detail)
+    # an exact presentation with a nonzero H1 is refuted
+    text = 'let g = presentation(generators=["x", "y"], relators=["[x, y]"])\ncheck trivial(g)'
+    report = execute(parse(text), FAST)
+    assert (report.verdict, report.exit_code) == ("FAIL", 1)
+    assert report.statements[-1].detail == "refuted without enumeration: H1 has rank 2 and torsion []"
+
+
+# Groups that a nonzero H1 (Z/2) or a closed coset table of index 60 (A5) shows
+# nontrivial: (generators, relators, index, the exact FAIL's detail, the bound's evidence)
+NONTRIVIAL = {
+    "Z2": ('["x"]', '["x^2"]', None,
+           "refuted without enumeration: H1 has rank 0 and torsion [2]", "H1 has rank 0 and torsion [2]"),
+    "A5": ('["a", "b"]', '["a^2", "b^3", "a b a b a b a b a b"]', 60,
+           "refuted: the group has order 60", "order 60"),
+}
+
+
+@pytest.mark.parametrize("name", NONTRIVIAL)
+def test_cli_run_refutes_an_exact_group_but_not_its_bound(tmp_path, capsys, name):
+    generators, relators, index, refuted, evidence = NONTRIVIAL[name]
+    bound = f"the presented group is nontrivial ({evidence}), but it only bounds pi1 from above"
+    path = tmp_path / "g.sgc"
+    for exactness, code, status, detail in (("exact", 1, "fail", refuted),
+                                            ("surjective-bound", 2, "inconclusive", bound)):
+        path.write_text(
+            f'let g = presentation(generators={generators}, relators={relators}, exactness="{exactness}")\n'
+            "check trivial(g)\n"
+        )
+        assert main(["run", str(path), "--emit", "json"]) == code
+        statement = json.loads(capsys.readouterr().out)["statements"][-1]
+        assert (statement["status"], statement["detail"]) == (status, detail)
+        assert statement["data"].get("index") == index
+
+
+@pytest.mark.parametrize(
+    "statement,message",
+    [
+        ('let l = luttinger(s=v, torus="T1", p=1, q=0, k=1)',
+         "unknown torus 'T1': this state has no Lagrangian torus marks"),
+        ('let g = presentation(generators=["x", "x"])', "duplicate generator name 'x'"),
+    ],
+    ids=["luttinger", "duplicate-generator"],
+)
+def test_operation_errors_are_error_statements(statement, message):
+    report = execute(parse(f"let v = build_V()\n{statement}"), FAST)
     assert report.verdict == "FAIL"
-    assert report.exit_code == 1
-    assert "H1 has rank 2" in report.statements[-1].detail
+    assert (report.statements[-1].status, report.statements[-1].detail) == ("error", message)
 
 
 def test_execute_empty_script_passes():
@@ -295,6 +338,8 @@ def test_cli_run_pass_and_json(tmp_path, capsys):
 def test_cli_run_fail_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.sgc"
     path.write_text("let v = build_V()\ncheck trivial(v)\n")
+    assert main(["run", str(path)]) == 2  # V's group only bounds pi1
+    path.write_text('let g = presentation(generators=["x"], relators=["x^2"])\ncheck trivial(g)\n')
     assert main(["run", str(path)]) == 1
     capsys.readouterr()
 
@@ -532,8 +577,8 @@ def test_example_script_in_repo(capsys):
 # -- arguments: every operation and check of script.TABLE -------------------------
 
 NOUNS = {"state": "a manifold state", "int": "an integer", "string": "a string", "list": "a list"}
-GOOD = {"state": Ref("v"), "group": Ref("g"), "int": IntVal(1), "string": StrVal("H"), "list": ListVal(())}
-BAD = {"state": Ref("g"), "group": IntVal(1), "int": StrVal("x"), "string": IntVal(1), "list": StrVal("x")}
+GOOD = {"state": Ref("v"), "group": Ref("g"), "int": 1, "string": "H", "list": ()}
+BAD = {"state": Ref("g"), "group": 1, "int": "x", "string": 1, "list": "x"}
 PRELUDE = parse('let v = build_V()\nlet g = presentation(generators=["x"])').statements
 
 
@@ -544,8 +589,8 @@ def _kind_error(kind: str, what: str) -> str:
 def _operation_cases():
     for op, (_, params) in TABLE["let"].items():
         good = [(key, GOOD[kind]) for key, kind, *_ in params]
-        first = good[0] if good else ("a", IntVal(1))
-        yield pytest.param(op, good + [("bogus", IntVal(1))], "unexpected arguments: bogus", id=f"{op}-bogus")
+        first = good[0] if good else ("a", 1)
+        yield pytest.param(op, good + [("bogus", 1)], "unexpected arguments: bogus", id=f"{op}-bogus")
         yield pytest.param(op, [first, *good[1:], first], f"duplicate argument {first[0]!r}", id=f"{op}-duplicate")
         for i, (key, kind, *default) in enumerate(params):
             wrong = good[:i] + [(key, BAD[kind])] + good[i + 1:]
@@ -558,7 +603,7 @@ def _check_cases():
     for check, params in TABLE["check"].items():
         good, n = [GOOD[kind] for _, kind in params], len(params)
         arity = f"check {check} takes {n} argument(s), got"
-        yield pytest.param(check, good + [IntVal(1)], f"{arity} {n + 1}", id=f"{check}-extra")
+        yield pytest.param(check, good + [1], f"{arity} {n + 1}", id=f"{check}-extra")
         yield pytest.param(check, good[:-1], f"{arity} {n - 1}", id=f"{check}-missing")
         for i, (name, kind) in enumerate(params):
             what = f"{check} target" if name == "target" else name
@@ -581,7 +626,7 @@ def test_operation_argument_errors_are_reported_before_the_call(monkeypatch, op,
     function, params = TABLE["let"][op]
     calls = []
     monkeypatch.setitem(TABLE["let"], op, (lambda *a: calls.append(a) or function(*a), params))
-    assert _error_of(Let("r", Call(op, tuple(args)), 3), calls) == (message, 0)
+    assert _error_of(Let("r", op, tuple(args), 3), calls) == (message, 0)
 
 
 @pytest.mark.parametrize("check,args,message", list(_check_cases()))
@@ -607,7 +652,7 @@ def test_operations_look_up_their_functions_when_called(monkeypatch):
         monkeypatch.setattr(module, attr, lambda *a, _n=attr: calls.append(_n) or state)
     monkeypatch.setattr(construction, "assemble_w", lambda: calls.append("assemble_w") or SimpleNamespace(state=state))
     text = "\n".join([
-        "let v = V()",
+        "let v = build_V()",
         'let a = luttinger(s=v, torus="T", p=1, q=0, k=1)',
         "let b = blow_up(s=v)",
         'let c = resolve_intersection(s=v, a="H", b="K")',
@@ -622,10 +667,19 @@ def test_execute_prints_every_statement_before_running_one(monkeypatch):
     calls = []
     original = construction.assemble_v
     monkeypatch.setattr(construction, "assemble_v", lambda: calls.append(1) or original())
-    bad = Script((Let("v", Call("V", ()), 1), Let("w", Call("V", (("a", StrVal("x\ny")),)), 2)))
+    bad = Script((Let("v", "build_V", (), 1), Let("w", "build_V", (("a", "x\ny"),), 2)))
     with pytest.raises(ValueError, match="holds a newline"):
         execute(bad, FAST)
     assert calls == []
+
+
+def test_readme_script_example_is_the_example_script():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"`\.sgc` scripts bind construction states and run checks:\n\n```\n(.*?)```", readme, re.S)
+    assert block, "README has no script example"
+    example = (root / "scripts" / "exotic_cp2_3.sgc").read_text(encoding="utf-8")
+    assert print_script(parse(block.group(1))) == print_script(parse(example))
 
 
 def _reference_line(name: str, params: tuple, check: bool) -> str:

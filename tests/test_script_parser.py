@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 
 from sgcalc.cli import main
 from sgcalc.script import (
-    Call,
     Check,
     InputTooLarge,
-    IntVal,
     Let,
-    ListVal,
     ParseError,
     Ref,
     Script,
-    StrVal,
     _tokenize,
     parse,
     parse_presentation_document,
@@ -101,7 +97,7 @@ def test_non_decimal_digit_is_an_unexpected_character(text, col):
 def test_decimal_digits_beyond_ascii_still_parse():
     assert parse_word("x^٣", XY) == XY.gen("x", 3)
     (stmt,) = parse("check invariants(v, ٣, -٣)").statements
-    assert stmt.args[1:] == (IntVal(3), IntVal(-3))
+    assert stmt.args[1:] == (3, -3)
 
 
 def test_cli_non_decimal_digit_exit_64(tmp_path, capsys):
@@ -151,14 +147,14 @@ names = st.builds(
 values = st.recursive(
     st.one_of(
         names.map(Ref),
-        st.integers().map(IntVal),
-        st.text(st.one_of(st.characters(), st.sampled_from('"\\\n')), max_size=8).map(StrVal),
+        st.integers(),
+        st.text(st.one_of(st.characters(), st.sampled_from('"\\\n')), max_size=8),
     ),
-    lambda inner: st.lists(inner, max_size=3).map(lambda items: ListVal(tuple(items))),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
     max_leaves=6,
 )
 lets = st.builds(
-    lambda name, op, args: Let(name, Call(op, tuple(args)), 0),
+    lambda name, op, args: Let(name, op, tuple(args), 0),
     names.filter(lambda n: n not in ("let", "check")),
     names,
     st.lists(st.tuples(names, values), max_size=3),
@@ -166,7 +162,7 @@ lets = st.builds(
 checks = st.one_of(
     st.builds(lambda kind, ref: Check(kind, (Ref(ref),), 0), st.sampled_from(["trivial", "classify"]), names),
     st.builds(
-        lambda ref, e, s: Check("invariants", (Ref(ref), IntVal(e), IntVal(s)), 0),
+        lambda ref, e, s: Check("invariants", (Ref(ref), e, s), 0),
         names,
         st.integers(),
         st.integers(),
@@ -178,7 +174,7 @@ checks = st.one_of(
 @given(st.lists(st.one_of(lets, checks), max_size=4))
 def test_print_parse_round_trip_of_random_scripts(statements):
     script = Script(tuple(s.replace(line=i) for i, s in enumerate(statements, start=1)))
-    values = [v for s in script.statements for v in (s.args if isinstance(s, Check) else [a for _, a in s.call.args])]
+    values = [v for s in script.statements for v in (s.args if isinstance(s, Check) else [a for _, a in s.args])]
     unprintable = [t for t in _texts(values) if "\n" in t]
     if unprintable:
         with pytest.raises(ValueError, match="holds a newline") as info:
@@ -190,10 +186,10 @@ def test_print_parse_round_trip_of_random_scripts(statements):
 
 def _texts(values):
     for v in values:
-        if isinstance(v, StrVal):
-            yield v.text
-        elif isinstance(v, ListVal):
-            yield from _texts(v.items)
+        if isinstance(v, str):
+            yield v
+        elif isinstance(v, tuple):
+            yield from _texts(v)
 
 
 @PROPERTY
