@@ -205,6 +205,24 @@ def test_surgery_normalization_records_are_proved_rotations():
             assert conjugate(record.raw_relator, record.conjugator) == record.relator
 
 
+@pytest.mark.parametrize(
+    "assemble,at",
+    [(assemble_v, slice(4, 6)), (assemble_p1, slice(0, 2)), (assemble_p2, slice(0, 2))],
+    ids=["V", "P1", "P2"],
+)
+def test_surgery_relators_are_placed_once(assemble, at):
+    # V numbers its kept relators first, P1 and P2 their surgery relators first
+    built = assemble()
+    relators = built.state.pi1.relators
+    surgeries = tuple(record.relator for record in built.surgeries)
+    assert len(relators) == 6 and relators[at] == surgeries
+    kept = relators[:at.start] + relators[at.stop:]
+    assert len(set(relators)) == 6
+    for record in built.surgeries:
+        assert record.raw_relator == record.relator or record.raw_relator not in relators
+        assert not any(are_conjugate(record.relator, r) for r in kept)
+
+
 def test_v_second_surgery_is_the_documented_conjugation():
     record = assemble_v().surgeries[1]
     assert str(record.raw_relator) == "s1^-1 t2 s1 s2^-1 t2^-1"

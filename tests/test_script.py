@@ -282,6 +282,14 @@ def test_execute_runtime_errors_carry_statement_index():
     assert "unknown operation" in report.statements[0].detail
 
 
+@pytest.mark.parametrize("block", ["V", "W", "P1", "P2", "P", "X"])
+def test_each_block_answers_to_one_script_name(block):
+    assert f"build_{block}" in TABLE["let"] and block not in TABLE["let"]
+    report = execute(parse(f"let b = {block}()"), FAST)
+    assert (report.verdict, report.exit_code) == ("FAIL", 1)
+    assert (report.statements[0].status, report.statements[0].detail) == ("error", f"unknown operation {block!r}")
+
+
 def test_execute_unknown_exactness_is_an_error_statement():
     report = execute(parse('let p = presentation(generators=["x"], exactness="bogus")'), FAST)
     assert report.verdict == "FAIL"

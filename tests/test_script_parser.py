@@ -100,6 +100,26 @@ def test_decimal_digits_beyond_ascii_still_parse():
     assert stmt.args[1:] == (3, -3)
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("3", 3),
+        ("-3", -3),
+        ('"s"', "s"),
+        ("y", Ref("y")),
+        ("[]", ()),
+        ('[1, "x", [y]]', (1, "x", (Ref("y"),))),
+    ],
+    ids=["int", "negative", "string", "ref", "empty-list", "nested-list"],
+)
+def test_argument_values_are_held_as_themselves(text, value):
+    script = parse(f"let r = f(a={text})")
+    assert script.statements == (Let("r", "f", (("a", value),), 1),)
+    ((_, held),) = script.statements[0].args
+    assert type(held) is type(value)
+    assert print_script(script) == f"let r = f(a={text})\n"
+
+
 def test_cli_non_decimal_digit_exit_64(tmp_path, capsys):
     doc = tmp_path / "doc.txt"
     doc.write_text("generators: x\nrelator: x^²\n")
