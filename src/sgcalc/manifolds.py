@@ -10,13 +10,14 @@ Minimality is rule-based metadata, never computed geometry:
       essential spheres);
   R2  the symplectic sum of two minimal states is minimal (Usher);
   R3  a sum is minimal when one side's glued surface has a killed meridian
-      and is flagged as meeting every embedded -1 sphere of that side, and
-      the other side (the one glued to it) is minimal;
+      and is flagged (by ``blow_up`` alone) as meeting every embedded -1
+      sphere of that side, and the other side (the one glued to it) is minimal;
   R4  a blowup is never minimal (it contains exceptional spheres).
 
-Anything else is Unknown.  Parity upgrades to Odd whenever the signature is
-not divisible by 8, since an even unimodular intersection pairing forces
-8 | signature.
+Anything else is Unknown.  A state's minimality is what the last of its
+rules concludes, so no state is minimal without citing a rule.  Parity
+upgrades to Odd whenever the signature is not divisible by 8, since an even
+unimodular intersection pairing forces 8 | signature.
 """
 
 from __future__ import annotations
@@ -92,14 +93,13 @@ class ManifoldState(Record):
     names two of the state's surfaces.
     """
 
-    __slots__ = ("pi1", "euler", "signature", "symplectic", "minimality", "minimality_rules", "parity",
+    __slots__ = ("pi1", "euler", "signature", "symplectic", "minimality_rules", "parity",
                  "surfaces", "tori", "transverse_pairs", "two_torus_pattern", "name")
 
     def __init__(self, pi1: Presentation, euler: int, signature: int, symplectic: bool,
-                 minimality: Minimality = Minimality.UNKNOWN, minimality_rules: tuple[str, ...] = (),
-                 parity: Parity = Parity.UNKNOWN, surfaces: tuple[SurfaceMark, ...] = (),
-                 tori: tuple[LagrangianTorusMark, ...] = (), transverse_pairs: tuple[tuple[str, str], ...] = (),
-                 two_torus_pattern: bool = False, name: str = ""):
+                 minimality_rules: tuple[str, ...] = (), parity: Parity = Parity.UNKNOWN,
+                 surfaces: tuple[SurfaceMark, ...] = (), tori: tuple[LagrangianTorusMark, ...] = (),
+                 transverse_pairs: tuple[tuple[str, str], ...] = (), two_torus_pattern: bool = False, name: str = ""):
         for kind, marks in (("surface", surfaces), ("torus", tori)):
             for mark in marks:
                 words = mark.boundary_generators if kind == "surface" else (mark.mu, mark.m, mark.l)
@@ -112,8 +112,15 @@ class ManifoldState(Record):
         for pair in transverse_pairs:
             if not surface_ids.issuperset(pair):
                 raise ManifoldError(f"transverse pair {pair!r} names a surface the state lacks")
-        setfields(self, pi1, euler, signature, symplectic, minimality, minimality_rules, parity, surfaces,
+        setfields(self, pi1, euler, signature, symplectic, minimality_rules, parity, surfaces,
                   tori, transverse_pairs, two_torus_pattern, name)
+
+    @property
+    def minimality(self) -> Minimality:
+        """What the last of ``minimality_rules`` concludes: R4 not minimal, R1-R3 minimal, none unknown."""
+        if not self.minimality_rules:
+            return Minimality.UNKNOWN
+        return Minimality.NOT_MINIMAL if self.minimality_rules[-1] == "R4" else Minimality.MINIMAL
 
     def surface(self, surface_id: str) -> SurfaceMark:
         for mark in self.surfaces:
@@ -159,19 +166,13 @@ def luttinger(s: ManifoldState, torus_id: str, p: int, q: int, k: int) -> Manifo
     pure_direction = (abs(p), abs(q)) in ((1, 0), (0, 1))
     tori = tuple(t for t in s.tori if t.id != torus_id)
     pattern = s.two_torus_pattern and pure_direction
-    minimality, rules = s.minimality, s.minimality_rules
+    rules = s.minimality_rules
     if s.minimality is not Minimality.NOT_MINIMAL:
-        if pattern and not tori:
-            minimality = Minimality.MINIMAL
-            rules = ("R1",)
-        else:
-            minimality = Minimality.UNKNOWN
-            rules = ()
+        rules = ("R1",) if pattern and not tori else ()
     return s.replace(
         pi1=quotient_by(s.pi1, [relator]),
         tori=tori,
         two_torus_pattern=pattern,
-        minimality=minimality,
         minimality_rules=rules,
         parity=_parity_from_signature(s.signature),
         name="",
@@ -182,26 +183,29 @@ def blow_up(s: ManifoldState, on_surface: str | None = None, count: int = 1) -> 
     """Connected sum with ``count`` reversed projective planes.
 
     e rises and the signature drops by ``count``; the form goes odd and the
-    state is no longer minimal.  Blowing up on a marked surface kills its
-    meridian (it now meets an exceptional sphere once) and lowers its
-    recorded self-intersection.
+    state is no longer minimal (R4).  Blowing up on a marked surface kills
+    its meridian (it now meets an exceptional sphere once) and lowers its
+    recorded self-intersection.  Only this move sets R3's flag: the surface
+    blown up on keeps it, or gains it when the state was minimal (then every
+    -1 sphere meets it: Usher's hypothesis); every other surface loses it.
     """
     if count < 1:
         raise ManifoldError("blowup count must be positive")
-    surfaces = s.surfaces
+    surfaces = tuple(m.replace(no_minus_one_sphere_off_surface=False) for m in s.surfaces)
     if on_surface is not None:
         mark = s.surface(on_surface)
         updated = mark.replace(
             meridian_killed=True,
             meridian_killed_reason="meets an exceptional sphere transversally once",
             self_intersection=mark.self_intersection - count,
+            no_minus_one_sphere_off_surface=s.minimality is Minimality.MINIMAL
+            or mark.no_minus_one_sphere_off_surface,
         )
-        surfaces = tuple(updated if m.id == on_surface else m for m in s.surfaces)
+        surfaces = tuple(updated if m.id == on_surface else m for m in surfaces)
     return s.replace(
         euler=s.euler + count,
         signature=s.signature - count,
         parity=Parity.ODD,
-        minimality=Minimality.NOT_MINIMAL,
         minimality_rules=("R4",),
         surfaces=surfaces,
         name="",
@@ -262,7 +266,10 @@ def symplectic_sum(
     the alphabets union, each side maps identically, and the pairing adds
     identification relators.  Each side then brings its own relators, its
     surface marks but the glued one, and its transverse pairs not naming the
-    glued surface, all moved through its images.
+    glued surface, all moved through its images.  If each side has one kept
+    mark meeting its glued surface once, the halves join (Gompf) in the first
+    half's place: genera and self-intersections add, boundary words
+    concatenate, and the id is the halves' shared id or ``a#b``.
     """
     mark1, mark2 = s1.surface(surface1), s2.surface(surface2)
     if mark1.genus != mark2.genus:
@@ -278,13 +285,12 @@ def symplectic_sum(
     signature = s1.signature + s2.signature
     # R3 reads the side across from the flagged surface, the second argument's
     # side first; R2 lists the rules in argument order.  Both come before orienting.
-    minimality, rules = Minimality.UNKNOWN, ()
+    rules: tuple[str, ...] = ()
     r3 = [other for mark, other in ((mark2, s1), (mark1, s2)) if mark.meridian_killed
           and mark.no_minus_one_sphere_off_surface and other.minimality is Minimality.MINIMAL]
     if r3:
-        minimality, rules = Minimality.MINIMAL, r3[0].minimality_rules + ("R3",)
+        rules = r3[0].minimality_rules + ("R3",)
     elif s1.minimality is Minimality.MINIMAL and s2.minimality is Minimality.MINIMAL:
-        minimality = Minimality.MINIMAL
         rules = tuple(dict.fromkeys(s1.minimality_rules + s2.minimality_rules)) + ("R2",)
     if mark1.meridian_killed and not mark2.meridian_killed:
         s1, surface1, mark1, s2, surface2, mark2 = s2, surface2, mark2, s1, surface1, mark1
@@ -318,19 +324,27 @@ def symplectic_sum(
     relators: list[Word] = []
     surfaces: list[SurfaceMark] = []
     transverse: list[tuple[str, str]] = []
+    halves: list[list[SurfaceMark]] = []  # each side's kept marks that meet its glued surface once
     for side, glued, side_images in zip((s1, s2), (surface1, surface2), images):
         relators += (move(r, side_images) for r in side.pi1.relators)
-        surfaces += (m.replace(boundary_generators=tuple(move(w, side_images) for w in m.boundary_generators))
-                     for m in side.surfaces if m.id != glued)
+        marks = [m.replace(boundary_generators=tuple(move(w, side_images) for w in m.boundary_generators))
+                 for m in side.surfaces if m.id != glued]
+        halves.append([m for m in marks if {m.id, glued} in map(set, side.transverse_pairs)])
+        surfaces += marks
         transverse += (pair for pair in side.transverse_pairs if glued not in pair)
     relators += (move(w1, images[0]) * ~move(w2, images[1]) for w1, w2 in identified)
+    if len(halves[0]) == len(halves[1]) == 1:
+        (a,), (b,) = halves
+        joined = SurfaceMark(a.id if a.id == b.id else f"{a.id}#{b.id}", a.genus + b.genus,
+                             a.self_intersection + b.self_intersection, a.boundary_generators + b.boundary_generators)
+        surfaces = [joined if m is a else m for m in surfaces if m is not b]
+        transverse = [tuple(joined.id if i in (a.id, b.id) else i for i in pair) for pair in transverse]
 
     return ManifoldState(
         pi1=Presentation(alphabet, relators, Exactness.SURJECTIVE_BOUND),
         euler=euler,
         signature=signature,
         symplectic=s1.symplectic and s2.symplectic,
-        minimality=minimality,
         minimality_rules=rules,
         parity=_parity_from_signature(signature),
         surfaces=tuple(surfaces),

@@ -1,11 +1,14 @@
+import ast
 import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from sgcalc import construction
 from sgcalc.construction import (
     KILL_SCRIPT,
+    KillStep,
     ReplayError,
     assemble_p,
     assemble_p1,
@@ -230,6 +233,21 @@ def test_v_second_surgery_is_the_documented_conjugation():
     assert str(record.relator) == "t2^-1 s1^-1 t2 s1 s2^-1"
 
 
+def test_builders_set_no_geometric_fact_by_hand():
+    # R3's flag comes from blow_up and F from symplectic_sum; the builders only mark the torus factors
+    tree = ast.parse(Path(construction.__file__).read_text())
+    flags = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.keyword) and node.arg == "no_minus_one_sphere_off_surface"]
+    assert flags == []
+
+    def marks(root):
+        return {node.lineno for node in ast.walk(root)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SurfaceMark"}
+
+    block = next(node for node in tree.body if getattr(node, "name", None) == "_surgery_block")
+    assert marks(tree) == marks(block) != set()
+
+
 # -- block invariants -------------------------------------------------------------
 
 def test_v_invariants():
@@ -269,6 +287,14 @@ def test_p_invariants():
     f = p.surface("F")
     assert f.genus == 2 and f.self_intersection == 0
     assert tuple(str(b) for b in f.boundary_generators) == ("s1", "t1", "s2", "t2")
+
+
+@pytest.mark.parametrize("i, build", [(1, build_p1), (2, build_p2)])
+def test_pi_marks_both_torus_factors(i, build):
+    block = build()
+    assert [(m.id, tuple(map(str, m.boundary_generators))) for m in block.surfaces] == [
+        (f"H{i}", (f"x{i}", f"y{i}")), ("F", (f"s{i}", f"t{i}"))]
+    assert block.transverse_pairs == ((f"H{i}", "F"),)
 
 
 def test_x_invariants():
@@ -372,6 +398,29 @@ def test_replay_fails_when_a_cited_relation_is_the_identity(number, generator, r
         replay_kill_order(Presentation(p.alphabet, relators, p.exactness))
     assert (info.value.generator, info.value.reason) == (generator, reason)
     assert str(info.value) == f"kill step for {generator!r} failed: {reason}"
+
+
+# Each replay refusal reached by one mutated kill script: (script, failing generator, reason)
+Y1_USES = (1, 19)
+SCRIPT_CONTROLS = {
+    "no-mobile": ((KillStep("y1", Y1_USES, ((("x1", "t1"), (4,)), (("s2", "t2"), (16,)))),) + KILL_SCRIPT[1:],
+                  "y1", "commuting pairs share no mobile generator"),
+    "stuck": ((KillStep("y1", Y1_USES, ((("x1", "t1"), (4,)),)),) + KILL_SCRIPT[1:],
+              "y1", "x1 is not known to commute with ['t2']"),
+    "no-cancel": ((KillStep("x1", (13,), ((("x2", "t2"), (10,)),)),), "x1", "x2 does not cancel"),
+    "not-identity": ((KillStep("y1", Y1_USES),) + KILL_SCRIPT[1:], "y1",
+                     "derivation leaves t1^-1 t2^-1 t1 t2 x1^-1 t2^-1 t1^-1 t2 t1 x1, not the identity"),
+    "never-killed": (KILL_SCRIPT[:-1], "x2", "never killed by the script"),
+}
+
+
+@pytest.mark.parametrize("name", SCRIPT_CONTROLS)
+def test_replay_refuses_a_mutated_kill_script(monkeypatch, name):
+    kill_script, generator, reason = SCRIPT_CONTROLS[name]
+    monkeypatch.setattr(construction, "KILL_SCRIPT", kill_script)
+    with pytest.raises(ReplayError) as info:
+        replay_kill_order(build_x().pi1)
+    assert (info.value.generator, info.value.reason) == (generator, reason)
 
 
 def test_replay_fails_on_wrong_presentation():

@@ -51,14 +51,14 @@ def four_torus_block():
     )
 
 
-def trivial_odd_state(euler, signature, minimality=Minimality.UNKNOWN):
+def trivial_odd_state(euler, signature, minimality_rules=()):
     p = Presentation(Alphabet(()), (), Exactness.SURJECTIVE_BOUND)
     return ManifoldState(
         pi1=p,
         euler=euler,
         signature=signature,
         symplectic=True,
-        minimality=minimality,
+        minimality_rules=minimality_rules,
         parity=Parity.ODD,
     )
 
@@ -172,6 +172,36 @@ def test_blow_up_unknown_surface():
         blow_up(four_torus_block(), on_surface="Q")
 
 
+def _minimal_block():
+    out = luttinger(luttinger(four_torus_block(), "T1", 1, 0, -1), "T2", 0, 1, -1)
+    assert out.minimality is Minimality.MINIMAL
+    return out
+
+
+def _flags(state):
+    return {m.id: m.no_minus_one_sphere_off_surface for m in state.surfaces}
+
+
+def test_blow_up_on_g_of_a_minimal_state_flags_g():
+    g_state = resolve_intersection(_minimal_block(), "H", "K", new_id="G")
+    w = blow_up(g_state, on_surface="G", count=2)
+    assert _flags(w) == {"G": True}
+    # every exceptional sphere still meets G after one more blowup on it
+    assert _flags(blow_up(w, on_surface="G")) == {"G": True}
+    # a blowup off every surface adds a -1 sphere that misses G
+    assert _flags(blow_up(w)) == {"G": False}
+
+
+def test_blow_up_flags_only_the_surface_of_a_minimal_state():
+    assert _flags(blow_up(_minimal_block(), on_surface="H")) == {"H": True, "K": False}
+    assert _flags(blow_up(_minimal_block())) == {"H": False, "K": False}
+    # an unflagged surface of a state not known to be minimal gets no flag
+    not_minimal = blow_up(_minimal_block())
+    assert not_minimal.minimality is Minimality.NOT_MINIMAL
+    assert _flags(blow_up(not_minimal, on_surface="H")) == {"H": False, "K": False}
+    assert _flags(blow_up(four_torus_block(), on_surface="H")) == {"H": False, "K": False}
+
+
 # -- intersection resolution -----------------------------------------------------
 
 def test_resolve_intersection_merges_marks():
@@ -243,7 +273,6 @@ def _torus_block_pair():
         euler=0,
         signature=0,
         symplectic=True,
-        minimality=Minimality.MINIMAL,
         minimality_rules=("R1",),
         surfaces=(SurfaceMark("A", 1, 0, (ab1.gen("u1"), ab1.gen("v1"))),),
     )
@@ -252,7 +281,6 @@ def _torus_block_pair():
         euler=0,
         signature=0,
         symplectic=True,
-        minimality=Minimality.MINIMAL,
         minimality_rules=("R1",),
         surfaces=(SurfaceMark("B", 1, 0, (ab2.gen("u2"), ab2.gen("v2"))),),
     )
@@ -325,7 +353,6 @@ def test_killed_meridian_sum_transports_relators():
         euler=2,
         signature=-2,
         symplectic=True,
-        minimality=Minimality.NOT_MINIMAL,
         minimality_rules=("R4",),
         surfaces=(donor_mark,),
     )
@@ -359,11 +386,11 @@ def _killed(state, surface_id, flagged=False):
 def test_r3_reads_the_side_across_from_the_flagged_surface():
     s1, s2 = _torus_block_pair()
     first = _killed(s1, "A", flagged=True)
-    second = _killed(s2, "B").replace(minimality=Minimality.NOT_MINIMAL, minimality_rules=("R4",))
+    second = _killed(s2, "B").replace(minimality_rules=("R4",))
     out = symplectic_sum(first, "A", second, "B", ((0, 0), (1, 1)))
     assert (out.minimality, out.minimality_rules) == (Minimality.UNKNOWN, ())
     # flagged second side, minimal first side: R3 on the first side's rules
-    out = symplectic_sum(second.replace(minimality=Minimality.MINIMAL, minimality_rules=("R1",)), "B",
+    out = symplectic_sum(second.replace(minimality_rules=("R1",)), "B",
                          _killed(s1, "A", flagged=True), "A", ((0, 0), (1, 1)))
     assert (out.minimality, out.minimality_rules) == (Minimality.MINIMAL, ("R1", "R3"))
 
@@ -399,6 +426,56 @@ def test_killed_sum_refuses_a_donor_generator_off_the_surface():
             symplectic_sum(*args, ((0, 0), (1, 1)))
 
 
+def _crossing_block(prefix, glued, crossing, extra=None):
+    """A minimal (R1) state of tori: glued mark (x, y), a mark (s, t) meeting it once, optionally a mark (u, v)."""
+    names = tuple(f"{g}{prefix}" for g in ("xystuv" if extra else "xyst"))
+    ab = Alphabet(names)
+    g = [ab.gen(n) for n in names]
+    marks = (SurfaceMark(glued, 1, 0, (g[0], g[1])), SurfaceMark(crossing, 1, 0, (g[2], g[3])))
+    pairs = ((glued, crossing),)
+    if extra:
+        marks += (SurfaceMark(extra, 1, 0, (g[4], g[5])),)
+    return ManifoldState(pi1=Presentation(ab, (), Exactness.SURJECTIVE_BOUND), euler=0, signature=0,
+                         symplectic=True, minimality_rules=("R1",), surfaces=marks, transverse_pairs=pairs)
+
+
+def test_sum_joins_the_halves_meeting_the_glued_surfaces():
+    out = symplectic_sum(_crossing_block(1, "H1", "F"), "H1", _crossing_block(2, "H2", "F"), "H2", ((0, 0), (1, 1)))
+    ab = out.pi1.alphabet
+    assert out.surfaces == (SurfaceMark("F", 2, 0, tuple(ab.gen(n) for n in ("s1", "t1", "s2", "t2"))),)
+    assert out.transverse_pairs == ()
+    assert out.minimality_rules == ("R1", "R2")
+
+
+def test_joined_halves_with_two_ids_take_both_and_keep_their_pairs():
+    first = _crossing_block(1, "H1", "F1", extra="Z")
+    first = first.replace(surfaces=(first.surfaces[0], first.surfaces[1].replace(self_intersection=1),
+                                    first.surfaces[2]),
+                          transverse_pairs=(("H1", "F1"), ("F1", "Z")))
+    out = symplectic_sum(first, "H1", _crossing_block(2, "H2", "F2"), "H2", ((0, 0), (1, 1)))
+    assert [(m.id, m.genus, m.self_intersection) for m in out.surfaces] == [("F1#F2", 2, 1), ("Z", 1, 0)]
+    assert out.transverse_pairs == (("F1#F2", "Z"),)
+
+
+def test_no_join_unless_each_side_has_exactly_one_half():
+    first = _crossing_block(1, "H1", "F1", extra="Z")
+    first = first.replace(transverse_pairs=(("H1", "F1"), ("Z", "H1")))
+    out = symplectic_sum(first, "H1", _crossing_block(2, "H2", "F2"), "H2", ((0, 0), (1, 1)))
+    assert [m.id for m in out.surfaces] == ["F1", "Z", "F2"]
+
+
+def test_joined_half_of_a_killed_side_moves_through_its_images():
+    ab = Alphabet(("u", "v"))
+    u, v = ab.gen("u"), ab.gen("v")
+    donor = ManifoldState(pi1=Presentation(ab, (), Exactness.SURJECTIVE_BOUND), euler=0, signature=0,
+                          symplectic=True, surfaces=(SurfaceMark("B", 1, 1, (u, v)), SurfaceMark("C", 1, 0, (v, u))),
+                          transverse_pairs=(("B", "C"),))
+    donor = blow_up(donor, on_surface="B")
+    out = symplectic_sum(donor, "B", _crossing_block(1, "H1", "F"), "H1", ((0, 0), (1, 1)))
+    assert [m.id for m in out.surfaces] == ["F#C"]
+    assert [str(w) for w in out.surface("F#C").boundary_generators] == ["s1", "t1", "y1", "x1"]
+
+
 # -- classification ----------------------------------------------------------------
 
 def _certified(state):
@@ -407,8 +484,28 @@ def _certified(state):
     return cert
 
 
+@pytest.mark.parametrize("rules, minimality", [
+    ((), Minimality.UNKNOWN),
+    (("R1",), Minimality.MINIMAL),
+    (("R1", "R2"), Minimality.MINIMAL),
+    (("R1", "R2", "R3"), Minimality.MINIMAL),
+    (("R4",), Minimality.NOT_MINIMAL),
+])
+def test_minimality_is_what_the_last_rule_concludes(rules, minimality):
+    assert trivial_odd_state(6, -2, rules).minimality is minimality
+
+
+def test_minimality_cannot_be_set():
+    state = trivial_odd_state(6, -2)
+    with pytest.raises(TypeError):
+        state.replace(minimality=Minimality.MINIMAL)
+    with pytest.raises(TypeError):
+        ManifoldState(pi1=state.pi1, euler=6, signature=-2, symplectic=True, minimality=Minimality.MINIMAL)
+    assert "minimality" not in ManifoldState._fields
+
+
 def test_classify_headline_values():
-    state = trivial_odd_state(6, -2, Minimality.MINIMAL)
+    state = trivial_odd_state(6, -2, ("R1", "R2", "R3"))
     homeo = classify(state, _certified(state))
     assert (homeo.b_plus, homeo.b_minus) == (1, 3)
     assert homeo.description == "CP^2 # 3 CP^2bar"

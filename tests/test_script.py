@@ -233,8 +233,18 @@ def test_cli_run_refutes_an_exact_group_but_not_its_bound(tmp_path, capsys, name
         ('let l = luttinger(s=v, torus="T1", p=1, q=0, k=1)',
          "unknown torus 'T1': this state has no Lagrangian torus marks"),
         ('let g = presentation(generators=["x", "x"])', "duplicate generator name 'x'"),
+        ('let x = symplectic_sum(a=v, surf_a="H", b=v, surf_b="K", pairing=["s1:q"])',
+         "surface 'K' has no boundary generator 'q'"),
+        ('let x = symplectic_sum(a=v, surf_a="H", b=v, surf_b="K", pairing=["s1"])',
+         "pairing entry 's1' is not 'left:right'"),
+        ('let q = quotient(p=v, relators=["s1 ("])', "bad relator: line 1, column 4: unexpected '(' in word"),
+        ('let r = resolve_intersection(s=v, a="H", b="H")', "surfaces 'H' and 'H' are not marked as meeting once"),
+        ("let b = blow_up(s=v, count=0)", "blowup count must be positive"),
+        ('let x = symplectic_sum(a=v, surf_a="H", b=v, surf_b="K", pairing=["s1:s2"])',
+         "pairing must match up all boundary generators of both surfaces"),
     ],
-    ids=["luttinger", "duplicate-generator"],
+    ids=["luttinger", "duplicate-generator", "no-boundary-generator", "pairing-entry", "bad-relator",
+         "resolve-not-transverse", "blowup-count", "pairing-incomplete"],
 )
 def test_operation_errors_are_error_statements(statement, message):
     report = execute(parse(f"let v = build_V()\n{statement}"), FAST)
@@ -329,6 +339,29 @@ def test_execute_symplectic_sum_script_matches_library():
     )
     report = execute(script, FAST)
     assert report.verdict == "PASS"
+
+
+def test_blowing_w_up_off_g_voids_the_exotic_claim():
+    # W blown up once more, off G: a -1 sphere now misses G, so R3 no longer applies to the sum
+    script = parse(
+        "\n".join(
+            [
+                "let p = build_P()",
+                "let w = build_W()",
+                "let w2 = blow_up(s=w)",
+                'let x = symplectic_sum(a=p, surf_a="F", b=w2, surf_b="G", '
+                'pairing=["s1:s1", "t1:t1", "s2:s2", "t2:t2"])',
+                "check classify(x)",
+            ]
+        )
+    )
+    report = execute(script, FAST)
+    assert report.statements[3].data["minimality"] == "unknown"
+    assert "minimality unknown" in report.statements[3].detail
+    classify = report.statements[4]
+    assert classify.data["description"] == "CP^2 # 4 CP^2bar"
+    assert classify.data["exotic_note"] == ""
+    assert classify.detail == "b+ = 1, b- = 4: CP^2 # 4 CP^2bar"
 
 
 # -- CLI ----------------------------------------------------------------------------
