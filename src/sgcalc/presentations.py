@@ -174,7 +174,13 @@ def prune_redundant(
 
 def abelianize(p: Presentation) -> list[list[int]]:
     """Exponent-sum matrix: one row per relator, one column per generator."""
-    return [[r.exponent_sum(name) for name in p.alphabet.names] for r in p.relators]
+    rows = []
+    for r in p.relators:
+        row = [0] * p.ngens
+        for c in r.codes():
+            row[c >> 1] += -1 if c & 1 else 1
+        rows.append(row)
+    return rows
 
 
 def _min_abs_pivot(m: list[list[int]], s: int) -> tuple[int, int] | None:

@@ -12,8 +12,8 @@ Script grammar (``.sgc`` files)::
             | 'invariants' '(' ID ',' INT ',' INT ')'
             | 'classify' '(' ID ')'
 
-Quoted strings hold words over a known alphabet, read by the same tokenizer
-and parser::
+Quoted strings hold words over a known alphabet, read in one pass by their
+own reader (``parse_word``), which shares the script's token rules::
 
     word   := factor*
     factor := atom ('^' INT)?
@@ -25,7 +25,8 @@ or ``_`` and goes on with letters, digits and ``_`` (the rule for generator
 names); an INT is an optional ``-`` and decimal digits; a STRING is quoted,
 stays on one line, and ``\\`` escapes the next character; the symbols are
 ``= ( ) , [ ] ^``.  Spaces, tabs and CR separate tokens, ``#`` comments to the
-end of the line, and columns count characters from the start of the line.
+end of the line (in a word it is an unexpected character), and columns count
+characters from the start of the line.
 
 Checks run with the abelianization short-circuit: a nonzero H1 shows the
 group nontrivial without touching the enumerator.  That refutes triviality
@@ -90,15 +91,23 @@ class Token(NamedTuple):
     col: int
 
 
-# One alternative per token class; ``BAD`` catches any other character.  A
-# NAME match whose first character is a non-decimal digit (``²``, ``½``) is
-# an unexpected character, which leaves NAME as ``words._valid_name``'s rule.
+# The token rules, shared by scripts and words.  A NAME match whose first
+# character is a non-decimal digit (``²``, ``½``) is an unexpected character,
+# which leaves NAME as ``words._valid_name``'s rule; ``_int`` reads an INT.
+_NAME = r"[^\W\d]\w*"
+_INT = r"-?\d+"
+# One alternative per token class; ``BAD`` catches any other character.
 _TOKEN = re.compile(
     r'(?P<NEWLINE>\n)|[ \t\r]+|(?P<COMMENT>#[^\n]*)'
-    r'|(?P<NAME>[^\W\d]\w*)|(?P<INT>-?\d+)'
+    rf'|(?P<NAME>{_NAME})|(?P<INT>{_INT})'
     r'|(?P<STRING>"(?:[^"\\\n]|\\.)*")|(?P<SYM>[=(),\[\]^])|(?P<BAD>.)'
 )
 _ESCAPE = re.compile(r"\\(.)")
+# One factor of a word per match: whitespace, then '[' or ',' or an atom
+# (NAME, INT or ']') with an optional '^' INT exponent.  At the end of the
+# text or at an error, only the whitespace matches.
+_SPACE = r"[ \t\r\n]*"
+_FACTOR = re.compile(rf"{_SPACE}(([\[,])|(?:({_NAME})|({_INT})|(\]))(?:{_SPACE}(\^){_SPACE}({_INT})?)?)?")
 
 
 def _int(tok: Token) -> int:
@@ -179,7 +188,7 @@ class Script(Record):
 
 
 class _Parser:
-    """Recursive descent over the tokens of one script or one word."""
+    """Recursive descent over the tokens of one script."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -204,11 +213,6 @@ class _Parser:
             shown = tok.value or "end of input"
             raise ParseError(f"expected {expected}, found {shown!r}", tok.line, tok.col)
         return self.next()
-
-    def skip(self, symbol: str, message: str) -> None:
-        tok = self.next()
-        if tok.kind != "SYM" or tok.value != symbol:
-            raise ParseError(message, tok.line, tok.col)
 
     def items(self, close: str, item: Callable[[], object]) -> tuple:
         """A comma list of ``item`` up to the ``close`` symbol."""
@@ -274,43 +278,6 @@ class _Parser:
             return self.items("]", self.value)
         raise ParseError(f"expected a value, found {tok.value!r}", tok.line, tok.col)
 
-    def word(self, alphabet: Alphabet, stop: str = "") -> list[int]:
-        """The freely reduced letter codes of factors up to ``stop`` or END."""
-        out: list[int] = []
-        while not (self.peek().kind == "END" or self.at(stop)):
-            tok = self.peek()
-            free_reduce(self.factor(alphabet), out)
-            if len(out) > MAX_WORD_LETTERS:
-                raise InputTooLarge(f"word longer than {MAX_WORD_LETTERS} letters", tok.line, tok.col)
-        return out
-
-    def factor(self, alphabet: Alphabet) -> list[int]:
-        tok = self.next()
-        if tok.kind == "NAME":
-            if tok.value not in alphabet:
-                raise ParseError(f"unknown generator {tok.value!r}", tok.line, tok.col)
-            atom = [2 * alphabet.rank(tok.value)]
-        elif tok.kind == "INT" and tok.value == "1":
-            atom = []
-        elif tok.kind == "SYM" and tok.value == "[":
-            left = self.word(alphabet, ",")
-            self.skip(",", "expected ',' in commutator")
-            right = self.word(alphabet, "]")
-            self.skip("]", "expected ']'")
-            atom = free_reduce([*left, *right, *inverse_codes(left), *inverse_codes(right)])
-        else:
-            raise ParseError(f"unexpected {tok.value!r} in word", tok.line, tok.col)
-        if not self.at("^"):
-            return atom
-        self.next()
-        exp = self.next()
-        if exp.kind != "INT":
-            raise ParseError("expected integer exponent", exp.line, exp.col)
-        k = _int(exp)
-        if abs(k) * len(atom) > MAX_WORD_LETTERS:
-            raise InputTooLarge(f"power longer than {MAX_WORD_LETTERS} letters", exp.line, exp.col)
-        return free_reduce((atom if k >= 0 else inverse_codes(atom)) * abs(k))
-
 
 def parse(text: str) -> Script:
     """Parse script text into an AST; raises :class:`ParseError`."""
@@ -346,9 +313,78 @@ def print_script(script: Script) -> str:
 
 # -- word and presentation text formats ---------------------------------------
 
+def _token_at(text: str, pos: int) -> Token:
+    """The token at offset ``pos`` of a word, read for an error there.  The
+    whole text is tokenized first, so a lexical error anywhere in it wins; a
+    ``#`` starts no comment in a word but is an unexpected character."""
+    tokens = _tokenize(text)
+    line, col = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    if text.startswith("#", pos):
+        raise ParseError("unexpected character '#'", line, col)
+    return next(t for t in tokens if (t.line, t.col) == (line, col))
+
+
+def _word_error(text: str, pos: int, message: str = "unexpected {!r} in word", error: type = ParseError) -> ParseError:
+    """``message``, with ``{!r}`` the token's value, at the token at offset ``pos`` of a word."""
+    tok = _token_at(text, pos)
+    return error(message.format(tok.value), tok.line, tok.col)
+
+
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse the textual word syntax over a known alphabet."""
-    return Word(alphabet, _Parser(text).word(alphabet))
+    """Read the textual word syntax over a known alphabet in one pass.
+
+    Letter codes are freely reduced onto the word being read as they come; an
+    open commutator waits on ``stack`` as the word it sits in, its left side
+    (``None`` until read) and the offset of its ``[``.
+    """
+    rank = alphabet.rank
+    out: list[int] = []
+    stack: list[list] = []
+    pos = 0
+    while True:
+        m = _FACTOR.match(text, pos)
+        pos = m.end()
+        factor, sym, name, num, close, caret, exp = m.groups()
+        if factor is None:
+            if pos < len(text):
+                raise _word_error(text, pos)
+            if stack:
+                raise _word_error(text, pos, "expected ',' in commutator" if stack[-1][1] is None else "expected ']'")
+            return Word(alphabet, out)
+        start = m.start(1)
+        if name:
+            try:
+                atom = [2 * rank(name)]
+            except WordError:
+                raise _word_error(text, start, "unknown generator {!r}") from None
+        elif num == "1":
+            atom = []
+        elif close and stack and stack[-1][1] is not None:
+            (out, left, start), right = stack.pop(), out
+            atom = free_reduce([*left, *right, *inverse_codes(left), *inverse_codes(right)])
+        elif sym == "[":
+            stack.append([out, None, start])
+            out = []
+            continue
+        elif sym == "," and stack and stack[-1][1] is None:
+            stack[-1][1], out = out, []
+            continue
+        else:  # an INT other than 1, or a ',' or ']' out of place
+            raise _word_error(text, start)
+        if caret:
+            if exp is None:
+                raise _word_error(text, pos, "expected integer exponent")
+            try:
+                k = int(exp)
+            except ValueError:
+                k = _int(_token_at(text, m.start(7)))
+            if abs(k) * len(atom) > MAX_WORD_LETTERS:
+                raise _word_error(text, m.start(7), f"power longer than {MAX_WORD_LETTERS} letters", InputTooLarge)
+            if atom:  # an identity atom stays one, whatever its exponent
+                atom = (atom if k >= 0 else inverse_codes(atom)) * abs(k)
+        free_reduce(atom, out)
+        if len(out) > MAX_WORD_LETTERS:
+            raise _word_error(text, start, f"word longer than {MAX_WORD_LETTERS} letters", InputTooLarge)
 
 
 def parse_presentation_document(text: str) -> Presentation:

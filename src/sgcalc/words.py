@@ -12,7 +12,6 @@ that works on raw letter codes reduces and inverts them with
 from __future__ import annotations
 
 from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Syllable = tuple[str, int]
@@ -172,10 +171,14 @@ class Word:
 
     @property
     def syllables(self) -> tuple[Syllable, ...]:
-        """Maximal runs of one letter as ``(name, exponent)``."""
-        return tuple(
-            (name, sum(e for _, e in run)) for name, run in groupby(self.letters(), key=itemgetter(0))
-        )
+        """Maximal runs of one letter as ``(name, exponent)``; in a reduced
+        word, each is a run of one letter code."""
+        names = self.alphabet.names
+        out = []
+        for c, run in groupby(self._codes):
+            n = len(list(run))
+            out.append((names[c >> 1], -n if c & 1 else n))
+        return tuple(out)
 
     def __str__(self) -> str:
         if not self._codes:

@@ -64,3 +64,20 @@ def test_traced_assemble_x_records_both_symplectic_sums():
     finally:
         restore()
     assert [span[0] for span in tracer.spans].count("manifolds.symplectic_sum") == 2
+
+
+def test_traced_presentation_script_reads_one_word_per_relator():
+    """``script.parse_ms`` times each relator's ``script.parse_word`` span; each relator builds one ``Word``."""
+    tracing = _load_tracing()
+    text = 'let g = presentation(generators=["x", "y"], relators=["x^2", "[x, y]", "y^3 x"])\ncheck trivial(g)'
+    parsed = script.parse(text)
+    tracer = tracing.Tracer()
+    tracer.counting = True
+    restore = tracing.install(tracer)
+    try:
+        report = script.execute(parsed)
+    finally:
+        restore()
+    assert report.verdict == "FAIL"
+    assert [span[0] for span in tracer.spans].count("script.parse_word") == 3
+    assert tracer.counts["words.word_objects"] == 3

@@ -252,6 +252,15 @@ def test_operation_errors_are_error_statements(statement, message):
     assert (report.statements[-1].status, report.statements[-1].detail) == ("error", message)
 
 
+def test_comment_sign_in_a_relator_is_an_error_not_a_truncation():
+    # read as a comment, "x # y" was the relator x, and the group < x, y | x, y > passed as trivial
+    report = execute(parse('let g = presentation(generators=["x", "y"], relators=["x # y", "y"])\ncheck trivial(g)'))
+    assert report.verdict == "FAIL"
+    assert (report.statements[0].status, report.statements[0].detail) == (
+        "error", "bad relator: line 1, column 3: unexpected character '#'"
+    )
+
+
 def test_execute_empty_script_passes():
     report = execute(parse(""))
     assert report.verdict == "PASS" and report.statements == ()
