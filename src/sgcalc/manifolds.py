@@ -266,10 +266,12 @@ def symplectic_sum(
     the alphabets union, each side maps identically, and the pairing adds
     identification relators.  Each side then brings its own relators, its
     surface marks but the glued one, and its transverse pairs not naming the
-    glued surface, all moved through its images.  If each side has one kept
-    mark meeting its glued surface once, the halves join (Gompf) in the first
-    half's place: genera and self-intersections add, boundary words
-    concatenate, and the id is the halves' shared id or ``a#b``.
+    glued surface, all moved through its images; a kept mark keeps R3's flag
+    only if the other side is minimal (a -1 sphere there would miss it).  If
+    each side has one kept mark meeting its glued surface once, the halves
+    join (Gompf) in the first half's place: genera and self-intersections
+    add, boundary words concatenate, and the id is the halves' shared id or
+    ``a#b``.
     """
     mark1, mark2 = s1.surface(surface1), s2.surface(surface2)
     if mark1.genus != mark2.genus:
@@ -325,9 +327,11 @@ def symplectic_sum(
     surfaces: list[SurfaceMark] = []
     transverse: list[tuple[str, str]] = []
     halves: list[list[SurfaceMark]] = []  # each side's kept marks that meet its glued surface once
-    for side, glued, side_images in zip((s1, s2), (surface1, surface2), images):
+    for side, glued, side_images, other in zip((s1, s2), (surface1, surface2), images, (s2, s1)):
         relators += (move(r, side_images) for r in side.pi1.relators)
-        marks = [m.replace(boundary_generators=tuple(move(w, side_images) for w in m.boundary_generators))
+        marks = [m.replace(boundary_generators=tuple(move(w, side_images) for w in m.boundary_generators),
+                           no_minus_one_sphere_off_surface=m.no_minus_one_sphere_off_surface
+                           and other.minimality is Minimality.MINIMAL)
                  for m in side.surfaces if m.id != glued]
         halves.append([m for m in marks if {m.id, glued} in map(set, side.transverse_pairs)])
         surfaces += marks

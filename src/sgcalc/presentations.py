@@ -205,9 +205,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     m = [list(map(int, row)) for row in matrix]
     if not m or not m[0]:
         return []
-    rows, cols = len(m), len(m[0])
+    cols = len(m[0])
     if any(len(row) != cols for row in m):
         raise ValueError("ragged matrix")
+    m = [row for row in m if any(row)]  # a zero row adds no invariant factor
+    rows = len(m)
 
     s = 0
     limit = min(rows, cols)

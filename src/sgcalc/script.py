@@ -12,8 +12,10 @@ Script grammar (``.sgc`` files)::
             | 'invariants' '(' ID ',' INT ',' INT ')'
             | 'classify' '(' ID ')'
 
-Quoted strings hold words over a known alphabet, read in one pass by their
-own reader (``parse_word``), which shares the script's token rules::
+Quoted strings hold words over a known alphabet, read by their own reader
+(``parse_word``) with the script's token rules: one regex pass splits a word
+into factors, each letter is reduced onto the word as it comes, and offsets
+are read only to place an error::
 
     word   := factor*
     factor := atom ('^' INT)?
@@ -96,18 +98,19 @@ class Token(NamedTuple):
 # which leaves NAME as ``words._valid_name``'s rule; ``_int`` reads an INT.
 _NAME = r"[^\W\d]\w*"
 _INT = r"-?\d+"
-# One alternative per token class; ``BAD`` catches any other character.
+# One token per match after its spaces; ``BAD`` is any other character but a
+# space, and ``STRING`` is unrolled into runs of plain characters between escapes.
 _TOKEN = re.compile(
-    r'(?P<NEWLINE>\n)|[ \t\r]+|(?P<COMMENT>#[^\n]*)'
+    r'[ \t\r]*(?:(?P<NEWLINE>\n)|(?P<COMMENT>#[^\n]*)'
     rf'|(?P<NAME>{_NAME})|(?P<INT>{_INT})'
-    r'|(?P<STRING>"(?:[^"\\\n]|\\.)*")|(?P<SYM>[=(),\[\]^])|(?P<BAD>.)'
+    r'|(?P<STRING>"[^"\\\n]*(?:\\.[^"\\\n]*)*")|(?P<SYM>[=(),\[\]^])|(?P<BAD>[^ \t\r]))'
 )
 _ESCAPE = re.compile(r"\\(.)")
-# One factor of a word per match: whitespace, then '[' or ',' or an atom
-# (NAME, INT or ']') with an optional '^' INT exponent.  At the end of the
-# text or at an error, only the whitespace matches.
+# One factor of a word per match after its spaces (group 1): an atom (NAME,
+# INT or ']') with an optional '^' INT exponent, a '[' or ',', or any other
+# character but a space, which is an error.
 _SPACE = r"[ \t\r\n]*"
-_FACTOR = re.compile(rf"{_SPACE}(([\[,])|(?:({_NAME})|({_INT})|(\]))(?:{_SPACE}(\^){_SPACE}({_INT})?)?)?")
+_WORD_TOKEN = re.compile(rf"({_SPACE})(?:(?:({_NAME})|({_INT})|(\]))(?:{_SPACE}(\^){_SPACE}({_INT})?)?|([\[,])|[^ \t\r\n])")
 
 
 def _int(tok: Token) -> int:
@@ -122,24 +125,23 @@ def _tokenize(text: str) -> list[Token]:
     """The tokens of ``text`` and a final END, which sits where a trailing
     comment starts."""
     tokens = []
-    line, line_start, end = 1, 0, 0
+    line, line_start, end = 1, 0, len(text)
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "COMMENT":
-            continue
-        end = m.end()
         if kind == "NEWLINE":
-            line, line_start = line + 1, end
-        elif kind:
-            value, col = m.group(), m.start() - line_start + 1
-            if kind == "NAME" and not (value[0].isalpha() or value[0] == "_"):
-                kind, value = "BAD", value[0]
-            if kind == "BAD":
-                message = "unterminated string" if value == '"' else f"unexpected character {value!r}"
-                raise ParseError(message, line, col)
-            if kind == "STRING":
-                value = _ESCAPE.sub(r"\1", value[1:-1])
-            tokens.append(Token(kind, value, line, col))
+            line, line_start = line + 1, m.end()
+            continue
+        start, stop = m.span(kind)
+        if kind == "COMMENT":
+            end = start if stop == len(text) else end
+            continue
+        value, col = text[start:stop], start - line_start + 1
+        if kind == "STRING":
+            value = _ESCAPE.sub(r"\1", value[1:-1]) if "\\" in value else value[1:-1]
+        elif kind == "BAD" or (kind == "NAME" and not (value[0].isalpha() or value[0] == "_")):
+            message = "unterminated string" if value == '"' else f"unexpected character {value[0]!r}"
+            raise ParseError(message, line, col)
+        tokens.append(Token(kind, value, line, col))
     tokens.append(Token("END", "", line, end - line_start + 1))
     return tokens
 
@@ -330,61 +332,66 @@ def _word_error(text: str, pos: int, message: str = "unexpected {!r} in word", e
     return error(message.format(tok.value), tok.line, tok.col)
 
 
-def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Read the textual word syntax over a known alphabet in one pass.
+def _factor(text: str, index: int) -> re.Match:
+    """Factor ``index`` of a word, matched again for an error there."""
+    return list(_WORD_TOKEN.finditer(text))[index]
 
-    Letter codes are freely reduced onto the word being read as they come; an
-    open commutator waits on ``stack`` as the word it sits in, its left side
-    (``None`` until read) and the offset of its ``[``.
-    """
-    rank = alphabet.rank
+
+def _exponent(text: str, index: int, exp: str, size: int) -> int:
+    """The exponent ``exp`` of factor ``index`` of a word, checked for an atom of ``size`` letters."""
+    if not exp:
+        raise _word_error(text, _factor(text, index).end(), "expected integer exponent")
+    try:
+        k = int(exp)
+    except ValueError:
+        k = _int(_token_at(text, _factor(text, index).start(6)))
+    if abs(k) * size > MAX_WORD_LETTERS:
+        raise _word_error(text, _factor(text, index).start(6), f"power longer than {MAX_WORD_LETTERS} letters", InputTooLarge)
+    return k
+
+
+def parse_word(text: str, alphabet: Alphabet) -> Word:
+    """Read the textual word syntax over a known alphabet (see the module docstring).  An open commutator
+    waits on ``stack`` as the word it sits in, its left side (``None`` until read) and its ``[``'s index."""
+    ranks = alphabet.ranks
     out: list[int] = []
     stack: list[list] = []
-    pos = 0
-    while True:
-        m = _FACTOR.match(text, pos)
-        pos = m.end()
-        factor, sym, name, num, close, caret, exp = m.groups()
-        if factor is None:
-            if pos < len(text):
-                raise _word_error(text, pos)
-            if stack:
-                raise _word_error(text, pos, "expected ',' in commutator" if stack[-1][1] is None else "expected ']'")
-            return Word(alphabet, out)
-        start = m.start(1)
+    for index, (_, name, num, close, caret, exp, sym) in enumerate(_WORD_TOKEN.findall(text)):
         if name:
-            try:
-                atom = [2 * rank(name)]
-            except WordError:
-                raise _word_error(text, start, "unknown generator {!r}") from None
+            rank = ranks.get(name)
+            if rank is None:
+                raise _word_error(text, _factor(text, index).end(1), "unknown generator {!r}")
+            k = _exponent(text, index, exp, 1) if caret else 1
+            code, k = 2 * rank + (k < 0), abs(k)
+            while k and out and out[-1] == code ^ 1:  # a letter's power cancels only its inverse letter
+                out.pop()
+                k -= 1
+            if k == 1:
+                out.append(code)
+            else:
+                out += [code] * k
         elif num == "1":
-            atom = []
+            if caret:
+                _exponent(text, index, exp, 0)  # checked, though any power of the identity is the identity
         elif close and stack and stack[-1][1] is not None:
-            (out, left, start), right = stack.pop(), out
+            (out, left, opened), right = stack.pop(), out
             atom = free_reduce([*left, *right, *inverse_codes(left), *inverse_codes(right)])
+            k = _exponent(text, index, exp, len(atom)) if caret else 1
+            if atom:  # an identity atom stays one, whatever its exponent
+                free_reduce((atom if k >= 0 else inverse_codes(atom)) * abs(k), out)
         elif sym == "[":
-            stack.append([out, None, start])
+            stack.append([out, None, index])
             out = []
-            continue
         elif sym == "," and stack and stack[-1][1] is None:
             stack[-1][1], out = out, []
-            continue
-        else:  # an INT other than 1, or a ',' or ']' out of place
-            raise _word_error(text, start)
-        if caret:
-            if exp is None:
-                raise _word_error(text, pos, "expected integer exponent")
-            try:
-                k = int(exp)
-            except ValueError:
-                k = _int(_token_at(text, m.start(7)))
-            if abs(k) * len(atom) > MAX_WORD_LETTERS:
-                raise _word_error(text, m.start(7), f"power longer than {MAX_WORD_LETTERS} letters", InputTooLarge)
-            if atom:  # an identity atom stays one, whatever its exponent
-                atom = (atom if k >= 0 else inverse_codes(atom)) * abs(k)
-        free_reduce(atom, out)
+        else:  # an INT other than 1, a ',' or ']' out of place, or any other character
+            raise _word_error(text, _factor(text, index).end(1))
         if len(out) > MAX_WORD_LETTERS:
+            start = _factor(text, opened if close else index).end(1)  # a commutator's error sits at its '['
             raise _word_error(text, start, f"word longer than {MAX_WORD_LETTERS} letters", InputTooLarge)
+    if stack:
+        raise _word_error(text, len(text), "expected ',' in commutator" if stack[-1][1] is None else "expected ']'")
+    return Word(alphabet, out)
 
 
 def parse_presentation_document(text: str) -> Presentation:
@@ -582,9 +589,9 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
     trivial: dict[Presentation, tuple] = {}
 
     def triviality(p: Presentation) -> tuple:
-        if p not in trivial:
-            trivial[p] = construction.check_trivial(p, homology_invariants(p), budgets.max_cosets)
-        return trivial[p]
+        if (outcome := trivial.get(p)) is None:
+            outcome = trivial[p] = construction.check_trivial(p, homology_invariants(p), budgets.max_cosets)
+        return outcome
 
     def resolve(value: Value) -> object:
         if isinstance(value, Ref):

@@ -30,10 +30,10 @@ def _valid_name(name: str) -> bool:
 class Alphabet:
     """An ordered, duplicate-free collection of generator names.
 
-    May be empty (the alphabet of the trivial presentation).
+    May be empty (the alphabet of the trivial presentation); ``ranks`` maps each name to its rank.
     """
 
-    __slots__ = ("names", "_ranks")
+    __slots__ = ("names", "ranks")
 
     def __init__(self, names: Iterable[str] = ()):
         names = tuple(names)
@@ -45,10 +45,10 @@ class Alphabet:
                 raise WordError(f"duplicate generator name {name!r}")
             ranks[name] = len(ranks)
         self.names = names
-        self._ranks = ranks
+        self.ranks = ranks
 
     def __contains__(self, name: str) -> bool:
-        return name in self._ranks
+        return name in self.ranks
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
@@ -67,7 +67,7 @@ class Alphabet:
 
     def rank(self, name: str) -> int:
         try:
-            return self._ranks[name]
+            return self.ranks[name]
         except KeyError:
             raise WordError(f"unknown generator {name!r}") from None
 
@@ -181,9 +181,16 @@ class Word:
         return tuple(out)
 
     def __str__(self) -> str:
-        if not self._codes:
-            return "1"
-        return " ".join(n if e == 1 else f"{n}^{e}" for n, e in self.syllables)
+        """The syllables as ``g`` or ``g^e``, space separated, read off the codes in one pass."""
+        names, parts = self.alphabet.names, []
+        last, n = (self._codes or (-1,))[0], 0
+        for c in self._codes + (-1,):  # the -1 closes the last run
+            if c != last:
+                name = names[last >> 1]
+                parts.append(f"{name}^{-n}" if last & 1 else name if n == 1 else f"{name}^{n}")
+                last, n = c, 0
+            n += 1
+        return " ".join(parts) or "1"
 
     def __repr__(self) -> str:
         return f"<Word {self}>"

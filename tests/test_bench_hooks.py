@@ -1,12 +1,14 @@
 """bench/tracing.py wraps sgcalc functions by module attribute: every name it wraps must exist."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from sgcalc import construction, coset_enum, script, tietze, words
 from sgcalc.construction import assemble_x
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+X_RELATORS = Path(__file__).resolve().parent / "golden" / "x_relators.txt"
 MODULES = (construction, coset_enum, script, tietze, words)
 
 
@@ -81,3 +83,29 @@ def test_traced_presentation_script_reads_one_word_per_relator():
     assert report.verdict == "FAIL"
     assert [span[0] for span in tracer.spans].count("script.parse_word") == 3
     assert tracer.counts["words.word_objects"] == 3
+
+
+def test_traced_drop_script_records_the_work_of_its_text():
+    """The corpus median's ``drop`` shape, X less relation 1: per-layer counters measure one parse, one H1
+    and one word per relator, whatever the reader does inside."""
+    tracing = _load_tracing()
+    relators = X_RELATORS.read_text(encoding="utf-8").splitlines()[1:]
+    generators = ("x1", "y1", "s1", "t1", "x2", "y2", "s2", "t2")
+
+    def listed(items):
+        return ", ".join(f'"{item}"' for item in items)
+
+    text = f"let g = presentation(generators=[{listed(generators)}], relators=[{listed(relators)}])\ncheck trivial(g)\n"
+    tracer = tracing.Tracer()
+    tracer.counting = True
+    restore = tracing.install(tracer)
+    try:
+        report = script.execute(script.parse(text))
+    finally:
+        restore()
+    assert report.verdict == "FAIL"
+    assert report.statements[-1].data["h1_rank"] == 1
+    spans = Counter(span[0] for span in tracer.spans)
+    assert (spans["script.parse"], spans["presentations.h1"]) == (1, 1)
+    assert spans["script.parse_word"] == len(relators) == 19
+    assert tracer.counts["words.word_objects"] == 19

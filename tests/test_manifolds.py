@@ -192,6 +192,16 @@ def test_blow_up_on_g_of_a_minimal_state_flags_g():
     assert _flags(blow_up(w)) == {"G": False}
 
 
+def test_sum_keeps_a_kept_surfaces_flag_only_across_a_minimal_side():
+    """A -1 sphere of a side that is not minimal survives the sum and misses the other side's surfaces."""
+    flagged = blow_up(_minimal_block(), on_surface="H")
+    minimal = _torus_block_pair()[1]
+    assert minimal.minimality is Minimality.MINIMAL
+    assert _flags(symplectic_sum(flagged, "K", blow_up(minimal), "B", ((0, 0), (1, 1)))) == {"H": False}
+    assert _flags(symplectic_sum(flagged, "K", minimal, "B", ((0, 0), (1, 1)))) == {"H": True}
+    assert _flags(symplectic_sum(minimal, "B", flagged, "K", ((0, 0), (1, 1)))) == {"H": True}
+
+
 def test_blow_up_flags_only_the_surface_of_a_minimal_state():
     assert _flags(blow_up(_minimal_block(), on_surface="H")) == {"H": True, "K": False}
     assert _flags(blow_up(_minimal_block())) == {"H": False, "K": False}

@@ -20,10 +20,11 @@ from sgcalc.script import (
     parse_word,
     print_script,
 )
-from sgcalc.words import Alphabet, _valid_name
+from sgcalc.words import Alphabet, Word, _valid_name
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 XY = Alphabet(("x", "y"))
+NAMED = Alphabet(("x", "y", "a1", "é", "_b"))
 
 
 def _error(parser, text: str) -> ParseError:
@@ -225,3 +226,12 @@ def test_parsers_raise_only_parse_errors(text):
             parser(text)
         except ParseError:
             pass
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 2 * len(NAMED) - 1), st.integers(1, 4)), max_size=12))
+def test_a_word_prints_its_syllables_and_reads_back(runs):
+    w = Word(NAMED, [code for code, count in runs for _ in range(count)])
+    syllables = " ".join(name if e == 1 else f"{name}^{e}" for name, e in w.syllables)
+    assert str(w) == (syllables or "1")
+    assert parse_word(str(w), NAMED) == w
