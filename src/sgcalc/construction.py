@@ -21,13 +21,15 @@ simplification certify triviality independently.
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
+from functools import cache
+from typing import Callable, Mapping, Sequence
 
-from .coset_enum import MAX_COSETS, EnumResult, TrivialityCertificate, certify_trivial
+from .coset_enum import MAX_COSETS, TrivialityCertificate, certify_trivial
 from .manifolds import (
     LagrangianTorusMark,
     ManifoldError,
     ManifoldState,
+    Minimality,
     Parity,
     SurfaceMark,
     blow_up,
@@ -611,20 +613,28 @@ def presentation_dict(p: Presentation) -> dict:
     return {"generators": list(p.alphabet.names), "relators": [str(r) for r in p.relators]}
 
 
-def check_invariants(state: ManifoldState, euler: int, signature: int) -> tuple[str, str, dict]:
+class CheckRun:
+    """One run's budgets, and each presentation's H1 and enumeration, computed at most once."""
+
+    def __init__(self, max_cosets: int, tietze_budget: int = TIETZE_BUDGET):
+        self.max_cosets, self.tietze_budget = max_cosets, tietze_budget
+        # the engines are looked up when called, so wrapping them (bench/tracing.py does) reaches checks
+        self.h1 = cache(lambda p: homology_invariants(p))
+        self.enumeration = cache(lambda p: certify_trivial(p, max_cosets))
+
+
+def _expect(ok: bool, detail: str, data: dict | None = None) -> tuple:
+    return "pass" if ok else "fail", detail, {} if data is None else data, None
+
+
+def _invariants(run: CheckRun, state: ManifoldState, euler: int, signature: int) -> tuple:
     ok = (state.euler, state.signature) == (euler, signature)
-    return (
-        "pass" if ok else "fail",
-        f"(e, sigma) = ({state.euler}, {state.signature})"
-        + ("" if ok else f", expected ({euler}, {signature})"),
-        {"euler": state.euler, "signature": state.signature},
-    )
+    detail = f"(e, sigma) = ({state.euler}, {state.signature})" + ("" if ok else f", expected ({euler}, {signature})")
+    return _expect(ok, detail, {"euler": state.euler, "signature": state.signature})
 
 
-def check_trivial(
-    p: Presentation, h1: tuple[int, list[int]], max_cosets: int
-) -> tuple[str, str, dict, TrivialityCertificate | EnumResult | None]:
-    """Triviality of ``p`` given its H1; the last item is the enumeration's outcome.
+def _trivial(run: CheckRun, p: Presentation) -> tuple:
+    """Triviality of ``p``; the outcome is the enumeration's.
 
     A nonzero H1 shows the presented group nontrivial without enumerating
     (the outcome is then ``None``), and so does a closed coset table of index
@@ -635,23 +645,18 @@ def check_trivial(
     exact = p.exactness is Exactness.EXACT
     refuted = "fail" if exact else "inconclusive"
     bound = "the presented group is nontrivial ({}), but it only bounds pi1 from above"
-    rank, torsion = h1
+    rank, torsion = run.h1(p)
     if (rank, torsion) != (0, []):
         evidence = f"H1 has rank {rank} and torsion {torsion}"
-        return (
-            refuted,
-            f"refuted without enumeration: {evidence}" if exact else bound.format(evidence),
-            {"h1_rank": rank, "h1_torsion": torsion, "enumeration": "skipped"},
-            None,
-        )
-    outcome = certify_trivial(p, max_cosets)
+        detail = f"refuted without enumeration: {evidence}" if exact else bound.format(evidence)
+        return refuted, detail, {"h1_rank": rank, "h1_torsion": torsion, "enumeration": "skipped"}, None
+    outcome = run.enumeration(p)
     if not isinstance(outcome, TrivialityCertificate):
         data = {"index": outcome.index, "cosets_defined": outcome.defined}
         if outcome.index is None:
-            detail = f"coset budget of {max_cosets} exhausted ({outcome.defined} defined)"
+            detail = f"coset budget of {run.max_cosets} exhausted ({outcome.defined} defined)"
             return "inconclusive", detail, data, outcome
-        order = outcome.index
-        detail = f"refuted: the group has order {order}" if exact else bound.format(f"order {order}")
+        detail = f"refuted: the group has order {outcome.index}" if exact else bound.format(f"order {outcome.index}")
         return refuted, detail, data, outcome
     result = outcome.result
     data = {"index": 1, "cosets_defined": result.defined, "cosets_collapsed": result.collapsed}
@@ -659,32 +664,84 @@ def check_trivial(
     return "pass", detail, data, outcome
 
 
-def check_classify(
-    state: ManifoldState, trivial: tuple[str, str, dict, object]
-) -> tuple[str, str, dict, HomeoType | None]:
-    """Classify ``state`` from the result of :func:`check_trivial` on its group.
+def _classify(run: CheckRun, state: ManifoldState, expected: tuple[int, int] | None = None) -> tuple:
+    """Classify ``state`` from the triviality of its group; the outcome is the homeomorphism type.
 
-    Without a certificate the triviality check's status and detail stand:
-    a refuted group fails; an undecided one, or a surjective bound shown
-    nontrivial, is inconclusive.
+    Without a certificate the triviality check's status and detail stand: a
+    refuted group fails; an undecided one, or a surjective bound shown
+    nontrivial, is inconclusive.  An ``expected`` (b+, b-) needs an exotic note.
     """
-    status, detail, _, outcome = trivial
+    status, detail, _, outcome = _trivial(run, state.pi1)
     if not isinstance(outcome, TrivialityCertificate):
         return status, detail, {}, None
     try:
         homeo = classify(state, outcome)
     except ManifoldError as err:
         return "fail", str(err), {}, None
-    detail = f"b+ = {homeo.b_plus}, b- = {homeo.b_minus}: {homeo.description}"
-    if homeo.exotic_note:
-        detail += f" ({homeo.exotic_note})"
+    note = f" ({homeo.exotic_note})" if homeo.exotic_note else ""
+    detail = f"b+ = {homeo.b_plus}, b- = {homeo.b_minus}: {homeo.description}{note}"
+    data = {key: getattr(homeo, key) for key in ("b_plus", "b_minus", "description", "exotic_note")}
+    ok = expected is None or ((homeo.b_plus, homeo.b_minus) == expected and bool(homeo.exotic_note))
+    return "pass" if ok else "fail", detail, data, homeo
+
+
+def _h1(run: CheckRun, p: Presentation, rank: int) -> tuple:
+    """H1 is free abelian of rank ``rank``."""
+    h1 = run.h1(p)
+    return _expect(h1 == (rank, []), f"H1 = (rank {h1[0]}, torsion {h1[1]}), expected {f'Z^{rank}' if rank else 0}")
+
+
+def _simplify(run: CheckRun, p: Presentation) -> tuple:
+    """Only the empty presentation passes: a stall, like an exhausted step budget,
+    shows nothing about the group.  The outcome is the final presentation and its trace."""
+    simplified, trace = tietze_simplify(p, run.tietze_budget)
+    eliminated = trace.eliminated_generators()
     data = {
-        "b_plus": homeo.b_plus,
-        "b_minus": homeo.b_minus,
-        "description": homeo.description,
-        "exotic_note": homeo.exotic_note,
+        "steps": len(trace.steps),
+        "complete": trace.complete,
+        "eliminated": eliminated,
+        "final_generators": list(simplified.alphabet.names),
+        "final_relators": [str(r) for r in simplified.relators],
     }
-    return "pass", detail, data, homeo
+    detail = (f"reached {simplified} in {len(trace.steps)} steps, eliminating {', '.join(eliminated) or 'nothing'}"
+              if trace.complete else f"budget of {run.tietze_budget} steps exhausted")
+    return "pass" if trace.complete and simplified.is_empty() else "inconclusive", detail, data, (simplified, trace)
+
+
+def _replay(run: CheckRun, p: Presentation) -> tuple:
+    """The paper's kill order replays against ``p``'s numbered relations; the outcome is the replay."""
+    try:
+        report = replay_kill_order(p)
+    except ReplayError as err:
+        return "fail", str(err), {}, None
+    kills = [{"generator": s.generator, "relations": list(s.uses), "derivation": list(s.derivation)}
+             for s in report.steps]
+    return "pass", " -> ".join(report.killed), {"steps": kills}, report
+
+
+# The one check table of verify_main_theorem and scripts: each check's function
+# and positional (name, kind) parameters.  A function takes the run and its
+# arguments (a paper claim may add one scripts do not state), returns (status,
+# detail, data, outcome), and alone turns its engine's outcome into a status.
+CHECKS: dict[str, tuple[Callable[..., tuple], tuple[tuple[str, str], ...]]] = {
+    "trivial": (_trivial, (("target", "group"),)),
+    "invariants": (_invariants, (("target", "state"), ("e", "int"), ("sigma", "int"))),
+    "classify": (_classify, (("target", "state"),)),
+    "size": (lambda run, p, ngens, nrels: _expect((p.ngens, p.nrels) == (ngens, nrels),
+                                                  f"{p.ngens} generators, {p.nrels} relators"),
+             (("target", "group"), ("generators", "int"), ("relators", "int"))),
+    "h1": (_h1, (("target", "group"), ("rank", "int"))),
+    # minimal, and by exactly the given chain of rules (a paper-only argument)
+    "minimality": (lambda run, s, rules=None: _expect(
+                       s.minimality is Minimality.MINIMAL and rules in (None, s.minimality_rules),
+                       f"{s.minimality.value} via {'->'.join(s.minimality_rules) or 'nothing'}"),
+                   (("target", "state"),)),
+    # an odd form, as classification needs
+    "parity": (lambda run, s: _expect(s.parity is Parity.ODD, s.parity.value), (("target", "state"),)),
+    "symplectic": (lambda run, s: _expect(s.symplectic, str(s.symplectic)), (("target", "state"),)),
+    "simplify": (_simplify, (("target", "group"),)),
+    "replay": (_replay, (("target", "group"),)),
+}
 
 
 class ConstructionReport(Report):
@@ -762,105 +819,63 @@ class ConstructionReport(Report):
         )
 
 
+# The paper's claims: statement, check, block and the check's arguments; only
+# the paper expects the chain R1 -> R2 -> R3 and (b+, b-) = (1, 3), noted exotic.
+CLAIMS: tuple[tuple, ...] = (
+    ("invariants V", "invariants", "V", 0, 0),
+    ("invariants W", "invariants", "W", 2, -2),
+    ("invariants P", "invariants", "P", 0, 0),
+    ("invariants X", "invariants", "X", 6, -2),
+    ("presentation size X", "size", "X", 8, 20),
+    ("H1 V", "h1", "V", 2),
+    ("H1 X", "h1", "X", 0),
+    ("minimality X", "minimality", "X", ("R1", "R2", "R3")),
+    ("parity X", "parity", "X"),
+    ("symplectic X", "symplectic", "X"),
+    ("coset enumeration", "trivial", "X"),
+    ("simplification", "simplify", "X"),
+    ("kill-order replay", "replay", "X"),
+    ("classification", "classify", "X", (1, 3)),
+)
+
+
 def verify_main_theorem(
     max_cosets: int = MAX_COSETS, tietze_budget: int = TIETZE_BUDGET
 ) -> ConstructionReport:
-    """Run the whole construction and verify every numbered claim.
+    """Run the whole construction and verify every claim of :data:`CLAIMS` through :data:`CHECKS`.
 
     Triviality of the final group is certified two independent ways (coset
     enumeration and generic simplification) and cross-checked against the
-    scripted kill-order.  The verdict follows :func:`verdict_of`: any failed
-    check makes it FAIL, and an exhausted budget makes it INCONCLUSIVE,
-    never PASS.  Each check's evidence is its statement's ``data``.
+    scripted kill-order.  The verdict follows :func:`verdict_of`: a failed check
+    makes it FAIL; an exhausted budget or a stalled simplification, INCONCLUSIVE.
     """
-    checks: list[StatementResult] = []
-
-    def check(name: str, status: str, detail: str, data: dict | None = None) -> None:
-        checks.append(StatementResult(len(checks), name, status, detail, data or {}))
-
-    def expect(name: str, ok: bool, detail: str, data: dict | None = None) -> None:
-        check(name, "pass" if ok else "fail", detail, data)
-
     x = assemble_x()
-    built = {b.name: b for b in x.blocks}
-    blocks = (built["V"], built["W"], built["P"])
-
-    for state, e, sig in zip(blocks + (x.state,), (0, 2, 0, 6), (0, -2, 0, -2)):
-        check(f"invariants {state.name}", *check_invariants(state, e, sig))
-    expect(
-        "presentation size X",
-        x.state.pi1.ngens == 8 and x.state.pi1.nrels == 20,
-        f"{x.state.pi1.ngens} generators, {x.state.pi1.nrels} relators",
-    )
-    h1v = homology_invariants(built["V"].pi1)
-    expect("H1 V", h1v == (2, []), f"H1 = (rank {h1v[0]}, torsion {h1v[1]}), expected Z^2")
-    h1x = homology_invariants(x.state.pi1)
-    expect("H1 X", h1x == (0, []), f"H1 = (rank {h1x[0]}, torsion {h1x[1]}), expected 0")
-    expect(
-        "minimality X",
-        x.state.minimality_rules == ("R1", "R2", "R3"),
-        f"{x.state.minimality.value} via {'->'.join(x.state.minimality_rules) or 'nothing'}",
-    )
-    expect("parity X", x.state.parity is Parity.ODD, x.state.parity.value)
-    expect("symplectic X", x.state.symplectic, str(x.state.symplectic))
-
-    trivial = check_trivial(x.state.pi1, h1x, max_cosets)
-    check("coset enumeration", *trivial[:3])
-    certificate = trivial[3] if isinstance(trivial[3], TrivialityCertificate) else None
-
-    simplified, trace = tietze_simplify(x.state.pi1, tietze_budget)
-    progress = {
-        "steps": len(trace.steps),
-        "complete": trace.complete,
-        "eliminated": trace.eliminated_generators(),
-        "final_generators": list(simplified.alphabet.names),
-        "final_relators": [str(r) for r in simplified.relators],
-    }
-    if not trace.complete:
-        check("simplification", "inconclusive", f"budget of {tietze_budget} steps exhausted", progress)
-    else:
-        expect(
-            "simplification",
-            simplified.is_empty(),
-            f"reached {simplified} in {len(trace.steps)} steps, eliminating "
-            f"{', '.join(trace.eliminated_generators())}",
-            progress,
-        )
-
-    replay_report = None
-    try:
-        replay_report = replay_kill_order(x.state.pi1)
-        kills = [
-            {"generator": s.generator, "relations": list(s.uses), "derivation": list(s.derivation)}
-            for s in replay_report.steps
-        ]
-        check("kill-order replay", "pass", " -> ".join(replay_report.killed), {"steps": kills})
-    except ReplayError as err:
-        check("kill-order replay", "fail", str(err))
-
-    status, detail, data, homeo = check_classify(x.state, trivial)
-    if homeo is not None and ((homeo.b_plus, homeo.b_minus) != (1, 3) or not homeo.exotic_note):
-        status = "fail"
-    check("classification", status, detail, data)
-
+    states = {s.name: s for s in x.blocks + (x.state,)}
+    run = CheckRun(max_cosets, tietze_budget)
+    statements, outcomes = [], {}
+    for index, (text, name, block, *args) in enumerate(CLAIMS):
+        function, params = CHECKS[name]
+        target = states[block] if params[0][1] == "state" else states[block].pi1
+        status, detail, data, outcomes[name] = function(run, target, *args)
+        statements.append(StatementResult(index, text, status, detail, data))
+    simplified, trace = outcomes["simplify"]
     commutations = commutation_status(complement_data())
     assumptions = tuple(
         f"torus {torus} triple ({label}): {status}"
         for (torus, label), status in sorted(commutations.items())
         if status != "proved"
     )
-
     return ConstructionReport(
-        statements=tuple(checks),
-        verdict=verdict_of(checks),
+        statements=tuple(statements),
+        verdict=verdict_of(statements),
         budgets={"max_cosets": max_cosets, "tietze_budget": tietze_budget},
-        blocks=blocks,
+        blocks=(states["V"], states["W"], states["P"]),
         state=x.state,
         surgeries=x.surgeries,
-        certificate=certificate,
+        certificate=outcomes["trivial"] if isinstance(outcomes["trivial"], TrivialityCertificate) else None,
         trace=trace,
         simplified=simplified,
-        replay=replay_report,
-        homeo=homeo,
+        replay=outcomes["replay"],
+        homeo=outcomes["classify"],
         assumptions=assumptions,
     )

@@ -203,10 +203,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     any diagonal into the chain of invariant factors.
     """
     m = [list(map(int, row)) for row in matrix]
-    if not m or not m[0]:
-        return []
-    cols = len(m[0])
-    if any(len(row) != cols for row in m):
+    cols = len(m[0]) if m else 0
+    if any(len(row) != cols for row in m):  # every row: an empty first row hides no other
         raise ValueError("ragged matrix")
     m = [row for row in m if any(row)]  # a zero row adds no invariant factor
     rows = len(m)

@@ -8,9 +8,10 @@ Script grammar (``.sgc`` files)::
     args   := arg (',' arg)*
     arg    := NAME '=' value
     value  := ID | INT | STRING | '[' value (',' value)* ']'
-    check  := 'trivial' '(' ID ')'
-            | 'invariants' '(' ID ',' INT ',' INT ')'
-            | 'classify' '(' ID ')'
+    check  := ('trivial' | 'classify' | 'minimality' | 'parity' | 'symplectic'
+               | 'simplify' | 'replay') '(' ID ')'
+            | 'h1' '(' ID ',' INT ')'
+            | ('invariants' | 'size') '(' ID ',' INT ',' INT ')'
 
 Quoted strings hold words over a known alphabet, read by their own reader
 (``parse_word``) with the script's token rules: one regex pass splits a word
@@ -30,10 +31,10 @@ stays on one line, and ``\\`` escapes the next character; the symbols are
 end of the line (in a word it is an unexpected character), and columns count
 characters from the start of the line.
 
-Checks run with the abelianization short-circuit: a nonzero H1 shows the
-group nontrivial without touching the enumerator.  That refutes triviality
-of an exact presentation only; for a surjective bound it is inconclusive, as
-an exhausted coset budget is, never a pass or a fail.
+Checks (``construction.CHECKS``, which ``verify-paper`` runs too) use H1 first:
+a nonzero H1 shows the group nontrivial without enumerating, which refutes
+triviality of an exact presentation only.  A surjective bound shown nontrivial,
+an exhausted budget or a stalled simplification is inconclusive, never a fail.
 """
 
 from __future__ import annotations
@@ -45,10 +46,11 @@ from . import construction
 from .construction import Report, StatementResult, presentation_dict, verdict_of
 from .coset_enum import MAX_COSETS, check_max_cosets
 from .manifolds import ManifoldError, ManifoldState, blow_up
-# The checks call these through construction; they stay attributes of this
-# module because bench/tracing.py wraps them here.
+# The checks call these three through construction; they stay attributes of
+# this module only because bench/tracing.py wraps them here.
 from .coset_enum import certify_trivial  # noqa: F401
 from .manifolds import classify  # noqa: F401
+from .presentations import homology_invariants  # noqa: F401
 from .manifolds import luttinger as _luttinger
 from .manifolds import resolve_intersection as _resolve
 from .manifolds import symplectic_sum as _sum
@@ -56,7 +58,6 @@ from .presentations import (
     Exactness,
     Presentation,
     PresentationError,
-    homology_invariants,
     quotient_by,
 )
 from .records import Record, setfield, setfields
@@ -174,7 +175,7 @@ class Check(Record):
     __slots__ = ("kind", "args", "line")
 
     def __init__(self, kind: str, args: tuple[Value, ...], line: int):
-        setfield(self, "kind", kind)  # trivial | invariants | classify
+        setfield(self, "kind", kind)  # a check of construction.CHECKS
         setfield(self, "args", args)
         setfield(self, "line", line)
 
@@ -258,7 +259,7 @@ class _Parser:
             raise ParseError(f"unknown check {kind.value!r}", kind.line, kind.col)
         self.expect("SYM", "(")
         args: list[Value] = []
-        for i, (_, param_kind) in enumerate(TABLE["check"][kind.value]):
+        for i, (_, param_kind) in enumerate(TABLE["check"][kind.value][1]):
             if i:
                 self.expect("SYM", ",")
             if param_kind == "int":
@@ -510,10 +511,9 @@ def _presentation(generators: list, relators: list, exactness: str) -> Presentat
 
 
 # The script's one table: each operation's function and its (keyword, kind[,
-# default]) parameters, and each check's positional (name, kind) parameters.
-# A "group" is a presentation or a manifold state standing for its group.
-# The lambdas look their functions up at call time, so that wrapping a module
-# attribute (bench/tracing.py does) reaches scripts too.
+# default]) parameters, and the checks (construction.CHECKS).  A "group" is a
+# presentation or a state standing for its group.  The lambdas look their
+# functions up at call time, so wrapping a module attribute reaches scripts too.
 TABLE: dict[str, dict[str, tuple]] = {
     "let": {
         "presentation": (_presentation, (("generators", "list"), ("relators", "list", []), ("exactness", "string", "exact"))),
@@ -526,11 +526,7 @@ TABLE: dict[str, dict[str, tuple]] = {
         "symplectic_sum": (_symplectic_sum, (("a", "state"), ("surf_a", "string"), ("b", "state"),
                                              ("surf_b", "string"), ("pairing", "list"))),
     },
-    "check": {
-        "trivial": (("target", "group"),),
-        "invariants": (("target", "state"), ("e", "int"), ("sigma", "int")),
-        "classify": (("target", "state"),),
-    },
+    "check": construction.CHECKS,
 }
 for _block in ("V", "W", "P1", "P2", "P", "X"):
     TABLE["let"][f"build_{_block}"] = (getattr(construction, f"build_{_block.lower()}"), ())
@@ -580,18 +576,13 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
 
     The first failed check (or runtime error) aborts execution; an
     inconclusive check downgrades the verdict but does not abort.  Each
-    presentation's triviality is checked once per call: ``check classify``
-    reuses the certificate of an earlier ``check trivial``.
+    presentation's H1 and enumeration are computed once per call (one
+    ``CheckRun``): ``check classify`` reuses the certificate of ``check trivial``.
     """
     texts = [print_statement(stmt) for stmt in script.statements]
     env: dict[str, object] = {}
     results: list[StatementResult] = []
-    trivial: dict[Presentation, tuple] = {}
-
-    def triviality(p: Presentation) -> tuple:
-        if (outcome := trivial.get(p)) is None:
-            outcome = trivial[p] = construction.check_trivial(p, homology_invariants(p), budgets.max_cosets)
-        return outcome
+    run = construction.CheckRun(budgets.max_cosets)
 
     def resolve(value: Value) -> object:
         if isinstance(value, Ref):
@@ -610,27 +601,23 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
                 if stmt.op not in TABLE["let"]:
                     raise ScriptRuntimeError(f"unknown operation {stmt.op!r}")
                 function, params = TABLE["let"][stmt.op]
-                try:
-                    result = function(*_bind(stmt.op, params, stmt.args, resolve))
-                except (ManifoldError, PresentationError, WordError) as err:
-                    raise ScriptRuntimeError(str(err)) from None
-                env[stmt.name] = result
-                results.append(StatementResult(index, text, "ok", *_summary(result)))
-                continue
-            params = TABLE["check"].get(stmt.kind)
-            if params is None:
-                raise ScriptRuntimeError(f"unknown check {stmt.kind!r}")
-            if len(stmt.args) != len(params):
-                raise ScriptRuntimeError(f"check {stmt.kind} takes {len(params)} argument(s), got {len(stmt.args)}")
-            target, *numbers = _bind(stmt.kind, params, zip([p[0] for p in params], stmt.args), resolve)
-            if stmt.kind == "trivial":
-                status, detail, data, _ = triviality(target)
-            elif stmt.kind == "invariants":
-                status, detail, data = construction.check_invariants(target, *numbers)
+                args = _bind(stmt.op, params, stmt.args, resolve)
             else:
-                status, detail, data, _ = construction.check_classify(target, triviality(target.pi1))
-            results.append(StatementResult(index, text, status, detail, data))
-            if status == "fail":
+                if stmt.kind not in TABLE["check"]:
+                    raise ScriptRuntimeError(f"unknown check {stmt.kind!r}")
+                function, params = TABLE["check"][stmt.kind]
+                if len(stmt.args) != len(params):
+                    raise ScriptRuntimeError(f"check {stmt.kind} takes {len(params)} argument(s), got {len(stmt.args)}")
+                args = [run, *_bind(stmt.kind, params, zip([p[0] for p in params], stmt.args), resolve)]
+            try:
+                result = function(*args)
+            except (ManifoldError, PresentationError, WordError) as err:
+                raise ScriptRuntimeError(str(err)) from None
+            if isinstance(stmt, Let):
+                env[stmt.name] = result
+                result = ("ok", *_summary(result))
+            results.append(StatementResult(index, text, *result[:3]))
+            if result[0] == "fail":
                 break
         except ScriptRuntimeError as err:
             results.append(StatementResult(index, text, "error", str(err)))

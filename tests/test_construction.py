@@ -7,6 +7,7 @@ import pytest
 
 from sgcalc import construction
 from sgcalc.construction import (
+    CHECKS,
     KILL_SCRIPT,
     KillStep,
     ReplayError,
@@ -22,8 +23,7 @@ from sgcalc.construction import (
     build_v,
     build_w,
     build_x,
-    check_classify,
-    check_trivial,
+    CheckRun,
     commutation_status,
     complement_data,
     isolate_direction,
@@ -469,7 +469,27 @@ def test_verify_report_dict_is_serializable():
 
 
 def test_classification_fails_for_a_trivial_group_without_an_odd_form():
-    state = build_x().replace(parity=Parity.EVEN)
-    trivial = check_trivial(state.pi1, homology_invariants(state.pi1), MAX_COSETS)
-    assert trivial[0] == "pass"
-    assert check_classify(state, trivial) == ("fail", "only odd intersection forms are classified here", {}, None)
+    state, run = build_x().replace(parity=Parity.EVEN), CheckRun(MAX_COSETS)
+    assert CHECKS["trivial"][0](run, state.pi1)[0] == "pass"
+    assert CHECKS["classify"][0](run, state) == ("fail", "only odd intersection forms are classified here", {}, None)
+
+
+def test_a_stalled_simplification_of_a_certified_trivial_group_is_inconclusive(monkeypatch):
+    # The all-(+1) member of the surgery-sign family: HLT certifies X trivial
+    # and the kill order replays, but Tietze stalls short of the empty
+    # presentation.  A stall shows nothing about the group.
+    v = construction._surgery_block(
+        "V", ("s1", "t1", "s2", "t2"), images=(("s1", 1), ("t1", 1), ("s2", 1), ("t2", 1)),
+        closed=(("x", "y"), ("a", "b")), plan=(("T1", 1, 0, 1), ("T2", 0, 1, 1)),
+        marks=(("H", "s1", "t1"), ("K", "s2", "t2")), closures_first=True,
+    )
+    p2 = construction._closed_first_block(2, (("T1", 0, 1, 1), ("T2", 1, 0, 1)))
+    monkeypatch.setattr(construction, "assemble_v", lambda: v)
+    monkeypatch.setattr(construction, "assemble_p2", lambda: p2)
+    report = verify_main_theorem()
+    statuses = {s.text: s.status for s in report.statements}
+    assert report.verdict == "INCONCLUSIVE"
+    assert {text for text, status in statuses.items() if status != "pass"} == {"simplification"}
+    assert statuses["simplification"] == "inconclusive"
+    assert report.trace.complete and not report.simplified.is_empty()
+    assert report.certificate is not None and report.replay is not None and report.homeo is not None

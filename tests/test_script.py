@@ -7,6 +7,7 @@ import pytest
 
 from sgcalc import construction, script
 from sgcalc.cli import main
+from sgcalc.construction import verify_main_theorem
 from sgcalc.coset_enum import MAX_COSETS, MAX_COSETS_CEILING, EnumerationError
 from sgcalc.presentations import Exactness, Presentation
 from sgcalc.script import (
@@ -285,6 +286,34 @@ def test_execute_stops_at_first_failed_check():
     report = execute(script, FAST)
     assert report.verdict == "FAIL"
     assert len(report.statements) == 2  # the second check never ran
+
+
+def test_a_stalled_simplification_is_inconclusive_not_a_refutation(tmp_path):
+    # AK(3) is trivial (HLT certifies it) but Tietze moves stall on it
+    path = tmp_path / "ak3.sgc"
+    path.write_text(
+        'let g = presentation(generators=["x", "y"], relators=["x^3 y^-4", "x y x y^-1 x^-1 y^-1"])\n'
+        "check trivial(g)\ncheck simplify(g)\n",
+        encoding="utf-8",
+    )
+    report = execute(parse(path.read_text(encoding="utf-8")), FAST)
+    assert [s.status for s in report.statements[1:]] == ["pass", "inconclusive"]
+    assert report.statements[2].data["complete"] and report.statements[2].data["final_generators"]
+    assert main(["run", str(path)]) == 2
+
+
+def test_a_script_runs_every_check_the_paper_runs():
+    assert TABLE["check"] is construction.CHECKS
+    assert {name for _, name, *_ in construction.CLAIMS} <= set(TABLE["check"])
+    lines = [f"let {block} = build_{block}()" for block in ("V", "W", "P", "X")]
+    for _, name, block, *args in construction.CLAIMS:
+        given = args[: len(TABLE["check"][name][1]) - 1]  # the paper's own expectations are not script arguments
+        lines.append(f"check {name}({', '.join([block, *map(str, given)])})")
+    scripted = execute(parse("\n".join(lines))).statements[4:]
+    paper = verify_main_theorem().statements
+    assert len(scripted) == len(paper) == len(construction.CLAIMS)
+    for s, p in zip(scripted, paper):
+        assert (s.status, s.detail, s.data) == (p.status, p.detail, p.data), p.text
 
 
 def test_execute_runtime_errors_carry_statement_index():
@@ -650,7 +679,7 @@ def _operation_cases():
 
 
 def _check_cases():
-    for check, params in TABLE["check"].items():
+    for check, (_, params) in TABLE["check"].items():
         good, n = [GOOD[kind] for _, kind in params], len(params)
         arity = f"check {check} takes {n} argument(s), got"
         yield pytest.param(check, good + [1], f"{arity} {n + 1}", id=f"{check}-extra")
@@ -682,9 +711,8 @@ def test_operation_argument_errors_are_reported_before_the_call(monkeypatch, op,
 @pytest.mark.parametrize("check,args,message", list(_check_cases()))
 def test_check_argument_errors_are_reported_before_the_check(monkeypatch, check, args, message):
     calls = []
-    for name in ("check_trivial", "check_invariants", "check_classify"):
-        original = getattr(construction, name)
-        monkeypatch.setattr(construction, name, lambda *a, _f=original: calls.append(a) or _f(*a))
+    for name, (function, params) in TABLE["check"].items():
+        monkeypatch.setitem(TABLE["check"], name, (lambda *a, _f=function: calls.append(a) or _f(*a), params))
     assert _error_of(Check(check, tuple(args), 3), calls) == (message, 0)
 
 
@@ -750,6 +778,6 @@ def test_readme_reference_names_exactly_the_table():
         assert m, f"not a reference line: {line!r}"
         documented[(bool(m.group(1)), m.group(2))] = line
     declared = {(False, op): _reference_line(op, params, False) for op, (_, params) in TABLE["let"].items()}
-    declared.update({(True, c): _reference_line(c, params, True) for c, params in TABLE["check"].items()})
+    declared.update({(True, c): _reference_line(c, params, True) for c, (_, params) in TABLE["check"].items()})
     assert sorted(documented) == sorted(declared)
     assert documented == declared
