@@ -21,10 +21,9 @@ simplification certify triviality independently.
 from __future__ import annotations
 
 import json
-from functools import cache
 from typing import Callable, Mapping, Sequence
 
-from .coset_enum import MAX_COSETS, TrivialityCertificate, certify_trivial
+from .coset_enum import MAX_COSETS, EnumResult, TrivialityCertificate, certify_trivial
 from .manifolds import (
     LagrangianTorusMark,
     ManifoldError,
@@ -618,9 +617,21 @@ class CheckRun:
 
     def __init__(self, max_cosets: int, tietze_budget: int = TIETZE_BUDGET):
         self.max_cosets, self.tietze_budget = max_cosets, tietze_budget
-        # the engines are looked up when called, so wrapping them (bench/tracing.py does) reaches checks
-        self.h1 = cache(lambda p: homology_invariants(p))
-        self.enumeration = cache(lambda p: certify_trivial(p, max_cosets))
+        self._h1: dict[Presentation, tuple[int, list[int]]] = {}
+        self._enumerations: dict[Presentation, TrivialityCertificate | EnumResult] = {}
+
+    # the engines are looked up when called, so wrapping them (bench/tracing.py does) reaches checks
+    def h1(self, p: Presentation) -> tuple[int, list[int]]:
+        h1 = self._h1.get(p)
+        if h1 is None:
+            h1 = self._h1[p] = homology_invariants(p)
+        return h1
+
+    def enumeration(self, p: Presentation) -> TrivialityCertificate | EnumResult:
+        outcome = self._enumerations.get(p)
+        if outcome is None:
+            outcome = self._enumerations[p] = certify_trivial(p, self.max_cosets)
+        return outcome
 
 
 def _expect(ok: bool, detail: str, data: dict | None = None) -> tuple:
@@ -631,6 +642,11 @@ def _invariants(run: CheckRun, state: ManifoldState, euler: int, signature: int)
     ok = (state.euler, state.signature) == (euler, signature)
     detail = f"(e, sigma) = ({state.euler}, {state.signature})" + ("" if ok else f", expected ({euler}, {signature})")
     return _expect(ok, detail, {"euler": state.euler, "signature": state.signature})
+
+
+def _size(run: CheckRun, p: Presentation, ngens: int, nrels: int) -> tuple:
+    ok = (p.ngens, p.nrels) == (ngens, nrels)
+    return _expect(ok, f"{p.ngens} generators, {p.nrels} relators" + ("" if ok else f", expected ({ngens}, {nrels})"))
 
 
 def _trivial(run: CheckRun, p: Presentation) -> tuple:
@@ -727,9 +743,7 @@ CHECKS: dict[str, tuple[Callable[..., tuple], tuple[tuple[str, str], ...]]] = {
     "trivial": (_trivial, (("target", "group"),)),
     "invariants": (_invariants, (("target", "state"), ("e", "int"), ("sigma", "int"))),
     "classify": (_classify, (("target", "state"),)),
-    "size": (lambda run, p, ngens, nrels: _expect((p.ngens, p.nrels) == (ngens, nrels),
-                                                  f"{p.ngens} generators, {p.nrels} relators"),
-             (("target", "group"), ("generators", "int"), ("relators", "int"))),
+    "size": (_size, (("target", "group"), ("generators", "int"), ("relators", "int"))),
     "h1": (_h1, (("target", "group"), ("rank", "int"))),
     # minimal, and by exactly the given chain of rules (a paper-only argument)
     "minimality": (lambda run, s, rules=None: _expect(

@@ -15,18 +15,22 @@ ties broken by generator declaration order, so traces are stable across
 runs.  Every step carries enough data to be re-applied from scratch;
 ``replay`` recomputes the whole derivation and is used to validate traces.
 
-The state holds each relator as its tuple of letter codes.  What the step
-search reads off a relator is derived once per distinct tuple: its cyclic
-reduction prefix, its ``relator_key`` (duplicates share it), its code string
-and its inverse's (shortening chunks are found by substring search), the
-generators that occur in it once, and the relators found not to shorten it.
-``CyclicReduce`` and ``Shorten`` change one relator, so only that one is
-derived afresh; the removals change none; ``Eliminate`` renumbers the codes,
-so every relator is.  ``Word``s are built only for step records, the result
-and the duplicate re-check.  Applying a step, during simplification and in
-``replay`` alike, re-checks it: every index in range, a duplicate against
-``rotations`` of another relator, a shortening letter by letter against
-another relator.
+The state holds each relator as its tuple of letter codes over the
+initial alphabet: an ``Eliminate`` substitutes its definition into the
+relators that hold the generator and leaves every other code as it is, and
+codes are translated into the current alphabet only where a ``Word`` is
+built (step records, re-checks and the result).  Beside each relator the
+state keeps what the step search reads off it: its cyclic reduction
+prefix, its code string and its inverse's (shortening chunks are found by
+substring search), its signature (its generators, sorted), the generators
+that occur in it once, and the relators found not to shorten it.  These
+are derived again only for a relator a step changed.  Duplicates are
+looked for among relators of equal signature, whose ``relator_key``s
+(Booth's least rotation, linear in the length) are found only then and kept.
+Applying a step, during simplification and in ``replay`` alike, re-checks
+it: every index in range, a duplicate as a rotation of another relator or
+of its inverse (a substring of it written twice), a shortening letter by
+letter against another relator.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
 from .records import Record, setfield, setfields
-from .words import Word, _core_key, _cyclic_reduction, free_reduce, inverse_codes, rotations
+from .words import Word, _cyclic_reduction, _least_rotated, free_reduce, inverse_codes
+from .words import rotations  # noqa: F401  unused here; bench/tracing.py wraps tietze.rotations by name
 
 
 # Default cap on the recorded steps of one simplification.
@@ -108,19 +113,29 @@ class DerivationTrace(Record):
 
 
 class _Relator:
-    """What the step search reads off one relator's letter codes."""
+    """What the step search reads off one relator, held as a string of its
+    letter codes over the initial alphabet."""
 
-    __slots__ = ("cut", "key", "text", "inverse_text", "singles", "unmatched")
+    __slots__ = ("cut", "text", "inverse_text", "signature", "singles", "unmatched", "_key")
 
-    def __init__(self, codes: tuple[int, ...]):
-        prefix, core = _cyclic_reduction(codes)
-        self.cut = len(prefix)  # letters cyclic reduction cuts from each end
-        self.key = None if prefix else _core_key(core)
+    def __init__(self, codes: tuple[int, ...], bases: list[str], inverses: list[str]):
+        self.cut = len(_cyclic_reduction(codes)[0])  # letters cyclic reduction cuts from each end
         # letter codes as strings, so shortening chunks are found with str.find
         self.text = "".join(map(chr, codes))
-        self.inverse_text = "".join(map(chr, inverse_codes(codes)))
-        self.singles = [rank for rank, n in Counter(c >> 1 for c in codes).items() if n == 1]
+        self.inverse_text = self.text[::-1].translate(inverses)
+        # the generators, sorted: equal for a relator's rotations and inverse
+        letters = self.text.translate(bases)
+        self.signature = "".join(sorted(letters))
+        self.singles = [ord(b) for b, n in Counter(letters).items() if n == 1]
         self.unmatched: set[str] = set()  # texts of relators found not to shorten this one
+        self._key: str | None = None
+
+    def key(self) -> str:
+        """The cyclically reduced relator's ``relator_key``, as a string; found
+        only for a relator that shares its signature with another."""
+        if self._key is None:
+            self._key = min(_least_rotated(self.text), _least_rotated(self.inverse_text))
+        return self._key
 
 
 _INDEX_FIELDS = ("relator_index", "kept_index", "target", "other")
@@ -128,21 +143,43 @@ _INDEX_FIELDS = ("relator_index", "kept_index", "target", "other")
 
 class _State:
     """A presentation being simplified: each relator as its tuple of letter
-    codes, with the ``_Relator`` of each distinct tuple computed once and
-    forgotten when an ``Eliminate`` renumbers the codes."""
+    codes over the initial alphabet, and beside it its ``_Relator``, derived
+    when first read and again only after a step changes the relator."""
 
     def __init__(self, p: Presentation):
-        self.alphabet = p.alphabet
+        self.alphabet = self.initial = p.alphabet
         self.relators = [tuple(r.codes()) for r in p.relators]
+        self.facts: list[_Relator | None] = [None] * len(self.relators)
         self.exactness = p.exactness
-        self._derived: dict[tuple[int, ...], _Relator] = {}
+        codes = range(2 * len(p.alphabet))
+        self._to_current = list(codes)  # an initial code's current code
+        self._to_initial = list(codes)  # a current code's initial code
+        # str.translate tables: a letter's generator, and its inverse letter
+        self._bases = [chr(c >> 1) for c in codes]
+        self._inverses = [chr(c ^ 1) for c in codes]
+
+    def word(self, codes: Sequence[int]) -> Word:
+        """The word of initial-alphabet ``codes`` over the current alphabet."""
+        to_current = self._to_current
+        return Word(self.alphabet, [to_current[c] for c in codes])
 
     def presentation(self) -> Presentation:
-        return Presentation(self.alphabet, tuple(Word(self.alphabet, r) for r in self.relators), self.exactness)
+        return Presentation(self.alphabet, tuple(map(self.word, self.relators)), self.exactness)
+
+    def fact(self, i: int) -> _Relator:
+        f = self.facts[i]
+        if f is None:
+            f = self.facts[i] = _Relator(self.relators[i], self._bases, self._inverses)
+        return f
 
     def derived(self) -> list[_Relator]:
-        table = self._derived
-        return [table[r] if r in table else table.setdefault(r, _Relator(r)) for r in self.relators]
+        return [self.fact(i) if f is None else f for i, f in enumerate(self.facts)]
+
+    def remove(self, i: int) -> None:
+        del self.relators[i], self.facts[i]
+
+    def replace(self, i: int, codes: tuple[int, ...]) -> None:
+        self.relators[i], self.facts[i] = codes, None
 
     def apply(self, step: TietzeStep) -> None:
         relators = self.relators
@@ -151,33 +188,40 @@ class _State:
         if isinstance(step, RemoveTrivial):
             if relators[step.relator_index]:
                 raise PresentationError("replay: relator is not trivial")
-            del relators[step.relator_index]
+            self.remove(step.relator_index)
         elif isinstance(step, RemoveDuplicate):
-            i, j = step.relator_index, step.kept_index
-            # a brute-force re-check on Words built for it: bench/tracing.py
-            # wraps ``tietze.rotations`` by name, so it must stay the check
-            r, kept = Word(self.alphabet, relators[i]), Word(self.alphabet, relators[j])
-            if i == j or (r not in rotations(kept) and r not in rotations(~kept)):
+            # a rotation of the kept relator or of its inverse: a substring
+            # of it, or of its inverse, written twice, and of its length
+            r, kept = self.fact(step.relator_index).text, self.fact(step.kept_index)
+            if step.relator_index == step.kept_index or len(r) != len(kept.text) or (
+                r not in kept.text * 2 and r not in kept.inverse_text * 2
+            ):
                 raise PresentationError("replay: relator is not a duplicate of another")
-            del relators[i]
+            self.remove(step.relator_index)
         elif isinstance(step, CyclicReduce):
             prefix, core = _cyclic_reduction(relators[step.relator_index])
-            if Word(self.alphabet, prefix) != step.prefix:
+            if self.word(prefix) != step.prefix:
                 raise PresentationError("replay: cyclic reduction mismatch")
-            relators[step.relator_index] = core
+            self.replace(step.relator_index, core)
         elif isinstance(step, Eliminate):
-            definition = solve_relator(Word(self.alphabet, relators[step.relator_index]), step.gen)
+            definition = solve_relator(self.word(relators[step.relator_index]), step.gen)
             if definition != step.definition:
                 raise PresentationError("replay: eliminated definition mismatch")
-            # renumber the codes past the eliminated generator's
-            dropped = 2 * self.alphabet.rank(step.gen)
-            image = [(c if c < dropped else c - 2,) for c in range(2 * len(self.alphabet))]
-            image[dropped] = tuple(c if c < dropped else c - 2 for c in definition.codes())
-            image[dropped + 1] = inverse_codes(image[dropped])
-            del relators[step.relator_index]
-            self.relators = [tuple(free_reduce(x for c in r for x in image[c])) for r in relators]
+            # the definition goes into the relators that hold the generator;
+            # every other relator keeps its codes and its facts
+            to_initial, to_current = self._to_initial, self._to_current
+            code = 2 * self.initial.rank(step.gen)
+            image = {code: tuple(to_initial[c] for c in definition.codes())}
+            image[code + 1] = inverse_codes(image[code])
+            self.remove(step.relator_index)
+            for i, r in enumerate(relators):
+                if code in r or code + 1 in r:
+                    self.replace(i, tuple(free_reduce(x for c in r for x in image.get(c, (c,)))))
             self.alphabet = self.alphabet.without(step.gen)
-            self._derived = {}
+            del to_initial[to_current[code] : to_current[code] + 2]
+            to_current[code] = to_current[code + 1] = -1  # no Word may hold it now
+            for at, c in enumerate(to_initial):
+                to_current[c] = at
         elif isinstance(step, Shorten):
             t, other = relators[step.target], relators[step.other]
             n, rotation, at, overlap = len(other), step.rotation, step.position, step.overlap
@@ -189,7 +233,7 @@ class _State:
             src = src[rotation:] + src[:rotation]
             if t[at : at + overlap] != src[:overlap]:
                 raise PresentationError("replay: overlap does not match")
-            relators[step.target] = tuple(free_reduce(t[:at] + inverse_codes(src[overlap:]) + t[at + overlap :]))
+            self.replace(step.target, tuple(free_reduce(t[:at] + inverse_codes(src[overlap:]) + t[at + overlap :])))
         else:
             raise PresentationError(f"unknown step {step!r}")
 
@@ -219,35 +263,45 @@ def _find_shortening(derived: Sequence[_Relator]) -> Shorten | None:
 
 def _find_elimination(state: _State, derived: Sequence[_Relator]) -> Eliminate | None:
     # shortest definition first; ties eliminate the latest-declared
-    # generator, so earlier-declared names survive
+    # generator, so earlier-declared names survive (initial ranks keep the
+    # current ranks' order)
     best = min(
-        ((len(r) - 1, -rank, idx) for idx, r in enumerate(state.relators) for rank in derived[idx].singles),
+        ((len(d.text) - 1, -rank, idx) for idx, d in enumerate(derived) for rank in d.singles),
         default=None,
     )
     if best is None:
         return None
-    gen, idx = state.alphabet.names[-best[1]], best[2]
-    return Eliminate(gen, idx, solve_relator(Word(state.alphabet, state.relators[idx]), gen))
+    gen, idx = state.initial.names[-best[1]], best[2]
+    return Eliminate(gen, idx, solve_relator(state.word(state.relators[idx]), gen))
+
+
+def _find_duplicate(derived: Sequence[_Relator]) -> RemoveDuplicate | None:
+    # on cyclically reduced, nontrivial relators, being a rotation of another
+    # or of its inverse is key equality; keys are found only where
+    # signatures, which equal keys imply, collide
+    seen: dict[str, list[int]] = {}
+    for i, d in enumerate(derived):
+        group = seen.setdefault(d.signature, [])
+        if group:
+            key = d.key()
+            for j in group:
+                if derived[j].key() == key:
+                    return RemoveDuplicate(i, j)
+        group.append(i)
+    return None
 
 
 def _next_step(state: _State) -> TietzeStep | None:
     """The first applicable move: cyclic reduction, trivial and duplicate
     removal, elimination, then shortening."""
-    relators, derived = state.relators, state.derived()
+    derived = state.derived()
     for i, d in enumerate(derived):
         if d.cut:
-            return CyclicReduce(i, Word(state.alphabet, relators[i][: d.cut]))
-    for i, r in enumerate(relators):
-        if not r:
-            return RemoveTrivial(i)
-    # relators are now cyclically reduced and nontrivial, so being a
-    # rotation of another relator or of its inverse is key equality
-    seen: dict[tuple[int, ...], int] = {}
+            return CyclicReduce(i, state.word(state.relators[i][: d.cut]))
     for i, d in enumerate(derived):
-        j = seen.setdefault(d.key, i)
-        if j != i:
-            return RemoveDuplicate(i, j)
-    return _find_elimination(state, derived) or _find_shortening(derived)
+        if not d.text:
+            return RemoveTrivial(i)
+    return _find_duplicate(derived) or _find_elimination(state, derived) or _find_shortening(derived)
 
 
 def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> tuple[Presentation, DerivationTrace]:

@@ -277,13 +277,14 @@ def cyclic_core(w: Word) -> tuple[Word, Word]:
 
 
 def rotations(w: Word) -> list[Word]:
-    """All letter rotations of a word (Tietze replay's brute-force duplicate check)."""
+    """All letter rotations of a word, each freely reduced: quadratic in its length."""
     codes = w._codes
     return [Word(w.alphabet, codes[k:] + codes[:k]) for k in range(max(1, len(codes)))]
 
 
-def _least_rotation(s: tuple[int, ...]) -> int:
-    """Start of the lexicographically least rotation of ``s`` (Booth, 1980)."""
+def _least_rotation(s: tuple[int, ...] | str) -> int:
+    """Start of the lexicographically least rotation of ``s``, a tuple of
+    letter codes or the string of their ``chr`` (Booth, 1980); linear time."""
     s = s + s
     fail = [-1] * len(s)
     k = 0
@@ -303,7 +304,7 @@ def _least_rotation(s: tuple[int, ...]) -> int:
     return k
 
 
-def _least_rotated(s: tuple[int, ...]) -> tuple[int, ...]:
+def _least_rotated(s: tuple[int, ...] | str) -> tuple[int, ...] | str:
     k = _least_rotation(s)
     return s[k:] + s[:k]
 
@@ -331,9 +332,5 @@ def relator_key(w: Word) -> tuple[int, ...]:
     ``relator_key(u) == relator_key(v)`` iff ``u`` is conjugate to ``v`` or
     to ``v^-1``: the two words are the same relator.
     """
-    return _core_key(_cyclic_reduction(w._codes)[1])
-
-
-def _core_key(core: tuple[int, ...]) -> tuple[int, ...]:
-    """``relator_key`` of the cyclically reduced word with letter codes ``core``."""
+    core = _cyclic_reduction(w._codes)[1]
     return min(_least_rotated(core), _least_rotated(inverse_codes(core)))

@@ -279,6 +279,26 @@ def test_execute_inconclusive_on_tiny_budget():
     assert report.exit_code == 2
 
 
+def test_a_failed_size_check_names_the_expected_counts():
+    report = execute(parse("let v = build_V()\ncheck size(v, 4, 6)\ncheck size(v, 4, 5)"), FAST)
+    assert [(s.status, s.detail) for s in report.statements[1:]] == [
+        ("pass", "4 generators, 6 relators"),
+        ("fail", "4 generators, 6 relators, expected (4, 5)"),
+    ]
+
+
+def test_a_group_checked_twice_is_enumerated_and_abelianized_once(monkeypatch):
+    # the engines are looked up in construction when a check calls them
+    calls = []
+    for name in ("certify_trivial", "homology_invariants"):
+        engine = getattr(construction, name)
+        monkeypatch.setattr(construction, name, lambda *args, engine=engine, name=name: (
+            calls.append(name), engine(*args))[1])
+    report = execute(parse("let x = build_X()\ncheck trivial(x)\ncheck classify(x)"), FAST)
+    assert report.verdict == "PASS"
+    assert sorted(calls) == ["certify_trivial", "homology_invariants"]
+
+
 def test_execute_stops_at_first_failed_check():
     script = parse(
         "let v = build_V()\ncheck invariants(v, 1, 1)\ncheck invariants(v, 0, 0)"

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from collections import Counter
 from pathlib import Path
@@ -5,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_word
+from sgcalc import construction
 from sgcalc.construction import TIETZE_BUDGET, assemble_x
 from sgcalc.coset_enum import todd_coxeter
 from sgcalc.presentations import (
@@ -13,7 +16,8 @@ from sgcalc.presentations import (
     PresentationError,
     homology_invariants,
 )
-from sgcalc import words
+from sgcalc import tietze, words
+from sgcalc.script import MAX_WORD_LETTERS
 from sgcalc.tietze import (
     CyclicReduce,
     DerivationTrace,
@@ -160,6 +164,53 @@ def test_random_traces_match_golden():
     assert "\n".join(_random_trace_lines()) + "\n" == golden.read_text()
 
 
+def _sign_member(signs: tuple[int, ...]) -> Presentation:
+    """X's group with the six surgery coefficients ``signs`` (V's two, P1's, P2's)."""
+    k1, k2, k3, k4, k5, k6 = signs
+    v = construction._surgery_block(
+        "V", ("s1", "t1", "s2", "t2"), images=(("s1", 1), ("t1", 1), ("s2", 1), ("t2", 1)),
+        closed=(("x", "y"), ("a", "b")), plan=(("T1", 1, 0, k1), ("T2", 0, 1, k2)),
+        marks=(("H", "s1", "t1"), ("K", "s2", "t2")), closures_first=True,
+    )
+    p1 = construction._closed_first_block(1, (("T1", 1, 0, k3), ("T2", 0, 1, k4)))
+    p2 = construction._closed_first_block(2, (("T1", 0, 1, k5), ("T2", 1, 0, k6)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction, "assemble_v", lambda: v)
+        mp.setattr(construction, "assemble_p1", lambda: p1)
+        mp.setattr(construction, "assemble_p2", lambda: p2)
+        return construction.assemble_x().state.pi1
+
+
+def _family_inputs() -> list[tuple[str, Presentation]]:
+    inputs = [("signs " + " ".join(f"{k:+d}" for k in signs), _sign_member(signs))
+              for signs in itertools.product((1, -1), repeat=6)]
+    xy = Alphabet(("x", "y"))
+    x, y = xy.gen("x"), xy.gen("y")
+    for n in (2, 3):  # Akbulut-Kirby: x^n = y^(n+1), x y x = y x y
+        inputs.append((f"AK({n})", Presentation(xy, (x ** n * y ** -(n + 1), x * y * x * ~y * ~x * ~y))))
+    abc = Alphabet(("a", "b", "c"))
+    a, b, c = (abc.gen(g) for g in "abc")
+    inputs.append(("Higman", Presentation(abc, (~b * a * b * a ** -2, ~c * b * c * b ** -2, ~a * c * a * c ** -2))))
+    return inputs
+
+
+def _family_trace_lines() -> list[str]:
+    lines = []
+    for label, p in _family_inputs():
+        final, trace = tietze_simplify(p, TIETZE_BUDGET)
+        digest = hashlib.sha256(repr(trace).encode()).hexdigest()[:16]
+        relators = ", ".join(map(str, final.relators))
+        lines.append(f"{label}: {len(trace.steps)} steps, <{' '.join(final.alphabet.names)} | {relators}>, {digest}")
+    return lines
+
+
+def test_sign_family_traces_match_golden():
+    """Traces past X: the 64 surgery-sign members, 20 of which stall after long
+    shortening runs, and three trivial groups Tietze moves do not reach."""
+    golden = Path(__file__).parent / "golden" / "sign_family_traces.txt"
+    assert "\n".join(_family_trace_lines()) + "\n" == golden.read_text()
+
+
 def _replay_steps(p: Presentation, *steps) -> Presentation:
     return replay(p, DerivationTrace(steps, complete=True))
 
@@ -261,12 +312,10 @@ def test_mutated_x_trace_never_changes_h1():
     assert len(trace.steps) == 52 and refused > 10 * len(trace.steps)
 
 
-def test_x_simplification_work_counts(monkeypatch):
-    """Machine-independent work of one simplification of X: ``Word``s built
-    and least-rotation searches run."""
-    x = assemble_x().state.pi1
+def _counting(monkeypatch) -> Counter:
+    """Count ``Word``s built, least-rotation searches and relator derivations."""
     counts = Counter()
-    word_init, least_rotation = words.Word.__init__, words._least_rotation
+    word_init, least_rotation, derive = words.Word.__init__, words._least_rotation, tietze._Relator.__init__
 
     def counted_init(self, *args):
         counts["Word"] += 1
@@ -276,7 +325,61 @@ def test_x_simplification_work_counts(monkeypatch):
         counts["_least_rotation"] += 1
         return least_rotation(s)
 
+    def counted_derive(self, *args):
+        counts["_Relator"] += 1
+        derive(self, *args)
+
     monkeypatch.setattr(words.Word, "__init__", counted_init)
     monkeypatch.setattr(words, "_least_rotation", counted_least_rotation)
+    monkeypatch.setattr(tietze._Relator, "__init__", counted_derive)
+    return counts
+
+
+def test_x_simplification_work_counts(monkeypatch):
+    """Machine-independent work of one simplification of X: ``Word``s built,
+    least-rotation searches run and relators derived.  A relator an
+    ``Eliminate`` does not touch keeps its facts, and keys are found only
+    where duplicate signatures collide."""
+    x = assemble_x().state.pi1
+    counts = _counting(monkeypatch)
     tietze_simplify(x, TIETZE_BUDGET)
-    assert counts["Word"] <= 1000 and counts["_least_rotation"] <= 400, counts
+    assert counts["Word"] <= 74 and counts["_least_rotation"] <= 46 and counts["_Relator"] <= 91, counts
+
+
+def _rotated_pair(n: int) -> tuple[Word, Presentation]:
+    """A cyclically reduced ``w`` of ``n`` letters and < a, b | w, (w rotated)^-1 >."""
+    rng = random.Random(n)
+    codes = [rng.randrange(4)]
+    while len(codes) < n:
+        c = rng.randrange(4)
+        if c != codes[-1] ^ 1 and (len(codes) < n - 1 or c != codes[0] ^ 1):
+            codes.append(c)
+    ab = Alphabet(("a", "b"))
+    w = Word(ab, codes)
+    return w, Presentation(ab, (w, ~Word(ab, codes[n // 3 :] + codes[: n // 3])))
+
+
+def test_a_long_duplicate_is_found_and_rechecked_without_rotating_words(monkeypatch):
+    w, p = _rotated_pair(2000)
+    counts = _counting(monkeypatch)
+    final, trace = tietze_simplify(p)
+    assert trace.steps == (RemoveDuplicate(1, 0),) and final.relators == (w,)
+    assert counts["Word"] <= 3, counts
+
+
+def test_a_duplicate_of_the_longest_word_a_script_reads_is_removed():
+    w, p = _rotated_pair(MAX_WORD_LETTERS)
+    final, trace = tietze_simplify(p)
+    assert trace.steps == (RemoveDuplicate(1, 0),) and final.relators == (w,)
+    assert replay(p, trace) == final
+
+
+def test_replay_refuses_a_duplicate_that_is_no_rotation():
+    # same length and the same letters up to sign, but no rotation of
+    # a^2 b^2 or of its inverse
+    ab = Alphabet(("a", "b"))
+    a, b = ab.gen("a"), ab.gen("b")
+    for other in (a * b * a * b, a * ~b * a * b, b ** 2 * a ** -2 * b):
+        with pytest.raises(PresentationError):
+            _replay_steps(Presentation(ab, (a ** 2 * b ** 2, other)), RemoveDuplicate(1, 0))
+    assert _replay_steps(Presentation(ab, (a ** 2 * b ** 2, ~b * ~b * ~a * ~a)), RemoveDuplicate(1, 0)).nrels == 1
