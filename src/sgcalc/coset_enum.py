@@ -1,20 +1,23 @@
 """Todd-Coxeter coset enumeration (HLT strategy).
 
 The procedures are those of Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory* (2005), §5.1-5.2: the HLT loop runs SCANANDFILL
-(:meth:`_Table.scan_and_fill`) of every relator from every live coset in
-order of definition, filling gaps with DEFINE and merging coincidences with
-COINCIDENCE (:meth:`_Table.coincide`) through a union-find table.
-COINCIDENCE undefines each back-pointer ``d.x^-1 = dead`` before it moves
-``dead.x = d`` to the live representatives, so outside it every entry
-``c.x = d`` of a live row names a live coset ``d`` with ``d.x^-1 = c``.
-The kernel makes few Python calls per entry: it calls ``find`` only off a
-root (``parent[c] != c``), which compresses the same paths a call per
-lookup would; SCANANDFILL runs DEFINE inline and never calls ``find``; and
-:func:`_verify_closed` walks relators without ``find`` once its first pass
-has shown that live rows name only live cosets.  A closed table is a
-permutation representation of the group on the cosets of the subgroup, so
-the coset count is the exact index.  Identical inputs give identical tables.
+Computational Group Theory* (2005), §5.1-5.2: the HLT loop (:func:`_hlt`)
+scans every relator from every live coset in order of definition, filling
+gaps with DEFINE and merging coincidences with COINCIDENCE
+(:func:`_coincide`) through a union-find forest.  COINCIDENCE undefines
+each back-pointer ``d.x^-1 = dead`` before it moves ``dead.x = d`` to the
+live representatives, so outside it every entry ``c.x = d`` of a live row
+names a live coset ``d`` with ``d.x^-1 = c``.  The kernel holds the table's
+lists in locals and makes few Python calls per entry: SCANANDFILL and
+DEFINE run inline in :func:`_hlt`, which reads each word's backward columns
+from a list made once per run and calls :func:`_coincide` only when a scan
+closes on two cosets; :func:`_coincide` calls :func:`_find` only off a root
+(``parent[c] != c``), which compresses the same paths a call per lookup
+would; and :func:`_verify_closed` walks relators without ``find`` once its
+first pass has shown that live rows name only live cosets.  A closed table
+is a permutation representation of the group on the cosets of the
+subgroup, so the coset count is the exact index.  Identical inputs give
+identical tables.
 
 Index 1 for the trivial subgroup certifies that the presented group - and
 therefore anything it surjects onto - is trivial.
@@ -70,6 +73,9 @@ class _Budget(Exception):
 
 
 class _Table:
+    """The coset table: ``rows[c][x]`` is ``c.x`` (``None`` while undefined)
+    and ``parent`` the union-find forest of coincidences."""
+
     def __init__(self, ncols: int, max_cosets: int):
         self.ncols = ncols
         self.max_cosets = max_cosets
@@ -85,87 +91,112 @@ class _Table:
         self.parent.append(c)
         return c
 
-    def find(self, c: int) -> int:
-        parent = self.parent
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
     def live_cosets(self) -> list[int]:
         return [c for c in range(len(self.rows)) if self.parent[c] == c]
 
-    def coincide(self, a: int, b: int) -> None:
-        """Merge distinct live cosets ``a`` and ``b`` and every coincidence they force.
 
-        Handbook of Computational Group Theory, §5.1 (COINCIDENCE).  Each
-        merge keeps the lesser coset as representative and queues the other.
-        """
-        rows, parent, find = self.rows, self.parent, self.find
-        queue = [max(a, b)]
-        parent[queue[0]] = min(a, b)
-        while queue:
-            dead = queue.pop()
-            row = rows[dead]
-            for x, d in enumerate(row):
-                if d is None:
-                    continue
-                row[x] = None
-                xi = x ^ 1
-                # Undefine d.x^-1 = dead first: left in place, it would make
-                # the lookup below resolve to mu itself and drop mu.x = nu.
-                if rows[d][xi] == dead:
-                    rows[d][xi] = None
-                mu = parent[dead]
-                mu = mu if parent[mu] == mu else find(dead)
-                nu = d if parent[d] == d else find(d)
-                u, v = nu, rows[mu][x]
+def _find(parent: list[int], c: int) -> int:
+    """The root of ``c``, with the path from ``c`` compressed onto it."""
+    root = c
+    while parent[root] != root:
+        root = parent[root]
+    while parent[c] != root:
+        parent[c], c = root, parent[c]
+    return root
+
+
+def _coincide(rows: list[list[int | None]], parent: list[int], a: int, b: int) -> None:
+    """Merge distinct live cosets ``a`` and ``b`` and every coincidence they force.
+
+    Handbook of Computational Group Theory, §5.1 (COINCIDENCE).  Each
+    merge keeps the lesser coset as representative and queues the other.
+    """
+    queue = [max(a, b)]
+    parent[queue[0]] = min(a, b)
+    while queue:
+        dead = queue.pop()
+        row = rows[dead]
+        for x, d in enumerate(row):
+            if d is None:
+                continue
+            row[x] = None
+            xi = x ^ 1
+            # Undefine d.x^-1 = dead first: left in place, it would make
+            # the lookup below resolve to mu itself and drop mu.x = nu.
+            back = rows[d]
+            if back[xi] == dead:
+                back[xi] = None
+            mu = parent[dead]
+            if parent[mu] != mu:
+                mu = _find(parent, dead)
+            nu = d if parent[d] == d else _find(parent, d)
+            u, v = nu, rows[mu][x]
+            if v is None:
+                u, v = mu, rows[nu][xi]
                 if v is None:
-                    u, v = mu, rows[nu][xi]
-                    if v is None:
-                        rows[mu][x] = nu
-                        rows[nu][xi] = mu
-                        continue
-                v = v if parent[v] == v else find(v)
-                if u != v:
-                    u, v = (u, v) if u < v else (v, u)
-                    parent[v] = u
-                    queue.append(v)
+                    rows[mu][x] = nu
+                    rows[nu][xi] = mu
+                    continue
+            if parent[v] != v:
+                v = _find(parent, v)
+            if u != v:
+                if u > v:
+                    u, v = v, u
+                parent[v] = u
+                queue.append(v)
 
-    def scan_and_fill(self, c: int, word: Sequence[int]) -> None:
-        """SCANANDFILL (Handbook §5.2): trace ``word`` from live ``c`` back to ``c``.
 
-        Forward and backward traces follow defined entries, which name live
-        cosets by the table invariant; DEFINE fills the first gap while more
-        than one letter is missing.  The scan ends with a closed trace, one
-        deduction written in both directions, or a COINCIDENCE of the ends.
-        """
-        rows = self.rows
-        i, j = 0, len(word) - 1
-        f = b = c
-        while True:
-            while i <= j and (d := rows[f][word[i]]) is not None:
-                f, i = d, i + 1
-            while j >= i and (d := rows[b][word[j] ^ 1]) is not None:
-                b, j = d, j - 1
-            if j < i:
-                if f != b:
-                    self.coincide(f, b)
-                return
-            x = word[i]
-            if j == i:
-                rows[f][x] = b
-                rows[b][x ^ 1] = f
-                return
-            if len(rows) >= self.max_cosets:  # DEFINE f.x = d, d.x^-1 = f
-                raise _Budget
-            rows[f][x] = d = len(rows)
-            rows.append([None] * self.ncols)
-            rows[d][x ^ 1] = f
-            self.parent.append(d)
-            f, i = d, i + 1
+def _hlt(table: _Table, subgens: list[list[int]], relators: list[list[int]]) -> None:
+    """The HLT loop on ``table`` (Handbook §5.2); raises :class:`_Budget`.
+
+    Coset 0 scans the subgroup generators, then every live coset in order of
+    definition scans every relator and completes its row.  SCANANDFILL runs
+    inline: it traces a word from live ``q`` forwards and backwards along
+    defined entries, which name live cosets by the table invariant, DEFINEs
+    the first gap while more than one letter is missing, and ends with a
+    closed trace, one deduction written in both directions, or a
+    COINCIDENCE of the ends.
+    """
+    rows, parent, ncols, max_cosets = table.rows, table.parent, table.ncols, table.max_cosets
+    # each word with its backward columns, the inverse letters, and its last position
+    words = [(w, [x ^ 1 for x in w], len(w) - 1) for w in subgens + relators]
+    relator_words = words[len(subgens) :]
+    q, scans = 0, words  # coset 0 never merges away, so it scans the subgroup words first
+    while q < len(rows):
+        if parent[q] == q:
+            for word, back, last in scans:
+                i, j = 0, last
+                f = b = q
+                while True:
+                    while i <= j and (d := rows[f][word[i]]) is not None:
+                        f, i = d, i + 1
+                    while j >= i and (d := rows[b][back[j]]) is not None:
+                        b, j = d, j - 1
+                    if j < i:
+                        if f != b:
+                            _coincide(rows, parent, f, b)
+                        break
+                    if j == i:
+                        rows[f][word[i]] = b
+                        rows[b][back[i]] = f
+                        break
+                    if len(rows) >= max_cosets:  # DEFINE f.x = d, d.x^-1 = f
+                        raise _Budget
+                    rows[f][word[i]] = d = len(rows)
+                    rows.append(row := [None] * ncols)
+                    row[back[i]] = f
+                    parent.append(d)
+                    f, i = d, i + 1
+                if parent[q] != q:
+                    break
+            else:  # complete the row: generators outside every relator still act
+                row = rows[q]
+                for x, d in enumerate(row):
+                    if d is None:  # DEFINE q.x = d, d.x^-1 = q
+                        row[x] = d = table.new_coset()
+                        rows[d][x ^ 1] = q
+        q += 1
+        scans = relator_words
 
 
 def check_max_cosets(max_cosets: int) -> None:
@@ -192,24 +223,9 @@ def todd_coxeter(
     subgens = [w.codes() for w in subgroup_gens]
 
     table = _Table(2 * p.ngens, max_cosets)
-    rows, parent, scan = table.rows, table.parent, table.scan_and_fill
+    rows, parent = table.rows, table.parent
     try:
-        for word in subgens:
-            scan(0, word)
-        q = 0
-        while q < len(rows):
-            for word in relators:
-                if parent[q] != q:
-                    break
-                scan(q, word)
-            # complete the row: generators outside every relator still act
-            if parent[q] == q:
-                row = rows[q]
-                for x, d in enumerate(row):
-                    if d is None:  # DEFINE q.x = d, d.x^-1 = q
-                        row[x] = d = table.new_coset()
-                        rows[d][x ^ 1] = q
-            q += 1
+        _hlt(table, subgens, relators)
     except _Budget:  # len(rows) counts the cosets defined, non-roots those collapsed
         return EnumResult(None, len(rows), sum(c != r for c, r in enumerate(parent)))
     _verify_closed(table, relators, subgens)

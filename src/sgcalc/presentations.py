@@ -79,10 +79,10 @@ def solve_relator(relator: Word, gen: str) -> Word:
     ``relator = p g^e q`` the solution is ``p^-1 q^-1`` (e = 1) or ``q p``
     (e = -1); it never mentions ``gen``.
     """
-    codes = relator.codes()
+    codes = relator._codes
     i = unique_occurrence(relator, gen, codes)
-    p = Word(relator.alphabet, codes[:i])
-    q = Word(relator.alphabet, codes[i + 1 :])
+    p = Word(relator.alphabet, codes[:i], True)  # slices of a reduced word are reduced
+    q = Word(relator.alphabet, codes[i + 1 :], True)
     if codes[i] & 1:
         return q * p
     return ~p * ~q

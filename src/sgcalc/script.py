@@ -392,7 +392,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             raise _word_error(text, start, f"word longer than {MAX_WORD_LETTERS} letters", InputTooLarge)
     if stack:
         raise _word_error(text, len(text), "expected ',' in commutator" if stack[-1][1] is None else "expected ']'")
-    return Word(alphabet, out)
+    return Word(alphabet, tuple(out), True)  # every letter was cancelled against its inverse as it came
 
 
 def parse_presentation_document(text: str) -> Presentation:

@@ -35,12 +35,11 @@ letter against another relator.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
 from .records import Record, setfield, setfields
-from .words import Word, _cyclic_reduction, _least_rotated, free_reduce, inverse_codes
+from .words import Word, WordError, _cyclic_reduction, _least_rotated, free_reduce, inverse_codes
 from .words import rotations  # noqa: F401  unused here; bench/tracing.py wraps tietze.rotations by name
 
 
@@ -126,7 +125,7 @@ class _Relator:
         # the generators, sorted: equal for a relator's rotations and inverse
         letters = self.text.translate(bases)
         self.signature = "".join(sorted(letters))
-        self.singles = [ord(b) for b, n in Counter(letters).items() if n == 1]
+        self.singles = [ord(b) for b in set(letters) if letters.count(b) == 1]
         self.unmatched: set[str] = set()  # texts of relators found not to shorten this one
         self._key: str | None = None
 
@@ -159,9 +158,13 @@ class _State:
         self._inverses = [chr(c ^ 1) for c in codes]
 
     def word(self, codes: Sequence[int]) -> Word:
-        """The word of initial-alphabet ``codes`` over the current alphabet."""
-        to_current = self._to_current
-        return Word(self.alphabet, [to_current[c] for c in codes])
+        """The word of reduced initial-alphabet ``codes`` over the current
+        alphabet; the renumbering keeps each letter's inverse beside it, so
+        the codes stay reduced."""
+        current = tuple(map(self._to_current.__getitem__, codes))
+        if -1 in current:
+            raise WordError(f"an eliminated generator's letter in {codes!r}")
+        return Word(self.alphabet, current, True)
 
     def presentation(self) -> Presentation:
         return Presentation(self.alphabet, tuple(map(self.word, self.relators)), self.exactness)

@@ -7,6 +7,10 @@ back through ``Word.syllables``.  Words over different alphabets never
 combine; a word moves to another alphabet through ``substitute``.  Code
 that works on raw letter codes reduces and inverts them with
 ``free_reduce`` and ``inverse_codes``.
+
+Inside the package, a producer that has proved its codes a freely reduced
+tuple of in-range letter codes builds the word with ``Word(alphabet, codes,
+True)``, which skips the check and the reduction (see ``Word``).
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class Alphabet:
         codes: list[int] = []
         for name, exp in syllables:
             code = 2 * self.rank(name)
-            if not isinstance(exp, int):
+            if not isinstance(exp, int) or isinstance(exp, bool):
                 raise WordError(f"exponent of {name!r} is not an integer")
             codes += [code if exp > 0 else code + 1] * abs(exp)
         return Word(self, codes)
@@ -103,22 +107,30 @@ class Word:
     """A freely reduced word; the empty word is the identity.
 
     The constructor validates and freely reduces any sequence of letter codes.
+    A third argument ``True`` is package-private: it takes ``codes`` as they
+    are, so the caller must have proved them a tuple of letter codes below
+    ``2 * len(alphabet)`` with no letter next to its inverse.  The products,
+    inverse, powers, ``commutator``, ``conjugate`` and ``cyclic_core`` here,
+    ``presentations.solve_relator``, ``tietze._State.word`` and
+    ``script.parse_word`` use it; every other caller validates.
     """
 
     __slots__ = ("alphabet", "_codes")
 
-    def __init__(self, alphabet: Alphabet, codes: Iterable[int] = ()):
-        limit = 2 * len(alphabet)
-        reduced: list[int] = []
-        for c in codes:
-            if type(c) is not int or not 0 <= c < limit:
-                raise WordError(f"invalid letter code {c!r} over {alphabet!r}")
-            if reduced and reduced[-1] == c ^ 1:
-                reduced.pop()
-            else:
-                reduced.append(c)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_codes", tuple(reduced))
+    def __init__(self, alphabet: Alphabet, codes: Iterable[int] = (), _reduced: bool = False):
+        if not _reduced:
+            limit = 2 * len(alphabet)
+            reduced: list[int] = []
+            for c in codes:
+                if type(c) is not int or not 0 <= c < limit:
+                    raise WordError(f"invalid letter code {c!r} over {alphabet!r}")
+                if reduced and reduced[-1] == c ^ 1:
+                    reduced.pop()
+                else:
+                    reduced.append(c)
+            codes = tuple(reduced)
+        _set_alphabet(self, alphabet)
+        _set_codes(self, codes)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Word is immutable")
@@ -138,16 +150,15 @@ class Word:
         return hash((self.alphabet, self._codes))
 
     def __mul__(self, other: "Word") -> "Word":
-        if self.alphabet != other.alphabet:
-            raise WordError("cannot multiply words over different alphabets")
-        return Word(self.alphabet, self._codes + other._codes)
+        return Word(_common_alphabet(self, other), _product(self._codes, other._codes), True)
 
     def __invert__(self) -> "Word":
-        return Word(self.alphabet, inverse_codes(self._codes))
+        return Word(self.alphabet, inverse_codes(self._codes), True)
 
     def __pow__(self, n: int) -> "Word":
-        base = self if n >= 0 else ~self
-        return Word(self.alphabet, base._codes * abs(n))
+        # w = p c p^-1 with c cyclically reduced, so p c^n p^-1 is reduced as it stands
+        prefix, core = _cyclic_reduction(self._codes if n >= 0 else inverse_codes(self._codes))
+        return Word(self.alphabet, prefix + core * abs(n) + inverse_codes(prefix) if n else (), True)
 
     def exponent_sum(self, name: str) -> int:
         code = 2 * self.alphabet.rank(name)
@@ -196,6 +207,10 @@ class Word:
         return f"<Word {self}>"
 
 
+# the slots' own setters, past the __setattr__ that keeps a Word immutable
+_set_alphabet, _set_codes = Word.alphabet.__set__, Word._codes.__set__
+
+
 def free_reduce(codes: Iterable[int], out: list[int] | None = None) -> list[int]:
     """Append letter codes to the freely reduced ``out`` (a new list by default), cancelling as they go."""
     out = [] if out is None else out
@@ -212,6 +227,22 @@ def inverse_codes(codes: Sequence[int]) -> tuple[int, ...]:
     return tuple(c ^ 1 for c in reversed(codes))
 
 
+def _common_alphabet(u: Word, v: Word) -> Alphabet:
+    if u.alphabet != v.alphabet:
+        raise WordError("cannot multiply words over different alphabets")
+    return u.alphabet
+
+
+def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced codes of the product of reduced ``a`` and ``b``: only the
+    letters meeting at the seam can cancel."""
+    n, i = len(a), 0
+    limit = min(n, len(b))
+    while i < limit and a[n - 1 - i] == b[i] ^ 1:
+        i += 1
+    return a[: n - i] + b[i:] if i else a + b
+
+
 def reduce(alphabet: Alphabet, syllables: Iterable[Syllable]) -> Word:
     """Freely reduce a raw syllable list over ``alphabet``."""
     return alphabet.word(syllables)
@@ -223,12 +254,14 @@ def invert(w: Word) -> Word:
 
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u v u^-1 v^-1."""
-    return u * v * ~u * ~v
+    a, b = u._codes, v._codes
+    return Word(_common_alphabet(u, v), _product(_product(_product(a, b), inverse_codes(a)), inverse_codes(b)), True)
 
 
 def conjugate(w: Word, by: Word) -> Word:
     """The conjugate ``by * w * by^-1``."""
-    return by * w * ~by
+    a = by._codes
+    return Word(_common_alphabet(by, w), _product(_product(a, w._codes), inverse_codes(a)), True)
 
 
 def substitute(w: Word, images: Mapping[str, Word], target: Alphabet | None = None) -> Word:
@@ -253,7 +286,8 @@ def substitute(w: Word, images: Mapping[str, Word], target: Alphabet | None = No
             name = w.alphabet.names[c >> 1]
             if name not in images:
                 raise WordError(f"no image for generator {name!r}")
-            pieces[c] = (~images[name] if c & 1 else images[name])._codes
+            image = images[name]._codes
+            pieces[c] = inverse_codes(image) if c & 1 else image
         out += pieces[c]
     return Word(target, out)
 
@@ -273,7 +307,7 @@ def cyclic_core(w: Word) -> tuple[Word, Word]:
     ``core`` cyclically reduced.
     """
     prefix, core = _cyclic_reduction(w._codes)
-    return Word(w.alphabet, core), Word(w.alphabet, prefix)
+    return Word(w.alphabet, core, True), Word(w.alphabet, prefix, True)
 
 
 def rotations(w: Word) -> list[Word]:

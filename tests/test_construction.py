@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sgcalc import construction
+from sgcalc import construction, words
 from sgcalc.construction import (
     CHECKS,
     KILL_SCRIPT,
@@ -449,6 +449,25 @@ def test_verify_main_theorem_passes():
     assert report.simplified is not None and report.simplified.is_empty()
     names = [c.text for c in report.statements]
     assert "kill-order replay" in names and "classification" in names
+
+
+def test_the_proof_path_builds_no_intermediate_words(monkeypatch):
+    """Machine-independent work of the verdict: ``Word``s built, counted at
+    ``Word.__init__``.  A product, power, commutator or substitution that
+    built intermediate words on the way to its result would pass the bounds."""
+    built = []
+    word_init = words.Word.__init__
+
+    def counted_init(self, *args):
+        built.append(1)
+        word_init(self, *args)
+
+    monkeypatch.setattr(words.Word, "__init__", counted_init)
+    assemble_x()
+    for_x = len(built)
+    assert verify_main_theorem().verdict == "PASS"
+    verdict = len(built) - for_x
+    assert for_x <= 235 and verdict <= 513, (for_x, verdict)
 
 
 def test_verify_main_theorem_budget_exhaustion_is_inconclusive():

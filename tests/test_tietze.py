@@ -28,7 +28,7 @@ from sgcalc.tietze import (
     replay,
     tietze_simplify,
 )
-from sgcalc.words import Alphabet, Word, commutator
+from sgcalc.words import Alphabet, Word, WordError, commutator
 
 
 def test_single_generator_killed():
@@ -344,6 +344,17 @@ def test_x_simplification_work_counts(monkeypatch):
     counts = _counting(monkeypatch)
     tietze_simplify(x, TIETZE_BUDGET)
     assert counts["Word"] <= 74 and counts["_least_rotation"] <= 46 and counts["_Relator"] <= 91, counts
+
+
+def test_state_word_refuses_an_eliminated_generators_letter():
+    ab = Alphabet(("x", "y"))
+    x, y = ab.gen("x"), ab.gen("y")
+    state = tietze._State(Presentation(ab, (y * ~x, commutator(x, y))))
+    state.apply(Eliminate("y", 0, x))
+    assert state.word((0, 0)) == state.alphabet.gen("x", 2)
+    for code in (2, 3):
+        with pytest.raises(WordError, match="eliminated"):
+            state.word((0, code))
 
 
 def _rotated_pair(n: int) -> tuple[Word, Presentation]:

@@ -2,8 +2,11 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_word
+from sgcalc.presentations import solve_relator
 from sgcalc.words import (
     Alphabet,
     Word,
@@ -13,12 +16,19 @@ from sgcalc.words import (
     conjugate,
     cyclic_core,
     cyclic_key,
+    inverse_codes,
     invert,
     reduce,
     relator_key,
     rotations,
     substitute,
 )
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+XYZ = Alphabet(("x", "y", "z"))
+# raw, unreduced letter codes over x and y, and the words they reduce to
+raw_codes = st.lists(st.integers(0, 3), max_size=14)
+words = raw_codes.map(lambda codes: Word(XYZ, codes))
 
 
 def test_alphabet_rejects_duplicates_and_bad_names():
@@ -41,6 +51,15 @@ def test_reduce_keeps_reduced_word(xyab):
     w = b * a * ~b
     assert w.syllables == (("b", 1), ("a", 1), ("b", -1))
     assert str(w) == "b a b^-1"
+
+
+def test_alphabet_refuses_a_bool_exponent(xyab):
+    for exp in (True, False):
+        with pytest.raises(WordError, match="not an integer"):
+            xyab.gen("x", exp)
+        with pytest.raises(WordError, match="not an integer"):
+            xyab.word([("y", 1), ("x", exp)])
+    assert xyab.gen("x", 1).codes() == [0]
 
 
 def test_reduce_unknown_generator(xyab):
@@ -240,3 +259,66 @@ def test_algebra_laws_randomized(xyab):
         assert substitute(~u, images, xyab) == ~substitute(u, images, xyab)
         assert substitute(u, {n: xyab.gen(n) for n in xyab.names}) == u
         assert conjugate(identity, u).is_identity
+
+
+# The producers below build their words from codes they have reduced
+# themselves, without the constructor's check; each must equal the word the
+# validating constructor makes of the raw, unreduced codes.
+
+
+def validated(codes) -> Word:
+    return Word(XYZ, list(codes))
+
+
+@PROPERTY
+@given(words, st.data())
+def test_product_cancels_across_the_seam_as_the_constructor_would(u, data):
+    # v starts with the inverse of none, some or all of u's last letters
+    cancel = data.draw(st.integers(0, len(u)))
+    v = validated(inverse_codes(u.codes()[len(u) - cancel :]) + tuple(data.draw(raw_codes)))
+    for a, b in ((u, v), (v, u), (u, ~u), (~u, u), (u, XYZ.identity()), (XYZ.identity(), u)):
+        assert a * b == validated(a.codes() + b.codes())
+    assert (u * ~u).is_identity
+
+
+@PROPERTY
+@given(words)
+def test_inverse_is_the_reversed_inverse_letters(u):
+    assert ~u == validated(c ^ 1 for c in reversed(u.codes()))
+
+
+@PROPERTY
+@given(words, words, st.integers(-4, 4))
+def test_power_of_a_word_not_cyclically_reduced(core, prefix, n):
+    base = validated(prefix.codes() + core.codes() + list(inverse_codes(prefix.codes())))  # rarely cyclically reduced
+    raw = base.codes() if n >= 0 else [c ^ 1 for c in reversed(base.codes())]
+    assert base ** n == validated(raw * abs(n))
+
+
+@PROPERTY
+@given(words, words)
+def test_commutator_and_conjugate_reduce_in_one_pass(u, v):
+    a, b = u.codes(), v.codes()
+    assert commutator(u, v) == validated(a + b + list(inverse_codes(a)) + list(inverse_codes(b)))
+    assert conjugate(u, v) == validated(b + a + list(inverse_codes(b)))
+
+
+@PROPERTY
+@given(words)
+def test_cyclic_core_slices_the_reduced_word(w):
+    core, prefix = cyclic_core(w)
+    codes, k = w.codes(), len(prefix)
+    assert prefix == validated(codes[:k])
+    assert core == validated(codes[k : len(codes) - k])
+    assert w == validated(prefix.codes() + core.codes() + list(inverse_codes(prefix.codes())))
+    assert len(core) < 2 or core.codes()[0] != core.codes()[-1] ^ 1
+
+
+@PROPERTY
+@given(raw_codes, raw_codes, st.sampled_from((4, 5)))
+def test_solve_relator_slices_as_the_constructor_would(p, q, z):
+    relator = validated(p + [z] + q)  # z occurs once and cannot cancel
+    i = relator.codes().index(z)
+    p, q = relator.codes()[:i], relator.codes()[i + 1 :]
+    raw = q + p if z & 1 else list(inverse_codes(p)) + list(inverse_codes(q))
+    assert solve_relator(relator, "z") == validated(raw)
