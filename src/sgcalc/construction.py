@@ -198,7 +198,7 @@ def _surgery_block(
     ab = Alphabet(generators)
     data = complement_data({n: ab.gen(g, e) for n, (g, e) in zip("xyab", images)}, closed)
     closures, core = data.closure_relators, data.universal_relators[:3]
-    kept = tuple(prune_redundant(ab, list(closures + core if closures_first else core + closures))[0])
+    kept = tuple(prune_redundant(closures + core if closures_first else core + closures))
     state = ManifoldState(
         pi1=Presentation(ab, kept, Exactness.SURJECTIVE_BOUND),
         euler=0,
@@ -505,24 +505,6 @@ def commutation_status(data: ComplementData) -> dict[tuple[str, str], str]:
     return out
 
 
-# -- end-to-end verification ---------------------------------------------------
-
-AXIOMS: tuple[str, ...] = (
-    "1/k surgery on a Lagrangian torus along a push-off direction keeps the "
-    "manifold symplectic and quotients the complement's group by the surgery "
-    "relator (Luttinger; Auroux-Donaldson-Katzarkov).",
-    "A block obtained from the four-torus by one surgery on each marked torus "
-    "along a single push-off direction fibers as a circle bundle over a "
-    "fibered 3-manifold, so it has no essential spheres and is minimal [R1].",
-    "The symplectic sum of two minimal symplectic 4-manifolds along surfaces "
-    "of positive genus is minimal (Usher) [R2, R3].",
-    "A closed simply connected oriented 4-manifold with odd intersection form "
-    "is determined up to homeomorphism by (e, sigma) (Freedman).",
-    "A minimal symplectic 4-manifold contains no smoothly embedded sphere of "
-    "square -1 (Taubes), so it is not diffeomorphic to a blowup.",
-)
-
-
 # -- checks, verdicts and reports shared by verify_main_theorem and scripts ----
 
 VERDICT_EXIT = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}
@@ -577,12 +559,17 @@ def verdict_of(results: Sequence[StatementResult]) -> str:
 
 
 class Report(Record):
-    """The statements of a run, its verdict and the budgets it ran under."""
+    """The statements of a run and the budgets it ran under; its verdict is read off the statements."""
 
-    __slots__ = ("statements", "verdict", "budgets")  # verdict: PASS | FAIL | INCONCLUSIVE
+    __slots__ = ("statements", "budgets")
 
-    def __init__(self, statements: tuple[StatementResult, ...], verdict: str, budgets: dict[str, int]):
-        setfields(self, statements, verdict, budgets)
+    def __init__(self, statements: tuple[StatementResult, ...], budgets: dict[str, int]):
+        setfields(self, statements, budgets)
+
+    @property
+    def verdict(self) -> str:
+        """PASS | FAIL | INCONCLUSIVE, by :func:`verdict_of`."""
+        return verdict_of(self.statements)
 
     def to_dict(self) -> dict:
         return {
@@ -765,15 +752,28 @@ class ConstructionReport(Report):
     """
 
     __slots__ = ("blocks", "state", "surgeries", "certificate", "trace", "simplified", "replay", "homeo",
-                 "assumptions", "axioms")
+                 "assumptions")
+    AXIOMS: tuple[str, ...] = (
+        "1/k surgery on a Lagrangian torus along a push-off direction keeps the "
+        "manifold symplectic and quotients the complement's group by the surgery "
+        "relator (Luttinger; Auroux-Donaldson-Katzarkov).",
+        "A block obtained from the four-torus by one surgery on each marked torus "
+        "along a single push-off direction fibers as a circle bundle over a "
+        "fibered 3-manifold, so it has no essential spheres and is minimal [R1].",
+        "The symplectic sum of two minimal symplectic 4-manifolds along surfaces "
+        "of positive genus is minimal (Usher) [R2, R3].",
+        "A closed simply connected oriented 4-manifold with odd intersection form "
+        "is determined up to homeomorphism by (e, sigma) (Freedman).",
+        "A minimal symplectic 4-manifold contains no smoothly embedded sphere of "
+        "square -1 (Taubes), so it is not diffeomorphic to a blowup.",
+    )
 
-    def __init__(self, statements: tuple[StatementResult, ...], verdict: str, budgets: dict[str, int],
+    def __init__(self, statements: tuple[StatementResult, ...], budgets: dict[str, int],
                  blocks: tuple[ManifoldState, ...], state: ManifoldState, surgeries: tuple[SurgeryRecord, ...],
                  certificate: TrivialityCertificate | None, trace: DerivationTrace, simplified: Presentation,
-                 replay: KillReplayReport | None, homeo: HomeoType | None, assumptions: tuple[str, ...],
-                 axioms: tuple[str, ...] = AXIOMS):
-        setfields(self, statements, verdict, budgets, blocks, state, surgeries, certificate, trace, simplified,
-                  replay, homeo, assumptions, axioms)
+                 replay: KillReplayReport | None, homeo: HomeoType | None, assumptions: tuple[str, ...]):
+        setfields(self, statements, budgets, blocks, state, surgeries, certificate, trace, simplified,
+                  replay, homeo, assumptions)
 
     def to_dict(self) -> dict:
         def state_dict(s: ManifoldState) -> dict:
@@ -821,7 +821,7 @@ class ConstructionReport(Report):
                 for r in self.surgeries
             ],
             "assumptions": list(self.assumptions),
-            "axioms": list(self.axioms),
+            "axioms": list(self.AXIOMS),
         }
 
     def notes(self) -> list[str]:
@@ -829,9 +829,11 @@ class ConstructionReport(Report):
             ["", "assumptions:"]
             + [f"  {a}" for a in self.assumptions]
             + ["axioms:"]
-            + [f"  {a}" for a in self.axioms]
+            + [f"  {a}" for a in self.AXIOMS]
         )
 
+
+# -- end-to-end verification ---------------------------------------------------
 
 # The paper's claims: statement, check, block and the check's arguments; only
 # the paper expects the chain R1 -> R2 -> R3 and (b+, b-) = (1, 3), noted exotic.
@@ -881,7 +883,6 @@ def verify_main_theorem(
     )
     return ConstructionReport(
         statements=tuple(statements),
-        verdict=verdict_of(statements),
         budgets={"max_cosets": max_cosets, "tietze_budget": tietze_budget},
         blocks=(states["V"], states["W"], states["P"]),
         state=x.state,

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .presentations import Presentation
 from .records import Record, setfields
-from .words import Word, cyclic_core
+from .words import Word, _cyclic_reduction
 
 
 # Default and largest coset budget: a coset costs about 230 bytes at 8 generators.
@@ -146,7 +146,7 @@ def _coincide(rows: list[list[int | None]], parent: list[int], a: int, b: int) -
                 queue.append(v)
 
 
-def _hlt(table: _Table, subgens: list[list[int]], relators: list[list[int]]) -> None:
+def _hlt(table: _Table, subgens: list[Sequence[int]], relators: list[Sequence[int]]) -> None:
     """The HLT loop on ``table`` (Handbook §5.2); raises :class:`_Budget`.
 
     Coset 0 scans the subgroup generators, then every live coset in order of
@@ -219,7 +219,7 @@ def todd_coxeter(
         if w.alphabet != p.alphabet:
             raise EnumerationError(f"subgroup word {w} is not over the presentation alphabet")
 
-    relators = [cyclic_core(r)[0].codes() for r in p.relators]
+    relators = [_cyclic_reduction(r._codes)[1] for r in p.relators]
     subgens = [w.codes() for w in subgroup_gens]
 
     table = _Table(2 * p.ngens, max_cosets)
@@ -228,19 +228,18 @@ def todd_coxeter(
         _hlt(table, subgens, relators)
     except _Budget:  # len(rows) counts the cosets defined, non-roots those collapsed
         return EnumResult(None, len(rows), sum(c != r for c, r in enumerate(parent)))
-    _verify_closed(table, relators, subgens)
-    index = len(table.live_cosets())
+    index = _verify_closed(table, relators, subgens)
     return EnumResult(index, len(rows), len(rows) - index)
 
 
-def _walk(rows: list[list[int | None]], c: int, word: list[int]) -> int:
+def _walk(rows: list[list[int | None]], c: int, word: Sequence[int]) -> int:
     for x in word:
         c = rows[c][x]
     return c
 
 
-def _verify_closed(table: _Table, relators: list[list[int]], subgens: list[list[int]]) -> None:
-    """Deduction-consistency check of a finished table; raises :class:`EnumerationError`.
+def _verify_closed(table: _Table, relators: list[Sequence[int]], subgens: list[Sequence[int]]) -> int:
+    """Check a finished table's deductions and return its live coset count; raises :class:`EnumerationError`.
 
     The first pass checks the invariant the scan relies on: live rows are
     complete and name live cosets that point back.  So no walk needs ``find``.
@@ -257,6 +256,7 @@ def _verify_closed(table: _Table, relators: list[list[int]], subgens: list[list[
         raise EnumerationError("relator scan does not close")
     if any(_walk(rows, 0, word) != 0 for word in subgens):
         raise EnumerationError("subgroup generator leaves coset 1")
+    return len(live)
 
 
 def certify_trivial(

@@ -8,10 +8,12 @@ Minimality is rule-based metadata, never computed geometry:
       marked Lagrangian tori, along a single push-off direction each time,
       is minimal (the result fibers as a circle bundle, so it carries no
       essential spheres);
-  R2  the symplectic sum of two minimal states is minimal (Usher);
-  R3  a sum is minimal when one side's glued surface has a killed meridian
-      and is flagged (by ``blow_up`` alone) as meeting every embedded -1
-      sphere of that side, and the other side (the one glued to it) is minimal;
+  R2  the symplectic sum of two minimal states along surfaces of positive
+      genus is minimal (Usher);
+  R3  a sum along surfaces of positive genus is minimal when one side's
+      glued surface has a killed meridian and is flagged (by ``blow_up``
+      alone) as meeting every embedded -1 sphere of that side, and the other
+      side (the one glued to it) is minimal;
   R4  a blowup is never minimal (it contains exceptional spheres).
 
 Anything else is Unknown.  A state's minimality is what the last of its
@@ -52,24 +54,25 @@ class SurfaceMark(Record):
 
     ``boundary_generators`` are the images of the standard symplectic
     generating set of the surface (2g words).  The normal bundle is trivial
-    exactly when the recorded self-intersection is 0.  A killed meridian
-    needs a reason.
+    exactly when the recorded self-intersection is 0.  The meridian is
+    killed exactly when ``meridian_killed_reason`` says why.
     """
 
-    __slots__ = ("id", "genus", "self_intersection", "boundary_generators", "meridian_killed",
-                 "meridian_killed_reason", "no_minus_one_sphere_off_surface")
+    __slots__ = ("id", "genus", "self_intersection", "boundary_generators", "meridian_killed_reason",
+                 "no_minus_one_sphere_off_surface")
 
     def __init__(self, id: str, genus: int, self_intersection: int, boundary_generators: tuple[Word, ...],
-                 meridian_killed: bool = False, meridian_killed_reason: str = "",
-                 no_minus_one_sphere_off_surface: bool = False):
+                 meridian_killed_reason: str = "", no_minus_one_sphere_off_surface: bool = False):
         if genus < 0:
             raise ManifoldError("genus must be nonnegative")
         if len(boundary_generators) != 2 * genus:
             raise ManifoldError(f"surface {id!r} of genus {genus} needs {2 * genus} boundary generators")
-        if meridian_killed and not meridian_killed_reason:
-            raise ManifoldError("a killed meridian requires a recorded reason")
-        setfields(self, id, genus, self_intersection, boundary_generators, meridian_killed,
-                  meridian_killed_reason, no_minus_one_sphere_off_surface)
+        setfields(self, id, genus, self_intersection, boundary_generators, meridian_killed_reason,
+                  no_minus_one_sphere_off_surface)
+
+    @property
+    def meridian_killed(self) -> bool:
+        return bool(self.meridian_killed_reason)
 
     @property
     def normal_bundle(self) -> str:
@@ -195,7 +198,6 @@ def blow_up(s: ManifoldState, on_surface: str | None = None, count: int = 1) -> 
     if on_surface is not None:
         mark = s.surface(on_surface)
         updated = mark.replace(
-            meridian_killed=True,
             meridian_killed_reason="meets an exceptional sphere transversally once",
             self_intersection=mark.self_intersection - count,
             no_minus_one_sphere_off_surface=s.minimality is Minimality.MINIMAL
@@ -285,14 +287,14 @@ def symplectic_sum(
     genus = mark1.genus
     euler = s1.euler + s2.euler - 2 * (2 - 2 * genus)
     signature = s1.signature + s2.signature
-    # R3 reads the side across from the flagged surface, the second argument's
-    # side first; R2 lists the rules in argument order.  Both come before orienting.
+    # R3 reads the side across from the flagged surface, the second argument's side
+    # first; R2 lists the rules in argument order.  Both need genus > 0 and come before orienting.
     rules: tuple[str, ...] = ()
     r3 = [other for mark, other in ((mark2, s1), (mark1, s2)) if mark.meridian_killed
           and mark.no_minus_one_sphere_off_surface and other.minimality is Minimality.MINIMAL]
-    if r3:
+    if genus and r3:
         rules = r3[0].minimality_rules + ("R3",)
-    elif s1.minimality is Minimality.MINIMAL and s2.minimality is Minimality.MINIMAL:
+    elif genus and s1.minimality is Minimality.MINIMAL and s2.minimality is Minimality.MINIMAL:
         rules = tuple(dict.fromkeys(s1.minimality_rules + s2.minimality_rules)) + ("R2",)
     if mark1.meridian_killed and not mark2.meridian_killed:
         s1, surface1, mark1, s2, surface2, mark2 = s2, surface2, mark2, s1, surface1, mark1

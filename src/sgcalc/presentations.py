@@ -13,7 +13,7 @@ import enum
 from math import gcd
 from typing import Iterable, Sequence
 
-from .records import Record, setfield, setfields
+from .records import Record, setfield
 from .words import Alphabet, Word, relator_key
 
 
@@ -56,11 +56,7 @@ class Presentation(Record):
 
 def quotient_by(p: Presentation, new_relators: Iterable[Word]) -> Presentation:
     """Quotient by the normal closure of ``new_relators`` (relator addition)."""
-    new = tuple(new_relators)
-    for r in new:
-        if r.alphabet != p.alphabet:
-            raise PresentationError(f"relator {r} uses foreign symbols")
-    return Presentation(p.alphabet, p.relators + new, p.exactness)
+    return Presentation(p.alphabet, p.relators + tuple(new_relators), p.exactness)
 
 
 def unique_occurrence(relator: Word, gen: str, codes: Sequence[int]) -> int:
@@ -132,17 +128,8 @@ def commutation_normal_form(w: Word, pairs: frozenset[frozenset[str]]) -> Word:
         word = Word(w.alphabet, codes)
 
 
-class PruneRecord(Record):
-    __slots__ = ("index", "relator", "reason")
-
-    def __init__(self, index: int, relator: Word, reason: str):
-        setfields(self, index, relator, reason)
-
-
-def prune_redundant(
-    alphabet: Alphabet, relators: Sequence[Word]
-) -> tuple[list[Word], list[PruneRecord]]:
-    """Drop relators that restate what the remaining ones already say.
+def prune_redundant(relators: Sequence[Word]) -> list[Word]:
+    """The relators that do not restate what the remaining ones already say.
 
     A relator goes when, rewriting with the commuting pairs declared by the
     *other* relators, it either becomes trivial or coincides (up to rotation
@@ -150,14 +137,12 @@ def prune_redundant(
     presentation, which is sound for surjective bounds.
     """
     kept = [True] * len(relators)
-    removed: list[PruneRecord] = []
     for i, r in enumerate(relators):
         others = [s for j, s in enumerate(relators) if j != i and kept[j]]
         pairs = commuting_pairs(others)
         nf = commutation_normal_form(r, pairs)
         if nf.is_identity:
             kept[i] = False
-            removed.append(PruneRecord(i, r, "trivial modulo commuting relations"))
             continue
         for j in range(i):
             if not kept[j]:
@@ -165,9 +150,8 @@ def prune_redundant(
             nfj = commutation_normal_form(relators[j], pairs)
             if not nfj.is_identity and relator_key(nf) == relator_key(nfj):
                 kept[i] = False
-                removed.append(PruneRecord(i, r, f"restates relator {j}"))
                 break
-    return [r for i, r in enumerate(relators) if kept[i]], removed
+    return [r for i, r in enumerate(relators) if kept[i]]
 
 
 # -- abelianization and integer homology -------------------------------------

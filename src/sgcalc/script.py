@@ -43,7 +43,7 @@ import re
 from typing import Callable, Iterable, NamedTuple, Union
 
 from . import construction
-from .construction import Report, StatementResult, presentation_dict, verdict_of
+from .construction import Report, StatementResult, presentation_dict
 from .coset_enum import MAX_COSETS, check_max_cosets
 from .manifolds import ManifoldError, ManifoldState, blow_up
 # The checks call these three through construction; they stay attributes of
@@ -624,4 +624,4 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
             break
         except InputTooLarge as err:
             raise InputTooLarge(f"in a word: {err}", stmt.line, 1) from None
-    return Report(tuple(results), verdict_of(results), {"max_cosets": budgets.max_cosets})
+    return Report(tuple(results), {"max_cosets": budgets.max_cosets})

@@ -15,18 +15,19 @@ ties broken by generator declaration order, so traces are stable across
 runs.  Every step carries enough data to be re-applied from scratch;
 ``replay`` recomputes the whole derivation and is used to validate traces.
 
-The state holds each relator as its tuple of letter codes over the
+The state holds one list of relators, each its letter codes over the
 initial alphabet: an ``Eliminate`` substitutes its definition into the
-relators that hold the generator and leaves every other code as it is, and
-codes are translated into the current alphabet only where a ``Word`` is
-built (step records, re-checks and the result).  Beside each relator the
-state keeps what the step search reads off it: its cyclic reduction
+relators that hold the generator and keeps every other relator, and codes
+are translated into the current alphabet only where a ``Word`` is built
+(step records, re-checks and the result).  A relator works out what the
+step search reads off it the first time it is read: its cyclic reduction
 prefix, its code string and its inverse's (shortening chunks are found by
 substring search), its signature (its generators, sorted), the generators
-that occur in it once, and the relators found not to shorten it.  These
-are derived again only for a relator a step changed.  Duplicates are
-looked for among relators of equal signature, whose ``relator_key``s
-(Booth's least rotation, linear in the length) are found only then and kept.
+that occur in it once, and the relators found not to shorten it.  A step
+puts a new relator in place of each it changes, and ``replay`` reads facts
+only to re-check duplicates.  Duplicates are looked for among relators of
+equal signature, whose ``relator_key``s (Booth's least rotation, linear in
+the length) are found only then and kept.
 Applying a step, during simplification and in ``replay`` alike, re-checks
 it: every index in range, a duplicate as a rotation of another relator or
 of its inverse (a substring of it written twice), a shortening letter by
@@ -112,22 +113,32 @@ class DerivationTrace(Record):
 
 
 class _Relator:
-    """What the step search reads off one relator, held as a string of its
-    letter codes over the initial alphabet."""
+    """One relator of the state, as its tuple of letter codes over the
+    initial alphabet, and what the step search reads off it, worked out the
+    first time ``derive`` is called."""
 
-    __slots__ = ("cut", "text", "inverse_text", "signature", "singles", "unmatched", "_key")
+    __slots__ = ("codes", "cut", "text", "inverse_text", "signature", "singles", "unmatched", "_key")
 
-    def __init__(self, codes: tuple[int, ...], bases: list[str], inverses: list[str]):
-        self.cut = len(_cyclic_reduction(codes)[0])  # letters cyclic reduction cuts from each end
-        # letter codes as strings, so shortening chunks are found with str.find
-        self.text = "".join(map(chr, codes))
-        self.inverse_text = self.text[::-1].translate(inverses)
-        # the generators, sorted: equal for a relator's rotations and inverse
-        letters = self.text.translate(bases)
-        self.signature = "".join(sorted(letters))
-        self.singles = [ord(b) for b in set(letters) if letters.count(b) == 1]
-        self.unmatched: set[str] = set()  # texts of relators found not to shorten this one
-        self._key: str | None = None
+    def __init__(self, codes: tuple[int, ...]):
+        self.codes = codes
+        self.text: str | None = None  # set, with every other fact, by derive
+
+    def derive(self, bases: list[str], inverses: list[str]) -> _Relator:
+        """This relator, its facts worked out; ``bases`` and ``inverses`` are
+        the ``str.translate`` tables of a letter's generator and inverse."""
+        if self.text is None:
+            codes = self.codes
+            self.cut = len(_cyclic_reduction(codes)[0])  # letters cyclic reduction cuts from each end
+            # letter codes as strings, so shortening chunks are found with str.find
+            self.text = "".join(map(chr, codes))
+            self.inverse_text = self.text[::-1].translate(inverses)
+            # the generators, sorted: equal for a relator's rotations and inverse
+            letters = self.text.translate(bases)
+            self.signature = "".join(sorted(letters))
+            self.singles = [ord(b) for b in set(letters) if letters.count(b) == 1]
+            self.unmatched: set[str] = set()  # texts of relators found not to shorten this one
+            self._key: str | None = None
+        return self
 
     def key(self) -> str:
         """The cyclically reduced relator's ``relator_key``, as a string; found
@@ -141,21 +152,19 @@ _INDEX_FIELDS = ("relator_index", "kept_index", "target", "other")
 
 
 class _State:
-    """A presentation being simplified: each relator as its tuple of letter
-    codes over the initial alphabet, and beside it its ``_Relator``, derived
-    when first read and again only after a step changes the relator."""
+    """A presentation being simplified: one ``_Relator`` per relator, whose
+    facts are worked out when first read and kept until a step changes it."""
 
     def __init__(self, p: Presentation):
         self.alphabet = self.initial = p.alphabet
-        self.relators = [tuple(r.codes()) for r in p.relators]
-        self.facts: list[_Relator | None] = [None] * len(self.relators)
+        self.relators = [_Relator(r._codes) for r in p.relators]
         self.exactness = p.exactness
         codes = range(2 * len(p.alphabet))
         self._to_current = list(codes)  # an initial code's current code
         self._to_initial = list(codes)  # a current code's initial code
         # str.translate tables: a letter's generator, and its inverse letter
-        self._bases = [chr(c >> 1) for c in codes]
-        self._inverses = [chr(c ^ 1) for c in codes]
+        self.bases = [chr(c >> 1) for c in codes]
+        self.inverses = [chr(c ^ 1) for c in codes]
 
     def word(self, codes: Sequence[int]) -> Word:
         """The word of reduced initial-alphabet ``codes`` over the current
@@ -167,47 +176,33 @@ class _State:
         return Word(self.alphabet, current, True)
 
     def presentation(self) -> Presentation:
-        return Presentation(self.alphabet, tuple(map(self.word, self.relators)), self.exactness)
-
-    def fact(self, i: int) -> _Relator:
-        f = self.facts[i]
-        if f is None:
-            f = self.facts[i] = _Relator(self.relators[i], self._bases, self._inverses)
-        return f
-
-    def derived(self) -> list[_Relator]:
-        return [self.fact(i) if f is None else f for i, f in enumerate(self.facts)]
-
-    def remove(self, i: int) -> None:
-        del self.relators[i], self.facts[i]
-
-    def replace(self, i: int, codes: tuple[int, ...]) -> None:
-        self.relators[i], self.facts[i] = codes, None
+        return Presentation(self.alphabet, tuple(self.word(r.codes) for r in self.relators), self.exactness)
 
     def apply(self, step: TietzeStep) -> None:
         relators = self.relators
         if not all(0 <= getattr(step, name, 0) < len(relators) for name in _INDEX_FIELDS):
             raise PresentationError(f"replay: relator index out of range in {step!r}")
         if isinstance(step, RemoveTrivial):
-            if relators[step.relator_index]:
+            if relators[step.relator_index].codes:
                 raise PresentationError("replay: relator is not trivial")
-            self.remove(step.relator_index)
+            del relators[step.relator_index]
         elif isinstance(step, RemoveDuplicate):
             # a rotation of the kept relator or of its inverse: a substring
             # of it, or of its inverse, written twice, and of its length
-            r, kept = self.fact(step.relator_index).text, self.fact(step.kept_index)
+            r = relators[step.relator_index].derive(self.bases, self.inverses).text
+            kept = relators[step.kept_index].derive(self.bases, self.inverses)
             if step.relator_index == step.kept_index or len(r) != len(kept.text) or (
                 r not in kept.text * 2 and r not in kept.inverse_text * 2
             ):
                 raise PresentationError("replay: relator is not a duplicate of another")
-            self.remove(step.relator_index)
+            del relators[step.relator_index]
         elif isinstance(step, CyclicReduce):
-            prefix, core = _cyclic_reduction(relators[step.relator_index])
+            prefix, core = _cyclic_reduction(relators[step.relator_index].codes)
             if self.word(prefix) != step.prefix:
                 raise PresentationError("replay: cyclic reduction mismatch")
-            self.replace(step.relator_index, core)
+            relators[step.relator_index] = _Relator(core)
         elif isinstance(step, Eliminate):
-            definition = solve_relator(self.word(relators[step.relator_index]), step.gen)
+            definition = solve_relator(self.word(relators[step.relator_index].codes), step.gen)
             if definition != step.definition:
                 raise PresentationError("replay: eliminated definition mismatch")
             # the definition goes into the relators that hold the generator;
@@ -216,17 +211,17 @@ class _State:
             code = 2 * self.initial.rank(step.gen)
             image = {code: tuple(to_initial[c] for c in definition.codes())}
             image[code + 1] = inverse_codes(image[code])
-            self.remove(step.relator_index)
+            del relators[step.relator_index]
             for i, r in enumerate(relators):
-                if code in r or code + 1 in r:
-                    self.replace(i, tuple(free_reduce(x for c in r for x in image.get(c, (c,)))))
+                if code in r.codes or code + 1 in r.codes:
+                    relators[i] = _Relator(tuple(free_reduce(x for c in r.codes for x in image.get(c, (c,)))))
             self.alphabet = self.alphabet.without(step.gen)
             del to_initial[to_current[code] : to_current[code] + 2]
             to_current[code] = to_current[code + 1] = -1  # no Word may hold it now
             for at, c in enumerate(to_initial):
                 to_current[c] = at
         elif isinstance(step, Shorten):
-            t, other = relators[step.target], relators[step.other]
+            t, other = relators[step.target].codes, relators[step.other].codes
             n, rotation, at, overlap = len(other), step.rotation, step.position, step.overlap
             if step.target == step.other:
                 raise PresentationError("replay: relator cannot shorten itself")
@@ -236,7 +231,8 @@ class _State:
             src = src[rotation:] + src[:rotation]
             if t[at : at + overlap] != src[:overlap]:
                 raise PresentationError("replay: overlap does not match")
-            self.replace(step.target, tuple(free_reduce(t[:at] + inverse_codes(src[overlap:]) + t[at + overlap :])))
+            relators[step.target] = _Relator(
+                tuple(free_reduce(t[:at] + inverse_codes(src[overlap:]) + t[at + overlap :])))
         else:
             raise PresentationError(f"unknown step {step!r}")
 
@@ -275,7 +271,7 @@ def _find_elimination(state: _State, derived: Sequence[_Relator]) -> Eliminate |
     if best is None:
         return None
     gen, idx = state.initial.names[-best[1]], best[2]
-    return Eliminate(gen, idx, solve_relator(state.word(state.relators[idx]), gen))
+    return Eliminate(gen, idx, solve_relator(state.word(derived[idx].codes), gen))
 
 
 def _find_duplicate(derived: Sequence[_Relator]) -> RemoveDuplicate | None:
@@ -297,10 +293,10 @@ def _find_duplicate(derived: Sequence[_Relator]) -> RemoveDuplicate | None:
 def _next_step(state: _State) -> TietzeStep | None:
     """The first applicable move: cyclic reduction, trivial and duplicate
     removal, elimination, then shortening."""
-    derived = state.derived()
+    derived = [r.derive(state.bases, state.inverses) for r in state.relators]
     for i, d in enumerate(derived):
         if d.cut:
-            return CyclicReduce(i, state.word(state.relators[i][: d.cut]))
+            return CyclicReduce(i, state.word(d.codes[: d.cut]))
     for i, d in enumerate(derived):
         if not d.text:
             return RemoveTrivial(i)

@@ -89,7 +89,7 @@ class Alphabet:
             if not isinstance(exp, int) or isinstance(exp, bool):
                 raise WordError(f"exponent of {name!r} is not an integer")
             codes += [code if exp > 0 else code + 1] * abs(exp)
-        return Word(self, codes)
+        return Word(self, tuple(free_reduce(codes)), True)  # codes from rank() are in range
 
     def without(self, name: str) -> "Alphabet":
         self.rank(name)
@@ -109,10 +109,11 @@ class Word:
     The constructor validates and freely reduces any sequence of letter codes.
     A third argument ``True`` is package-private: it takes ``codes`` as they
     are, so the caller must have proved them a tuple of letter codes below
-    ``2 * len(alphabet)`` with no letter next to its inverse.  The products,
-    inverse, powers, ``commutator``, ``conjugate`` and ``cyclic_core`` here,
-    ``presentations.solve_relator``, ``tietze._State.word`` and
-    ``script.parse_word`` use it; every other caller validates.
+    ``2 * len(alphabet)`` with no letter next to its inverse.
+    ``Alphabet.word``, the products, inverse, powers, ``commutator``,
+    ``conjugate`` and ``cyclic_core`` here, ``presentations.solve_relator``,
+    ``tietze._State.word`` and ``script.parse_word`` use it; every other
+    caller validates.
     """
 
     __slots__ = ("alphabet", "_codes")

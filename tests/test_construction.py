@@ -30,7 +30,7 @@ from sgcalc.construction import (
     replay_kill_order,
     verify_main_theorem,
 )
-from sgcalc.coset_enum import MAX_COSETS, TrivialityCertificate, certify_trivial
+from sgcalc.coset_enum import MAX_COSETS, TrivialityCertificate, certify_trivial, todd_coxeter
 from sgcalc.manifolds import Minimality, Parity
 from sgcalc.presentations import Presentation, homology_invariants
 from sgcalc.tietze import tietze_simplify
@@ -451,10 +451,8 @@ def test_verify_main_theorem_passes():
     assert "kill-order replay" in names and "classification" in names
 
 
-def test_the_proof_path_builds_no_intermediate_words(monkeypatch):
-    """Machine-independent work of the verdict: ``Word``s built, counted at
-    ``Word.__init__``.  A product, power, commutator or substitution that
-    built intermediate words on the way to its result would pass the bounds."""
+def _words_built(monkeypatch) -> list:
+    """A list that gains an item for each ``Word`` built, counted at ``Word.__init__``."""
     built = []
     word_init = words.Word.__init__
 
@@ -463,11 +461,27 @@ def test_the_proof_path_builds_no_intermediate_words(monkeypatch):
         word_init(self, *args)
 
     monkeypatch.setattr(words.Word, "__init__", counted_init)
+    return built
+
+
+def test_the_proof_path_builds_no_intermediate_words(monkeypatch):
+    """Machine-independent work of the verdict: ``Word``s built.  A product,
+    power, commutator or substitution that built intermediate words on the
+    way to its result would pass the bounds."""
+    built = _words_built(monkeypatch)
     assemble_x()
     for_x = len(built)
     assert verify_main_theorem().verdict == "PASS"
     verdict = len(built) - for_x
-    assert for_x <= 235 and verdict <= 513, (for_x, verdict)
+    assert for_x <= 235 and verdict <= 473, (for_x, verdict)
+
+
+def test_enumerating_x_builds_no_word(monkeypatch):
+    # the enumerator reads each relator's cyclic core straight from its codes
+    x = build_x().pi1
+    built = _words_built(monkeypatch)
+    assert todd_coxeter(x).index == 1
+    assert built == []
 
 
 def test_verify_main_theorem_budget_exhaustion_is_inconclusive():

@@ -69,8 +69,14 @@ def test_genus_two_surface_needs_four_boundary_generators():
     ab = Alphabet(("s1", "t1", "s2", "t2"))
     with pytest.raises(ManifoldError):
         SurfaceMark("G", 2, 0, (ab.gen("s1"), ab.gen("t1")))
-    with pytest.raises(ManifoldError):
-        SurfaceMark("G", 1, 0, (ab.gen("s1"), ab.gen("t1")), meridian_killed=True)
+
+
+def test_a_meridian_is_killed_exactly_when_a_reason_is_recorded():
+    ab = Alphabet(("s1", "t1"))
+    boundary = (ab.gen("s1"), ab.gen("t1"))
+    assert SurfaceMark("G", 1, 0, boundary, meridian_killed_reason="r").meridian_killed
+    assert not SurfaceMark("G", 1, 0, boundary).meridian_killed
+    assert "meridian_killed" not in SurfaceMark._fields
 
 
 def test_state_refuses_inconsistent_marks():
@@ -323,6 +329,19 @@ def test_genus_two_sum_euler_gains_four():
     assert out.signature == -1
 
 
+def test_a_sum_along_spheres_concludes_no_minimality():
+    # Usher's theorem (R2, R3) holds for sums along surfaces of positive genus only
+    s1, s2 = _torus_block_pair()
+    sphere = (SurfaceMark("S", 0, 0, ()),)
+    out = symplectic_sum(s1.replace(surfaces=sphere), "S", s2.replace(surfaces=sphere), "S", ())
+    assert (out.minimality, out.minimality_rules) == (Minimality.UNKNOWN, ())
+    flagged = (SurfaceMark("S", 0, 0, (), meridian_killed_reason="test", no_minus_one_sphere_off_surface=True),)
+    donor = ManifoldState(Presentation(Alphabet(), (), Exactness.SURJECTIVE_BOUND), 1, -1, True, ("R4",),
+                          surfaces=flagged)
+    out = symplectic_sum(s1.replace(surfaces=sphere), "S", donor, "S", ())
+    assert (out.minimality, out.minimality_rules) == (Minimality.UNKNOWN, ())
+
+
 def test_sum_genus_mismatch_and_normal_bundle_errors():
     s1, s2 = _torus_block_pair()
     bad = ManifoldState(
@@ -354,7 +373,6 @@ def test_killed_meridian_sum_transports_relators():
         1,
         0,
         (ab2.gen("u2"), ab2.gen("v2")),
-        meridian_killed=True,
         meridian_killed_reason="meets an exceptional sphere transversally once",
         no_minus_one_sphere_off_surface=True,
     )
@@ -386,7 +404,7 @@ def test_minimality_never_upgrades_not_minimal_without_r3():
 
 def _killed(state, surface_id, flagged=False):
     surfaces = tuple(
-        m.replace(meridian_killed=True, meridian_killed_reason="test", no_minus_one_sphere_off_surface=flagged)
+        m.replace(meridian_killed_reason="test", no_minus_one_sphere_off_surface=flagged)
         if m.id == surface_id else m
         for m in state.surfaces
     )

@@ -31,7 +31,7 @@ def sides(draw, prefix: str, glued: str, genus: int):
     relators = draw(st.lists(st.lists(letter, min_size=1, max_size=5).map(ab.word), max_size=3))
     killed = draw(st.booleans())
     boundary = tuple(ab.gen(n) for n in ab.names[: 2 * genus])
-    marks = [SurfaceMark(glued, genus, 0, boundary, meridian_killed=killed,
+    marks = [SurfaceMark(glued, genus, 0, boundary,
                          meridian_killed_reason="meets an exceptional sphere" if killed else "",
                          no_minus_one_sphere_off_surface=killed and draw(st.booleans()))]
     for other in draw(st.lists(st.sampled_from([i for i in OTHER_IDS if i != glued]), max_size=2, unique=True)):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sgcalc
 from sgcalc import construction, coset_enum
 from sgcalc.cli import main
@@ -22,6 +24,12 @@ from sgcalc.construction import (
 from sgcalc.script import execute, parse
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "scripts" / "exotic_cp2_3.sgc"
+FAILING = "let v = build_V()\ncheck invariants(v, 1, 0)\n"
+# A5 = < x, y | x^2, y^3, (xy)^5 > needs 60 cosets, more than a budget of 10
+UNDECIDED = (
+    'let g = presentation(generators=["x", "y"], relators=["x^2", "y^3", "x y x y x y x y x y"])\n'
+    "check trivial(g)\n"
+)
 
 
 def _counted(monkeypatch, module, name: str) -> list:
@@ -126,6 +134,41 @@ def test_one_report_type():
     assert issubclass(ConstructionReport, Report)
     assert type(execute(parse("let v = build_V()"))) is Report
     assert not hasattr(construction, "VerdictReport")
+
+
+def test_a_report_states_no_verdict_its_statements_do_not_give():
+    report = execute(parse(FAILING))
+    assert report.verdict == "FAIL"
+    assert report.replace(statements=report.statements[:1]).verdict == "PASS"
+    assert Report._fields == ("statements", "budgets")
+    assert not {"verdict", "axioms"} & set(ConstructionReport._fields)
+
+
+@pytest.mark.parametrize(
+    "script, budget, verdict",
+    [
+        (None, [], "PASS"),
+        (EXAMPLE.read_text(encoding="utf-8"), [], "PASS"),
+        (FAILING, [], "FAIL"),
+        (UNDECIDED, ["--max-cosets", "10"], "INCONCLUSIVE"),
+    ],
+    ids=["verify-paper", "run-pass", "run-fail", "run-inconclusive"],
+)
+def test_the_json_alone_gives_back_the_verdict(tmp_path, capsys, script, budget, verdict):
+    command = ["verify-paper"]
+    if script is not None:
+        (tmp_path / "s.sgc").write_text(script, encoding="utf-8")
+        command = ["run", str(tmp_path / "s.sgc")]
+    code = main([*command, *budget, "--emit", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    # README's rule: FAIL if any check failed or raised an error, else
+    # INCONCLUSIVE if any check is undecided, else PASS
+    statuses = [s["status"] for s in payload["statements"]]
+    recomputed = (
+        "FAIL" if "fail" in statuses or "error" in statuses else "INCONCLUSIVE" if "inconclusive" in statuses else "PASS"
+    )
+    assert recomputed == payload["verdict"] == verdict
+    assert code == {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}[verdict]
 
 
 def test_verify_paper_json_states_each_fact_once(capsys):

@@ -313,9 +313,10 @@ def test_mutated_x_trace_never_changes_h1():
 
 
 def _counting(monkeypatch) -> Counter:
-    """Count ``Word``s built, least-rotation searches and relator derivations."""
+    """Count ``Word``s built, least-rotation searches and relator derivations
+    (a relator's facts worked out)."""
     counts = Counter()
-    word_init, least_rotation, derive = words.Word.__init__, words._least_rotation, tietze._Relator.__init__
+    word_init, least_rotation, derive = words.Word.__init__, words._least_rotation, tietze._Relator.derive
 
     def counted_init(self, *args):
         counts["Word"] += 1
@@ -326,12 +327,12 @@ def _counting(monkeypatch) -> Counter:
         return least_rotation(s)
 
     def counted_derive(self, *args):
-        counts["_Relator"] += 1
-        derive(self, *args)
+        counts["_Relator"] += self.text is None
+        return derive(self, *args)
 
     monkeypatch.setattr(words.Word, "__init__", counted_init)
     monkeypatch.setattr(words, "_least_rotation", counted_least_rotation)
-    monkeypatch.setattr(tietze._Relator, "__init__", counted_derive)
+    monkeypatch.setattr(tietze._Relator, "derive", counted_derive)
     return counts
 
 
@@ -344,6 +345,17 @@ def test_x_simplification_work_counts(monkeypatch):
     counts = _counting(monkeypatch)
     tietze_simplify(x, TIETZE_BUDGET)
     assert counts["Word"] <= 74 and counts["_least_rotation"] <= 46 and counts["_Relator"] <= 91, counts
+
+
+def test_replaying_x_works_out_facts_only_for_rechecked_duplicates(monkeypatch):
+    """``replay`` reads a relator's facts only to re-check a ``RemoveDuplicate``,
+    so it works them out for 11 of X's relators, not for every relator a
+    step changes."""
+    x = assemble_x().state.pi1
+    final, trace = tietze_simplify(x, TIETZE_BUDGET)
+    counts = _counting(monkeypatch)
+    assert replay(x, trace) == final
+    assert counts["_Relator"] == 11, counts
 
 
 def test_state_word_refuses_an_eliminated_generators_letter():

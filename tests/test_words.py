@@ -315,6 +315,12 @@ def test_cyclic_core_slices_the_reduced_word(w):
 
 
 @PROPERTY
+@given(st.lists(st.tuples(st.sampled_from(XYZ.names), st.integers(-3, 3)), max_size=8))
+def test_alphabet_word_reduces_its_syllables_as_the_constructor_would(syllables):
+    assert XYZ.word(syllables) == validated(2 * XYZ.rank(n) + (e < 0) for n, e in syllables for _ in range(abs(e)))
+
+
+@PROPERTY
 @given(raw_codes, raw_codes, st.sampled_from((4, 5)))
 def test_solve_relator_slices_as_the_constructor_would(p, q, z):
     relator = validated(p + [z] + q)  # z occurs once and cannot cancel
