@@ -103,7 +103,7 @@ def complement_data(
             raise WordError(f"image of {name!r} is not a single signed generator: {image}")
         if alphabet is None:
             alphabet = image.alphabet
-        elif image.alphabet != alphabet:
+        elif image.alphabet is not alphabet and image.alphabet != alphabet:
             raise WordError("images span different alphabets")
         bases[name] = letter[0]
     if len(set(bases.values())) != len(bases):

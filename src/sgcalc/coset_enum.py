@@ -216,7 +216,7 @@ def todd_coxeter(
     """
     check_max_cosets(max_cosets)
     for w in subgroup_gens:
-        if w.alphabet != p.alphabet:
+        if w.alphabet is not p.alphabet and w.alphabet != p.alphabet:
             raise EnumerationError(f"subgroup word {w} is not over the presentation alphabet")
 
     relators = [_cyclic_reduction(r._codes)[1] for r in p.relators]

@@ -106,7 +106,7 @@ class ManifoldState(Record):
         for kind, marks in (("surface", surfaces), ("torus", tori)):
             for mark in marks:
                 words = mark.boundary_generators if kind == "surface" else (mark.mu, mark.m, mark.l)
-                if any(w.alphabet != pi1.alphabet for w in words):
+                if any(w.alphabet is not pi1.alphabet and w.alphabet != pi1.alphabet for w in words):
                     raise ManifoldError(f"{kind} {mark.id!r} carries foreign words")
             ids = [m.id for m in marks]
             if len(set(ids)) < len(ids):
@@ -221,8 +221,11 @@ def resolve_intersection(
 
     The genera add, the boundary generator lists concatenate, and the new
     self-intersection gains 2 from the smoothed intersection point.  The
-    ambient manifold is untouched.  Every transverse pair naming either
-    surface is dropped, and the new id must not already be taken.
+    ambient manifold is untouched.  An exceptional sphere that met either
+    surface once meets the merged one once, so the merged surface keeps
+    either side's killed meridian, and R3's flag if either side has it.
+    Every transverse pair naming either surface is dropped, and the new id
+    must not already be taken.
     """
     a, b = s.surface(surface_a), s.surface(surface_b)
     if (surface_a, surface_b) not in s.transverse_pairs and (surface_b, surface_a) not in s.transverse_pairs:
@@ -232,6 +235,8 @@ def resolve_intersection(
         genus=a.genus + b.genus,
         self_intersection=a.self_intersection + b.self_intersection + 2,
         boundary_generators=a.boundary_generators + b.boundary_generators,
+        meridian_killed_reason=a.meridian_killed_reason or b.meridian_killed_reason,
+        no_minus_one_sphere_off_surface=a.no_minus_one_sphere_off_surface or b.no_minus_one_sphere_off_surface,
     )
     keep = tuple(m for m in s.surfaces if m.id not in (surface_a, surface_b))
     pairs = tuple(pair for pair in s.transverse_pairs if surface_a not in pair and surface_b not in pair)

@@ -34,7 +34,7 @@ class Presentation(Record):
         setfield(self, "relators", tuple(relators))
         setfield(self, "exactness", exactness)
         for r in self.relators:
-            if r.alphabet != alphabet:
+            if r.alphabet is not alphabet and r.alphabet != alphabet:
                 raise PresentationError(f"relator {r} is not over the presentation alphabet")
 
     @property

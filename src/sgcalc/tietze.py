@@ -21,31 +21,30 @@ relators that hold the generator and keeps every other relator, and codes
 are translated into the current alphabet only where a ``Word`` is built
 (step records, re-checks and the result).  A relator works out what the
 step search reads off it the first time it is read: its cyclic reduction
-prefix, its code string and its inverse's (shortening chunks are found by
-substring search), its signature (its generators, sorted), the generators
-that occur in it once, and the relators found not to shorten it.  A step
-puts a new relator in place of each it changes, and ``replay`` reads facts
-only to re-check duplicates.  Duplicates are looked for among relators of
-equal signature, whose ``relator_key``s (Booth's least rotation, linear in
-the length) are found only then and kept.
-Applying a step, during simplification and in ``replay`` alike, re-checks
-it: every index in range, a duplicate as a rotation of another relator or
-of its inverse (a substring of it written twice), a shortening letter by
-letter against another relator.
+prefix, its code string, that string and its inverse's written twice (a
+duplicate or shortening chunk is a substring), its signature (its
+generators, sorted) and the generators that occur in it once.  A step puts
+a new relator, with the state's next creation stamp, in place of each it
+changes; a shortening target is tested only against relators stamped after
+its last full scan, and ``replay`` reads facts only to re-check duplicates.
+Applying a step re-checks it: every index in range, a duplicate by the test
+that finds it, a shortening letter by letter against another relator.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
 from .records import Record, setfield, setfields
-from .words import Word, WordError, _cyclic_reduction, _least_rotated, free_reduce, inverse_codes
+from .words import Word, WordError, _cyclic_reduction, free_reduce, inverse_codes
 from .words import rotations  # noqa: F401  unused here; bench/tracing.py wraps tietze.rotations by name
 
 
 # Default cap on the recorded steps of one simplification.
 TIETZE_BUDGET = 2000
+_HEAD_LETTERS = 16  # a rotation's head is at most this long, so a relator's heads are linear in its length
 
 
 class Eliminate(Record):
@@ -113,15 +112,14 @@ class DerivationTrace(Record):
 
 
 class _Relator:
-    """One relator of the state, as its tuple of letter codes over the
-    initial alphabet, and what the step search reads off it, worked out the
-    first time ``derive`` is called."""
+    """One relator of the state: its codes over the initial alphabet, its
+    creation ``stamp``, the newest stamp its last full shortening scan saw,
+    and the search facts that ``derive`` sets (``text`` is ``None`` before)."""
 
-    __slots__ = ("codes", "cut", "text", "inverse_text", "signature", "singles", "unmatched", "_key")
+    __slots__ = ("codes", "stamp", "scanned", "heads", "cut", "text", "twice", "inverse_twice", "signature", "singles")
 
-    def __init__(self, codes: tuple[int, ...]):
-        self.codes = codes
-        self.text: str | None = None  # set, with every other fact, by derive
+    def __init__(self, codes: tuple[int, ...], stamp: int):
+        self.codes, self.stamp, self.scanned, self.heads, self.text = codes, stamp, -1, None, None
 
     def derive(self, bases: list[str], inverses: list[str]) -> _Relator:
         """This relator, its facts worked out; ``bases`` and ``inverses`` are
@@ -129,23 +127,36 @@ class _Relator:
         if self.text is None:
             codes = self.codes
             self.cut = len(_cyclic_reduction(codes)[0])  # letters cyclic reduction cuts from each end
-            # letter codes as strings, so shortening chunks are found with str.find
-            self.text = "".join(map(chr, codes))
-            self.inverse_text = self.text[::-1].translate(inverses)
+            # letter codes as strings, written twice so that every rotation is a substring
+            self.text = text = "".join(map(chr, codes))
+            self.twice, self.inverse_twice = text * 2, text[::-1].translate(inverses) * 2
             # the generators, sorted: equal for a relator's rotations and inverse
-            letters = self.text.translate(bases)
+            letters = text.translate(bases)
             self.signature = "".join(sorted(letters))
             self.singles = [ord(b) for b in set(letters) if letters.count(b) == 1]
-            self.unmatched: set[str] = set()  # texts of relators found not to shorten this one
-            self._key: str | None = None
         return self
 
-    def key(self) -> str:
-        """The cyclically reduced relator's ``relator_key``, as a string; found
-        only for a relator that shares its signature with another."""
-        if self._key is None:
-            self._key = min(_least_rotated(self.text), _least_rotated(self.inverse_text))
-        return self._key
+    def is_rotation_of(self, other: _Relator) -> bool:
+        """Whether this relator is a rotation of ``other`` or of its inverse:
+        equal signatures, hence lengths, and found in either written twice."""
+        return self.signature == other.signature and (self.text in other.twice or self.text in other.inverse_twice)
+
+    def overlap(self, t: str) -> tuple[bool, int, int, int] | None:
+        """The first ``(inverted, rotation, position, overlap)`` with more than half of a
+        rotation of this relator or its inverse in ``t``, at its longest.  A rotation is tried only
+        if its head, which starts every such chunk, is in ``t``; heads are cut when first needed."""
+        n = len(self.text)
+        if self.heads is None:
+            m = min(n // 2 + 1, _HEAD_LETTERS)
+            self.heads = [d[r : r + m] for d in (self.twice, self.inverse_twice) for r in range(n)]
+        for k, head in enumerate(self.heads):
+            if head in t:
+                inverted, rotation = divmod(k, n)
+                doubled = self.inverse_twice if inverted else self.twice
+                overlap = next((m for m in range(n, n // 2, -1) if doubled[rotation : rotation + m] in t), 0)
+                if overlap:
+                    return bool(inverted), rotation, t.find(doubled[rotation : rotation + overlap]), overlap
+        return None
 
 
 _INDEX_FIELDS = ("relator_index", "kept_index", "target", "other")
@@ -157,7 +168,8 @@ class _State:
 
     def __init__(self, p: Presentation):
         self.alphabet = self.initial = p.alphabet
-        self.relators = [_Relator(r._codes) for r in p.relators]
+        self.stamps = count()
+        self.relators = [_Relator(r._codes, next(self.stamps)) for r in p.relators]
         self.exactness = p.exactness
         codes = range(2 * len(p.alphabet))
         self._to_current = list(codes)  # an initial code's current code
@@ -187,20 +199,15 @@ class _State:
                 raise PresentationError("replay: relator is not trivial")
             del relators[step.relator_index]
         elif isinstance(step, RemoveDuplicate):
-            # a rotation of the kept relator or of its inverse: a substring
-            # of it, or of its inverse, written twice, and of its length
-            r = relators[step.relator_index].derive(self.bases, self.inverses).text
-            kept = relators[step.kept_index].derive(self.bases, self.inverses)
-            if step.relator_index == step.kept_index or len(r) != len(kept.text) or (
-                r not in kept.text * 2 and r not in kept.inverse_text * 2
-            ):
+            r, kept = (relators[i].derive(self.bases, self.inverses) for i in (step.relator_index, step.kept_index))
+            if step.relator_index == step.kept_index or not r.is_rotation_of(kept):
                 raise PresentationError("replay: relator is not a duplicate of another")
             del relators[step.relator_index]
         elif isinstance(step, CyclicReduce):
             prefix, core = _cyclic_reduction(relators[step.relator_index].codes)
             if self.word(prefix) != step.prefix:
                 raise PresentationError("replay: cyclic reduction mismatch")
-            relators[step.relator_index] = _Relator(core)
+            relators[step.relator_index] = _Relator(core, next(self.stamps))
         elif isinstance(step, Eliminate):
             definition = solve_relator(self.word(relators[step.relator_index].codes), step.gen)
             if definition != step.definition:
@@ -214,7 +221,8 @@ class _State:
             del relators[step.relator_index]
             for i, r in enumerate(relators):
                 if code in r.codes or code + 1 in r.codes:
-                    relators[i] = _Relator(tuple(free_reduce(x for c in r.codes for x in image.get(c, (c,)))))
+                    relators[i] = _Relator(tuple(free_reduce(x for c in r.codes for x in image.get(c, (c,)))),
+                                           next(self.stamps))
             self.alphabet = self.alphabet.without(step.gen)
             del to_initial[to_current[code] : to_current[code] + 2]
             to_current[code] = to_current[code + 1] = -1  # no Word may hold it now
@@ -231,32 +239,25 @@ class _State:
             src = src[rotation:] + src[:rotation]
             if t[at : at + overlap] != src[:overlap]:
                 raise PresentationError("replay: overlap does not match")
-            relators[step.target] = _Relator(
-                tuple(free_reduce(t[:at] + inverse_codes(src[overlap:]) + t[at + overlap :])))
+            codes = tuple(free_reduce(t[:at] + inverse_codes(src[overlap:]) + t[at + overlap :]))
+            relators[step.target] = _Relator(codes, next(self.stamps))
         else:
             raise PresentationError(f"unknown step {step!r}")
 
 
 def _find_shortening(derived: Sequence[_Relator]) -> Shorten | None:
-    # Every match shortens: an overlap above n/2 replaces ``overlap``
-    # letters by ``n - overlap``.  Each chunk of a rotation starts with its
-    # shortest, so a rotation whose shortest chunk is absent is skipped whole.
+    # Every match shortens: an overlap above n/2 replaces ``overlap`` letters by ``n - overlap``.  A
+    # test reads only the two texts, so a target is tested only against relators made since its last full scan.
+    newest, made_since = max((d.stamp for d in derived), default=-1), {}  # a scan's stamp -> relators made since
     for ti, target in enumerate(derived):
-        t = target.text
-        for oi, other in enumerate(derived):
-            n = len(other.text)
-            if oi == ti or n < 2 or n > len(t) or other.text in target.unmatched:
-                continue
-            for inverted in (False, True):
-                doubled = (other.inverse_text if inverted else other.text) * 2
-                for rotation in range(n):
-                    if doubled[rotation : rotation + n // 2 + 1] not in t:
-                        continue
-                    for overlap in range(n, n // 2, -1):
-                        pos = t.find(doubled[rotation : rotation + overlap])
-                        if pos >= 0:
-                            return Shorten(ti, oi, inverted, rotation, pos, overlap)
-            target.unmatched.add(other.text)
+        t, scanned = target.text, target.scanned
+        if scanned not in made_since:
+            made_since[scanned] = [oi for oi, d in enumerate(derived) if d.stamp > scanned]
+        for oi in made_since[scanned]:
+            n = len(derived[oi].text)
+            if oi != ti and 2 <= n <= len(t) and (found := derived[oi].overlap(t)):
+                return Shorten(ti, oi, *found)
+        target.scanned = newest
     return None
 
 
@@ -275,17 +276,13 @@ def _find_elimination(state: _State, derived: Sequence[_Relator]) -> Eliminate |
 
 
 def _find_duplicate(derived: Sequence[_Relator]) -> RemoveDuplicate | None:
-    # on cyclically reduced, nontrivial relators, being a rotation of another
-    # or of its inverse is key equality; keys are found only where
-    # signatures, which equal keys imply, collide
+    # only relators of equal signature can be rotations of each other
     seen: dict[str, list[int]] = {}
     for i, d in enumerate(derived):
         group = seen.setdefault(d.signature, [])
-        if group:
-            key = d.key()
-            for j in group:
-                if derived[j].key() == key:
-                    return RemoveDuplicate(i, j)
+        for j in group:
+            if d.is_rotation_of(derived[j]):
+                return RemoveDuplicate(i, j)
         group.append(i)
     return None
 
@@ -293,13 +290,16 @@ def _find_duplicate(derived: Sequence[_Relator]) -> RemoveDuplicate | None:
 def _next_step(state: _State) -> TietzeStep | None:
     """The first applicable move: cyclic reduction, trivial and duplicate
     removal, elimination, then shortening."""
-    derived = [r.derive(state.bases, state.inverses) for r in state.relators]
-    for i, d in enumerate(derived):
+    derived, trivial = [], None
+    for i, r in enumerate(state.relators):
+        d = r.derive(state.bases, state.inverses)
         if d.cut:
             return CyclicReduce(i, state.word(d.codes[: d.cut]))
-    for i, d in enumerate(derived):
-        if not d.text:
-            return RemoveTrivial(i)
+        if trivial is None and not d.text:
+            trivial = i
+        derived.append(d)
+    if trivial is not None:
+        return RemoveTrivial(trivial)
     return _find_duplicate(derived) or _find_elimination(state, derived) or _find_shortening(derived)
 
 

@@ -92,8 +92,13 @@ class Alphabet:
         return Word(self, tuple(free_reduce(codes)), True)  # codes from rank() are in range
 
     def without(self, name: str) -> "Alphabet":
+        """This alphabet less ``name``; the names left are valid and distinct
+        already, so they are not checked again."""
         self.rank(name)
-        return Alphabet(n for n in self.names if n != name)
+        out = Alphabet()
+        out.names = tuple(n for n in self.names if n != name)
+        out.ranks = {n: rank for rank, n in enumerate(out.names)}
+        return out
 
 
 def merge_alphabets(a: Alphabet, b: Alphabet) -> Alphabet:
@@ -229,7 +234,7 @@ def inverse_codes(codes: Sequence[int]) -> tuple[int, ...]:
 
 
 def _common_alphabet(u: Word, v: Word) -> Alphabet:
-    if u.alphabet != v.alphabet:
+    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
         raise WordError("cannot multiply words over different alphabets")
     return u.alphabet
 
@@ -274,7 +279,7 @@ def substitute(w: Word, images: Mapping[str, Word], target: Alphabet | None = No
     for image in images.values():
         if target is None:
             target = image.alphabet
-        elif image.alphabet != target:
+        elif image.alphabet is not target and image.alphabet != target:
             raise WordError("substitution images span different alphabets")
     if target is None:
         if w.is_identity:
@@ -356,7 +361,7 @@ def cyclic_key(w: Word) -> tuple[int, ...]:
 
 def are_conjugate(u: Word, v: Word) -> bool:
     """Conjugacy in the free group: equal cyclic keys."""
-    if u.alphabet != v.alphabet:
+    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
         raise WordError("conjugacy test across different alphabets")
     return cyclic_key(u) == cyclic_key(v)
 

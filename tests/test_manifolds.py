@@ -1,5 +1,6 @@
 import pytest
 
+from sgcalc.construction import build_v
 from sgcalc.coset_enum import TrivialityCertificate, certify_trivial
 from sgcalc.manifolds import (
     LagrangianTorusMark,
@@ -229,6 +230,19 @@ def test_resolve_intersection_merges_marks():
     assert (out.euler, out.signature) == (state.euler, state.signature)
     assert out.pi1 == state.pi1
     assert out.transverse_pairs == ()
+
+
+def test_resolve_intersection_keeps_a_killed_meridian_and_r3s_flag():
+    """The exceptional sphere that met H once meets the merged surface once,
+    whichever side H is on, so the merged surface keeps both facts."""
+    v = build_v()
+    assert v.minimality is Minimality.MINIMAL
+    for first, second in (("H", "K"), ("K", "H")):
+        merged = resolve_intersection(blow_up(v, "H"), first, second).surface(f"{first}+{second}")
+        assert merged.meridian_killed_reason == "meets an exceptional sphere transversally once"
+        assert merged.no_minus_one_sphere_off_surface
+    plain = resolve_intersection(v, "H", "K").surface("H+K")
+    assert not plain.meridian_killed and not plain.no_minus_one_sphere_off_surface
 
 
 def test_resolve_intersection_genus_arithmetic():

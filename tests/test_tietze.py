@@ -313,10 +313,11 @@ def test_mutated_x_trace_never_changes_h1():
 
 
 def _counting(monkeypatch) -> Counter:
-    """Count ``Word``s built, least-rotation searches and relator derivations
-    (a relator's facts worked out)."""
+    """Count ``Word``s built, least-rotation searches, relator derivations
+    (a relator's facts worked out) and shortening pair tests."""
     counts = Counter()
     word_init, least_rotation, derive = words.Word.__init__, words._least_rotation, tietze._Relator.derive
+    overlap = tietze._Relator.overlap
 
     def counted_init(self, *args):
         counts["Word"] += 1
@@ -330,21 +331,28 @@ def _counting(monkeypatch) -> Counter:
         counts["_Relator"] += self.text is None
         return derive(self, *args)
 
+    def counted_overlap(self, t):
+        counts["pair tests"] += 1
+        return overlap(self, t)
+
     monkeypatch.setattr(words.Word, "__init__", counted_init)
     monkeypatch.setattr(words, "_least_rotation", counted_least_rotation)
     monkeypatch.setattr(tietze._Relator, "derive", counted_derive)
+    monkeypatch.setattr(tietze._Relator, "overlap", counted_overlap)
     return counts
 
 
 def test_x_simplification_work_counts(monkeypatch):
     """Machine-independent work of one simplification of X: ``Word``s built,
-    least-rotation searches run and relators derived.  A relator an
-    ``Eliminate`` does not touch keeps its facts, and keys are found only
-    where duplicate signatures collide."""
+    least-rotation searches run, relators derived and shortening pairs
+    tested.  A relator an ``Eliminate`` does not touch keeps its facts,
+    duplicates are found by substring search with no least rotation, and a
+    shortening target is tested against each relator once."""
     x = assemble_x().state.pi1
     counts = _counting(monkeypatch)
     tietze_simplify(x, TIETZE_BUDGET)
-    assert counts["Word"] <= 74 and counts["_least_rotation"] <= 46 and counts["_Relator"] <= 91, counts
+    assert counts["Word"] <= 74 and counts["_least_rotation"] == 0 and counts["_Relator"] <= 91, counts
+    assert counts["pair tests"] <= 185, counts
 
 
 def test_replaying_x_works_out_facts_only_for_rechecked_duplicates(monkeypatch):

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_word
-from sgcalc.presentations import solve_relator
+from sgcalc import construction
+from sgcalc.construction import assemble_x, complement_data
+from sgcalc.coset_enum import todd_coxeter
+from sgcalc.manifolds import ManifoldState, SurfaceMark
+from sgcalc.presentations import Presentation, solve_relator
 from sgcalc.words import (
     Alphabet,
     Word,
@@ -84,6 +88,58 @@ def test_multiply_alphabet_mismatch(xyab):
     other = Alphabet(("x", "y"))
     with pytest.raises(WordError):
         xyab.gen("x") * other.gen("x")
+
+
+def _alphabet_checks(ab: Alphabet, other: Alphabet) -> dict:
+    """Each place that checks that two alphabets agree, given words over
+    ``ab`` and ``other``."""
+    x, y, a, b = ab.gen("x"), other.gen("y"), ab.gen("a"), ab.gen("b")
+    return {
+        "product": lambda: x * y,
+        "commutator": lambda: commutator(x, y),
+        "conjugate": lambda: conjugate(x, y),
+        "substitute": lambda: substitute(x, {"x": x, "y": y}),
+        "are_conjugate": lambda: are_conjugate(x, y),
+        "Presentation": lambda: Presentation(ab, (x, y)),
+        "ManifoldState": lambda: ManifoldState(Presentation(ab), 0, 0, True, surfaces=(SurfaceMark("S", 1, 0, (x, y)),)),
+        "complement_data": lambda: complement_data({"x": x, "y": y, "a": a, "b": b}),
+        "todd_coxeter": lambda: todd_coxeter(Presentation(ab, (x, a, b, ab.gen("y"))), (y,)),
+    }
+
+
+def test_words_over_equal_but_distinct_alphabets_still_combine():
+    ab, twin = Alphabet(("x", "y", "a", "b")), Alphabet(("x", "y", "a", "b"))
+    assert ab is not twin and ab == twin
+    for check in _alphabet_checks(ab, twin).values():
+        check()  # raises nothing
+    assert str(ab.gen("x") * twin.gen("y")) == "x y"
+
+
+def test_words_over_unequal_alphabets_still_raise():
+    checks = _alphabet_checks(Alphabet(("x", "y", "a", "b")), Alphabet(("x", "y", "a", "b", "c")))
+    for check in checks.values():
+        with pytest.raises(ValueError, match="alphabet|foreign"):
+            check()
+
+
+def test_one_verdict_compares_alphabets_by_identity(monkeypatch):
+    """Nearly every alphabet check of a verdict compares an alphabet with
+    itself, which ``is`` settles without a call to ``Alphabet.__eq__``."""
+    calls = []
+    equal = Alphabet.__eq__
+    monkeypatch.setattr(Alphabet, "__eq__", lambda self, other: calls.append(1) or equal(self, other))
+    report = construction.verify_main_theorem()
+    assert report.verdict == "PASS" and len(calls) <= 10, len(calls)
+
+
+def test_without_equals_the_alphabet_of_the_remaining_names():
+    x = assemble_x().state.pi1.alphabet
+    for name in x.names:
+        rest = tuple(n for n in x.names if n != name)
+        smaller = x.without(name)
+        assert smaller == Alphabet(rest) and smaller.ranks == Alphabet(rest).ranks and name not in smaller
+    with pytest.raises(WordError, match="unknown generator 'nope'"):
+        x.without("nope")
 
 
 def test_invert(xyab):
