@@ -59,7 +59,8 @@ from .words import (
     commutator,
     conjugate,
     cyclic_core,
-    relator_key,
+    cyclic_texts,
+    is_rotation,
     substitute,
 )
 
@@ -491,7 +492,8 @@ def commutation_status(data: ComplementData) -> dict[tuple[str, str], str]:
     """
     relators = data.universal_relators + data.closure_relators
     pairs = commuting_pairs(relators)
-    keys = {relator_key(r) for r in relators}
+    # a word is a stored relator when its core text is a rotation of one of these
+    doubled = [t * 2 for r in relators for t in cyclic_texts(r)]
     out: dict[tuple[str, str], str] = {}
     for mark in (data.t1, data.t2):
         for label, u, v in (
@@ -500,7 +502,8 @@ def commutation_status(data: ComplementData) -> dict[tuple[str, str], str]:
             ("m,l", mark.m, mark.l),
         ):
             word = commutator(u, v)
-            proved = relator_key(word) in keys or commutation_normal_form(word, pairs).is_identity
+            text = cyclic_texts(word)[0]
+            proved = any(is_rotation(text, d) for d in doubled) or commutation_normal_form(word, pairs).is_identity
             out[(mark.id, label)] = "proved" if proved else "assumed (boundary three-torus)"
     return out
 

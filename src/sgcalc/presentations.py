@@ -14,7 +14,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .records import Record, setfield
-from .words import Alphabet, Word, relator_key
+from .words import Alphabet, Word, same_relator
 
 
 class PresentationError(ValueError):
@@ -141,16 +141,9 @@ def prune_redundant(relators: Sequence[Word]) -> list[Word]:
         others = [s for j, s in enumerate(relators) if j != i and kept[j]]
         pairs = commuting_pairs(others)
         nf = commutation_normal_form(r, pairs)
-        if nf.is_identity:
-            kept[i] = False
-            continue
-        for j in range(i):
-            if not kept[j]:
-                continue
-            nfj = commutation_normal_form(relators[j], pairs)
-            if not nfj.is_identity and relator_key(nf) == relator_key(nfj):
-                kept[i] = False
-                break
+        # a nontrivial nf is never the same relator as a trivial normal form
+        kept[i] = not nf.is_identity and not any(
+            kept[j] and same_relator(nf, commutation_normal_form(relators[j], pairs)) for j in range(i))
     return [r for i, r in enumerate(relators) if kept[i]]
 
 

@@ -38,7 +38,7 @@ from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
 from .records import Record, setfield, setfields
-from .words import Word, WordError, _cyclic_reduction, free_reduce, inverse_codes
+from .words import Word, WordError, _cyclic_reduction, free_reduce, inverse_codes, is_rotation
 from .words import rotations  # noqa: F401  unused here; bench/tracing.py wraps tietze.rotations by name
 
 
@@ -124,22 +124,21 @@ class _Relator:
     def derive(self, bases: list[str], inverses: list[str]) -> _Relator:
         """This relator, its facts worked out; ``bases`` and ``inverses`` are
         the ``str.translate`` tables of a letter's generator and inverse."""
-        if self.text is None:
-            codes = self.codes
-            self.cut = len(_cyclic_reduction(codes)[0])  # letters cyclic reduction cuts from each end
-            # letter codes as strings, written twice so that every rotation is a substring
-            self.text = text = "".join(map(chr, codes))
-            self.twice, self.inverse_twice = text * 2, text[::-1].translate(inverses) * 2
-            # the generators, sorted: equal for a relator's rotations and inverse
-            letters = text.translate(bases)
-            self.signature = "".join(sorted(letters))
-            self.singles = [ord(b) for b in set(letters) if letters.count(b) == 1]
+        codes = self.codes
+        self.cut = len(_cyclic_reduction(codes)[0])  # letters cyclic reduction cuts from each end
+        # letter codes as strings, written twice so that every rotation is a substring
+        self.text = text = "".join(map(chr, codes))
+        self.twice, self.inverse_twice = text * 2, text[::-1].translate(inverses) * 2
+        # the generators, sorted: equal for a relator's rotations and inverse
+        letters = text.translate(bases)
+        self.signature = "".join(sorted(letters))
+        self.singles = [ord(b) for b in set(letters) if letters.count(b) == 1]
         return self
 
     def is_rotation_of(self, other: _Relator) -> bool:
-        """Whether this relator is a rotation of ``other`` or of its inverse:
-        equal signatures, hence lengths, and found in either written twice."""
-        return self.signature == other.signature and (self.text in other.twice or self.text in other.inverse_twice)
+        """Whether this relator is a rotation of ``other`` or of its inverse."""
+        return self.signature == other.signature and (
+            is_rotation(self.text, other.twice) or is_rotation(self.text, other.inverse_twice))
 
     def overlap(self, t: str) -> tuple[bool, int, int, int] | None:
         """The first ``(inverted, rotation, position, overlap)`` with more than half of a
@@ -178,6 +177,11 @@ class _State:
         self.bases = [chr(c >> 1) for c in codes]
         self.inverses = [chr(c ^ 1) for c in codes]
 
+    def derived(self, i: int) -> _Relator:
+        """Relator ``i``, its facts worked out if it has none yet."""
+        r = self.relators[i]
+        return r if r.text is not None else r.derive(self.bases, self.inverses)
+
     def word(self, codes: Sequence[int]) -> Word:
         """The word of reduced initial-alphabet ``codes`` over the current
         alphabet; the renumbering keeps each letter's inverse beside it, so
@@ -199,7 +203,7 @@ class _State:
                 raise PresentationError("replay: relator is not trivial")
             del relators[step.relator_index]
         elif isinstance(step, RemoveDuplicate):
-            r, kept = (relators[i].derive(self.bases, self.inverses) for i in (step.relator_index, step.kept_index))
+            r, kept = self.derived(step.relator_index), self.derived(step.kept_index)
             if step.relator_index == step.kept_index or not r.is_rotation_of(kept):
                 raise PresentationError("replay: relator is not a duplicate of another")
             del relators[step.relator_index]
@@ -291,8 +295,8 @@ def _next_step(state: _State) -> TietzeStep | None:
     """The first applicable move: cyclic reduction, trivial and duplicate
     removal, elimination, then shortening."""
     derived, trivial = [], None
-    for i, r in enumerate(state.relators):
-        d = r.derive(state.bases, state.inverses)
+    for i in range(len(state.relators)):
+        d = state.derived(i)
         if d.cut:
             return CyclicReduce(i, state.word(d.codes[: d.cut]))
         if trivial is None and not d.text:

@@ -8,6 +8,10 @@ combine; a word moves to another alphabet through ``substitute``.  Code
 that works on raw letter codes reduces and inverts them with
 ``free_reduce`` and ``inverse_codes``.
 
+Rotation tests read code texts, one ``chr`` per letter code: codes are a
+rotation of others of equal length exactly when their text is a substring
+of the others' text written twice (``is_rotation``), a linear test.
+
 Inside the package, a producer that has proved its codes a freely reduced
 tuple of in-range letter codes builds the word with ``Word(alphabet, codes,
 True)``, which skips the check and the reduction (see ``Word``).
@@ -235,7 +239,7 @@ def inverse_codes(codes: Sequence[int]) -> tuple[int, ...]:
 
 def _common_alphabet(u: Word, v: Word) -> Alphabet:
     if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
-        raise WordError("cannot multiply words over different alphabets")
+        raise WordError("cannot combine words over different alphabets")
     return u.alphabet
 
 
@@ -322,55 +326,26 @@ def rotations(w: Word) -> list[Word]:
     return [Word(w.alphabet, codes[k:] + codes[:k]) for k in range(max(1, len(codes)))]
 
 
-def _least_rotation(s: tuple[int, ...] | str) -> int:
-    """Start of the lexicographically least rotation of ``s``, a tuple of
-    letter codes or the string of their ``chr`` (Booth, 1980); linear time."""
-    s = s + s
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != s[k + i + 1]:  # here i == -1
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+def is_rotation(text: str, twice: str) -> bool:
+    """Whether the code text ``text`` is a rotation of the code text that
+    ``twice`` writes twice: equal lengths, and a substring of it."""
+    return 2 * len(text) == len(twice) and text in twice
 
 
-def _least_rotated(s: tuple[int, ...] | str) -> tuple[int, ...] | str:
-    k = _least_rotation(s)
-    return s[k:] + s[:k]
-
-
-def cyclic_key(w: Word) -> tuple[int, ...]:
-    """Canonical key of ``w``'s conjugacy class: the least rotation of the
-    letter codes of its cyclic reduction.
-
-    Two words are conjugate iff their keys are equal; for cyclically reduced
-    words, ``cyclic_key(u) == cyclic_key(v)`` iff ``v in rotations(u)``.
-    """
-    return _least_rotated(_cyclic_reduction(w._codes)[1])
+def cyclic_texts(w: Word) -> tuple[str, str]:
+    """The code texts of ``w``'s cyclic core and of the core's inverse."""
+    core = _cyclic_reduction(w._codes)[1]
+    return "".join(map(chr, core)), "".join(map(chr, inverse_codes(core)))
 
 
 def are_conjugate(u: Word, v: Word) -> bool:
-    """Conjugacy in the free group: equal cyclic keys."""
-    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
-        raise WordError("conjugacy test across different alphabets")
-    return cyclic_key(u) == cyclic_key(v)
+    """Conjugacy in the free group: cyclic cores that are rotations of each other."""
+    _common_alphabet(u, v)
+    return is_rotation(cyclic_texts(u)[0], cyclic_texts(v)[0] * 2)
 
 
-def relator_key(w: Word) -> tuple[int, ...]:
-    """Key of ``w`` up to conjugacy and inversion.
-
-    ``relator_key(u) == relator_key(v)`` iff ``u`` is conjugate to ``v`` or
-    to ``v^-1``: the two words are the same relator.
-    """
-    core = _cyclic_reduction(w._codes)[1]
-    return min(_least_rotated(core), _least_rotated(inverse_codes(core)))
+def same_relator(u: Word, v: Word) -> bool:
+    """Whether ``u`` is conjugate to ``v`` or to ``v^-1``: the two words are the same relator."""
+    _common_alphabet(u, v)
+    text = cyclic_texts(u)[0]
+    return any(is_rotation(text, t * 2) for t in cyclic_texts(v))

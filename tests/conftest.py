@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sgcalc.words import Alphabet
+from sgcalc.words import Alphabet, Word, cyclic_core, rotations
 
 
 @pytest.fixture
@@ -16,3 +16,10 @@ def random_word(rng: random.Random, alphabet: Alphabet, max_len: int = 20):
         (rng.choice(alphabet.names), rng.choice((-3, -2, -1, 1, 2, 3)))
         for _ in range(length)
     )
+
+
+def relator_class(w: Word) -> frozenset[Word]:
+    """Every rotation of ``w``'s cyclic core and of its inverse, by brute
+    force: equal for two words exactly when they are the same relator."""
+    core, _ = cyclic_core(w)
+    return frozenset(rotations(core) + rotations(~core))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import relator_class
 from sgcalc import construction, words
 from sgcalc.construction import (
     CHECKS,
@@ -40,7 +41,6 @@ from sgcalc.words import (
     are_conjugate,
     commutator,
     conjugate,
-    relator_key,
     substitute,
 )
 
@@ -158,8 +158,8 @@ def test_complement_data_at_images_is_the_base_data_pushed_through(closures):
                     pushed.id, push(pushed.mu), push(pushed.m), push(pushed.l),
                 )
             assert data.universal_relators == tuple(map(push, base.universal_relators))
-            assert [relator_key(r) for r in data.closure_relators] == [
-                relator_key(push(r)) for r in base.closure_relators
+            assert [relator_class(r) for r in data.closure_relators] == [
+                relator_class(push(r)) for r in base.closure_relators
             ]
 
 

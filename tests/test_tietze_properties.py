@@ -2,9 +2,9 @@
 
 Duplicates are found by substring tests on doubled code strings, and a
 shortening target is tested only against relators made since its last full
-scan.  Both must pick exactly the step that ``relator_key`` equality and a
-brute-force search over every rotation and overlap pick.  Examples are
-derandomized, so every run draws the same presentations.
+scan.  Both must pick exactly the step that a brute-force search over every
+rotation of each relator and its inverse, and over every overlap, picks.
+Examples are derandomized, so every run draws the same presentations.
 """
 
 import pytest
@@ -13,10 +13,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import relator_class
 from sgcalc import tietze
 from sgcalc.presentations import Presentation
 from sgcalc.tietze import RemoveDuplicate, Shorten
-from sgcalc.words import Alphabet, Word, cyclic_core, inverse_codes, relator_key
+from sgcalc.words import Alphabet, Word, cyclic_core, inverse_codes
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 AB = Alphabet(("a", "b", "c"))
@@ -43,22 +44,22 @@ def planted_relators(draw) -> list[Word]:
 
 
 def _reference_duplicate(relators: list[Word]) -> RemoveDuplicate | None:
-    keys = [relator_key(w) for w in relators]
+    keys = [relator_class(w) for w in relators]
     return next((RemoveDuplicate(i, j) for i in range(len(keys)) for j in range(i) if keys[j] == keys[i]), None)
 
 
 @PROPERTY
 @given(planted_relators())
-def test_the_rotation_predicate_is_relator_key_equality(relators):
+def test_the_rotation_predicate_is_brute_force_rotation_equality(relators):
     derived = _derived(tietze._State(Presentation(AB, relators)))
     for u, du in zip(relators, derived):
         for v, dv in zip(relators, derived):
-            assert du.is_rotation_of(dv) == (relator_key(u) == relator_key(v)), (u, v)
+            assert du.is_rotation_of(dv) == (relator_class(u) == relator_class(v)), (u, v)
 
 
 @PROPERTY
 @given(planted_relators())
-def test_find_duplicate_picks_the_relator_key_reference_step(relators):
+def test_find_duplicate_picks_the_brute_force_reference_step(relators):
     derived = _derived(tietze._State(Presentation(AB, relators)))
     assert tietze._find_duplicate(derived) == _reference_duplicate(relators)
 

@@ -19,12 +19,11 @@ from sgcalc.words import (
     commutator,
     conjugate,
     cyclic_core,
-    cyclic_key,
     inverse_codes,
     invert,
     reduce,
-    relator_key,
     rotations,
+    same_relator,
     substitute,
 )
 
@@ -100,6 +99,7 @@ def _alphabet_checks(ab: Alphabet, other: Alphabet) -> dict:
         "conjugate": lambda: conjugate(x, y),
         "substitute": lambda: substitute(x, {"x": x, "y": y}),
         "are_conjugate": lambda: are_conjugate(x, y),
+        "same_relator": lambda: same_relator(x, y),
         "Presentation": lambda: Presentation(ab, (x, y)),
         "ManifoldState": lambda: ManifoldState(Presentation(ab), 0, 0, True, surfaces=(SurfaceMark("S", 1, 0, (x, y)),)),
         "complement_data": lambda: complement_data({"x": x, "y": y, "a": a, "b": b}),
@@ -228,36 +228,61 @@ def test_codes(xyab):
         assert xyab.word(w.syllables) == w
 
 
-def test_cyclic_key_is_rotation_class():
-    """On cyclically reduced words, equal keys iff one word is a rotation of the other."""
-    ab = Alphabet(("x", "y"))  # two letters, so distinct words often share a key
+def _brute_conjugate(u: Word, v: Word) -> bool:
+    """Conjugacy by brute force: ``v``'s cyclic core among the rotations of ``u``'s."""
+    return cyclic_core(v)[0] in rotations(cyclic_core(u)[0])
+
+
+def test_are_conjugate_is_rotation_of_cyclic_cores():
+    """``are_conjugate`` agrees with a search over every rotation of the cyclic core."""
+    ab = Alphabet(("x", "y"))  # two letters, so distinct words are often rotations
     rng = random.Random(1980)
     seen = set()
     for _ in range(1500):
         u, _ = cyclic_core(random_word(rng, ab, 6))
-        rots = rotations(u)
         if rng.random() < 0.5:
-            v = rng.choice(rots)
+            v = conjugate(rng.choice(rotations(u)), random_word(rng, ab, 3))
         else:
-            v, _ = cyclic_core(random_word(rng, ab, 6))
-        same = v in rots
+            v = random_word(rng, ab, 6)
+        same = _brute_conjugate(u, v)
         seen.add(same)
-        assert (cyclic_key(u) == cyclic_key(v)) == same, (u, v)
-        assert cyclic_key(u) == cyclic_key(conjugate(u, random_word(rng, ab, 3)))
+        assert are_conjugate(u, v) == are_conjugate(v, u) == same, (u, v)
     assert seen == {True, False}
 
 
-def test_relator_key_is_conjugacy_up_to_inversion():
+def test_same_relator_is_conjugacy_up_to_inversion():
     ab = Alphabet(("x", "y"))
     rng = random.Random(1984)
     seen = set()
     for _ in range(1500):
         u = random_word(rng, ab, 5)
         v = rng.choice((conjugate(u, random_word(rng, ab, 2)), ~u, random_word(rng, ab, 5)))
-        same = are_conjugate(u, v) or are_conjugate(u, ~v)
+        same = _brute_conjugate(u, v) or _brute_conjugate(u, ~v)
         seen.add(same)
-        assert (relator_key(u) == relator_key(v)) == same, (u, v)
+        assert same_relator(u, v) == same_relator(v, u) == same, (u, v)
     assert seen == {True, False}
+
+
+def test_rotation_tests_on_edge_cases(xyab):
+    x, y, a = xyab.gen("x"), xyab.gen("y"), xyab.gen("a")
+    one, xy = xyab.identity(), x * y
+    cases = [
+        (one, one),  # the identity
+        (one, x),
+        (x, x), (x, ~x), (x, y), (x, a * x * ~a),  # single letters
+        (xy ** 3, y * xy ** 2 * x), (xy ** 3, xy ** 2), (xy ** 3, ~xy ** 3), (xy ** 2, (x * ~y) ** 2),  # powers
+        (commutator(x, y), ~commutator(x, y)), (commutator(x, y), commutator(y, x)),  # [x, y]^-1 = [y, x]
+        (commutator(x, y), commutator(x, a)), (x * x * y, x * y * y), (x * y * a, x * a * y),  # equal lengths
+    ]
+    for u, v in cases:
+        conj = _brute_conjugate(u, v)
+        assert are_conjugate(u, v) == are_conjugate(v, u) == conj, (u, v)
+        assert same_relator(u, v) == same_relator(v, u) == (conj or _brute_conjugate(u, ~v)), (u, v)
+    assert are_conjugate(one, one) and not are_conjugate(one, x) and not are_conjugate(x, ~x)
+    assert same_relator(x, ~x) and not same_relator(x, y) and not same_relator(xy ** 3, xy ** 2)
+    # [x, y]^-1 is the same relator as [x, y] but not a rotation of it: they are not conjugate
+    assert same_relator(commutator(x, y), ~commutator(x, y)) and not are_conjugate(commutator(x, y), ~commutator(x, y))
+    assert not same_relator(x * x * y, x * y * y)
 
 
 def test_as_letter(xyab):
