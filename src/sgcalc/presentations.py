@@ -154,10 +154,57 @@ def abelianize(p: Presentation) -> list[list[int]]:
     rows = []
     for r in p.relators:
         row = [0] * p.ngens
-        for c in r.codes():
+        for c in r._codes:
             row[c >> 1] += -1 if c & 1 else 1
         rows.append(row)
     return rows
+
+
+def _sparse_rows(matrix: Iterable[Sequence[int]]) -> list[dict[int, int]]:
+    """The nonzero rows of a matrix as ``{column: entry}`` dicts of the nonzero entries."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix if any(row)]
+
+
+def _unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """Split off every invariant factor 1 that a unit pivot gives.
+
+    While some sparse row holds a +-1, the shortest such row (Markowitz
+    order, which bounds fill-in) pivots on its first unit: multiples of it
+    are subtracted from the rows holding the pivot's column, and from no
+    other rows.  The pivot row then holds the column alone, so the column
+    operations that clear the rest of it touch no other row, and it leaves
+    as a 1x1 block.  Returns the count of such blocks and the rows left,
+    none of which holds a unit.
+    """
+    ones = 0
+    while rows:
+        pivot = None
+        for row in rows:
+            if (pivot is None or len(row) < len(pivot)) and (1 in row.values() or -1 in row.values()):
+                pivot = row
+                if len(row) == 1:  # no row is shorter
+                    break
+        if pivot is None:
+            break
+        j = next(c for c, v in pivot.items() if v == 1 or v == -1)
+        unit = pivot[j]
+        left = []
+        for row in rows:
+            if row is pivot:
+                continue
+            if j in row:
+                q = row[j] * unit
+                for c, v in pivot.items():
+                    w = row.get(c, 0) - q * v
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+            if row:
+                left.append(row)
+        rows = left
+        ones += 1
+    return ones, rows
 
 
 def _min_abs_pivot(m: list[list[int]], s: int) -> tuple[int, int] | None:
@@ -170,8 +217,8 @@ def _min_abs_pivot(m: list[list[int]], s: int) -> tuple[int, int] | None:
     return best
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
+def _dense_factors(m: list[list[int]]) -> list[int]:
+    """Nonzero invariant factors of a nonempty dense matrix, which it overwrites.
 
     Elementary row/column operations over Python integers, so no overflow,
     bring the matrix to a diagonal; pivots are the smallest-magnitude nonzero
@@ -179,13 +226,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     replaces each pair of diagonal entries by their gcd and lcm, which turns
     any diagonal into the chain of invariant factors.
     """
-    m = [list(map(int, row)) for row in matrix]
-    cols = len(m[0]) if m else 0
-    if any(len(row) != cols for row in m):  # every row: an empty first row hides no other
-        raise ValueError("ragged matrix")
-    m = [row for row in m if any(row)]  # a zero row adds no invariant factor
-    rows = len(m)
-
+    rows, cols = len(m), len(m[0])
     s = 0
     limit = min(rows, cols)
     while s < limit:
@@ -223,9 +264,45 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     return diag
 
 
+def _invariant_factors(rows: list[dict[int, int]]) -> list[int]:
+    """Nonzero invariant factors of sparse nonzero rows, which it overwrites:
+    unit pivots first, then the dense loop on the columns of what is left."""
+    ones, rows = _unit_pivots(rows)
+    if not rows:
+        return [1] * ones
+    cols = sorted({c for row in rows for c in row})
+    return [1] * ones + _dense_factors([[row.get(c, 0) for c in cols] for row in rows])
+
+
+def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
+
+    Every entry must be an ``int`` (not a ``bool``, a float or a string) and
+    every row as long as the first, or ``ValueError`` is raised.  Zero rows
+    and zero entries are dropped, and the factors come in two phases: unit
+    pivots on sparse rows split off the factors 1 (see ``_unit_pivots``),
+    and what no unit reaches goes to a smallest-pivot dense loop.  Both
+    phases are unimodular, so the factors are those of the whole matrix.
+    """
+    cols = len(matrix[0]) if matrix else 0
+    for row in matrix:  # every row: an empty first row hides no other
+        if len(row) != cols:
+            raise ValueError("ragged matrix")
+        for v in row:
+            if type(v) is not int:
+                raise ValueError(f"matrix entry {v!r} is not an int")
+    return _invariant_factors(_sparse_rows(matrix))
+
+
 def homology_invariants(p: Presentation) -> tuple[int, list[int]]:
-    """(free rank, torsion coefficients) of the abelianized group."""
-    factors = smith_normal_form(abelianize(p))
+    """(free rank, torsion coefficients) of the abelianized group.
+
+    The Smith form's two phases (see ``smith_normal_form``) run on the
+    nonzero rows of ``abelianize(p)``, whose entries are exponent sums and
+    so ints by construction: the entry check is skipped.  The
+    abelianizations of X and of its blocks are reduced by unit pivots alone.
+    """
+    factors = _invariant_factors(_sparse_rows(abelianize(p)))
     rank = p.ngens - len(factors)
     torsion = [d for d in factors if d > 1]
     return rank, torsion

@@ -73,8 +73,9 @@ class ParseError(ValueError):
 
 
 class InputTooLarge(ParseError):
-    """A word over ``MAX_WORD_LETTERS`` or an integer literal over Python's
-    digit limit: bad input, never a script error."""
+    """A word over ``MAX_WORD_LETTERS``, a presentation over
+    ``MAX_PRESENTATION_SIZE`` or an integer literal over Python's digit
+    limit: bad input, never a script error."""
 
 
 class ScriptRuntimeError(RuntimeError):
@@ -83,6 +84,19 @@ class ScriptRuntimeError(RuntimeError):
 
 # Longest word the textual syntax may denote, checked before a power is built.
 MAX_WORD_LETTERS = 100_000
+# Most generators, and most relators, that a script or presentation document
+# may state, checked before any word is read.  H1 of 64 dense relators over
+# 64 generators, with the largest exponents MAX_WORD_LETTERS allows, takes
+# about a second on a 2-CPU x86-64 machine, and that cost grows about as the
+# fourth power of the size.
+MAX_PRESENTATION_SIZE = 64
+
+
+def _check_size(count: int, what: str, line: int = 1) -> None:
+    """Refuse ``count`` generators or relators over :data:`MAX_PRESENTATION_SIZE`;
+    ``execute`` places the error of a script operation at its statement."""
+    if count > MAX_PRESENTATION_SIZE:
+        raise InputTooLarge(f"presentation of {count} {what} is over the bound of {MAX_PRESENTATION_SIZE}", line, 1)
 
 
 # -- lexer --------------------------------------------------------------------
@@ -416,12 +430,15 @@ def parse_presentation_document(text: str) -> Presentation:
         if key == "generators":
             if alphabet is not None:
                 raise ParseError("duplicate generators line", lineno, 1)
+            names = rest.split()
+            _check_size(len(names), "generators", lineno)
             try:
-                alphabet = Alphabet(rest.split())
+                alphabet = Alphabet(names)
             except WordError as err:
                 raise ParseError(str(err), lineno, 1) from None
         elif key == "relator":
             relator_texts.append((rest, lineno, offset))
+            _check_size(len(relator_texts), "relators", lineno)
         elif key == "exactness":
             try:
                 exactness = Exactness(rest)
@@ -495,19 +512,26 @@ def _symplectic_sum(a: ManifoldState, surf_a: str, b: ManifoldState, surf_b: str
 def _relators(items: list, alphabet: Alphabet) -> tuple[Word, ...]:
     try:
         return tuple(parse_word(_want(text, "string", "relator"), alphabet) for text in items)
-    except InputTooLarge:
-        raise
+    except InputTooLarge as err:
+        raise InputTooLarge(f"in a word: {err}", err.line, err.col) from None
     except ParseError as err:
         raise ScriptRuntimeError(f"bad relator: {err}") from None
 
 
 def _presentation(generators: list, relators: list, exactness: str) -> Presentation:
+    _check_size(len(generators), "generators")
+    _check_size(len(relators), "relators")
     alphabet = Alphabet([_want(g, "string", "generator") for g in generators])
     words = _relators(relators, alphabet)
     known = {e.value: e for e in Exactness}
     if exactness not in known:
         raise ScriptRuntimeError(f"unknown exactness {exactness!r} (allowed: {', '.join(map(repr, known))})")
     return Presentation(alphabet, words, known[exactness])
+
+
+def _quotient(p: Presentation, relators: list) -> Presentation:
+    _check_size(p.nrels + len(relators), "relators")
+    return quotient_by(p, _relators(relators, p.alphabet))
 
 
 # The script's one table: each operation's function and its (keyword, kind[,
@@ -517,7 +541,7 @@ def _presentation(generators: list, relators: list, exactness: str) -> Presentat
 TABLE: dict[str, dict[str, tuple]] = {
     "let": {
         "presentation": (_presentation, (("generators", "list"), ("relators", "list", []), ("exactness", "string", "exact"))),
-        "quotient": (lambda p, rels: quotient_by(p, _relators(rels, p.alphabet)), (("p", "group"), ("relators", "list"))),
+        "quotient": (_quotient, (("p", "group"), ("relators", "list"))),
         "luttinger": (lambda *args: _luttinger(*args),
                       (("s", "state"), ("torus", "string"), ("p", "int"), ("q", "int"), ("k", "int"))),
         "blow_up": (lambda *args: blow_up(*args), (("s", "state"), ("on", "string", None), ("count", "int", 1))),
@@ -623,5 +647,5 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
             results.append(StatementResult(index, text, "error", str(err)))
             break
         except InputTooLarge as err:
-            raise InputTooLarge(f"in a word: {err}", stmt.line, 1) from None
+            raise InputTooLarge(err.message, stmt.line, 1) from None
     return Report(tuple(results), {"max_cosets": budgets.max_cosets})

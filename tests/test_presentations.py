@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from sgcalc import presentations
 from sgcalc.presentations import (
     Exactness,
     Presentation,
@@ -197,6 +198,43 @@ def test_snf_matches_minor_gcd_oracle_randomized():
 def test_snf_large_entries_no_overflow():
     big = 10**30
     assert smith_normal_form([[big, 0], [0, 2 * big]]) == [big, 2 * big]
+
+
+@pytest.mark.parametrize("matrix", [[[1.5, 0], [0, 2.9]], [["3"]], [[True, 0]], [[2, 0], [0, 3.0]]])
+def test_snf_takes_int_entries_only(matrix):
+    # truncating 1.5 and 2.9 read [1, 2]; int("3") read [3]
+    with pytest.raises(ValueError, match="is not an int"):
+        smith_normal_form(matrix)
+
+
+def _count_dense_loops(monkeypatch) -> list:
+    calls = []
+    dense = presentations._dense_factors
+    monkeypatch.setattr(presentations, "_dense_factors", lambda m: calls.append([list(row) for row in m]) or dense(m))
+    return calls
+
+
+def test_the_dense_loop_runs_only_on_what_unit_pivots_leave(monkeypatch):
+    calls = _count_dense_loops(monkeypatch)
+    assert smith_normal_form([[1, 0, 0], [0, 2, 4], [3, 6, 8]]) == [1, 2, 4]
+    assert calls == [[[2, 4], [6, 8]]]  # the unit's row and column are gone
+    calls.clear()
+    assert smith_normal_form([[2, 1], [3, 1]]) == [1, 1]
+    assert calls == []  # the first pivot leaves [1, 0] in the second row, a unit
+
+
+def test_h1_of_the_paper_blocks_and_the_drop_family_needs_no_dense_loop(monkeypatch):
+    """H1 of X, its blocks and X less each relation that kills a free Z
+    is reduced by unit pivots alone: a work count the same on every machine."""
+    from sgcalc import construction
+
+    groups = [getattr(construction, f"build_{b}")().pi1 for b in ("x", "v", "w", "p1", "p2", "p")]
+    x = groups[0]
+    drops = [Presentation(x.alphabet, x.relators[: k - 1] + x.relators[k:]) for k in (1, 2, 7, 8, 13, 14, 19, 20)]
+    calls = _count_dense_loops(monkeypatch)
+    answers = [homology_invariants(p) for p in groups + drops]
+    assert calls == []
+    assert answers[0] == (0, []) and all(a == (1, []) for a in answers[6:])
 
 
 # -- homology -----------------------------------------------------------------

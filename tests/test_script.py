@@ -14,6 +14,7 @@ from sgcalc.script import (
     Budgets,
     Check,
     Let,
+    MAX_PRESENTATION_SIZE,
     MAX_WORD_LETTERS,
     ParseError,
     Ref,
@@ -460,6 +461,42 @@ def test_cli_huge_power_exit_64(tmp_path, capsys):
     doc.write_text("generators: x\nrelator: x^1000000000\n")
     assert main(["simplify", str(doc)]) == 64
     capsys.readouterr()
+
+
+def _size_script(gens: int, rels: int, extra: int = 0) -> str:
+    names = [f"g{i}" for i in range(gens)]
+    quoted = ", ".join(f'"{n}"' for n in names)
+    relators = ", ".join(f'"{names[i % gens]}^2"' for i in range(rels))
+    text = f"let g = presentation(generators=[{quoted}], relators=[{relators}])\n"
+    if extra:
+        added = ", ".join(['"g0"'] * extra)
+        text += f"let q = quotient(p=g, relators=[{added}])\n"
+    return text + "check h1(g, 0)\n"
+
+
+def test_presentation_size_bound_exits_64_before_any_engine(tmp_path, capsys):
+    n = MAX_PRESENTATION_SIZE
+    path = tmp_path / "size.sgc"
+    path.write_text(_size_script(n, n))
+    assert main(["run", str(path)]) == 1  # parses and runs at the bound: H1 is (Z/2)^n, not 0
+    capsys.readouterr()
+    for gens, rels, extra, what in ((n + 1, 0, 0, "generators"), (1, n + 1, 0, "relators"), (2, n, 1, "relators")):
+        path.write_text(_size_script(gens, rels, extra))
+        assert main(["run", str(path)]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and f"presentation of {n + 1} {what} is over the bound of {n}" in err
+        assert "in a word" not in err and f"line {2 if extra else 1}," in err
+
+    doc = tmp_path / "size.txt"
+    names = " ".join(f"g{i}" for i in range(n))
+    doc.write_text(f"generators: {names}\n" + "relator: g0\n" * n)
+    assert parse_presentation_document(doc.read_text()).nrels == n
+    doc.write_text(f"generators: {names}\n" + "relator: g0\n" * (n + 1))
+    assert main(["simplify", str(doc)]) == 64
+    assert f"line {n + 2}, column 1: presentation of {n + 1} relators is over the bound of {n}" in capsys.readouterr().err
+    doc.write_text(f"generators: {names} h\n")
+    assert main(["simplify", str(doc)]) == 64
+    assert f"line 1, column 1: presentation of {n + 1} generators" in capsys.readouterr().err
 
 
 NINES = "9" * 5000  # over Python's default limit of 4300 digits for int()
