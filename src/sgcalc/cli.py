@@ -94,7 +94,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"sgcalc: cannot read {path}: {err}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
 

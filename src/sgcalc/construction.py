@@ -603,25 +603,27 @@ def presentation_dict(p: Presentation) -> dict:
 
 
 class CheckRun:
-    """One run's budgets, and each presentation's H1 and enumeration, computed at most once."""
+    """One run's budgets, and each presentation's H1 and enumeration, computed at most once.
+    The memos key a presentation by its id (hashing it hashes every relator)
+    and keep it beside its value, so that no other object takes that id."""
 
     def __init__(self, max_cosets: int, tietze_budget: int = TIETZE_BUDGET):
         self.max_cosets, self.tietze_budget = max_cosets, tietze_budget
-        self._h1: dict[Presentation, tuple[int, list[int]]] = {}
-        self._enumerations: dict[Presentation, TrivialityCertificate | EnumResult] = {}
+        self._h1: dict[int, tuple[Presentation, tuple[int, list[int]]]] = {}
+        self._enumerations: dict[int, tuple[Presentation, TrivialityCertificate | EnumResult]] = {}
 
     # the engines are looked up when called, so wrapping them (bench/tracing.py does) reaches checks
     def h1(self, p: Presentation) -> tuple[int, list[int]]:
-        h1 = self._h1.get(p)
-        if h1 is None:
-            h1 = self._h1[p] = homology_invariants(p)
-        return h1
+        hit = self._h1.get(id(p))
+        if hit is None:
+            hit = self._h1[id(p)] = p, homology_invariants(p)
+        return hit[1]
 
     def enumeration(self, p: Presentation) -> TrivialityCertificate | EnumResult:
-        outcome = self._enumerations.get(p)
-        if outcome is None:
-            outcome = self._enumerations[p] = certify_trivial(p, self.max_cosets)
-        return outcome
+        hit = self._enumerations.get(id(p))
+        if hit is None:
+            hit = self._enumerations[id(p)] = p, certify_trivial(p, self.max_cosets)
+        return hit[1]
 
 
 def _expect(ok: bool, detail: str, data: dict | None = None) -> tuple:

@@ -165,18 +165,28 @@ def _sparse_rows(matrix: Iterable[Sequence[int]]) -> list[dict[int, int]]:
     return [{j: v for j, v in enumerate(row) if v} for row in matrix if any(row)]
 
 
-def _unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
-    """Split off every invariant factor 1 that a unit pivot gives.
+def _least_pivot(rows: list[dict[int, int]]) -> tuple[dict[int, int], int]:
+    """A row and column of an entry of least magnitude, in the shortest row that holds one."""
+    row = min(rows, key=lambda row: (min(map(abs, row.values())), len(row)))
+    least = min(map(abs, row.values()))
+    return row, next(c for c, v in row.items() if abs(v) == least)
 
-    While some sparse row holds a +-1, the shortest such row (Markowitz
-    order, which bounds fill-in) pivots on its first unit: multiples of it
-    are subtracted from the rows holding the pivot's column, and from no
-    other rows.  The pivot row then holds the column alone, so the column
-    operations that clear the rest of it touch no other row, and it leaves
-    as a 1x1 block.  Returns the count of such blocks and the rows left,
-    none of which holds a unit.
+
+def _invariant_factors(rows: list[dict[int, int]]) -> list[int]:
+    """Nonzero invariant factors of sparse nonzero rows, which it overwrites.
+
+    One sparse elimination (Havas-Holt-Rees, "Recognizing badly presented
+    Z-modules", 1993).  The pivot is the first unit of the shortest row
+    holding a +-1 (Markowitz order, which bounds fill-in), or else
+    ``_least_pivot``'s entry.  Its multiples are subtracted from the rows
+    holding its column, and from no others.  A unit's row then leaves as a
+    factor 1: the column operations that would clear it touch no other row.
+    A non-unit pivot also reduces its own row by column operations on the
+    rows still holding its column, and leaves once its row and column are
+    clear; until then each step leaves an entry smaller than it.  A final
+    gcd/lcm pass turns the diagonal into the chain of invariant factors.
     """
-    ones = 0
+    ones, diagonal = 0, []
     while rows:
         pivot = None
         for row in rows:
@@ -185,15 +195,16 @@ def _unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]
                 if len(row) == 1:  # no row is shorter
                     break
         if pivot is None:
-            break
-        j = next(c for c, v in pivot.items() if v == 1 or v == -1)
-        unit = pivot[j]
+            pivot, j = _least_pivot(rows)
+        else:
+            j = next(c for c, v in pivot.items() if v == 1 or v == -1)
+        p = pivot[j]
         left = []
         for row in rows:
             if row is pivot:
                 continue
             if j in row:
-                q = row[j] * unit
+                q = row[j] // p
                 for c, v in pivot.items():
                     w = row.get(c, 0) - q * v
                     if w:
@@ -203,75 +214,28 @@ def _unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]
             if row:
                 left.append(row)
         rows = left
-        ones += 1
-    return ones, rows
-
-
-def _min_abs_pivot(m: list[list[int]], s: int) -> tuple[int, int] | None:
-    best = None
-    for i in range(s, len(m)):
-        for j in range(s, len(m[0])):
-            v = abs(m[i][j])
-            if v and (best is None or v < abs(m[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def _dense_factors(m: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors of a nonempty dense matrix, which it overwrites.
-
-    Elementary row/column operations over Python integers, so no overflow,
-    bring the matrix to a diagonal; pivots are the smallest-magnitude nonzero
-    entries, which keeps entry growth tame on small matrices.  A final pass
-    replaces each pair of diagonal entries by their gcd and lcm, which turns
-    any diagonal into the chain of invariant factors.
-    """
-    rows, cols = len(m), len(m[0])
-    s = 0
-    limit = min(rows, cols)
-    while s < limit:
-        pivot = _min_abs_pivot(m, s)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[s], m[pi] = m[pi], m[s]
-        for row in m:
-            row[s], row[pj] = row[pj], row[s]
-
-        dirty = False
-        for i in range(s + 1, rows):
-            if m[i][s]:
-                q = m[i][s] // m[s][s]
-                for j in range(s, cols):
-                    m[i][j] -= q * m[s][j]
-                if m[i][s]:
-                    dirty = True
-        for j in range(s + 1, cols):
-            if m[s][j]:
-                q = m[s][j] // m[s][s]
-                for i in range(s, rows):
-                    m[i][j] -= q * m[i][s]
-                if m[s][j]:
-                    dirty = True
-        if not dirty:
-            s += 1
-
-    diag = [abs(m[i][i]) for i in range(limit) if m[i][i]]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return diag
-
-
-def _invariant_factors(rows: list[dict[int, int]]) -> list[int]:
-    """Nonzero invariant factors of sparse nonzero rows, which it overwrites:
-    unit pivots first, then the dense loop on the columns of what is left."""
-    ones, rows = _unit_pivots(rows)
-    if not rows:
-        return [1] * ones
-    cols = sorted({c for row in rows for c in row})
-    return [1] * ones + _dense_factors([[row.get(c, 0) for c in cols] for row in rows])
+        if p == 1 or p == -1:
+            ones += 1
+            continue
+        holders = [row for row in rows if j in row]
+        for c, v in list(pivot.items()):
+            q = v // p
+            if q and c != j:
+                for row in holders + [pivot]:
+                    w = row.get(c, 0) - q * row[j]
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+        if holders or len(pivot) > 1:
+            rows.append(pivot)
+        else:
+            diagonal.append(abs(p))
+    for i in range(len(diagonal)):
+        for k in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[k])
+            diagonal[i], diagonal[k] = g, diagonal[i] * diagonal[k] // g
+    return [1] * ones + diagonal
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
@@ -279,10 +243,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
 
     Every entry must be an ``int`` (not a ``bool``, a float or a string) and
     every row as long as the first, or ``ValueError`` is raised.  Zero rows
-    and zero entries are dropped, and the factors come in two phases: unit
-    pivots on sparse rows split off the factors 1 (see ``_unit_pivots``),
-    and what no unit reaches goes to a smallest-pivot dense loop.  Both
-    phases are unimodular, so the factors are those of the whole matrix.
+    and zero entries are dropped, and the rest goes through one unimodular
+    elimination over Python integers (see ``_invariant_factors``).
     """
     cols = len(matrix[0]) if matrix else 0
     for row in matrix:  # every row: an empty first row hides no other
@@ -297,10 +259,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
 def homology_invariants(p: Presentation) -> tuple[int, list[int]]:
     """(free rank, torsion coefficients) of the abelianized group.
 
-    The Smith form's two phases (see ``smith_normal_form``) run on the
-    nonzero rows of ``abelianize(p)``, whose entries are exponent sums and
-    so ints by construction: the entry check is skipped.  The
-    abelianizations of X and of its blocks are reduced by unit pivots alone.
+    The Smith form runs on the nonzero rows of ``abelianize(p)``, whose
+    entries are exponent sums and so ints: the entry check is skipped.  The
+    abelianizations of X and of its blocks take unit pivots alone.
     """
     factors = _invariant_factors(_sparse_rows(abelianize(p)))
     rank = p.ngens - len(factors)

@@ -84,10 +84,13 @@ class ScriptRuntimeError(RuntimeError):
 
 # Longest word the textual syntax may denote, checked before a power is built.
 MAX_WORD_LETTERS = 100_000
+# Deepest nesting of list literals a script may write, so that parsing,
+# printing and resolving a value stay far inside Python's recursion limit.
+MAX_LIST_DEPTH = 100
 # Most generators, and most relators, that a script or presentation document
 # may state, checked before any word is read.  H1 of 64 dense relators over
 # 64 generators, with the largest exponents MAX_WORD_LETTERS allows, takes
-# about a second on a 2-CPU x86-64 machine, and that cost grows about as the
+# 1.3-1.5 s on a 2-CPU x86-64 machine, and that cost grows about as the
 # fourth power of the size.
 MAX_PRESENTATION_SIZE = 64
 
@@ -283,7 +286,8 @@ class _Parser:
         self.expect("SYM", ")")
         return Check(kind.value, tuple(args), line)
 
-    def value(self) -> Value:
+    def value(self, depth: int = 0) -> Value:
+        """A value inside ``depth`` lists."""
         tok = self.next()
         if tok.kind == "NAME":
             return Ref(tok.value)
@@ -292,7 +296,9 @@ class _Parser:
         if tok.kind == "STRING":
             return tok.value
         if tok.kind == "SYM" and tok.value == "[":
-            return self.items("]", self.value)
+            if depth == MAX_LIST_DEPTH:
+                raise ParseError(f"list nested deeper than {MAX_LIST_DEPTH} levels", tok.line, tok.col)
+            return self.items("]", lambda: self.value(depth + 1))
         raise ParseError(f"expected a value, found {tok.value!r}", tok.line, tok.col)
 
 

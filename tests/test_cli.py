@@ -1,11 +1,17 @@
 """``--out`` writes exactly what standard output would show, and an
-unwritable path is a usage error, never a verdict."""
+unwritable path, like an unreadable or malformed input, is a usage error,
+never a verdict."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sgcalc
 from sgcalc.cli import main
+from sgcalc.script import MAX_LIST_DEPTH
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "scripts" / "exotic_cp2_3.sgc"
 DOCUMENT = "generators: x y z\nrelator: [x, y]\nrelator: x z\nrelator: y^2 x y\n"
@@ -85,3 +91,28 @@ def test_simplify_text_trace_lists_each_step(tmp_path, capsys):
         "  Eliminate(gen='y', relator_index=1, definition=<Word x>)",
         "  RemoveTrivial(relator_index=0)",
     ]
+
+
+DEEP = MAX_LIST_DEPTH + 1
+MALFORMED = {
+    "non-utf8": b"\xff\xfe",
+    "nul-byte": b"let v = build_V()\x00\n",
+    "nested-past-bound": f"let p = presentation(generators={'[' * DEEP}{']' * DEEP})\n".encode(),
+    "directory": None,
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("command", ["run", "simplify"])
+def test_malformed_input_is_a_usage_error_without_a_traceback(tmp_path, command, case):
+    path = tmp_path / case
+    if case == "directory":
+        path.mkdir()
+    elif MALFORMED[case] is not None:
+        path.write_bytes(MALFORMED[case])
+    env = dict(os.environ, PYTHONPATH=str(Path(sgcalc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sgcalc", command, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 64, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("sgcalc: ")

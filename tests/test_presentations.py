@@ -207,31 +207,32 @@ def test_snf_takes_int_entries_only(matrix):
         smith_normal_form(matrix)
 
 
-def _count_dense_loops(monkeypatch) -> list:
+def _count_least_pivots(monkeypatch) -> list:
+    """The rows at each non-unit pivot step, as ``_least_pivot`` is handed them."""
     calls = []
-    dense = presentations._dense_factors
-    monkeypatch.setattr(presentations, "_dense_factors", lambda m: calls.append([list(row) for row in m]) or dense(m))
+    least = presentations._least_pivot
+    monkeypatch.setattr(presentations, "_least_pivot", lambda rows: calls.append([dict(r) for r in rows]) or least(rows))
     return calls
 
 
-def test_the_dense_loop_runs_only_on_what_unit_pivots_leave(monkeypatch):
-    calls = _count_dense_loops(monkeypatch)
+def test_a_least_pivot_runs_only_on_what_unit_pivots_leave(monkeypatch):
+    calls = _count_least_pivots(monkeypatch)
     assert smith_normal_form([[1, 0, 0], [0, 2, 4], [3, 6, 8]]) == [1, 2, 4]
-    assert calls == [[[2, 4], [6, 8]]]  # the unit's row and column are gone
+    assert calls[0] == [{1: 2, 2: 4}, {1: 6, 2: 8}]  # the unit's row and column are gone
     calls.clear()
     assert smith_normal_form([[2, 1], [3, 1]]) == [1, 1]
     assert calls == []  # the first pivot leaves [1, 0] in the second row, a unit
 
 
-def test_h1_of_the_paper_blocks_and_the_drop_family_needs_no_dense_loop(monkeypatch):
+def test_h1_of_the_paper_blocks_and_the_drop_family_takes_unit_pivots_alone(monkeypatch):
     """H1 of X, its blocks and X less each relation that kills a free Z
-    is reduced by unit pivots alone: a work count the same on every machine."""
+    takes no non-unit pivot: a work count the same on every machine."""
     from sgcalc import construction
 
     groups = [getattr(construction, f"build_{b}")().pi1 for b in ("x", "v", "w", "p1", "p2", "p")]
     x = groups[0]
     drops = [Presentation(x.alphabet, x.relators[: k - 1] + x.relators[k:]) for k in (1, 2, 7, 8, 13, 14, 19, 20)]
-    calls = _count_dense_loops(monkeypatch)
+    calls = _count_least_pivots(monkeypatch)
     answers = [homology_invariants(p) for p in groups + drops]
     assert calls == []
     assert answers[0] == (0, []) and all(a == (1, []) for a in answers[6:])

@@ -3,10 +3,10 @@
 A zero row adds no invariant factor, wherever it sits; the factors agree
 with the diagonal of sympy's decomposition when sympy is installed, and
 with the minor-gcd oracle on small matrices.  Three kinds of matrix reach
-the two phases of the Smith form: matrices with a unit entry (unit
-pivots first), matrices with none (the dense loop alone), and wide sparse
-matrices like an abelianization.  Examples are derandomized, so every run
-draws the same matrices.
+the Smith form's one elimination: matrices with a unit entry (a unit
+pivot first), matrices with none (a least-magnitude pivot first), and wide
+sparse matrices like an abelianization.  Examples are derandomized, so
+every run draws the same matrices.
 """
 
 import pytest
@@ -73,7 +73,7 @@ def with_units(draw):
 
 @st.composite
 def without_units(draw):
-    """A small matrix with no +-1 entry, which the dense loop alone reduces."""
+    """A small matrix with no +-1 entry, so a least-magnitude pivot comes first."""
     cols = draw(st.integers(1, 5))
     entries = st.sampled_from([v for v in range(-9, 10) if abs(v) != 1])
     return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=5))
@@ -95,7 +95,7 @@ def sparse(draw):
 
 @PROPERTY
 @given(st.one_of(with_units(), without_units()))
-def test_both_phases_agree_with_sympy_and_the_minor_gcd_oracle(m):
+def test_unit_and_least_pivots_agree_with_sympy_and_the_minor_gcd_oracle(m):
     factors = smith_normal_form(m)
     assert factors == sympy_factors(m)
     if len(m) <= 4:

@@ -27,7 +27,7 @@ from sgcalc.script import (
     parse_word,
     print_script,
 )
-from sgcalc.words import Alphabet, commutator
+from sgcalc.words import Alphabet, Word, commutator
 
 FAST = Budgets(max_cosets=20_000)
 
@@ -298,6 +298,20 @@ def test_a_group_checked_twice_is_enumerated_and_abelianized_once(monkeypatch):
     report = execute(parse("let x = build_X()\ncheck trivial(x)\ncheck classify(x)"), FAST)
     assert report.verdict == "PASS"
     assert sorted(calls) == ["certify_trivial", "homology_invariants"]
+
+
+def test_a_drop_verdict_hashes_no_word(monkeypatch):
+    # X less relation 1 has H1 = Z; hashing a presentation would hash every relator
+    x = construction.build_x().pi1
+    gens = ", ".join(f'"{g}"' for g in x.alphabet.names)
+    rels = ", ".join(f'"{r}"' for r in x.relators[1:])
+    drop = parse(f"let g = presentation(generators=[{gens}], relators=[{rels}])\ncheck h1(g, 1)\ncheck trivial(g)")
+    calls = []
+    word_hash = Word.__hash__
+    monkeypatch.setattr(Word, "__hash__", lambda w: calls.append(w) or word_hash(w))
+    report = execute(drop, FAST)
+    assert [s.status for s in report.statements] == ["ok", "pass", "fail"]
+    assert calls == []
 
 
 def test_execute_stops_at_first_failed_check():

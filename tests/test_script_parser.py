@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sgcalc.cli import main
 from sgcalc.script import (
+    MAX_LIST_DEPTH,
     Check,
     InputTooLarge,
     Let,
@@ -15,6 +16,7 @@ from sgcalc.script import (
     Ref,
     Script,
     _tokenize,
+    execute,
     parse,
     parse_presentation_document,
     parse_word,
@@ -63,6 +65,19 @@ def test_script_error_messages(text, message):
 )
 def test_word_error_messages(text, message):
     assert str(_error(lambda t: parse_word(t, XY), text)) == message
+
+
+def test_list_nesting_is_bounded_far_inside_the_recursion_limit():
+    def nested(depth):
+        return f"let p = presentation(generators={'[' * depth}{']' * depth})"
+
+    script = parse(nested(MAX_LIST_DEPTH))
+    assert parse(print_script(script)) == script
+    (error,) = execute(script).statements  # resolved, then refused as no generator name
+    assert (error.status, error.detail) == ("error", "generator must be a string")
+    err = _error(parse, nested(MAX_LIST_DEPTH + 1))
+    assert (err.line, err.col) == (1, 33 + MAX_LIST_DEPTH)
+    assert err.message == f"list nested deeper than {MAX_LIST_DEPTH} levels"
 
 
 def test_document_error_message():
