@@ -18,6 +18,7 @@ import sys
 
 from . import construction
 from .coset_enum import MAX_COSETS, MAX_COSETS_CEILING
+from .records import shown
 from .tietze import TIETZE_BUDGET, tietze_simplify
 
 USAGE_EXIT = 64
@@ -30,25 +31,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _shown(text: str, value: object) -> str:
-    """``value`` for a usage error; an argument over 40 characters is named by its length."""
-    return str(value) if len(text) <= 40 else f"({len(text)} characters)"
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {_shown(text, repr(text))}") from None
+        raise argparse.ArgumentTypeError(f"invalid integer {shown(text)}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {_shown(text, value)}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {shown(text, value)}")
     return value
 
 
 def _coset_budget(text: str) -> int:
     value = _positive_int(text)
     if value > MAX_COSETS_CEILING:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_COSETS_CEILING}, got {_shown(text, value)}")
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_COSETS_CEILING}, got {shown(text, value)}")
     return value
 
 

@@ -4,6 +4,10 @@ and hashing by field values within one type, refused assignment and ``replace``.
 A record sets its fields in ``__init__``: one by one with :data:`setfield`
 where records are built in bulk, else with :func:`setfields`.  Unlike a
 dataclass, such a class costs nothing to create at start-up.
+
+:func:`shown` is how an error message echoes a piece of input.  It lives here
+because every command loads this module, while ``script``, which also uses
+it, is never loaded by ``verify-paper``.
 """
 
 from __future__ import annotations
@@ -52,3 +56,12 @@ def setfields(record: Record, *values: object) -> None:
     """Set every field of a record under construction, in field order."""
     for name, value in zip(record._fields, values, strict=True):
         setfield(record, name, value)
+
+
+def shown(text: str, value: object = None) -> str:
+    """``text`` as an error message echoes it: ``value`` (``repr(text)`` by
+    default), or its length when it is over 40 characters, so that bad input
+    of any size gives a short message."""
+    if len(text) > 40:
+        return f"({len(text)} characters)"
+    return repr(text) if value is None else str(value)

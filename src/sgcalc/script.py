@@ -14,9 +14,13 @@ Script grammar (``.sgc`` files)::
             | ('invariants' | 'size') '(' ID ',' INT ',' INT ')'
 
 Quoted strings hold words over a known alphabet, read by their own reader
-(``parse_word``) with the script's token rules: one regex pass splits a word
-into factors, each letter is reduced onto the word as it comes, and offsets
-are read only to place an error::
+(``parse_word``) with the script's token rules.  A word written as syllables
+``NAME`` or ``NAME^INT`` between single spaces, the shape presentations come
+in, is cut with ``str.split`` and each syllable looked up in the alphabet;
+any other word, and every error, goes to the full reader (``_read_word``),
+where one regex pass splits the word into factors.  Both reduce each letter
+onto the word as it comes and give the same word; offsets are read only to
+place an error::
 
     word   := factor*
     factor := atom ('^' INT)?
@@ -60,7 +64,7 @@ from .presentations import (
     PresentationError,
     quotient_by,
 )
-from .records import Record, setfield, setfields
+from .records import Record, setfield, setfields, shown
 from .words import Alphabet, Word, WordError, free_reduce, inverse_codes
 
 
@@ -117,11 +121,12 @@ class Token(NamedTuple):
 _NAME = r"[^\W\d]\w*"
 _INT = r"-?\d+"
 # One token per match after its spaces; ``BAD`` is any other character but a
-# space, and ``STRING`` is unrolled into runs of plain characters between escapes.
+# space, and ``STRING`` (its quotes outside the group) is unrolled into runs of
+# plain characters between escapes.  The alternatives start with distinct
+# characters, so their order only sets how soon the common ones are tried.
 _TOKEN = re.compile(
-    r'[ \t\r]*(?:(?P<NEWLINE>\n)|(?P<COMMENT>#[^\n]*)'
-    rf'|(?P<NAME>{_NAME})|(?P<INT>{_INT})'
-    r'|(?P<STRING>"[^"\\\n]*(?:\\.[^"\\\n]*)*")|(?P<SYM>[=(),\[\]^])|(?P<BAD>[^ \t\r]))'
+    r'[ \t\r]*(?:"(?P<STRING>[^"\\\n]*(?:\\.[^"\\\n]*)*)"|(?P<SYM>[=(),\[\]^])'
+    rf'|(?P<NAME>{_NAME})|(?P<INT>{_INT})|(?P<NEWLINE>\n)|(?P<COMMENT>#[^\n]*)|(?P<BAD>[^ \t\r]))'
 )
 _ESCAPE = re.compile(r"\\(.)")
 # One factor of a word per match after its spaces (group 1): an atom (NAME,
@@ -141,26 +146,27 @@ def _int(tok: Token) -> int:
 
 def _tokenize(text: str) -> list[Token]:
     """The tokens of ``text`` and a final END, which sits where a trailing
-    comment starts."""
-    tokens = []
+    comment starts.  ``tuple.__new__`` builds each token in C, past the
+    Python-level ``Token.__new__``."""
+    tokens: list[Token] = []
+    add, new = tokens.append, tuple.__new__
     line, line_start, end = 1, 0, len(text)
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-            continue
         start, stop = m.span(kind)
-        if kind == "COMMENT":
+        if kind == "STRING":  # its column is its opening quote's
+            value = text[start:stop]
+            add(new(Token, (kind, _ESCAPE.sub(r"\1", value) if "\\" in value else value, line, start - line_start)))
+        elif kind == "SYM" or kind == "INT" or kind == "NAME" and (text[start].isalpha() or text[start] == "_"):
+            add(new(Token, (kind, text[start:stop], line, start - line_start + 1)))
+        elif kind == "NEWLINE":
+            line, line_start = line + 1, stop
+        elif kind == "COMMENT":
             end = start if stop == len(text) else end
-            continue
-        value, col = text[start:stop], start - line_start + 1
-        if kind == "STRING":
-            value = _ESCAPE.sub(r"\1", value[1:-1]) if "\\" in value else value[1:-1]
-        elif kind == "BAD" or (kind == "NAME" and not (value[0].isalpha() or value[0] == "_")):
-            message = "unterminated string" if value == '"' else f"unexpected character {value[0]!r}"
-            raise ParseError(message, line, col)
-        tokens.append(Token(kind, value, line, col))
-    tokens.append(Token("END", "", line, end - line_start + 1))
+        else:  # a BAD character, or a NAME that starts with a non-decimal digit
+            message = "unterminated string" if text[start] == '"' else f"unexpected character {text[start]!r}"
+            raise ParseError(message, line, start - line_start + 1)
+    add(new(Token, ("END", "", line, end - line_start + 1)))
     return tokens
 
 
@@ -230,18 +236,17 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind or (value is not None and tok.value != value):
             expected = what or (value if value is not None else kind.lower())
-            shown = tok.value or "end of input"
-            raise ParseError(f"expected {expected}, found {shown!r}", tok.line, tok.col)
+            raise ParseError(f"expected {expected}, found {shown(tok.value or 'end of input')}", tok.line, tok.col)
         return self.next()
 
-    def items(self, close: str, item: Callable[[], object]) -> tuple:
-        """A comma list of ``item`` up to the ``close`` symbol."""
+    def items(self, close: str, item: Callable[..., object], *args) -> tuple:
+        """A comma list of ``item(*args)`` up to the ``close`` symbol."""
         out = []
         if not self.at(close):
-            out.append(item())
+            out.append(item(*args))
             while self.at(","):
-                self.next()
-                out.append(item())
+                self.pos += 1
+                out.append(item(*args))
         self.expect("SYM", close)
         return tuple(out)
 
@@ -263,7 +268,7 @@ class _Parser:
             return Let(name_tok.value, op.value, self.items(")", self.argument), tok.line)
         if tok.kind == "NAME" and tok.value == "check":
             return self.check(tok.line)
-        raise ParseError(f"expected 'let' or 'check', found {tok.value!r}", tok.line, tok.col)
+        raise ParseError(f"expected 'let' or 'check', found {shown(tok.value)}", tok.line, tok.col)
 
     def argument(self) -> tuple[str, Value]:
         key = self.expect("NAME", what="argument keyword")
@@ -273,7 +278,7 @@ class _Parser:
     def check(self, line: int) -> Check:
         kind = self.expect("NAME", what="check kind")
         if kind.value not in TABLE["check"]:
-            raise ParseError(f"unknown check {kind.value!r}", kind.line, kind.col)
+            raise ParseError(f"unknown check {shown(kind.value)}", kind.line, kind.col)
         self.expect("SYM", "(")
         args: list[Value] = []
         for i, (_, param_kind) in enumerate(TABLE["check"][kind.value][1]):
@@ -289,17 +294,17 @@ class _Parser:
     def value(self, depth: int = 0) -> Value:
         """A value inside ``depth`` lists."""
         tok = self.next()
+        if tok.kind == "STRING":
+            return tok.value
         if tok.kind == "NAME":
             return Ref(tok.value)
         if tok.kind == "INT":
             return _int(tok)
-        if tok.kind == "STRING":
-            return tok.value
         if tok.kind == "SYM" and tok.value == "[":
             if depth == MAX_LIST_DEPTH:
                 raise ParseError(f"list nested deeper than {MAX_LIST_DEPTH} levels", tok.line, tok.col)
-            return self.items("]", lambda: self.value(depth + 1))
-        raise ParseError(f"expected a value, found {tok.value!r}", tok.line, tok.col)
+            return self.items("]", self.value, depth + 1)
+        raise ParseError(f"expected a value, found {shown(tok.value)}", tok.line, tok.col)
 
 
 def parse(text: str) -> Script:
@@ -372,8 +377,52 @@ def _exponent(text: str, index: int, exp: str, size: int) -> int:
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Read the textual word syntax over a known alphabet (see the module docstring).  An open commutator
-    waits on ``stack`` as the word it sits in, its left side (``None`` until read) and its ``[``'s index."""
+    """Read the textual word syntax over a known alphabet (see the module docstring).
+
+    Text whose chunks between single spaces are each ``NAME``, ``NAME^-1`` or
+    ``NAME^k`` (``k`` an INT of at most six digits), with at most
+    :data:`MAX_WORD_LETTERS` letters before reduction, is read here chunk by
+    chunk; any other text, and so every error, goes to :func:`_read_word`."""
+    ranks = alphabet.ranks
+    out: list[int] = []
+    chunks = text.split(" ")
+    extra = 0  # letters of the powers beyond one per chunk
+    for chunk in chunks:
+        rank = ranks.get(chunk)
+        if rank is not None:
+            code = 2 * rank
+        else:
+            name, _, exp = chunk.partition("^")
+            rank = ranks.get(name)
+            if rank is None:
+                return _read_word(text, alphabet)
+            if exp != "-1":  # the commonest exponent skips int()
+                digits = exp[1:] if exp[:1] == "-" else exp
+                if not digits.isdecimal() or len(digits) > 6:
+                    return _read_word(text, alphabet)
+                k = int(exp)
+                code, k = 2 * rank + (k < 0), abs(k)
+                extra += k - 1
+                if extra >= MAX_WORD_LETTERS:  # refused below in any case: never build the power
+                    return _read_word(text, alphabet)
+                while k and out and out[-1] == code ^ 1:  # a letter's power cancels only its inverse letter
+                    out.pop()
+                    k -= 1
+                out += [code] * k
+                continue
+            code = 2 * rank + 1
+        if out and out[-1] == code ^ 1:
+            out.pop()
+        else:
+            out.append(code)
+    if len(chunks) + extra > MAX_WORD_LETTERS:  # the full reader finds where a prefix grew too long, if one did
+        return _read_word(text, alphabet)
+    return Word(alphabet, tuple(out), True)  # every letter was cancelled against its inverse as it came
+
+
+def _read_word(text: str, alphabet: Alphabet) -> Word:
+    """The full word reader: brackets, every spacing and every error.  An open commutator waits on ``stack``
+    as the word it sits in, its left side (``None`` until read) and its ``[``'s index."""
     ranks = alphabet.ranks
     out: list[int] = []
     stack: list[list] = []
@@ -449,9 +498,9 @@ def parse_presentation_document(text: str) -> Presentation:
             try:
                 exactness = Exactness(rest)
             except ValueError:
-                raise ParseError(f"unknown exactness {rest!r}", lineno, 1) from None
+                raise ParseError(f"unknown exactness {shown(rest)}", lineno, 1) from None
         else:
-            raise ParseError(f"unknown line {key!r}", lineno, 1)
+            raise ParseError(f"unknown line {shown(key)}", lineno, 1)
     if alphabet is None:
         raise ParseError("missing generators line", 1, 1)
     relators = []

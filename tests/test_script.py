@@ -542,6 +542,28 @@ def test_cli_run_huge_integer_in_relator_exit_64(tmp_path, capsys):
     assert len(err) < 300 and "99999" not in err
 
 
+LONG = "x" * 200_000
+
+
+@pytest.mark.parametrize(
+    "command, text, echo",
+    [
+        ("simplify", LONG, "unknown line (200000 characters)"),
+        ("simplify", f"generators: x\nexactness: {LONG}\n", "unknown exactness (200000 characters)"),
+        ("run", f'check trivial("{LONG}")\n', "expected identifier, found (200000 characters)"),
+        ("run", f"check {LONG}(g)\n", "unknown check (200000 characters)"),
+        ("run", f'"{LONG}"\n', "expected 'let' or 'check', found (200000 characters)"),
+    ],
+    ids=["line-key", "exactness", "expected-token", "check-kind", "statement"],
+)
+def test_cli_parse_errors_name_a_long_echo_by_its_length(tmp_path, capsys, command, text, echo):
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    assert main([command, str(path)]) == 64
+    err = capsys.readouterr().err
+    assert echo in err and len(err) < 300
+
+
 def test_one_default_per_budget(capsys):
     import inspect
 
