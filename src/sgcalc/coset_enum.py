@@ -6,18 +6,14 @@ scans every relator from every live coset in order of definition, filling
 gaps with DEFINE and merging coincidences with COINCIDENCE
 (:func:`_coincide`) through a union-find forest.  COINCIDENCE undefines
 each back-pointer ``d.x^-1 = dead`` before it moves ``dead.x = d`` to the
-live representatives, so outside it every entry ``c.x = d`` of a live row
-names a live coset ``d`` with ``d.x^-1 = c``.  The kernel holds the table's
-lists in locals and makes few Python calls per entry: SCANANDFILL and
-DEFINE run inline in :func:`_hlt`, which reads each word's backward columns
-from a list made once per run and calls :func:`_coincide` only when a scan
-closes on two cosets; :func:`_coincide` calls :func:`_find` only off a root
-(``parent[c] != c``), which compresses the same paths a call per lookup
-would; and :func:`_verify_closed` walks relators without ``find`` once its
-first pass has shown that live rows name only live cosets.  A closed table
-is a permutation representation of the group on the cosets of the
-subgroup, so the coset count is the exact index.  Identical inputs give
-identical tables.
+live representatives, so outside it every entry ``c.x = d`` of a live coset
+names a live coset ``d`` with ``d.x^-1 = c``.  The table is one list per
+generator letter (a column): a scan step reads one of the word's forward or
+inverse columns, COINCIDENCE walks (column, inverse column) pairs, and
+:func:`_verify_closed` walks relators without ``find`` once its first pass
+has shown that live cosets name only live cosets.  A closed table is a
+permutation representation of the group on the cosets of the subgroup, so
+the coset count is the exact index.  Identical inputs give identical tables.
 
 Index 1 for the trivial subgroup certifies that the presented group - and
 therefore anything it surjects onto - is trivial.
@@ -32,7 +28,7 @@ from .records import Record, setfields
 from .words import Word, _cyclic_reduction
 
 
-# Default and largest coset budget: a coset costs about 230 bytes at 8 generators.
+# Default and largest coset budget: a coset costs about 150 bytes at 8 generators.
 MAX_COSETS = 100_000
 MAX_COSETS_CEILING = 1_000_000
 
@@ -73,26 +69,30 @@ class _Budget(Exception):
 
 
 class _Table:
-    """The coset table: ``rows[c][x]`` is ``c.x`` (``None`` while undefined)
-    and ``parent`` the union-find forest of coincidences."""
+    """The coset table: ``cols[x][c]`` is ``c.x`` (``None`` while undefined), ``pairs[x]`` is column ``x``
+    with its inverse column ``x ^ 1``, ``parent`` the union-find forest of coincidences, ``len(parent)``
+    the cosets defined; columns start at min(``max_cosets``, 64) entries."""
 
     def __init__(self, ncols: int, max_cosets: int):
-        self.ncols = ncols
         self.max_cosets = max_cosets
-        self.rows: list[list[int | None]] = []
-        self.parent: list[int] = []
-        self.new_coset()
+        self.capacity = min(max_cosets, 64)
+        self.cols: list[list[int | None]] = [[None] * self.capacity for _ in range(ncols)]
+        self.pairs = [(col, self.cols[x ^ 1]) for x, col in enumerate(self.cols)]
+        self.parent: list[int] = [0]
 
-    def new_coset(self) -> int:
-        c = len(self.rows)
-        if c >= self.max_cosets:
+    def grow(self) -> int:
+        """Double the columns in place, so lists naming them stay valid, up to ``max_cosets``.
+        Raises :class:`_Budget` once they hold ``max_cosets`` entries."""
+        n = self.capacity
+        if n >= self.max_cosets:
             raise _Budget
-        self.rows.append([None] * self.ncols)
-        self.parent.append(c)
-        return c
+        self.capacity = min(2 * n, self.max_cosets)
+        for col in self.cols:
+            col.extend([None] * (self.capacity - n))
+        return self.capacity
 
     def live_cosets(self) -> list[int]:
-        return [c for c in range(len(self.rows)) if self.parent[c] == c]
+        return [c for c, r in enumerate(self.parent) if c == r]
 
 
 def _find(parent: list[int], c: int) -> int:
@@ -105,37 +105,35 @@ def _find(parent: list[int], c: int) -> int:
     return root
 
 
-def _coincide(rows: list[list[int | None]], parent: list[int], a: int, b: int) -> None:
+def _coincide(pairs: list[tuple[list, list]], parent: list[int], a: int, b: int) -> None:
     """Merge distinct live cosets ``a`` and ``b`` and every coincidence they force.
 
-    Handbook of Computational Group Theory, §5.1 (COINCIDENCE).  Each
-    merge keeps the lesser coset as representative and queues the other.
+    Handbook of Computational Group Theory, §5.1 (COINCIDENCE), on ``pairs`` of each
+    column and its inverse.  Each merge keeps the lesser coset and queues the other.
     """
     queue = [max(a, b)]
     parent[queue[0]] = min(a, b)
     while queue:
         dead = queue.pop()
-        row = rows[dead]
-        for x, d in enumerate(row):
+        for col, icol in pairs:
+            d = col[dead]
             if d is None:
                 continue
-            row[x] = None
-            xi = x ^ 1
+            col[dead] = None
             # Undefine d.x^-1 = dead first: left in place, it would make
             # the lookup below resolve to mu itself and drop mu.x = nu.
-            back = rows[d]
-            if back[xi] == dead:
-                back[xi] = None
+            if icol[d] == dead:
+                icol[d] = None
             mu = parent[dead]
             if parent[mu] != mu:
                 mu = _find(parent, dead)
             nu = d if parent[d] == d else _find(parent, d)
-            u, v = nu, rows[mu][x]
+            u, v = nu, col[mu]
             if v is None:
-                u, v = mu, rows[nu][xi]
+                u, v = mu, icol[nu]
                 if v is None:
-                    rows[mu][x] = nu
-                    rows[nu][xi] = mu
+                    col[mu] = nu
+                    icol[nu] = mu
                     continue
             if parent[v] != v:
                 v = _find(parent, v)
@@ -157,44 +155,45 @@ def _hlt(table: _Table, subgens: list[Sequence[int]], relators: list[Sequence[in
     closed trace, one deduction written in both directions, or a
     COINCIDENCE of the ends.
     """
-    rows, parent, ncols, max_cosets = table.rows, table.parent, table.ncols, table.max_cosets
-    # each word with its backward columns, the inverse letters, and its last position
-    words = [(w, [x ^ 1 for x in w], len(w) - 1) for w in subgens + relators]
+    pairs, parent, cap = table.pairs, table.parent, table.capacity
+    # each word's forward and backward columns, and its last position
+    words = [([pairs[x][0] for x in w], [pairs[x][1] for x in w], len(w) - 1) for w in subgens + relators]
     relator_words = words[len(subgens) :]
     q, scans = 0, words  # coset 0 never merges away, so it scans the subgroup words first
-    while q < len(rows):
+    while q < len(parent):
         if parent[q] == q:
-            for word, back, last in scans:
+            for fw, bw, last in scans:
                 i, j = 0, last
                 f = b = q
                 while True:
-                    while i <= j and (d := rows[f][word[i]]) is not None:
+                    while i <= j and (d := fw[i][f]) is not None:
                         f, i = d, i + 1
-                    while j >= i and (d := rows[b][back[j]]) is not None:
+                    while j >= i and (d := bw[j][b]) is not None:
                         b, j = d, j - 1
                     if j < i:
                         if f != b:
-                            _coincide(rows, parent, f, b)
+                            _coincide(pairs, parent, f, b)
                         break
                     if j == i:
-                        rows[f][word[i]] = b
-                        rows[b][back[i]] = f
+                        fw[i][f] = b
+                        bw[i][b] = f
                         break
-                    if len(rows) >= max_cosets:  # DEFINE f.x = d, d.x^-1 = f
-                        raise _Budget
-                    rows[f][word[i]] = d = len(rows)
-                    rows.append(row := [None] * ncols)
-                    row[back[i]] = f
+                    if (d := len(parent)) == cap:  # DEFINE f.x = d, d.x^-1 = f
+                        cap = table.grow()
+                    fw[i][f] = d
+                    bw[i][d] = f
                     parent.append(d)
                     f, i = d, i + 1
                 if parent[q] != q:
                     break
             else:  # complete the row: generators outside every relator still act
-                row = rows[q]
-                for x, d in enumerate(row):
-                    if d is None:  # DEFINE q.x = d, d.x^-1 = q
-                        row[x] = d = table.new_coset()
-                        rows[d][x ^ 1] = q
+                for col, icol in pairs:
+                    if col[q] is None:  # DEFINE q.x = d, d.x^-1 = q
+                        if (d := len(parent)) == cap:
+                            cap = table.grow()
+                        col[q] = d
+                        icol[d] = q
+                        parent.append(d)
         q += 1
         scans = relator_words
 
@@ -223,39 +222,40 @@ def todd_coxeter(
     subgens = [w.codes() for w in subgroup_gens]
 
     table = _Table(2 * p.ngens, max_cosets)
-    rows, parent = table.rows, table.parent
+    parent = table.parent
     try:
         _hlt(table, subgens, relators)
-    except _Budget:  # len(rows) counts the cosets defined, non-roots those collapsed
-        return EnumResult(None, len(rows), sum(c != r for c, r in enumerate(parent)))
+    except _Budget:  # len(parent) counts the cosets defined, non-roots those collapsed
+        return EnumResult(None, len(parent), sum(c != r for c, r in enumerate(parent)))
     index = _verify_closed(table, relators, subgens)
-    return EnumResult(index, len(rows), len(rows) - index)
-
-
-def _walk(rows: list[list[int | None]], c: int, word: Sequence[int]) -> int:
-    for x in word:
-        c = rows[c][x]
-    return c
+    return EnumResult(index, len(parent), len(parent) - index)
 
 
 def _verify_closed(table: _Table, relators: list[Sequence[int]], subgens: list[Sequence[int]]) -> int:
     """Check a finished table's deductions and return its live coset count; raises :class:`EnumerationError`.
 
-    The first pass checks the invariant the scan relies on: live rows are
-    complete and name live cosets that point back.  So no walk needs ``find``.
+    The first pass checks the invariant the scan relies on: each live coset has an
+    entry in every column, naming a live coset that points back.  So no walk needs ``find``.
     """
-    rows, parent = table.rows, table.parent
+    cols, pairs, parent = table.cols, table.pairs, table.parent
     live = table.live_cosets()
     for c in live:
-        for x, d in enumerate(rows[c]):
-            if d is None or rows[d][x ^ 1] is None:
+        for col, icol in pairs:
+            d = col[c]
+            if d is None or icol[d] is None:
                 raise EnumerationError("incomplete coset table after closure")
-            if parent[d] != d or rows[d][x ^ 1] != c:
+            if parent[d] != d or icol[d] != c:
                 raise EnumerationError("live coset row names a dead or unmatched coset")
-    if any(_walk(rows, c, word) != c for c in live for word in relators):
-        raise EnumerationError("relator scan does not close")
-    if any(_walk(rows, 0, word) != 0 for word in subgens):
-        raise EnumerationError("subgroup generator leaves coset 1")
+    checks = (relators, live, "relator scan does not close"), (subgens, [0], "subgroup generator leaves coset 1")
+    for words, starts, message in checks:
+        for word in words:
+            path = [cols[x] for x in word]
+            for c in starts:
+                d = c
+                for col in path:
+                    d = col[d]
+                if d != c:
+                    raise EnumerationError(message)
     return len(live)
 
 

@@ -352,10 +352,10 @@ def _token_at(text: str, pos: int) -> Token:
     return next(t for t in tokens if (t.line, t.col) == (line, col))
 
 
-def _word_error(text: str, pos: int, message: str = "unexpected {!r} in word", error: type = ParseError) -> ParseError:
-    """``message``, with ``{!r}`` the token's value, at the token at offset ``pos`` of a word."""
+def _word_error(text: str, pos: int, message: str = "unexpected {} in word", error: type = ParseError) -> ParseError:
+    """``message``, with ``{}`` the token's value as ``shown`` echoes it, at the token at offset ``pos`` of a word."""
     tok = _token_at(text, pos)
-    return error(message.format(tok.value), tok.line, tok.col)
+    return error(message.format(shown(tok.value)), tok.line, tok.col)
 
 
 def _factor(text: str, index: int) -> re.Match:
@@ -430,7 +430,7 @@ def _read_word(text: str, alphabet: Alphabet) -> Word:
         if name:
             rank = ranks.get(name)
             if rank is None:
-                raise _word_error(text, _factor(text, index).end(1), "unknown generator {!r}")
+                raise _word_error(text, _factor(text, index).end(1), "unknown generator {}")
             k = _exponent(text, index, exp, 1) if caret else 1
             code, k = 2 * rank + (k < 0), abs(k)
             while k and out and out[-1] == code ^ 1:  # a letter's power cancels only its inverse letter

@@ -22,6 +22,8 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .records import shown
+
 Syllable = tuple[str, int]
 
 
@@ -48,9 +50,9 @@ class Alphabet:
         ranks: dict[str, int] = {}
         for name in names:
             if not _valid_name(name):
-                raise WordError(f"invalid generator name {name!r}")
+                raise WordError(f"invalid generator name {shown(name)}")
             if name in ranks:
-                raise WordError(f"duplicate generator name {name!r}")
+                raise WordError(f"duplicate generator name {shown(name)}")
             ranks[name] = len(ranks)
         self.names = names
         self.ranks = ranks

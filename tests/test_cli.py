@@ -116,3 +116,23 @@ def test_malformed_input_is_a_usage_error_without_a_traceback(tmp_path, command,
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 64, proc.stderr
     assert "Traceback" not in proc.stderr and proc.stderr.startswith("sgcalc: ")
+
+
+@pytest.mark.parametrize(
+    "text, echo",
+    [
+        ("generators: x\nrelator: " + "y" * 200_000 + "\n", "unknown generator (200000 characters)"),
+        ("generators: x\nrelator: x " + "9" * 200_000 + "\n", "unexpected (200000 characters) in word"),
+        ("generators: " + "@" * 200_000 + "\n", "invalid generator name (200000 characters)"),
+        ("generators: " + " ".join(["x" * 200_000] * 2) + "\n", "duplicate generator name (200000 characters)"),
+    ],
+    ids=["unknown-generator", "unexpected-token", "invalid-name", "duplicate-name"],
+)
+def test_a_long_bad_token_gives_a_short_error(tmp_path, text, echo):
+    path = tmp_path / "doc.txt"
+    path.write_text(text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(sgcalc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sgcalc", "simplify", str(path)],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 64, proc.stderr[:300]
+    assert echo.encode() in proc.stderr and len(proc.stderr) < 200, proc.stderr[:300]

@@ -265,13 +265,55 @@ def test_coincidence_keeps_its_deductions_on_three_generators():
     assert todd_coxeter(three).index == 2
 
 
+def _recorded_run(p, max_cosets, subgroup=()):
+    """One enumeration's result, its final table, and each column capacity the table took."""
+    tables, capacities = [], []
+
+    class RecordingTable(coset_enum._Table):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+            capacities.append(self.capacity)
+
+        def grow(self):
+            capacities.append(super().grow())
+            return capacities[-1]
+
+    with mock.patch.object(coset_enum, "_Table", RecordingTable):
+        result = todd_coxeter(p, subgroup, max_cosets)
+    (table,) = tables
+    return result, table, capacities
+
+
+def a6_case():
+    """A6 = < a, b | a^2, b^4, (ab)^5, (ab^2)^5 >: 954 cosets defined for index 360."""
+    ab = Alphabet(("a", "b"))
+    a, b = ab.gen("a"), ab.gen("b")
+    return Presentation(ab, (a ** 2, b ** 4, (a * b) ** 5, (a * b * b) ** 5))
+
+
+@pytest.mark.parametrize("p", [a6_case(), Presentation(Alphabet(()))], ids=["A6", "empty-alphabet"])
+def test_columns_grow_within_the_budget(p):
+    """Budgets just below, at and just above each capacity step close as an unlimited run or spend the budget."""
+    unlimited, _, steps = _recorded_run(p, MAX_COSETS_CEILING)
+    assert unlimited.found
+    budgets = sorted({1} | {step + k for step in steps for k in (-1, 0, 1)} - {0})
+    outcomes = set()
+    for budget in budgets:
+        result, table, _ = _recorded_run(p, budget)
+        assert result == unlimited or (result.index is None and result.defined == budget), budget
+        assert len(table.parent) == result.defined
+        # the memory bound: no column outgrows the budget
+        assert all(len(col) == table.capacity <= budget for col in table.cols), budget
+        outcomes.add(result.found)
+    assert outcomes == ({False, True} if p.ngens else {True})
+
+
 def test_closed_table_check_rejects_a_live_row_naming_a_dead_coset():
     # < x | x >: coset 1 was merged into 0, but row 0 still names it
     table = _Table(2, 10)
-    table.new_coset()
-    table.parent[1] = 0
-    table.rows[0] = [1, 1]
-    table.rows[1] = [0, 0]
+    table.parent[:] = [0, 0]
+    table.cols[0][:2] = table.cols[1][:2] = [1, 0]
     with pytest.raises(EnumerationError, match="dead"):
         _verify_closed(table, [[0]], [])
 
@@ -287,9 +329,8 @@ def test_closed_table_check_rejects_a_consistent_table_that_breaks_a_word(relato
     # two live cosets swapped by x: complete, every entry points back, and
     # a valid closed table of < x | x^2 > for the trivial subgroup
     table = _Table(2, 10)
-    table.new_coset()
-    table.rows[0] = [1, 1]
-    table.rows[1] = [0, 0]
+    table.parent.append(1)
+    table.cols[0][:2] = table.cols[1][:2] = [1, 0]
     _verify_closed(table, [[0, 0]], [[0, 0]])
     with pytest.raises(EnumerationError, match=message):
         _verify_closed(table, relators, subgens)
@@ -300,8 +341,8 @@ def test_subgroup_check_survives_python_O():
         "from sgcalc.coset_enum import EnumerationError, _Table, _verify_closed\n"
         "assert False, 'asserts are on'\n"
         "table = _Table(2, 10)\n"
-        "table.new_coset()\n"
-        "table.rows[0], table.rows[1] = [1, 1], [0, 0]\n"
+        "table.parent.append(1)\n"
+        "table.cols[0][:2] = table.cols[1][:2] = [1, 0]\n"
         "try:\n"
         "    _verify_closed(table, [[0, 0]], [[0]])\n"
         "except EnumerationError as err:\n"
@@ -322,13 +363,6 @@ def _enum_counter_lines() -> list[str]:
     1-3 generators with 0 or 1 subgroup words at budgets 20, 200 and 2,000,
     so runs that exhaust their budget are covered too.
     """
-    tables = []
-
-    class RecordingTable(coset_enum._Table):
-        def __init__(self, *args):
-            super().__init__(*args)
-            tables.append(self)
-
     runs = [(assemble_x().state.pi1, (), 100_000)]
     runs += [(p, (), 10_000) for p, _, _ in CORPUS]
     rng = random.Random(2718)
@@ -338,12 +372,11 @@ def _enum_counter_lines() -> list[str]:
         subgroup = tuple(random_word(rng, ab, 6) for _ in range(rng.randint(0, 1)))
         runs += [(p, subgroup, budget) for budget in (20, 200, 2_000)]
     lines = []
-    with mock.patch.object(coset_enum, "_Table", RecordingTable):
-        for p, subgroup, budget in runs:
-            result = todd_coxeter(p, subgroup, budget)
-            table = tables.pop()
-            digest = hashlib.sha256(repr((table.rows, table.parent)).encode()).hexdigest()[:16]
-            lines.append(f"{result.index} {result.defined} {result.collapsed} {digest}")
+    for p, subgroup, budget in runs:
+        result, table, _ = _recorded_run(p, budget, subgroup)
+        rows = [[col[c] for col in table.cols] for c in range(len(table.parent))]  # one list per coset
+        digest = hashlib.sha256(repr((rows, table.parent)).encode()).hexdigest()[:16]
+        lines.append(f"{result.index} {result.defined} {result.collapsed} {digest}")
     return lines
 
 

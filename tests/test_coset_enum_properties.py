@@ -74,8 +74,8 @@ def test_closed_table_is_a_permutation_action(p, data):
     (table,) = tables
     live = table.live_cosets()
     assert len(live) == result.index
-    for x in range(table.ncols):
-        images = [table.rows[c][x] for c in live]
+    for x, col in enumerate(table.cols):
+        images = [col[c] for c in live]
         # complete rows that point only at live cosets: no dead coset is left behind
         assert sorted(images) == live
-        assert all(table.rows[d][x ^ 1] == c for c, d in zip(live, images))
+        assert all(table.cols[x ^ 1][d] == c for c, d in zip(live, images))

@@ -116,7 +116,7 @@ def test_closed_table_check_survives_python_O():
         "from sgcalc.coset_enum import EnumerationError, _Table, _verify_closed\n"
         "assert False, 'asserts are on'\n"
         "table = _Table(2, 10)\n"
-        "table.rows[0] = [0, None]\n"
+        "table.cols[0][0] = 0\n"
         "try:\n"
         "    _verify_closed(table, [[0]], [])\n"
         "except EnumerationError as err:\n"
