@@ -29,7 +29,7 @@ from math import gcd
 
 from .coset_enum import TrivialityCertificate
 from .presentations import Exactness, Presentation, quotient_by
-from .records import Record, setfields
+from .records import Record, setfields, shown
 from .words import Word, merge_alphabets, substitute
 
 
@@ -129,14 +129,14 @@ class ManifoldState(Record):
         for mark in self.surfaces:
             if mark.id == surface_id:
                 return mark
-        raise ManifoldError(f"unknown surface {surface_id!r}")
+        raise ManifoldError(f"unknown surface {shown(surface_id)}")
 
     def torus(self, torus_id: str) -> LagrangianTorusMark:
         for mark in self.tori:
             if mark.id == torus_id:
                 return mark
         known = f"tori {[t.id for t in self.tori]}" if self.tori else "no Lagrangian torus marks"
-        raise ManifoldError(f"unknown torus {torus_id!r}: this state has {known}")
+        raise ManifoldError(f"unknown torus {shown(torus_id)}: this state has {known}")
 
 
 class HomeoType(Record):
@@ -229,7 +229,7 @@ def resolve_intersection(
     """
     a, b = s.surface(surface_a), s.surface(surface_b)
     if (surface_a, surface_b) not in s.transverse_pairs and (surface_b, surface_a) not in s.transverse_pairs:
-        raise ManifoldError(f"surfaces {surface_a!r} and {surface_b!r} are not marked as meeting once")
+        raise ManifoldError(f"surfaces {shown(surface_a)} and {shown(surface_b)} are not marked as meeting once")
     merged = SurfaceMark(
         id=new_id or f"{surface_a}+{surface_b}",
         genus=a.genus + b.genus,

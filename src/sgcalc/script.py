@@ -18,9 +18,9 @@ Quoted strings hold words over a known alphabet, read by their own reader
 ``NAME`` or ``NAME^INT`` between single spaces, the shape presentations come
 in, is cut with ``str.split`` and each syllable looked up in the alphabet;
 any other word, and every error, goes to the full reader (``_read_word``),
-where one regex pass splits the word into factors.  Both reduce each letter
-onto the word as it comes and give the same word; offsets are read only to
-place an error::
+which reads the script's tokens of the word and raises each error at its
+token.  Both reduce each letter onto the word as it comes and give the same
+word::
 
     word   := factor*
     factor := atom ('^' INT)?
@@ -115,25 +115,19 @@ class Token(NamedTuple):
     col: int
 
 
-# The token rules, shared by scripts and words.  A NAME match whose first
-# character is a non-decimal digit (``²``, ``½``) is an unexpected character,
-# which leaves NAME as ``words._valid_name``'s rule; ``_int`` reads an INT.
-_NAME = r"[^\W\d]\w*"
-_INT = r"-?\d+"
-# One token per match after its spaces; ``BAD`` is any other character but a
-# space, and ``STRING`` (its quotes outside the group) is unrolled into runs of
-# plain characters between escapes.  The alternatives start with distinct
-# characters, so their order only sets how soon the common ones are tried.
+# The token rules, shared by scripts and words: one token per match after its
+# spaces.  ``BAD`` is any other character but a space, and ``STRING`` (its
+# quotes outside the group) is unrolled into runs of plain characters between
+# escapes.  A NAME match whose first character is a non-decimal digit (``²``,
+# ``½``) is an unexpected character, which leaves NAME as
+# ``words._valid_name``'s rule; ``_int`` reads an INT.  The alternatives start
+# with distinct characters, so their order only sets how soon the common ones
+# are tried.
 _TOKEN = re.compile(
     r'[ \t\r]*(?:"(?P<STRING>[^"\\\n]*(?:\\.[^"\\\n]*)*)"|(?P<SYM>[=(),\[\]^])'
-    rf'|(?P<NAME>{_NAME})|(?P<INT>{_INT})|(?P<NEWLINE>\n)|(?P<COMMENT>#[^\n]*)|(?P<BAD>[^ \t\r]))'
+    r'|(?P<NAME>[^\W\d]\w*)|(?P<INT>-?\d+)|(?P<NEWLINE>\n)|(?P<COMMENT>#[^\n]*)|(?P<BAD>[^ \t\r]))'
 )
 _ESCAPE = re.compile(r"\\(.)")
-# One factor of a word per match after its spaces (group 1): an atom (NAME,
-# INT or ']') with an optional '^' INT exponent, a '[' or ',', or any other
-# character but a space, which is an error.
-_SPACE = r"[ \t\r\n]*"
-_WORD_TOKEN = re.compile(rf"({_SPACE})(?:(?:({_NAME})|({_INT})|(\]))(?:{_SPACE}(\^){_SPACE}({_INT})?)?|([\[,])|[^ \t\r\n])")
 
 
 def _int(tok: Token) -> int:
@@ -341,41 +335,6 @@ def print_script(script: Script) -> str:
 
 # -- word and presentation text formats ---------------------------------------
 
-def _token_at(text: str, pos: int) -> Token:
-    """The token at offset ``pos`` of a word, read for an error there.  The
-    whole text is tokenized first, so a lexical error anywhere in it wins; a
-    ``#`` starts no comment in a word but is an unexpected character."""
-    tokens = _tokenize(text)
-    line, col = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-    if text.startswith("#", pos):
-        raise ParseError("unexpected character '#'", line, col)
-    return next(t for t in tokens if (t.line, t.col) == (line, col))
-
-
-def _word_error(text: str, pos: int, message: str = "unexpected {} in word", error: type = ParseError) -> ParseError:
-    """``message``, with ``{}`` the token's value as ``shown`` echoes it, at the token at offset ``pos`` of a word."""
-    tok = _token_at(text, pos)
-    return error(message.format(shown(tok.value)), tok.line, tok.col)
-
-
-def _factor(text: str, index: int) -> re.Match:
-    """Factor ``index`` of a word, matched again for an error there."""
-    return list(_WORD_TOKEN.finditer(text))[index]
-
-
-def _exponent(text: str, index: int, exp: str, size: int) -> int:
-    """The exponent ``exp`` of factor ``index`` of a word, checked for an atom of ``size`` letters."""
-    if not exp:
-        raise _word_error(text, _factor(text, index).end(), "expected integer exponent")
-    try:
-        k = int(exp)
-    except ValueError:
-        k = _int(_token_at(text, _factor(text, index).start(6)))
-    if abs(k) * size > MAX_WORD_LETTERS:
-        raise _word_error(text, _factor(text, index).start(6), f"power longer than {MAX_WORD_LETTERS} letters", InputTooLarge)
-    return k
-
-
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Read the textual word syntax over a known alphabet (see the module docstring).
 
@@ -421,46 +380,70 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
 
 
 def _read_word(text: str, alphabet: Alphabet) -> Word:
-    """The full word reader: brackets, every spacing and every error.  An open commutator waits on ``stack``
-    as the word it sits in, its left side (``None`` until read) and its ``[``'s index."""
+    """The full word reader: brackets, every spacing and every error.  It walks
+    the script's tokens of the whole text, so a lexical error anywhere wins,
+    and raises each error at the token in hand.  A ``#`` starts no comment in a
+    word: the tokens from the first one on give way to one BAD token for it (a
+    ``#`` inside a string sits past the STRING token, which is refused first).
+    An open commutator waits on ``stack`` as the word it sits in, its left side
+    (``None`` until read) and its ``[`` token."""
     ranks = alphabet.ranks
+    tokens = _tokenize(text)
+    at = text.find("#")
+    if at >= 0:
+        place = (text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+        tokens = [tok for tok in tokens if (tok.line, tok.col) < place] + [Token("BAD", "#", *place)]
     out: list[int] = []
     stack: list[list] = []
-    for index, (_, name, num, close, caret, exp, sym) in enumerate(_WORD_TOKEN.findall(text)):
-        if name:
-            rank = ranks.get(name)
+    i = 0
+    while True:
+        tok = tokens[i]
+        kind, value = tok.kind, tok.value
+        i += 1
+        if kind == "NAME":
+            rank = ranks.get(value)
             if rank is None:
-                raise _word_error(text, _factor(text, index).end(1), "unknown generator {}")
-            k = _exponent(text, index, exp, 1) if caret else 1
-            code, k = 2 * rank + (k < 0), abs(k)
-            while k and out and out[-1] == code ^ 1:  # a letter's power cancels only its inverse letter
+                raise ParseError(f"unknown generator {shown(value)}", tok.line, tok.col)
+            atom = (2 * rank,)
+        elif kind == "INT" and value == "1":
+            atom = ()
+        elif kind == "END":
+            break
+        elif kind == "SYM" and value == "[":
+            stack.append([out, None, tok])
+            out = []
+            continue
+        elif kind == "SYM" and value == "," and stack and stack[-1][1] is None:
+            stack[-1][1], out = out, []
+            continue
+        elif kind == "SYM" and value == "]" and stack and stack[-1][1] is not None:
+            (out, left, tok), right = stack.pop(), out  # a commutator's errors sit at its '['
+            atom = free_reduce([*left, *right, *inverse_codes(left), *inverse_codes(right)])
+        else:
+            message = "unexpected character '#'" if kind == "BAD" else f"unexpected {shown(value)} in word"
+            raise ParseError(message, tok.line, tok.col)
+        k = 1
+        if tokens[i][:2] == ("SYM", "^"):
+            exp = tokens[i + 1]
+            i += 2
+            if exp.kind != "INT":
+                message = "unexpected character '#'" if exp.kind == "BAD" else "expected integer exponent"
+                raise ParseError(message, exp.line, exp.col)
+            k = _int(exp)
+            if abs(k) * len(atom) > MAX_WORD_LETTERS:
+                raise InputTooLarge(f"power longer than {MAX_WORD_LETTERS} letters", exp.line, exp.col)
+        if len(atom) == 1:  # a letter's power cancels only its inverse letter
+            code, k = atom[0] ^ (k < 0), abs(k)
+            while k and out and out[-1] == code ^ 1:
                 out.pop()
                 k -= 1
-            if k == 1:
-                out.append(code)
-            else:
-                out += [code] * k
-        elif num == "1":
-            if caret:
-                _exponent(text, index, exp, 0)  # checked, though any power of the identity is the identity
-        elif close and stack and stack[-1][1] is not None:
-            (out, left, opened), right = stack.pop(), out
-            atom = free_reduce([*left, *right, *inverse_codes(left), *inverse_codes(right)])
-            k = _exponent(text, index, exp, len(atom)) if caret else 1
-            if atom:  # an identity atom stays one, whatever its exponent
-                free_reduce((atom if k >= 0 else inverse_codes(atom)) * abs(k), out)
-        elif sym == "[":
-            stack.append([out, None, index])
-            out = []
-        elif sym == "," and stack and stack[-1][1] is None:
-            stack[-1][1], out = out, []
-        else:  # an INT other than 1, a ',' or ']' out of place, or any other character
-            raise _word_error(text, _factor(text, index).end(1))
+            out += [code] * k
+        elif atom:  # a commutator; an identity atom stays one, whatever its exponent
+            free_reduce((atom if k >= 0 else inverse_codes(atom)) * abs(k), out)
         if len(out) > MAX_WORD_LETTERS:
-            start = _factor(text, opened if close else index).end(1)  # a commutator's error sits at its '['
-            raise _word_error(text, start, f"word longer than {MAX_WORD_LETTERS} letters", InputTooLarge)
+            raise InputTooLarge(f"word longer than {MAX_WORD_LETTERS} letters", tok.line, tok.col)
     if stack:
-        raise _word_error(text, len(text), "expected ',' in commutator" if stack[-1][1] is None else "expected ']'")
+        raise ParseError("expected ',' in commutator" if stack[-1][1] is None else "expected ']'", tok.line, tok.col)
     return Word(alphabet, tuple(out), True)  # every letter was cancelled against its inverse as it came
 
 
@@ -552,14 +535,14 @@ def _symplectic_sum(a: ManifoldState, surf_a: str, b: ManifoldState, surf_b: str
         for i, w in enumerate(mark.boundary_generators):
             if str(w) == label.strip():
                 return i
-        raise ScriptRuntimeError(f"surface {mark.id!r} has no boundary generator {label.strip()!r}")
+        raise ScriptRuntimeError(f"surface {shown(mark.id)} has no boundary generator {shown(label.strip())}")
 
     pairs = []
     for item in pairing:
         text = _want(item, "string", "pairing entry")
         left, sep, right = text.partition(":")
         if not sep:
-            raise ScriptRuntimeError(f"pairing entry {text!r} is not 'left:right'")
+            raise ScriptRuntimeError(f"pairing entry {shown(text)} is not 'left:right'")
         pairs.append((index_of(mark_a, left), index_of(mark_b, right)))
     return _sum(a, surf_a, b, surf_b, tuple(pairs))
 
@@ -580,7 +563,7 @@ def _presentation(generators: list, relators: list, exactness: str) -> Presentat
     words = _relators(relators, alphabet)
     known = {e.value: e for e in Exactness}
     if exactness not in known:
-        raise ScriptRuntimeError(f"unknown exactness {exactness!r} (allowed: {', '.join(map(repr, known))})")
+        raise ScriptRuntimeError(f"unknown exactness {shown(exactness)} (allowed: {', '.join(map(repr, known))})")
     return Presentation(alphabet, words, known[exactness])
 
 
@@ -616,11 +599,11 @@ def _bind(name: str, params: tuple, args: Iterable[tuple[str, Value]], resolve: 
     given: dict[str, object] = {}
     for key, value in args:
         if key in given:
-            raise ScriptRuntimeError(f"duplicate argument {key!r}")
+            raise ScriptRuntimeError(f"duplicate argument {shown(key)}")
         given[key] = resolve(value)
     unexpected = sorted(set(given) - {param[0] for param in params})
     if unexpected:
-        raise ScriptRuntimeError(f"unexpected arguments: {', '.join(unexpected)}")
+        raise ScriptRuntimeError(f"unexpected arguments: {', '.join(shown(key, key) for key in unexpected)}")
     bound = []
     for key, kind, *default in params:
         if key not in given and not default:
@@ -666,7 +649,7 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
     def resolve(value: Value) -> object:
         if isinstance(value, Ref):
             if value.name not in env:
-                raise ScriptRuntimeError(f"undefined identifier {value.name!r}")
+                raise ScriptRuntimeError(f"undefined identifier {shown(value.name)}")
             return env[value.name]
         if isinstance(value, tuple):
             return [resolve(item) for item in value]
@@ -676,14 +659,14 @@ def execute(script: Script, budgets: Budgets = Budgets()) -> Report:
         try:
             if isinstance(stmt, Let):
                 if stmt.name in env:
-                    raise ScriptRuntimeError(f"identifier {stmt.name!r} already bound")
+                    raise ScriptRuntimeError(f"identifier {shown(stmt.name)} already bound")
                 if stmt.op not in TABLE["let"]:
-                    raise ScriptRuntimeError(f"unknown operation {stmt.op!r}")
+                    raise ScriptRuntimeError(f"unknown operation {shown(stmt.op)}")
                 function, params = TABLE["let"][stmt.op]
                 args = _bind(stmt.op, params, stmt.args, resolve)
             else:
                 if stmt.kind not in TABLE["check"]:
-                    raise ScriptRuntimeError(f"unknown check {stmt.kind!r}")
+                    raise ScriptRuntimeError(f"unknown check {shown(stmt.kind)}")
                 function, params = TABLE["check"][stmt.kind]
                 if len(stmt.args) != len(params):
                     raise ScriptRuntimeError(f"check {stmt.kind} takes {len(params)} argument(s), got {len(stmt.args)}")

@@ -1,4 +1,5 @@
-"""Mutation runner for the coset enumerator: do the tests notice a broken kernel?
+"""Mutation runner for the coset enumerator and the word readers: do the tests
+notice a broken kernel or a misread word?
 
 Each entry of :data:`MUTANTS` names one source file, an exact snippet that
 occurs once in it, the snippet's replacement, and the test node ids expected
@@ -37,6 +38,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 ENUM = "src/sgcalc/coset_enum.py"
 ENUM_TESTS = "tests/test_coset_enum.py"
+SCRIPT = "src/sgcalc/script.py"
+GOLDEN_WORDS = "tests/test_word_reader.py::test_word_reader_matches_golden"
 # Seconds allowed for one mutant's tests.  Below the suite's per-test limit
 # (tests/conftest.py, TEST_TIME_LIMIT_S), so a mutant that makes a test loop
 # is reported as timed out rather than as killed by that limit.
@@ -110,6 +113,52 @@ MUTANTS = (
         "        self.capacity = min(2 * n, self.max_cosets)\n",
         "        self.capacity = 2 * n\n",
         (f"{ENUM_TESTS}::test_columns_grow_within_the_budget",),
+    ),
+    Mutant(
+        "fast-path-splits-any-whitespace",  # "x\xa0y" and the like read as words, not refused
+        SCRIPT,
+        '    chunks = text.split(" ")\n',
+        "    chunks = text.split()\n",
+        (GOLDEN_WORDS,),
+    ),
+    Mutant(
+        "fast-path-without-six-digit-cap",  # a 5,000-digit exponent reaches int() and escapes as ValueError
+        SCRIPT,
+        "if not digits.isdecimal() or len(digits) > 6:",
+        "if not digits.isdecimal():",
+        (GOLDEN_WORDS, "tests/test_script.py::test_cli_simplify_huge_exponent_exit_64"),
+    ),
+    Mutant(
+        "commutator-right-side-not-inverted",
+        SCRIPT,
+        "*inverse_codes(left), *inverse_codes(right)]",
+        "*inverse_codes(left), *right]",
+        ("tests/test_script.py::test_parse_word_syntax", GOLDEN_WORDS),
+    ),
+    Mutant(
+        "comment-sign-read-as-a-comment",  # "x # y" read as x
+        SCRIPT,
+        "    if at >= 0:\n",
+        "    if False:\n",
+        (
+            "tests/test_word_reader.py::test_comment_sign_in_a_word_is_an_unexpected_character",
+            "tests/test_script_parser.py::test_word_error_messages",
+            "tests/test_script.py::test_comment_sign_in_a_relator_is_an_error_not_a_truncation",
+        ),
+    ),
+    Mutant(
+        "power-bound-inclusive",  # "[x, y]^25000", exactly at the bound, refused
+        SCRIPT,
+        "if abs(k) * len(atom) > MAX_WORD_LETTERS:",
+        "if abs(k) * len(atom) >= MAX_WORD_LETTERS:",
+        (GOLDEN_WORDS,),
+    ),
+    Mutant(
+        "commutator-error-at-its-close",  # "word longer" placed at ']' instead of '['
+        SCRIPT,
+        "(out, left, tok), right = stack.pop(), out",
+        "(out, left, _), right = stack.pop(), out",
+        (GOLDEN_WORDS,),
     ),
 )
 

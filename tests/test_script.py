@@ -564,6 +564,39 @@ def test_cli_parse_errors_name_a_long_echo_by_its_length(tmp_path, capsys, comma
     assert echo in err and len(err) < 300
 
 
+@pytest.mark.parametrize(
+    "text, echo",
+    [
+        (f"let g = presentation({LONG}=1, {LONG}=1)", "duplicate argument (200000 characters)"),
+        (f"let g = presentation(generators=[], {LONG}=1, y=1)", "unexpected arguments: (200000 characters), y"),
+        (f"check trivial({LONG})", "undefined identifier (200000 characters)"),
+        (f"let {LONG} = build_V()\nlet {LONG} = build_V()", "identifier (200000 characters) already bound"),
+        (f"let g = {LONG}()", "unknown operation (200000 characters)"),
+        (None, "unknown check (200000 characters)"),
+        (f'let g = presentation(generators=[], exactness="{LONG}")', "unknown exactness (200000 characters) (allowed:"),
+        (f'let v = build_V()\nlet x = symplectic_sum(a=v, surf_a="H", b=v, surf_b="K", pairing=["{LONG}"])',
+         "pairing entry (200000 characters) is not 'left:right'"),
+        (f'let v = build_V()\nlet x = symplectic_sum(a=v, surf_a="H", b=v, surf_b="K", pairing=["s1:{LONG}"])',
+         "surface 'K' has no boundary generator (200000 characters)"),
+        (f'let v = build_V()\nlet b = blow_up(s=v, on="{LONG}")', "unknown surface (200000 characters)"),
+        (f'let v = build_V()\nlet l = luttinger(s=v, torus="{LONG}", p=1, q=0, k=1)',
+         "unknown torus (200000 characters): this state has no Lagrangian torus marks"),
+        (f'let v = build_V()\nlet r = resolve_intersection(s=v, a="H", b="K", id="{LONG}")\n'
+         f'let t = resolve_intersection(s=r, a="{LONG}", b="{LONG}")',
+         "surfaces (200000 characters) and (200000 characters) are not marked as meeting once"),
+    ],
+    ids=["duplicate-argument", "unexpected-arguments", "undefined-identifier", "already-bound", "unknown-operation",
+         "unknown-check", "unknown-exactness", "pairing-entry", "no-boundary-generator", "unknown-surface",
+         "unknown-torus", "not-meeting-once"],
+)
+def test_runtime_errors_name_a_long_echo_by_its_length(text, echo):
+    # the parser refuses an unknown check kind, so that statement is built directly
+    parsed = Script((Check(LONG, (), 1),)) if text is None else parse(text)
+    error = execute(parsed, FAST).statements[-1]
+    assert error.status == "error"
+    assert error.detail.startswith(echo) and len(error.detail) < 200
+
+
 def test_one_default_per_budget(capsys):
     import inspect
 

@@ -61,6 +61,10 @@ def test_script_error_messages(text, message):
         ("x -1", "line 1, column 3: unexpected '-1' in word"),
         ("z", "line 1, column 1: unknown generator 'z'"),
         ("[x y]", "line 1, column 5: unexpected ']' in word"),
+        ("#", "line 1, column 1: unexpected character '#'"),
+        ('x "y', "line 1, column 3: unterminated string"),
+        ("x #\n@", "line 2, column 1: unexpected character '@'"),
+        ("x^#\n²", "line 2, column 1: unexpected character '²'"),
     ],
 )
 def test_word_error_messages(text, message):

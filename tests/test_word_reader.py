@@ -10,17 +10,22 @@ message.  Regenerate it only for a deliberate change of the word syntax::
 """
 
 import hashlib
+import importlib.util
 import random
 import re
+import sys
 from itertools import groupby
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from sgcalc import script
 from sgcalc.script import ParseError, parse_word
 from sgcalc.words import Alphabet
 
 GOLDEN = Path(__file__).parent / "golden" / "word_reader.txt"
+ROOT = Path(__file__).resolve().parents[1]
 ALPHABET = Alphabet(("x", "y", "a1", "é", "_b"))
 NAMES = ALPHABET.names
 EXPONENTS = ("2", "-1", "-2", "3", "0", "-0", "10", "٣", "-٣", "007")
@@ -138,7 +143,7 @@ def test_word_reader_matches_golden():
     assert not mismatched, mismatched[:5]
 
 
-@pytest.mark.parametrize("text", ["x # y", "x#", "[x, y] #", "# x"])
+@pytest.mark.parametrize("text", ["x # y", "x#", "[x, y] #", "# x", "x^#", "x ^ #y", "[x, y]^#", "[x, #"])
 def test_comment_sign_in_a_word_is_an_unexpected_character(text):
     with pytest.raises(ParseError) as info:
         parse_word(text, ALPHABET)
@@ -148,3 +153,24 @@ def test_comment_sign_in_a_word_is_an_unexpected_character(text):
 @pytest.mark.parametrize("text", ["1^" + "9" * 30, "[x, x]^-" + "9" * 30])
 def test_an_identity_atom_takes_an_exponent_beyond_any_index(text):
     assert parse_word(text, ALPHABET).is_identity
+
+
+def _without_the_full_reader(text: str) -> str:
+    with mock.patch.object(script, "_read_word", side_effect=AssertionError("full reader called")):
+        return script.execute(script.parse(text)).verdict
+
+
+def test_the_shipped_script_never_reaches_the_full_reader():
+    assert _without_the_full_reader((ROOT / "scripts" / "exotic_cp2_3.sgc").read_text(encoding="utf-8")) == "PASS"
+
+
+def test_corpus_relators_never_reach_the_full_reader(monkeypatch):
+    # the bench's corpus writes every relator as single-spaced syllables, which the fast path reads alone
+    spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "bench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, corpus)  # its dataclass looks the module up
+    spec.loader.exec_module(corpus)
+    items = corpus.generate(3001, ROOT)
+    assert len(items) == 33
+    for item in items:
+        assert _without_the_full_reader(item.text) in ("PASS", "FAIL"), item.name
