@@ -59,8 +59,7 @@ from .words import (
     commutator,
     conjugate,
     cyclic_core,
-    cyclic_texts,
-    is_rotation,
+    same_relator,
     substitute,
 )
 
@@ -466,7 +465,10 @@ def replay_kill_order(p: Presentation, drop: tuple[int, ...] = ()) -> KillReplay
             if word.exponent_sum(mobile) != 0:
                 raise ReplayError(step.generator, f"{mobile} does not cancel")
             word = commutation_normal_form(word, pairs)
-            derivation.append(f"{word}   [{mobile} commutes with the rest and cancels]")
+            partners = " and ".join(
+                f"{b if a == mobile else a} (relation{'s' * (len(cites) > 1)} {', '.join(map(str, cites))})"
+                for (a, b), cites in step.commuting)
+            derivation.append(f"{word}   [{mobile} commutes with {partners}, and cancels]")
 
         word = sigma(word)
         if not word.is_identity:
@@ -492,8 +494,6 @@ def commutation_status(data: ComplementData) -> dict[tuple[str, str], str]:
     """
     relators = data.universal_relators + data.closure_relators
     pairs = commuting_pairs(relators)
-    # a word is a stored relator when its core text is a rotation of one of these
-    doubled = [t * 2 for r in relators for t in cyclic_texts(r)]
     out: dict[tuple[str, str], str] = {}
     for mark in (data.t1, data.t2):
         for label, u, v in (
@@ -502,8 +502,7 @@ def commutation_status(data: ComplementData) -> dict[tuple[str, str], str]:
             ("m,l", mark.m, mark.l),
         ):
             word = commutator(u, v)
-            text = cyclic_texts(word)[0]
-            proved = any(is_rotation(text, d) for d in doubled) or commutation_normal_form(word, pairs).is_identity
+            proved = any(same_relator(word, r) for r in relators) or commutation_normal_form(word, pairs).is_identity
             out[(mark.id, label)] = "proved" if proved else "assumed (boundary three-torus)"
     return out
 

@@ -17,12 +17,12 @@ runs.  Every step carries enough data to be re-applied from scratch;
 
 The state holds one list of relators, each its letter codes over the
 initial alphabet: an ``Eliminate`` substitutes its definition into the
-relators that hold the generator and keeps every other relator, and codes
-are translated into the current alphabet only where a ``Word`` is built
-(step records, re-checks and the result).  A relator works out what the
-step search reads off it the first time it is read: its cyclic reduction
-prefix, its code string, that string and its inverse's written twice (a
-duplicate or shortening chunk is a substring), its signature (its
+relators that hold the generator and keeps every other relator.  Step
+records and re-checks build their words over the initial alphabet too; only
+the result is renumbered, over the generators left.  A relator works out
+what the step search reads off it the first time it is read: its cyclic
+reduction prefix, its code string, that string and its inverse's written
+twice (a duplicate or shortening chunk is a substring), its signature (its
 generators, sorted) and the generators that occur in it once.  A step puts
 a new relator, with the state's next creation stamp, in place of each it
 changes; a shortening target is tested only against relators stamped after
@@ -38,7 +38,7 @@ from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
 from .records import Record, setfield, setfields
-from .words import Word, WordError, _cyclic_reduction, free_reduce, inverse_codes, is_rotation
+from .words import Alphabet, Word, WordError, _cyclic_reduction, free_reduce, inverse_codes, is_rotation
 from .words import rotations  # noqa: F401  unused here; bench/tracing.py wraps tietze.rotations by name
 
 
@@ -166,13 +166,12 @@ class _State:
     facts are worked out when first read and kept until a step changes it."""
 
     def __init__(self, p: Presentation):
-        self.alphabet = self.initial = p.alphabet
+        self.initial = p.alphabet
+        self.eliminated: set[str] = set()
         self.stamps = count()
         self.relators = [_Relator(r._codes, next(self.stamps)) for r in p.relators]
         self.exactness = p.exactness
         codes = range(2 * len(p.alphabet))
-        self._to_current = list(codes)  # an initial code's current code
-        self._to_initial = list(codes)  # a current code's initial code
         # str.translate tables: a letter's generator, and its inverse letter
         self.bases = [chr(c >> 1) for c in codes]
         self.inverses = [chr(c ^ 1) for c in codes]
@@ -182,17 +181,23 @@ class _State:
         r = self.relators[i]
         return r if r.text is not None else r.derive(self.bases, self.inverses)
 
-    def word(self, codes: Sequence[int]) -> Word:
-        """The word of reduced initial-alphabet ``codes`` over the current
-        alphabet; the renumbering keeps each letter's inverse beside it, so
-        the codes stay reduced."""
-        current = tuple(map(self._to_current.__getitem__, codes))
-        if -1 in current:
-            raise WordError(f"an eliminated generator's letter in {codes!r}")
-        return Word(self.alphabet, current, True)
+    def word(self, codes: tuple[int, ...]) -> Word:
+        """The word of reduced initial-alphabet ``codes``."""
+        return Word(self.initial, codes, True)
 
     def presentation(self) -> Presentation:
-        return Presentation(self.alphabet, tuple(self.word(r.codes) for r in self.relators), self.exactness)
+        """The relators renumbered over the generators left, in initial order,
+        which keeps each letter's inverse beside it: the codes stay reduced."""
+        names = self.initial.names
+        kept = [c for c in range(2 * len(names)) if names[c >> 1] not in self.eliminated]
+        to_current = {c: at for at, c in enumerate(kept)}  # a kept letter's code in the result
+        alphabet, relators = Alphabet(names[c >> 1] for c in kept[::2]), []
+        for r in self.relators:
+            current = tuple(map(to_current.get, r.codes))
+            if None in current:
+                raise WordError(f"an eliminated generator's letter in {r.codes!r}")
+            relators.append(Word(alphabet, current, True))
+        return Presentation(alphabet, tuple(relators), self.exactness)
 
     def apply(self, step: TietzeStep) -> None:
         relators = self.relators
@@ -218,20 +223,14 @@ class _State:
                 raise PresentationError("replay: eliminated definition mismatch")
             # the definition goes into the relators that hold the generator;
             # every other relator keeps its codes and its facts
-            to_initial, to_current = self._to_initial, self._to_current
             code = 2 * self.initial.rank(step.gen)
-            image = {code: tuple(to_initial[c] for c in definition.codes())}
-            image[code + 1] = inverse_codes(image[code])
+            image = {code: definition._codes, code + 1: inverse_codes(definition._codes)}
             del relators[step.relator_index]
             for i, r in enumerate(relators):
                 if code in r.codes or code + 1 in r.codes:
                     relators[i] = _Relator(tuple(free_reduce(x for c in r.codes for x in image.get(c, (c,)))),
                                            next(self.stamps))
-            self.alphabet = self.alphabet.without(step.gen)
-            del to_initial[to_current[code] : to_current[code] + 2]
-            to_current[code] = to_current[code + 1] = -1  # no Word may hold it now
-            for at, c in enumerate(to_initial):
-                to_current[c] = at
+            self.eliminated.add(step.gen)
         elif isinstance(step, Shorten):
             t, other = relators[step.target].codes, relators[step.other].codes
             n, rotation, at, overlap = len(other), step.rotation, step.position, step.overlap

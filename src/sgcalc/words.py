@@ -97,15 +97,6 @@ class Alphabet:
             codes += [code if exp > 0 else code + 1] * abs(exp)
         return Word(self, tuple(free_reduce(codes)), True)  # codes from rank() are in range
 
-    def without(self, name: str) -> "Alphabet":
-        """This alphabet less ``name``; the names left are valid and distinct
-        already, so they are not checked again."""
-        self.rank(name)
-        out = Alphabet()
-        out.names = tuple(n for n in self.names if n != name)
-        out.ranks = {n: rank for rank, n in enumerate(out.names)}
-        return out
-
 
 def merge_alphabets(a: Alphabet, b: Alphabet) -> Alphabet:
     clash = set(a.names) & set(b.names)
@@ -123,7 +114,7 @@ class Word:
     ``2 * len(alphabet)`` with no letter next to its inverse.
     ``Alphabet.word``, the products, inverse, powers, ``commutator``,
     ``conjugate`` and ``cyclic_core`` here, ``presentations.solve_relator``,
-    ``tietze._State.word`` and ``script.parse_word`` use it; every other
+    ``tietze._State`` and ``script.parse_word`` use it; every other
     caller validates.
     """
 

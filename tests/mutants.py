@@ -1,5 +1,6 @@
-"""Mutation runner for the coset enumerator and the word readers: do the tests
-notice a broken kernel or a misread word?
+"""Mutation runner for the coset enumerator, Tietze simplification, free-group
+words, the word readers and the verdict rule: do the tests notice a broken
+kernel, a misread word or a wrong verdict?
 
 Each entry of :data:`MUTANTS` names one source file, an exact snippet that
 occurs once in it, the snippet's replacement, and the test node ids expected
@@ -40,6 +41,9 @@ ENUM = "src/sgcalc/coset_enum.py"
 ENUM_TESTS = "tests/test_coset_enum.py"
 SCRIPT = "src/sgcalc/script.py"
 GOLDEN_WORDS = "tests/test_word_reader.py::test_word_reader_matches_golden"
+TIETZE = "src/sgcalc/tietze.py"
+TIETZE_TESTS = "tests/test_tietze.py"
+WORDS_TESTS = "tests/test_words.py"
 # Seconds allowed for one mutant's tests.  Below the suite's per-test limit
 # (tests/conftest.py, TEST_TIME_LIMIT_S), so a mutant that makes a test loop
 # is reported as timed out rather than as killed by that limit.
@@ -119,7 +123,7 @@ MUTANTS = (
         SCRIPT,
         '    chunks = text.split(" ")\n',
         "    chunks = text.split()\n",
-        (GOLDEN_WORDS,),
+        (GOLDEN_WORDS, "tests/test_word_reader_properties.py::test_both_paths_give_the_full_readers_word_or_error"),
     ),
     Mutant(
         "fast-path-without-six-digit-cap",  # a 5,000-digit exponent reaches int() and escapes as ValueError
@@ -159,6 +163,38 @@ MUTANTS = (
         "(out, left, tok), right = stack.pop(), out",
         "(out, left, _), right = stack.pop(), out",
         (GOLDEN_WORDS,),
+    ),
+    Mutant(
+        "eliminate-skips-a-relator",  # the last relator keeps the eliminated generator's letter
+        TIETZE,
+        "            for i, r in enumerate(relators):\n",
+        "            for i, r in enumerate(relators[:-1]):\n",
+        (f"{TIETZE_TESTS}::test_x_trace_matches_golden", f"{TIETZE_TESTS}::test_trace_replays_to_final"),
+    ),
+    Mutant(
+        "shorten-without-match-check",  # a replayed shortening cuts letters that are not the other relator's
+        TIETZE,
+        "            if t[at : at + overlap] != src[:overlap]:\n",
+        "            if False:\n",
+        (f"{TIETZE_TESTS}::test_mutated_x_trace_never_changes_h1",),
+    ),
+    Mutant(
+        "is-rotation-without-length-test",  # a proper subword of the doubled text read as a rotation
+        "src/sgcalc/words.py",
+        "    return 2 * len(text) == len(twice) and text in twice\n",
+        "    return text in twice\n",
+        (
+            f"{WORDS_TESTS}::test_are_conjugate_is_rotation_of_cyclic_cores",
+            f"{WORDS_TESTS}::test_same_relator_is_conjugacy_up_to_inversion",
+            f"{WORDS_TESTS}::test_rotation_tests_on_edge_cases",
+        ),
+    ),
+    Mutant(
+        "inconclusive-read-as-pass",  # an exhausted budget reported as a proof
+        "src/sgcalc/construction.py",
+        '    return "INCONCLUSIVE" if "inconclusive" in statuses else "PASS"\n',
+        '    return "PASS"\n',
+        ("tests/test_report.py::test_verdict_rule", "tests/test_script.py::test_execute_inconclusive_on_tiny_budget"),
     ),
 )
 

@@ -3,6 +3,7 @@ group enumerated twice in one run."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,6 +191,22 @@ def test_verify_paper_json_states_each_fact_once(capsys):
     assert "witnesses" not in text
 
 
+def test_verify_paper_json_names_every_relation_the_kill_order_reads(capsys):
+    """An outside checker redoes each kill step from the JSON alone, so every
+    relation the script cites, the commuting pairs' included, is named there."""
+    cited = {i for step in KILL_SCRIPT for cites in (step.uses, *(c for _, c in step.commuting)) for i in cites}
+    assert cited == {1, 2, 4, 7, 8, 10, 13, 14, 19, 20}
+    assert main(["verify-paper"]) == 0
+    data = {s["statement"]: s["data"] for s in json.loads(capsys.readouterr().out)["statements"]}
+    named = set()
+    for kill in data["kill-order replay"]["steps"]:
+        named.update(kill["relations"])
+        for line in kill["derivation"]:
+            for numbers in re.findall(r"relations? ([\d, ]*\d)", line):
+                named.update(int(n) for n in numbers.split(", "))
+    assert cited <= named, cited - named
+
+
 def test_run_json_budgets_unchanged(capsys):
     assert main(["run", str(EXAMPLE), "--max-cosets", "50000"]) == 0
     assert json.loads(capsys.readouterr().out)["budgets"] == {"max_cosets": 50000}
@@ -203,7 +220,7 @@ def test_text_trace_prints_each_kill_derivation_line_once_in_kill_order(capsys):
         "y1",
         "s1^-1 x1^-1 s1 x1   [relation 1: y1 = s1^-1 x1^-1 s1 x1]",
         "t1^-1 t2^-1 t1 t2 x1^-1 t2^-1 t1^-1 t2 t1 x1   [relation 19: s1 = t2^-1 t1^-1 t2 t1]",
-        "1   [x1 commutes with the rest and cancels]",
+        "1   [x1 commutes with t1 (relation 4) and t2 (relations 10, 13), and cancels]",
     ]
     lines = [line.strip() for line in block.splitlines()]
     assert [line for line in lines if line in expected] == expected

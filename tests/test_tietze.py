@@ -145,6 +145,8 @@ def test_random_traces_replay_to_their_result():
             assert len(trace.steps) <= budget
             assert replay(p, trace) == final
             kinds.update(type(step) for step in trace.steps)
+            for step in trace.steps:  # step words are over the input's generators
+                assert all(v.alphabet == p.alphabet for v in step._values() if isinstance(v, Word)), step
     assert {RemoveDuplicate, Shorten} <= kinds
 
 
@@ -362,15 +364,20 @@ def test_replaying_x_works_out_facts_only_for_rechecked_duplicates(monkeypatch):
     assert counts["_Relator"] == 11, counts
 
 
-def test_state_word_refuses_an_eliminated_generators_letter():
+def test_the_result_refuses_an_eliminated_generators_letter():
+    """Words stay over the input's alphabet; only the result is renumbered,
+    and a relator that still holds an eliminated generator cannot be."""
     ab = Alphabet(("x", "y"))
     x, y = ab.gen("x"), ab.gen("y")
     state = tietze._State(Presentation(ab, (y * ~x, commutator(x, y))))
     state.apply(Eliminate("y", 0, x))
-    assert state.word((0, 0)) == state.alphabet.gen("x", 2)
+    assert state.word((0, 0)) == state.initial.gen("x", 2)
     for code in (2, 3):
+        state.relators.append(tietze._Relator((0, code), next(state.stamps)))
         with pytest.raises(WordError, match="eliminated"):
-            state.word((0, code))
+            state.presentation()
+        state.relators.pop()
+    assert state.presentation().alphabet == Alphabet(("x",))
 
 
 def _rotated_pair(n: int) -> tuple[Word, Presentation]:

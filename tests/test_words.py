@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_word
 from sgcalc import construction
-from sgcalc.construction import assemble_x, complement_data
+from sgcalc.construction import complement_data
 from sgcalc.coset_enum import todd_coxeter
 from sgcalc.manifolds import ManifoldState, SurfaceMark
 from sgcalc.presentations import Presentation, solve_relator
@@ -130,16 +130,6 @@ def test_one_verdict_compares_alphabets_by_identity(monkeypatch):
     monkeypatch.setattr(Alphabet, "__eq__", lambda self, other: calls.append(1) or equal(self, other))
     report = construction.verify_main_theorem()
     assert report.verdict == "PASS" and len(calls) <= 10, len(calls)
-
-
-def test_without_equals_the_alphabet_of_the_remaining_names():
-    x = assemble_x().state.pi1.alphabet
-    for name in x.names:
-        rest = tuple(n for n in x.names if n != name)
-        smaller = x.without(name)
-        assert smaller == Alphabet(rest) and smaller.ranks == Alphabet(rest).ranks and name not in smaller
-    with pytest.raises(WordError, match="unknown generator 'nope'"):
-        x.without("nope")
 
 
 def test_invert(xyab):
