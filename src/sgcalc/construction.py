@@ -59,7 +59,8 @@ from .words import (
     commutator,
     conjugate,
     cyclic_core,
-    same_relator,
+    matches_relator,
+    relator_texts,
     substitute,
 )
 
@@ -494,6 +495,7 @@ def commutation_status(data: ComplementData) -> dict[tuple[str, str], str]:
     """
     relators = data.universal_relators + data.closure_relators
     pairs = commuting_pairs(relators)
+    texts = relator_texts(relators)
     out: dict[tuple[str, str], str] = {}
     for mark in (data.t1, data.t2):
         for label, u, v in (
@@ -502,7 +504,7 @@ def commutation_status(data: ComplementData) -> dict[tuple[str, str], str]:
             ("m,l", mark.m, mark.l),
         ):
             word = commutator(u, v)
-            proved = any(same_relator(word, r) for r in relators) or commutation_normal_form(word, pairs).is_identity
+            proved = matches_relator(word, texts) or commutation_normal_form(word, pairs).is_identity
             out[(mark.id, label)] = "proved" if proved else "assumed (boundary three-torus)"
     return out
 

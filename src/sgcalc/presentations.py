@@ -14,7 +14,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .records import Record, setfield
-from .words import Alphabet, Word, same_relator
+from .words import Alphabet, Word, matches_relator, relator_texts
 
 
 class PresentationError(ValueError):
@@ -142,8 +142,8 @@ def prune_redundant(relators: Sequence[Word]) -> list[Word]:
         pairs = commuting_pairs(others)
         nf = commutation_normal_form(r, pairs)
         # a nontrivial nf is never the same relator as a trivial normal form
-        kept[i] = not nf.is_identity and not any(
-            kept[j] and same_relator(nf, commutation_normal_form(relators[j], pairs)) for j in range(i))
+        kept[i] = not nf.is_identity and not matches_relator(
+            nf, relator_texts(commutation_normal_form(relators[j], pairs) for j in range(i) if kept[j]))
     return [r for i, r in enumerate(relators) if kept[i]]
 
 

@@ -337,8 +337,19 @@ def are_conjugate(u: Word, v: Word) -> bool:
     return is_rotation(cyclic_texts(u)[0], cyclic_texts(v)[0] * 2)
 
 
+def relator_texts(relators: Iterable[Word]) -> list[str]:
+    """The code texts of each relator's cyclic core and of the core's inverse, written twice:
+    derived once for :func:`matches_relator` to test any number of words against them."""
+    return [t * 2 for r in relators for t in cyclic_texts(r)]
+
+
+def matches_relator(u: Word, texts: Sequence[str]) -> bool:
+    """Whether ``u`` is the same relator as one of those whose :func:`relator_texts` are ``texts``."""
+    text = cyclic_texts(u)[0]
+    return any(is_rotation(text, t) for t in texts)
+
+
 def same_relator(u: Word, v: Word) -> bool:
     """Whether ``u`` is conjugate to ``v`` or to ``v^-1``: the two words are the same relator."""
     _common_alphabet(u, v)
-    text = cyclic_texts(u)[0]
-    return any(is_rotation(text, t * 2) for t in cyclic_texts(v))
+    return matches_relator(u, relator_texts((v,)))

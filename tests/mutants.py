@@ -119,6 +119,33 @@ MUTANTS = (
         (f"{ENUM_TESTS}::test_columns_grow_within_the_budget",),
     ),
     Mutant(
+        "deductions-never-drained",  # plain HLT: every index stays right, only the path and its counters move
+        ENUM,
+        "                        _process_deductions(pairs, parent, cycles, [(f, letters[i])])\n",
+        "",
+        (
+            f"{ENUM_TESTS}::test_enumeration_paths_match_golden",
+            f"{ENUM_TESTS}::test_deductions_close_x_in_141_cosets",
+        ),
+    ),
+    Mutant(
+        "deduction-forward-only",  # a deduction scan fills e.x = g without g.x^-1 = e
+        ENUM,
+        "                hw[k][g] = e\n",
+        "",
+        (
+            f"{ENUM_TESTS}::test_index_matches_brute_force_order",
+            f"{ENUM_TESTS}::test_coincidence_keeps_its_deductions_on_three_generators",
+        ),
+    ),
+    Mutant(
+        "drain-scans-on-after-its-coset-died",  # a dead coset's cleared row is read as c.x
+        ENUM,
+        "                    if parent[c] != c:\n                        break\n",
+        "",
+        (f"{ENUM_TESTS}::test_index_matches_brute_force_order", f"{ENUM_TESTS}::test_deductions_close_x_in_141_cosets"),
+    ),
+    Mutant(
         "fast-path-splits-any-whitespace",  # "x\xa0y" and the like read as words, not refused
         SCRIPT,
         '    chunks = text.split(" ")\n',

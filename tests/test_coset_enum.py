@@ -140,6 +140,11 @@ def test_cyclic_three_enumeration_trace():
     assert result == EnumResult(index=3, defined=3, collapsed=0)
 
 
+def test_deductions_close_x_in_141_cosets():
+    """HLT's row order alone defines 1,075 cosets on X; scanning the cycles through each deduction, 141."""
+    assert todd_coxeter(assemble_x().state.pi1) == EnumResult(index=1, defined=141, collapsed=140)
+
+
 def test_subgroup_index():
     ab = Alphabet(("x",))
     p = Presentation(ab, (ab.gen("x", 12),))

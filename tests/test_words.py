@@ -21,7 +21,9 @@ from sgcalc.words import (
     cyclic_core,
     inverse_codes,
     invert,
+    matches_relator,
     reduce,
+    relator_texts,
     rotations,
     same_relator,
     substitute,
@@ -251,6 +253,23 @@ def test_same_relator_is_conjugacy_up_to_inversion():
         seen.add(same)
         assert same_relator(u, v) == same_relator(v, u) == same, (u, v)
     assert seen == {True, False}
+
+
+def test_matches_relator_is_same_relator_against_any_of_a_list():
+    """The texts are derived once for the list; the answer is same_relator's against each member."""
+    ab = Alphabet(("x", "y"))
+    rng = random.Random(2007)
+    seen = set()
+    for _ in range(300):
+        u = random_word(rng, ab, 4)
+        relators = [rng.choice((conjugate(u, random_word(rng, ab, 2)), ~u, random_word(rng, ab, 4))) for _ in range(3)]
+        texts = relator_texts(relators)
+        assert len(texts) == 2 * len(relators)
+        expected = any(same_relator(u, r) for r in relators)
+        seen.add(expected)
+        assert matches_relator(u, texts) == expected, (u, relators)
+    assert seen == {True, False}
+    assert not matches_relator(ab.gen("x"), relator_texts(()))
 
 
 def test_rotation_tests_on_edge_cases(xyab):
