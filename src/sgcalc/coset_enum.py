@@ -17,10 +17,18 @@ what it defines.  COINCIDENCE undefines
 each back-pointer ``d.x^-1 = dead`` before it moves ``dead.x = d`` to the
 live representatives, so outside it every entry ``c.x = d`` of a live coset
 names a live coset ``d`` with ``d.x^-1 = c``.  The table is one list per
-generator letter (a column): a scan step reads one of the word's forward or
-inverse columns, COINCIDENCE walks (column, inverse column) pairs, and
-:func:`_verify_closed` walks relators without ``find`` once its first pass
-has shown that live cosets name only live cosets.  A closed table is a
+generator letter (a column), except that a cyclically reduced relator of two
+letters, ``x y``, makes column ``x`` the same permutation as column
+``y^-1`` in every table of the group, so the two letters share one list
+(ACE stores an involution ``x^2`` once in the same way; Handbook ch. 5).  Such
+a relator then holds by construction: HLT and the deduction scans skip it,
+and a deduction on one letter of a shared column scans the cycles of all of
+them.  A scan step reads one of the word's forward or inverse columns by
+letter, COINCIDENCE, row completion and the first pass of
+:func:`_verify_closed` walk one (column, inverse column) pair per distinct
+list, and :func:`_verify_closed` walks every relator, the two-letter ones
+too, without ``find`` once its first pass has shown that live cosets name
+only live cosets.  A closed table is a
 permutation representation of the group on the cosets of the subgroup, so
 the coset count is the exact index.  Identical inputs give identical tables.
 
@@ -78,15 +86,28 @@ class _Budget(Exception):
 
 
 class _Table:
-    """The coset table: ``cols[x][c]`` is ``c.x`` (``None`` while undefined), ``pairs[x]`` is column ``x``
-    with its inverse column ``x ^ 1``, ``parent`` the union-find forest of coincidences, ``len(parent)``
-    the cosets defined; columns start at min(``max_cosets``, 64) entries."""
+    """The coset table: ``cols[x][c]`` is ``c.x`` (``None`` while undefined), ``parent`` the union-find
+    forest of coincidences, ``len(parent)`` the cosets defined; columns start at min(``max_cosets``, 64)
+    entries.
 
-    def __init__(self, ncols: int, max_cosets: int):
+    A cyclically reduced relator ``x y`` of ``joins`` makes column ``x`` column ``y^-1`` and column
+    ``x^-1`` column ``y``: letters joined so share one list, and ``classes[x]`` is the least letter
+    sharing ``x``'s.  A class holding ``x`` and ``x^-1`` is an involution.  ``pairs`` holds each
+    distinct list once, with its inverse column.
+    """
+
+    def __init__(self, ncols: int, max_cosets: int, joins: Sequence[Sequence[int]] = ()):
         self.max_cosets = max_cosets
         self.capacity = min(max_cosets, 64)
-        self.cols: list[list[int | None]] = [[None] * self.capacity for _ in range(ncols)]
-        self.pairs = [(col, self.cols[x ^ 1]) for x, col in enumerate(self.cols)]
+        classes = list(range(ncols))
+        for x, y in joins:
+            for u, v in (x, y ^ 1), (x ^ 1, y):
+                u, v = _find(classes, u), _find(classes, v)
+                classes[max(u, v)] = min(u, v)
+        self.classes = [_find(classes, x) for x in range(ncols)]
+        lists = {x: [None] * self.capacity for x in set(self.classes)}
+        self.cols: list[list[int | None]] = [lists[x] for x in self.classes]
+        self.pairs = [(self.cols[x], self.cols[x ^ 1]) for x in sorted(lists)]
         self.parent: list[int] = [0]
 
     def grow(self) -> int:
@@ -96,7 +117,7 @@ class _Table:
         if n >= self.max_cosets:
             raise _Budget
         self.capacity = min(2 * n, self.max_cosets)
-        for col in self.cols:
+        for col, _ in self.pairs:
             col.extend([None] * (self.capacity - n))
         return self.capacity
 
@@ -153,16 +174,21 @@ def _coincide(pairs: list[tuple[list, list]], parent: list[int], a: int, b: int)
                 queue.append(v)
 
 
-def _relator_scans(cols: list[list], relators: list[Sequence[int]]) -> tuple[list[tuple], list[list[tuple]]]:
+def _relator_scans(table: _Table, relators: list[Sequence[int]]) -> tuple[list[tuple], list[list[tuple]]]:
     """Each relator's scan, and for each letter ``x`` the distinct cyclic conjugates of every relator
-    and of its inverse that begin with ``x``, each without that ``x``.
+    and of its inverse that begin with a letter sharing ``x``'s column, each without that letter.
 
     A scan is ``(forward columns, backward columns, first, last, letters)`` of a word written
     twice, read from position ``first`` to ``last``; the conjugates of a word share its lists.
+    Letters sharing a column share one cycle list, since an entry of one is an entry of each.
+    A two-letter relator is left out: its letters share a column, so it holds in every table.
     """
-    scans: list[tuple] = []
-    cycles: list[list[tuple]] = [[] for _ in cols]
+    cols, scans = table.cols, []
+    shared: dict[int, list[tuple]] = {x: [] for x in table.classes}
+    cycles = [shared[x] for x in table.classes]
     for r in relators:
+        if len(r) == 2:
+            continue
         n, text, twice = len(r), "".join(map(chr, r)), (*r, *r)
         period = (text + text).find(text, 1)  # r is a power of its first period letters: its distinct rotations
         fw, bw = [cols[y] for y in twice], [cols[y ^ 1] for y in twice]
@@ -175,7 +201,7 @@ def _relator_scans(cols: list[list], relators: list[Sequence[int]]) -> tuple[lis
 
 
 def _process_deductions(
-    pairs: list[tuple[list, list]], parent: list[int], cycles: list[list[tuple]], stack: list[tuple[int, int]]
+    table: _Table, cycles: list[list[tuple]], stack: list[tuple[int, int]]
 ) -> None:
     """Felsch's deduction processing (Handbook §5.2) of the entries ``(c, x)`` on ``stack``.
 
@@ -185,11 +211,12 @@ def _process_deductions(
     stacked in turn, or merges the ends of a closed trace by COINCIDENCE, and it stops
     once ``c`` itself has merged away.
     """
+    cols, pairs, parent = table.cols, table.pairs, table.parent
     while stack:
         c, x = stack.pop()
         if parent[c] != c:
             continue
-        col = pairs[x][0]
+        col = cols[x]
         for gw, hw, k, m, letters in cycles[x]:
             e = col[c]
             g = c
@@ -220,10 +247,10 @@ def _hlt(table: _Table, subgens: list[Sequence[int]], relators: list[Sequence[in
     COINCIDENCE of the ends.  :func:`_process_deductions` then scans every
     cycle through such a deduction, and through the deductions that follow.
     """
-    pairs, parent, cap = table.pairs, table.parent, table.capacity
-    relator_words, cycles = _relator_scans(table.cols, relators)
+    cols, pairs, parent, cap = table.cols, table.pairs, table.parent, table.capacity
+    relator_words, cycles = _relator_scans(table, relators)
     # each subgroup word's forward and backward columns, its first and last position and its letters
-    words = [([pairs[x][0] for x in w], [pairs[x][1] for x in w], 0, len(w) - 1, w) for w in subgens] + relator_words
+    words = [([cols[x] for x in w], [cols[x ^ 1] for x in w], 0, len(w) - 1, w) for w in subgens] + relator_words
     q, scans = 0, words  # coset 0 never merges away, so it scans the subgroup words first
     while q < len(parent):
         if parent[q] == q:
@@ -241,7 +268,7 @@ def _hlt(table: _Table, subgens: list[Sequence[int]], relators: list[Sequence[in
                     if j == i:
                         fw[i][f] = b
                         bw[i][b] = f
-                        _process_deductions(pairs, parent, cycles, [(f, letters[i])])
+                        _process_deductions(table, cycles, [(f, letters[i])])
                         break
                     if (d := len(parent)) == cap:  # DEFINE f.x = d, d.x^-1 = f
                         cap = table.grow()
@@ -286,7 +313,7 @@ def todd_coxeter(
     relators = [_cyclic_reduction(r._codes)[1] for r in p.relators]
     subgens = [w.codes() for w in subgroup_gens]
 
-    table = _Table(2 * p.ngens, max_cosets)
+    table = _Table(2 * p.ngens, max_cosets, [r for r in relators if len(r) == 2])
     parent = table.parent
     try:
         _hlt(table, subgens, relators)

@@ -227,7 +227,7 @@ def free_reduce(codes: Iterable[int], out: list[int] | None = None) -> list[int]
 
 def inverse_codes(codes: Sequence[int]) -> tuple[int, ...]:
     """The letter codes of the inverse word."""
-    return tuple(c ^ 1 for c in reversed(codes))
+    return tuple([c ^ 1 for c in codes[::-1]])
 
 
 def _common_alphabet(u: Word, v: Word) -> Alphabet:

@@ -121,11 +121,11 @@ MUTANTS = (
     Mutant(
         "deductions-never-drained",  # plain HLT: every index stays right, only the path and its counters move
         ENUM,
-        "                        _process_deductions(pairs, parent, cycles, [(f, letters[i])])\n",
+        "                        _process_deductions(table, cycles, [(f, letters[i])])\n",
         "",
         (
             f"{ENUM_TESTS}::test_enumeration_paths_match_golden",
-            f"{ENUM_TESTS}::test_deductions_close_x_in_141_cosets",
+            f"{ENUM_TESTS}::test_x_closes_in_125_cosets",
         ),
     ),
     Mutant(
@@ -143,7 +143,21 @@ MUTANTS = (
         ENUM,
         "                    if parent[c] != c:\n                        break\n",
         "",
-        (f"{ENUM_TESTS}::test_index_matches_brute_force_order", f"{ENUM_TESTS}::test_deductions_close_x_in_141_cosets"),
+        (f"{ENUM_TESTS}::test_index_matches_brute_force_order", f"{ENUM_TESTS}::test_x_closes_in_125_cosets"),
+    ),
+    Mutant(
+        "shared-cycles-not-merged",  # a deduction on c.x1 scans only x1's cycles, not also x2's
+        ENUM,
+        "    cycles = [shared[x] for x in table.classes]\n",
+        "    cycles = [[] for _ in table.classes]\n",
+        (f"{ENUM_TESTS}::test_enumeration_paths_match_golden", f"{ENUM_TESTS}::test_x_closes_in_125_cosets"),
+    ),
+    Mutant(
+        "shared-column-grown-twice",  # a list shared by two letters is extended once for each
+        ENUM,
+        "        for col, _ in self.pairs:\n            col.extend(",
+        "        for col in self.cols:\n            col.extend(",
+        (f"{ENUM_TESTS}::test_columns_grow_within_the_budget", f"{ENUM_TESTS}::test_two_letter_relators_share_columns"),
     ),
     Mutant(
         "fast-path-splits-any-whitespace",  # "x\xa0y" and the like read as words, not refused

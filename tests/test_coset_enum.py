@@ -66,17 +66,40 @@ def model_eval(word, assignment, mul, identity, inverse):
     return out
 
 
-def cyclic_case(n):
-    ab = Alphabet(("x",))
-    p = Presentation(ab, (ab.gen("x", n),))
-    model = dict(
-        gens=[1 % n],
-        assignment={"x": 1 % n},
+def residue_model(n, assignment):
+    """Generators acting as residues modulo ``n`` under addition."""
+    return dict(
+        gens=sorted(set(assignment.values())),
+        assignment=assignment,
         mul=lambda u, v: (u + v) % n,
         identity=0,
         inverse=lambda u: (-u) % n,
     )
-    return p, model, n
+
+
+def permutation_model(assignment):
+    """Generators acting as permutations, given as tuples of images of 0..n-1."""
+    n = len(next(iter(assignment.values())))
+
+    def inverse(u):
+        out = [0] * n
+        for i, ui in enumerate(u):
+            out[ui] = i
+        return tuple(out)
+
+    return dict(
+        gens=sorted(set(assignment.values())),
+        assignment=assignment,
+        mul=lambda u, v: tuple(u[v[i]] for i in range(n)),
+        identity=tuple(range(n)),
+        inverse=inverse,
+    )
+
+
+def cyclic_case(n):
+    ab = Alphabet(("x",))
+    p = Presentation(ab, (ab.gen("x", n),))
+    return p, residue_model(n, {"x": 1 % n}), n
 
 
 def klein_case():
@@ -97,27 +120,46 @@ def sym3_case():
     ab = Alphabet(("a", "b"))
     a, b = ab.gen("a"), ab.gen("b")
     p = Presentation(ab, (a ** 2, b ** 2, (a * b) ** 3))
-
-    def mul(u, v):
-        return tuple(u[v[i]] for i in range(3))
-
-    def inverse(u):
-        out = [0] * 3
-        for i, ui in enumerate(u):
-            out[ui] = i
-        return tuple(out)
-
-    model = dict(
-        gens=[(1, 0, 2), (0, 2, 1)],
-        assignment={"a": (1, 0, 2), "b": (0, 2, 1)},
-        mul=mul,
-        identity=(0, 1, 2),
-        inverse=inverse,
-    )
-    return p, model, 6
+    return p, permutation_model({"a": (1, 0, 2), "b": (0, 2, 1)}), 6
 
 
-CORPUS = [cyclic_case(2), cyclic_case(3), cyclic_case(5), cyclic_case(12), klein_case(), sym3_case()]
+def dihedral5_case():
+    """Two reflections of the pentagon, i -> -i and i -> 1 - i, whose product turns it by one."""
+    ab = Alphabet(("a", "b"))
+    a, b = ab.gen("a"), ab.gen("b")
+    p = Presentation(ab, (a ** 2, b ** 2, (a * b) ** 5))
+    reflections = {"a": tuple(-i % 5 for i in range(5)), "b": tuple((1 - i) % 5 for i in range(5))}
+    return p, permutation_model(reflections), 10
+
+
+def sym4_case():
+    """S4 on four points: a transposition and a 3-cycle whose product is a 4-cycle."""
+    ab = Alphabet(("a", "b"))
+    a, b = ab.gen("a"), ab.gen("b")
+    p = Presentation(ab, (a ** 2, b ** 3, (a * b) ** 4))
+    return p, permutation_model({"a": (1, 0, 2, 3), "b": (0, 2, 3, 1)}), 24
+
+
+def chain_case():
+    """< a, b, c | a b^-1, b c^-1, c^7 >: three letters identified, one column pair in all."""
+    ab = Alphabet(("a", "b", "c"))
+    a, b, c = ab.gen("a"), ab.gen("b"), ab.gen("c")
+    p = Presentation(ab, (a * ~b, b * ~c, c ** 7))
+    return p, residue_model(7, {"a": 1, "b": 1, "c": 1}), 7
+
+
+def involution_identified_case():
+    """< a, b | a^2, a b >: a is an involution and b = a^-1, so a, a^-1, b, b^-1 share one column."""
+    ab = Alphabet(("a", "b"))
+    a, b = ab.gen("a"), ab.gen("b")
+    p = Presentation(ab, (a ** 2, a * b))
+    return p, residue_model(2, {"a": 1, "b": 1}), 2
+
+
+CORPUS = [
+    cyclic_case(2), cyclic_case(3), cyclic_case(5), cyclic_case(12), klein_case(), sym3_case(),
+    dihedral5_case(), sym4_case(), chain_case(), involution_identified_case(),
+]
 
 
 @pytest.mark.parametrize("p, model, expected", CORPUS)
@@ -140,9 +182,10 @@ def test_cyclic_three_enumeration_trace():
     assert result == EnumResult(index=3, defined=3, collapsed=0)
 
 
-def test_deductions_close_x_in_141_cosets():
-    """HLT's row order alone defines 1,075 cosets on X; scanning the cycles through each deduction, 141."""
-    assert todd_coxeter(assemble_x().state.pi1) == EnumResult(index=1, defined=141, collapsed=140)
+def test_x_closes_in_125_cosets():
+    """HLT's row order alone defines 1,075 cosets on X; scanning the cycles through each deduction, 141;
+    with x1, x2 and y1, y2 sharing columns through X's relators x1 x2^-1 and y1 y2^-1, 125."""
+    assert todd_coxeter(assemble_x().state.pi1) == EnumResult(index=1, defined=125, collapsed=124)
 
 
 def test_subgroup_index():
@@ -291,7 +334,7 @@ def _recorded_run(p, max_cosets, subgroup=()):
 
 
 def a6_case():
-    """A6 = < a, b | a^2, b^4, (ab)^5, (ab^2)^5 >: 954 cosets defined for index 360."""
+    """A6 = < a, b | a^2, b^4, (ab)^5, (ab^2)^5 >, of order 360; the involution a has one column."""
     ab = Alphabet(("a", "b"))
     a, b = ab.gen("a"), ab.gen("b")
     return Presentation(ab, (a ** 2, b ** 4, (a * b) ** 5, (a * b * b) ** 5))
@@ -312,6 +355,28 @@ def test_columns_grow_within_the_budget(p):
         assert all(len(col) == table.capacity <= budget for col in table.cols), budget
         outcomes.add(result.found)
     assert outcomes == ({False, True} if p.ngens else {True})
+
+
+@pytest.mark.parametrize(
+    "p, shared, lists",
+    [
+        (assemble_x().state.pi1, [("x1", "x2"), ("x1^-1", "x2^-1"), ("y1", "y2"), ("y1^-1", "y2^-1")], 12),
+        (a6_case(), [("a", "a^-1")], 3),
+        (involution_identified_case()[0], [("a", "a^-1"), ("a", "b"), ("a", "b^-1")], 1),
+    ],
+    ids=["X", "A6", "a^2-ab"],
+)
+def test_two_letter_relators_share_columns(p, shared, lists):
+    """A relator x y stores column x as column y^-1: one list, grown once, one COINCIDENCE pair."""
+    result, table, _ = _recorded_run(p, MAX_COSETS_CEILING)
+    assert result.found
+    code = {}
+    for i, name in enumerate(p.alphabet.names):
+        code[name], code[f"{name}^-1"] = 2 * i, 2 * i + 1
+    for u, v in shared:
+        assert table.cols[code[u]] is table.cols[code[v]], (u, v)
+    assert len({id(col) for col in table.cols}) == len(table.pairs) == lists
+    assert [len(col) for col, _ in table.pairs] == [table.capacity] * lists
 
 
 def test_closed_table_check_rejects_a_live_row_naming_a_dead_coset():

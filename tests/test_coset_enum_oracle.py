@@ -9,7 +9,9 @@ with a relator of 1 or 2 letters (``< x, y | x^-1 y^-1, y^2 >``) sympy
 1.14's Felsch did not finish within seconds.  On one presentation of the sweep sympy's Felsch is
 wrong (:data:`SYMPY_FELSCH_WRONG`); it is pinned, so any other disagreement
 fails.  sgcalc must never raise ``EnumerationError`` (a closed table that
-fails its relator check).  X is left out: sympy's Felsch takes
+fails its relator check).  A second sweep gives every presentation a relator
+``x^2`` or ``x y^±1``, whose letters share a column in sgcalc's table, and
+compares it with sympy's HLT alone.  X is left out: sympy's Felsch takes
 seconds on it.
 
 sympy's ``FpGroup`` builds a Knuth-Bendix rewriting system when it is
@@ -69,12 +71,22 @@ def sympy_indices(p, subgroup_gens, felsch):
     return tuple(indices)
 
 
-def test_index_matches_sympy_on_random_presentations():
-    rng = random.Random(SEED)
+def sweep(seed, count, two_letter):
+    """Enumerate ``count`` seeded presentations, each over the trivial and a one-generator subgroup,
+    and compare every closed index with sympy's.  With ``two_letter``, each presentation also
+    carries a relator ``x^2`` or ``x y^±1``, inserted at a drawn position, so that its letters share
+    a column.  Returns the cases that raised, the mismatches, the :data:`SYMPY_FELSCH_WRONG` cases
+    met, and the counts of closed cases and of those compared with sympy's Felsch too."""
+    rng = random.Random(seed)
     errors, mismatches, wrong_felsch, closed, by_felsch = [], [], [], 0, 0
-    for _ in range(PRESENTATIONS):
+    for _ in range(count):
         ab = Alphabet(("x", "y", "z")[: rng.randint(2, 3)])
-        p = Presentation(ab, tuple(random_word(rng, ab, 1, 7) for _ in range(len(ab) + rng.randint(0, 1))))
+        relators = [random_word(rng, ab, 1, 7) for _ in range(len(ab) + rng.randint(0, 1))]
+        if two_letter:
+            x, y = rng.choice(ab.names), rng.choice(ab.names)
+            identify = ab.word(((x, 1), (y, 1 if x == y else rng.choice((-1, 1)))))
+            relators.insert(rng.randint(0, len(relators)), identify)
+        p = Presentation(ab, tuple(relators))
         for subgroup_gens in ((), (random_word(rng, ab, 1, 3),)):
             case = f"{p} over <{', '.join(map(str, subgroup_gens))}>"
             try:
@@ -93,7 +105,20 @@ def test_index_matches_sympy_on_random_presentations():
                 assert result.index == indices[0] and indices == SYMPY_FELSCH_WRONG[case], case
             elif any(index != result.index for index in indices):
                 mismatches.append(f"{case}: sgcalc {result.index}, sympy HLT and Felsch {indices}")
+    return errors, mismatches, wrong_felsch, closed, by_felsch
+
+
+def test_index_matches_sympy_on_random_presentations():
+    errors, mismatches, wrong_felsch, closed, by_felsch = sweep(SEED, PRESENTATIONS, two_letter=False)
     assert errors == []
     assert mismatches == []
     assert closed > PRESENTATIONS  # the sweep compares many closed tables, not a handful
     assert by_felsch >= 40 and wrong_felsch == list(SYMPY_FELSCH_WRONG)
+
+
+def test_index_matches_sympy_with_a_two_letter_relator():
+    """Involutions and identified generators share a column in sgcalc's table; sympy's HLT is the reference."""
+    errors, mismatches, _, closed, by_felsch = sweep(SEED + 1, PRESENTATIONS, two_letter=True)
+    assert errors == []
+    assert mismatches == []
+    assert closed > PRESENTATIONS and by_felsch == 0

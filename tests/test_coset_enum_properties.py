@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from sgcalc import coset_enum
 from sgcalc.coset_enum import todd_coxeter
 from sgcalc.presentations import Presentation, homology_invariants
-from sgcalc.words import Alphabet, Word
+from sgcalc.words import Alphabet, Word, substitute
 
 MAX_COSETS = 300
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -45,6 +45,22 @@ def test_index_ignores_relator_order_rotation_and_inversion(p, data):
         relators.append(~word if data.draw(st.booleans()) else word)
     again = todd_coxeter(Presentation(p.alphabet, tuple(relators)), (), 10 * MAX_COSETS)
     assert again.index == result.index
+
+
+@PROPERTY
+@given(presentations(), st.data())
+def test_eliminating_an_identified_generator_keeps_the_index(p, data):
+    """With a relator g h^-1 (in any rotation or inversion), h's columns are g's; substituting
+    h := g and dropping h presents the same group, enumerated without shared columns."""
+    g, h = data.draw(st.permutations(p.alphabet.names))[:2]
+    identify = (p.alphabet.gen(g) * p.alphabet.gen(h, -1), p.alphabet.gen(h) * p.alphabet.gen(g, -1))
+    joined = Presentation(p.alphabet, p.relators + (data.draw(st.sampled_from(identify + tuple(~w for w in identify))),))
+    result = todd_coxeter(joined, (), MAX_COSETS)
+    assume(result.found)
+    rest = Alphabet(tuple(name for name in p.alphabet.names if name != h))
+    images = {name: rest.gen(g if name == h else name) for name in p.alphabet.names}
+    eliminated = Presentation(rest, tuple(substitute(r, images) for r in p.relators))
+    assert todd_coxeter(eliminated, (), 10 * MAX_COSETS).index == result.index
 
 
 @PROPERTY

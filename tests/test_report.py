@@ -183,7 +183,7 @@ def test_verify_paper_json_states_each_fact_once(capsys):
     assert [b["name"] for b in payload["blocks"]] == ["V", "W", "P"]
     assert payload["result"]["name"] == "X"
     data = {s["statement"]: s["data"] for s in payload["statements"]}
-    assert data["coset enumeration"] == {"index": 1, "cosets_defined": 141, "cosets_collapsed": 140}
+    assert data["coset enumeration"] == {"index": 1, "cosets_defined": 125, "cosets_collapsed": 124}
     assert set(data["classification"]) == {"b_plus", "b_minus", "description", "exotic_note"}
     assert data["simplification"]["complete"] and data["simplification"]["final_relators"] == []
     kills = data["kill-order replay"]["steps"]
