@@ -35,6 +35,10 @@ stays on one line, and ``\\`` escapes the next character; the symbols are
 end of the line (in a word it is an unexpected character), and columns count
 characters from the start of the line.
 
+A word cut from syllables in printed form (the text is what ``str`` of the
+word prints) keeps the text it was read from, so neither a ``let``'s summary
+nor a report renders it back; the kept text is not part of the word's value.
+
 Checks (``construction.CHECKS``, which ``verify-paper`` runs too) use H1 first:
 a nonzero H1 shows the group nontrivial without enumerating, which refutes
 triviality of an exact presentation only.  A surjective bound shown nontrivial,
@@ -65,7 +69,7 @@ from .presentations import (
     quotient_by,
 )
 from .records import Record, setfield, setfields, shown
-from .words import Alphabet, Word, WordError, free_reduce, inverse_codes
+from .words import Alphabet, Word, WordError, _keep_text, free_reduce, inverse_codes
 
 
 class ParseError(ValueError):
@@ -314,8 +318,9 @@ def _print_value(v: Value) -> str:
     if isinstance(v, str):
         if "\n" in v:  # a string stays on one line, and no escape spells a newline
             raise ValueError(f"string {v!r} holds a newline, which the script syntax cannot write")
-        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        if "\\" in v or '"' in v:
+            v = v.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{v}"'
     return "[" + ", ".join(_print_value(i) for i in v) + "]"
 
 
@@ -341,52 +346,61 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     Text whose chunks between single spaces are each ``NAME``, ``NAME^-1`` or
     ``NAME^k`` (``k`` an INT of at most six digits), with at most
     :data:`MAX_WORD_LETTERS` letters before reduction, is read here chunk by
-    chunk; any other text, and so every error, goes to :func:`_read_word`."""
-    ranks = alphabet.ranks
+    chunk; any other text, and so every error, goes to :func:`_read_word`.
+
+    The word keeps ``text`` as its ``str`` when the text is in printed form:
+    no two neighbouring chunks share a generator (so no letter cancels), and
+    every exponent is ``-1`` or a ``k`` written as ``str(k)`` with ``|k| > 1``."""
+    letters, ranks = alphabet.letter_codes(), alphabet.ranks
     out: list[int] = []
     chunks = text.split(" ")
     extra = 0  # letters of the powers beyond one per chunk
+    printed = True  # while it holds, out[-1] is the last chunk's letter
     for chunk in chunks:
-        rank = ranks.get(chunk)
-        if rank is not None:
-            code = 2 * rank
-        else:
+        code = letters.get(chunk)
+        if code is None:
             name, _, exp = chunk.partition("^")
             rank = ranks.get(name)
             if rank is None:
                 return _read_word(text, alphabet)
-            if exp != "-1":  # the commonest exponent skips int()
-                digits = exp[1:] if exp[:1] == "-" else exp
-                if not digits.isdecimal() or len(digits) > 6:
-                    return _read_word(text, alphabet)
-                k = int(exp)
-                code, k = 2 * rank + (k < 0), abs(k)
-                extra += k - 1
-                if extra >= MAX_WORD_LETTERS:  # refused below in any case: never build the power
-                    return _read_word(text, alphabet)
-                while k and out and out[-1] == code ^ 1:  # a letter's power cancels only its inverse letter
-                    out.pop()
-                    k -= 1
-                out += [code] * k
-                continue
-            code = 2 * rank + 1
-        if out and out[-1] == code ^ 1:
-            out.pop()
-        else:
+            digits = exp[1:] if exp[:1] == "-" else exp
+            if not digits.isdecimal() or len(digits) > 6:
+                return _read_word(text, alphabet)
+            k = int(exp)
+            printed = printed and abs(k) > 1 and str(k) == exp and not (out and out[-1] >> 1 == rank)
+            code, k = 2 * rank + (k < 0), abs(k)
+            extra += k - 1
+            if extra >= MAX_WORD_LETTERS:  # refused below in any case: never build the power
+                return _read_word(text, alphabet)
+            while k and out and out[-1] == code ^ 1:  # a letter's power cancels only its inverse letter
+                out.pop()
+                k -= 1
+            out += [code] * k
+        elif not out or out[-1] >> 1 != code >> 1:
             out.append(code)
+        else:  # the same generator as the letter before: a longer run, or a cancellation
+            printed = False
+            if out[-1] == code:
+                out.append(code)
+            else:
+                out.pop()
     if len(chunks) + extra > MAX_WORD_LETTERS:  # the full reader finds where a prefix grew too long, if one did
         return _read_word(text, alphabet)
-    return Word(alphabet, tuple(out), True)  # every letter was cancelled against its inverse as it came
+    word = Word(alphabet, tuple(out), True)  # every letter was cancelled against its inverse as it came
+    if printed:
+        _keep_text(word, text)
+    return word
 
 
 def _read_word(text: str, alphabet: Alphabet) -> Word:
-    """The full word reader: brackets, every spacing and every error.  It walks
-    the script's tokens of the whole text, so a lexical error anywhere wins,
-    and raises each error at the token in hand.  A ``#`` starts no comment in a
-    word: the tokens from the first one on give way to one BAD token for it (a
-    ``#`` inside a string sits past the STRING token, which is refused first).
-    An open commutator waits on ``stack`` as the word it sits in, its left side
-    (``None`` until read) and its ``[`` token."""
+    """The full word reader: brackets, every spacing and every error; its word
+    keeps no text.  It walks the script's tokens of the whole text, so a
+    lexical error anywhere wins, and raises each error at the token in hand.
+    A ``#`` starts no comment in a word: the tokens from the first one on give
+    way to one BAD token for it (a ``#`` inside a string sits past the STRING
+    token, which is refused first).  An open commutator waits on ``stack`` as
+    the word it sits in, its left side (``None`` until read) and its ``[``
+    token."""
     ranks = alphabet.ranks
     tokens = _tokenize(text)
     at = text.find("#")

@@ -15,6 +15,12 @@ of the others' text written twice (``is_rotation``), a linear test.
 Inside the package, a producer that has proved its codes a freely reduced
 tuple of in-range letter codes builds the word with ``Word(alphabet, codes,
 True)``, which skips the check and the reduction (see ``Word``).
+
+A word renders its text at most once: ``str`` keeps what it printed.  A
+reader that has proved its input text exactly what ``str`` would print keeps
+that text on the new word with ``_keep_text``, so the word never renders.
+The kept text is not part of the word's value: equality, hashing and every
+algorithm read the codes alone.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ class Alphabet:
     May be empty (the alphabet of the trivial presentation); ``ranks`` maps each name to its rank.
     """
 
-    __slots__ = ("names", "ranks")
+    __slots__ = ("names", "ranks", "_letters")
 
     def __init__(self, names: Iterable[str] = ()):
         names = tuple(names)
@@ -56,6 +62,7 @@ class Alphabet:
             ranks[name] = len(ranks)
         self.names = names
         self.ranks = ranks
+        self._letters: dict[str, int] | None = None
 
     def __contains__(self, name: str) -> bool:
         return name in self.ranks
@@ -80,6 +87,17 @@ class Alphabet:
             return self.ranks[name]
         except KeyError:
             raise WordError(f"unknown generator {name!r}") from None
+
+    def letter_codes(self) -> dict[str, int]:
+        """Each generator ``g`` and each ``g^-1``, as text, mapped to its letter code:
+        built on first use, so that a word reader looks a letter up once."""
+        letters = self._letters
+        if letters is None:
+            letters = self._letters = {}
+            for name, rank in self.ranks.items():
+                letters[name] = 2 * rank
+                letters[name + "^-1"] = 2 * rank + 1
+        return letters
 
     def identity(self) -> "Word":
         return self.word(())
@@ -116,9 +134,13 @@ class Word:
     ``conjugate`` and ``cyclic_core`` here, ``presentations.solve_relator``,
     ``tietze._State`` and ``script.parse_word`` use it; every other
     caller validates.
+
+    ``str`` renders the word once and keeps the text in ``_text``, which a
+    reader may also set from its input (``_keep_text``).  The text is not
+    part of the word: ``==``, ``hash`` and the codes never read it.
     """
 
-    __slots__ = ("alphabet", "_codes")
+    __slots__ = ("alphabet", "_codes", "_text")  # _text stays unset until the word has text
 
     def __init__(self, alphabet: Alphabet, codes: Iterable[int] = (), _reduced: bool = False):
         if not _reduced:
@@ -195,7 +217,11 @@ class Word:
         return tuple(out)
 
     def __str__(self) -> str:
-        """The syllables as ``g`` or ``g^e``, space separated, read off the codes in one pass."""
+        """The syllables as ``g`` or ``g^e``, space separated, read off the codes in one pass
+        the first time, and kept."""
+        text = getattr(self, "_text", None)  # not try/except: a caught AttributeError costs about a short render
+        if text is not None:
+            return text
         names, parts = self.alphabet.names, []
         last, n = (self._codes or (-1,))[0], 0
         for c in self._codes + (-1,):  # the -1 closes the last run
@@ -204,14 +230,17 @@ class Word:
                 parts.append(f"{name}^{-n}" if last & 1 else name if n == 1 else f"{name}^{n}")
                 last, n = c, 0
             n += 1
-        return " ".join(parts) or "1"
+        text = " ".join(parts) or "1"
+        _keep_text(self, text)
+        return text
 
     def __repr__(self) -> str:
         return f"<Word {self}>"
 
 
-# the slots' own setters, past the __setattr__ that keeps a Word immutable
-_set_alphabet, _set_codes = Word.alphabet.__set__, Word._codes.__set__
+# the slots' own setters, past the __setattr__ that keeps a Word immutable;
+# ``_keep_text(word, text)`` takes ``text`` as what ``str(word)`` prints
+_set_alphabet, _set_codes, _keep_text = Word.alphabet.__set__, Word._codes.__set__, Word._text.__set__
 
 
 def free_reduce(codes: Iterable[int], out: list[int] | None = None) -> list[int]:
@@ -325,6 +354,11 @@ def is_rotation(text: str, twice: str) -> bool:
     return 2 * len(text) == len(twice) and text in twice
 
 
+def _core_text(w: Word) -> str:
+    """The code text of ``w``'s cyclic core."""
+    return "".join(map(chr, _cyclic_reduction(w._codes)[1]))
+
+
 def cyclic_texts(w: Word) -> tuple[str, str]:
     """The code texts of ``w``'s cyclic core and of the core's inverse."""
     core = _cyclic_reduction(w._codes)[1]
@@ -334,7 +368,7 @@ def cyclic_texts(w: Word) -> tuple[str, str]:
 def are_conjugate(u: Word, v: Word) -> bool:
     """Conjugacy in the free group: cyclic cores that are rotations of each other."""
     _common_alphabet(u, v)
-    return is_rotation(cyclic_texts(u)[0], cyclic_texts(v)[0] * 2)
+    return is_rotation(_core_text(u), _core_text(v) * 2)
 
 
 def relator_texts(relators: Iterable[Word]) -> list[str]:
@@ -345,7 +379,7 @@ def relator_texts(relators: Iterable[Word]) -> list[str]:
 
 def matches_relator(u: Word, texts: Sequence[str]) -> bool:
     """Whether ``u`` is the same relator as one of those whose :func:`relator_texts` are ``texts``."""
-    text = cyclic_texts(u)[0]
+    text = _core_text(u)
     return any(is_rotation(text, t) for t in texts)
 
 

@@ -1,6 +1,6 @@
 """Mutation runner for the coset enumerator, Tietze simplification, free-group
 words, the word readers and the verdict rule: do the tests notice a broken
-kernel, a misread word or a wrong verdict?
+kernel, a misread word, a wrongly kept word text or a wrong verdict?
 
 Each entry of :data:`MUTANTS` names one source file, an exact snippet that
 occurs once in it, the snippet's replacement, and the test node ids expected
@@ -41,6 +41,7 @@ ENUM = "src/sgcalc/coset_enum.py"
 ENUM_TESTS = "tests/test_coset_enum.py"
 SCRIPT = "src/sgcalc/script.py"
 GOLDEN_WORDS = "tests/test_word_reader.py::test_word_reader_matches_golden"
+KEPT_TEXT = "tests/test_word_reader_properties.py::test_a_read_word_prints_compares_and_hashes_as_the_word_of_its_codes"
 TIETZE = "src/sgcalc/tietze.py"
 TIETZE_TESTS = "tests/test_tietze.py"
 WORDS_TESTS = "tests/test_words.py"
@@ -204,6 +205,20 @@ MUTANTS = (
         "(out, left, tok), right = stack.pop(), out",
         "(out, left, _), right = stack.pop(), out",
         (GOLDEN_WORDS,),
+    ),
+    Mutant(
+        "kept-text-ignores-adjacent-repeat",  # "x x" kept as the text of x^2
+        SCRIPT,
+        "            printed = False\n            if out[-1] == code:\n",
+        "            printed = printed and out[-1] != code\n            if out[-1] == code:\n",
+        (KEPT_TEXT, "tests/test_word_reader_properties.py::test_spaced_syllables_are_read_without_the_full_reader"),
+    ),
+    Mutant(
+        "letter-table-inverse-as-forward",  # "g^-1" looked up as g's code
+        "src/sgcalc/words.py",
+        '                letters[name + "^-1"] = 2 * rank + 1\n',
+        '                letters[name + "^-1"] = 2 * rank\n',
+        (GOLDEN_WORDS, f"{WORDS_TESTS}::test_letter_codes_name_each_letter_and_its_inverse"),
     ),
     Mutant(
         "eliminate-skips-a-relator",  # the last relator keeps the eliminated generator's letter

@@ -1,6 +1,7 @@
 """bench/tracing.py wraps sgcalc functions by module attribute: every name it wraps must exist."""
 
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -85,10 +86,8 @@ def test_traced_presentation_script_reads_one_word_per_relator():
     assert tracer.counts["words.word_objects"] == 3
 
 
-def test_traced_drop_script_records_the_work_of_its_text():
-    """The corpus median's ``drop`` shape, X less relation 1: per-layer counters measure one parse, one H1
-    and one word per relator, whatever the reader does inside."""
-    tracing = _load_tracing()
+def _drop_script() -> tuple[str, list[str]]:
+    """The corpus median's ``drop`` shape, X less relation 1, as script text, and its relators."""
     relators = X_RELATORS.read_text(encoding="utf-8").splitlines()[1:]
     generators = ("x1", "y1", "s1", "t1", "x2", "y2", "s2", "t2")
 
@@ -96,6 +95,14 @@ def test_traced_drop_script_records_the_work_of_its_text():
         return ", ".join(f'"{item}"' for item in items)
 
     text = f"let g = presentation(generators=[{listed(generators)}], relators=[{listed(relators)}])\ncheck trivial(g)\n"
+    return text, relators
+
+
+def test_traced_drop_script_records_the_work_of_its_text():
+    """The ``drop`` shape: per-layer counters measure one parse, one H1 and one word per relator,
+    whatever the reader does inside."""
+    tracing = _load_tracing()
+    text, relators = _drop_script()
     tracer = tracing.Tracer()
     tracer.counting = True
     restore = tracing.install(tracer)
@@ -109,3 +116,23 @@ def test_traced_drop_script_records_the_work_of_its_text():
     assert (spans["script.parse"], spans["presentations.h1"]) == (1, 1)
     assert spans["script.parse_word"] == len(relators) == 19
     assert tracer.counts["words.word_objects"] == 19
+
+
+def test_drop_script_and_its_json_render_no_relator(monkeypatch):
+    """The ``drop`` shape's relators are read in printed form and keep that text, so neither the ``let``'s
+    summary nor the JSON report renders a word back: ``Word.__str__`` never runs its rendering loop."""
+    rendered = []
+    render = words.Word.__str__
+
+    def counted(self):
+        if not hasattr(self, "_text"):  # no text kept yet: this call renders
+            rendered.append(self)
+        return render(self)
+
+    monkeypatch.setattr(words.Word, "__str__", counted)
+    text, relators = _drop_script()
+    report = script.execute(script.parse(text))
+    payload = json.loads(report.to_json())
+    assert payload["verdict"] == "FAIL"
+    assert payload["statements"][0]["data"]["relators"] == relators
+    assert rendered == []

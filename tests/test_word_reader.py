@@ -155,8 +155,19 @@ def test_an_identity_atom_takes_an_exponent_beyond_any_index(text):
     assert parse_word(text, ALPHABET).is_identity
 
 
-def _without_the_full_reader(text: str) -> str:
-    with mock.patch.object(script, "_read_word", side_effect=AssertionError("full reader called")):
+def _without_the_full_reader(text: str, kept: list[bool] | None = None) -> str:
+    """The verdict of ``text`` run with the full reader refused; each word read
+    appends to ``kept`` whether it carries the text it was read from."""
+    read = script.parse_word
+
+    def reading(word_text, alphabet):
+        word = read(word_text, alphabet)
+        if kept is not None:
+            kept.append(str(word) is word_text)
+        return word
+
+    with mock.patch.object(script, "_read_word", side_effect=AssertionError("full reader called")), \
+            mock.patch.object(script, "parse_word", reading):
         return script.execute(script.parse(text)).verdict
 
 
@@ -165,12 +176,16 @@ def test_the_shipped_script_never_reaches_the_full_reader():
 
 
 def test_corpus_relators_never_reach_the_full_reader(monkeypatch):
-    # the bench's corpus writes every relator as single-spaced syllables, which the fast path reads alone
+    # the bench's corpus writes every relator as single-spaced syllables in printed form: the fast path
+    # reads each alone, and the word keeps the text, so no relator is rendered back
     spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "bench" / "corpus.py")
     corpus = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, corpus)  # its dataclass looks the module up
     spec.loader.exec_module(corpus)
-    items = corpus.generate(3001, ROOT)
-    assert len(items) == 33
-    for item in items:
-        assert _without_the_full_reader(item.text) in ("PASS", "FAIL"), item.name
+    for seed in (3001, 5):
+        items = corpus.generate(seed, ROOT)
+        assert len(items) == 33
+        for item in items:
+            kept: list[bool] = []
+            assert _without_the_full_reader(item.text, kept) in ("PASS", "FAIL"), item.name
+            assert len(kept) == len(item.relators) and all(kept), item.name

@@ -330,6 +330,27 @@ def test_word_str_and_len(xyab):
     assert len(w) == 3
 
 
+def test_a_word_renders_once_and_its_text_is_not_part_of_it(xyab):
+    w = xyab.gen("x", -2) * xyab.gen("y")
+    text = str(w)
+    assert str(w) is text and repr(w) == f"<Word {text}>"
+    fresh = Word(xyab, w.codes())  # equal, with no text yet
+    assert fresh == w and hash(fresh) == hash(w)
+    assert str(fresh) == text and str(fresh) is not text
+    with pytest.raises(AttributeError):
+        w._text = "y"
+
+
+def test_letter_codes_name_each_letter_and_its_inverse(xyab):
+    table = xyab.letter_codes()
+    assert table == {"x": 0, "x^-1": 1, "y": 2, "y^-1": 3, "a": 4, "a^-1": 5, "b": 6, "b^-1": 7}
+    assert xyab.letter_codes() is table  # built once
+    for text, code in table.items():
+        assert str(Word(xyab, [code])) == text
+    assert Alphabet().letter_codes() == {}
+    assert xyab == Alphabet(xyab.names) and hash(xyab) == hash(Alphabet(xyab.names))
+
+
 def test_algebra_laws_randomized(xyab):
     rng = random.Random(20070202)
     identity = xyab.identity()
