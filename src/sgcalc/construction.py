@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Mapping, Sequence
 
-from .coset_enum import MAX_COSETS, EnumResult, TrivialityCertificate, certify_trivial
+from .coset_enum import MAX_COSETS, EnumResult, TrivialityCertificate, certify_trivial, check_max_cosets
 from .manifolds import (
     LagrangianTorusMark,
     ManifoldError,
@@ -33,7 +33,6 @@ from .manifolds import (
     SurfaceMark,
     blow_up,
     classify,
-    HomeoType,
     luttinger,
     resolve_intersection,
     symplectic_sum,
@@ -49,8 +48,8 @@ from .presentations import (
     solve_relator,
     unique_occurrence,
 )
-from .records import Record, setfields
-from .tietze import TIETZE_BUDGET, DerivationTrace, tietze_simplify
+from .records import Record
+from .tietze import TIETZE_BUDGET, check_tietze_budget, tietze_simplify
 from .words import (
     Alphabet,
     Word,
@@ -69,10 +68,6 @@ class ComplementData(Record):
     """Torus triples and relations of the two-torus complement over some alphabet."""
 
     __slots__ = ("alphabet", "t1", "t2", "universal_relators", "closure_relators")
-
-    def __init__(self, alphabet: Alphabet, t1: LagrangianTorusMark, t2: LagrangianTorusMark,
-                 universal_relators: tuple[Word, ...], closure_relators: tuple[Word, ...]):
-        setfields(self, alphabet, t1, t2, universal_relators, closure_relators)
 
 
 def complement_data(
@@ -143,9 +138,6 @@ class SurgeryRecord(Record):
 
     __slots__ = ("torus_id", "p", "q", "k", "raw_relator", "conjugator", "relator")
 
-    def __init__(self, torus_id: str, p: int, q: int, k: int, raw_relator: Word, conjugator: Word, relator: Word):
-        setfields(self, torus_id, p, q, k, raw_relator, conjugator, relator)
-
 
 class BlockBuild(Record):
     """A built state with its surgeries and the blocks built on the way."""
@@ -153,7 +145,7 @@ class BlockBuild(Record):
     __slots__ = ("state", "surgeries", "blocks")
 
     def __init__(self, state: ManifoldState, surgeries: tuple[SurgeryRecord, ...], blocks: tuple[ManifoldState, ...] = ()):
-        setfields(self, state, surgeries, blocks)
+        super().__init__(state, surgeries, blocks)
 
 
 def isolate_direction(relator: Word, gen: str) -> tuple[Word, Word]:
@@ -362,7 +354,7 @@ class KillStep(Record):
 
     def __init__(self, generator: str, uses: tuple[int, ...],
                  commuting: tuple[tuple[tuple[str, str], tuple[int, ...]], ...] = ()):
-        setfields(self, generator, uses, commuting)
+        super().__init__(generator, uses, commuting)
 
 
 KILL_SCRIPT: tuple[KillStep, ...] = (
@@ -380,15 +372,9 @@ KILL_SCRIPT: tuple[KillStep, ...] = (
 class KillStepResult(Record):
     __slots__ = ("generator", "uses", "derivation")
 
-    def __init__(self, generator: str, uses: tuple[int, ...], derivation: tuple[str, ...]):
-        setfields(self, generator, uses, derivation)
-
 
 class KillReplayReport(Record):
     __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[KillStepResult, ...]):
-        setfields(self, steps)
 
     @property
     def killed(self) -> tuple[str, ...]:
@@ -533,7 +519,7 @@ class StatementResult(Record):
     __slots__ = ("index", "text", "status", "detail", "data")  # status: ok | pass | fail | inconclusive | error
 
     def __init__(self, index: int, text: str, status: str, detail: str, data: dict | None = None):
-        setfields(self, index, text, status, detail, {} if data is None else data)
+        super().__init__(index, text, status, detail, {} if data is None else data)
 
     @property
     def ok(self) -> bool:
@@ -566,9 +552,6 @@ class Report(Record):
     """The statements of a run and the budgets it ran under; its verdict is read off the statements."""
 
     __slots__ = ("statements", "budgets")
-
-    def __init__(self, statements: tuple[StatementResult, ...], budgets: dict[str, int]):
-        setfields(self, statements, budgets)
 
     @property
     def verdict(self) -> str:
@@ -604,11 +587,14 @@ def presentation_dict(p: Presentation) -> dict:
 
 
 class CheckRun:
-    """One run's budgets, and each presentation's H1 and enumeration, computed at most once.
-    The memos key a presentation by its id (hashing it hashes every relator)
-    and keep it beside its value, so that no other object takes that id."""
+    """One run's budgets, checked before any work, and each presentation's H1
+    and enumeration, computed at most once.  The memos key a presentation by
+    its id (hashing it hashes every relator) and keep it beside its value, so
+    that no other object takes that id."""
 
     def __init__(self, max_cosets: int, tietze_budget: int = TIETZE_BUDGET):
+        check_max_cosets(max_cosets)
+        check_tietze_budget(tietze_budget)
         self.max_cosets, self.tietze_budget = max_cosets, tietze_budget
         self._h1: dict[int, tuple[Presentation, tuple[int, list[int]]]] = {}
         self._enumerations: dict[int, tuple[Presentation, TrivialityCertificate | EnumResult]] = {}
@@ -774,13 +760,6 @@ class ConstructionReport(Report):
         "square -1 (Taubes), so it is not diffeomorphic to a blowup.",
     )
 
-    def __init__(self, statements: tuple[StatementResult, ...], budgets: dict[str, int],
-                 blocks: tuple[ManifoldState, ...], state: ManifoldState, surgeries: tuple[SurgeryRecord, ...],
-                 certificate: TrivialityCertificate | None, trace: DerivationTrace, simplified: Presentation,
-                 replay: KillReplayReport | None, homeo: HomeoType | None, assumptions: tuple[str, ...]):
-        setfields(self, statements, budgets, blocks, state, surgeries, certificate, trace, simplified,
-                  replay, homeo, assumptions)
-
     def to_dict(self) -> dict:
         def state_dict(s: ManifoldState) -> dict:
             return {
@@ -871,9 +850,9 @@ def verify_main_theorem(
     scripted kill-order.  The verdict follows :func:`verdict_of`: a failed check
     makes it FAIL; an exhausted budget or a stalled simplification, INCONCLUSIVE.
     """
+    run = CheckRun(max_cosets, tietze_budget)
     x = assemble_x()
     states = {s.name: s for s in x.blocks + (x.state,)}
-    run = CheckRun(max_cosets, tietze_budget)
     statements, outcomes = [], {}
     for index, (text, name, block, *args) in enumerate(CLAIMS):
         function, params = CHECKS[name]

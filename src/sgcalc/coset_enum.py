@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .presentations import Presentation
-from .records import Record, setfields
+from .records import Record
 from .words import Word, _cyclic_reduction, inverse_codes
 
 
@@ -64,9 +64,6 @@ class EnumResult(Record):
 
     __slots__ = ("index", "defined", "collapsed")
 
-    def __init__(self, index: int | None, defined: int, collapsed: int):
-        setfields(self, index, defined, collapsed)
-
     @property
     def found(self) -> bool:
         return self.index is not None
@@ -76,9 +73,6 @@ class TrivialityCertificate(Record):
     """An index-1 enumeration of the trivial subgroup of ``presentation``."""
 
     __slots__ = ("presentation", "result")
-
-    def __init__(self, presentation: Presentation, result: EnumResult):
-        setfields(self, presentation, result)
 
 
 class _Budget(Exception):

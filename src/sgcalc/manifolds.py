@@ -29,7 +29,7 @@ from math import gcd
 
 from .coset_enum import TrivialityCertificate
 from .presentations import Exactness, Presentation, quotient_by
-from .records import Record, setfields, shown
+from .records import Record, shown
 from .words import Word, merge_alphabets, substitute
 
 
@@ -67,8 +67,8 @@ class SurfaceMark(Record):
             raise ManifoldError("genus must be nonnegative")
         if len(boundary_generators) != 2 * genus:
             raise ManifoldError(f"surface {id!r} of genus {genus} needs {2 * genus} boundary generators")
-        setfields(self, id, genus, self_intersection, boundary_generators, meridian_killed_reason,
-                  no_minus_one_sphere_off_surface)
+        super().__init__(id, genus, self_intersection, boundary_generators, meridian_killed_reason,
+                         no_minus_one_sphere_off_surface)
 
     @property
     def meridian_killed(self) -> bool:
@@ -83,9 +83,6 @@ class LagrangianTorusMark(Record):
     """A Lagrangian torus with meridian and the two push-off directions."""
 
     __slots__ = ("id", "mu", "m", "l")
-
-    def __init__(self, id: str, mu: Word, m: Word, l: Word):
-        setfields(self, id, mu, m, l)
 
 
 class ManifoldState(Record):
@@ -115,8 +112,8 @@ class ManifoldState(Record):
         for pair in transverse_pairs:
             if not surface_ids.issuperset(pair):
                 raise ManifoldError(f"transverse pair {pair!r} names a surface the state lacks")
-        setfields(self, pi1, euler, signature, symplectic, minimality_rules, parity, surfaces,
-                  tori, transverse_pairs, two_torus_pattern, name)
+        super().__init__(pi1, euler, signature, symplectic, minimality_rules, parity, surfaces,
+                         tori, transverse_pairs, two_torus_pattern, name)
 
     @property
     def minimality(self) -> Minimality:
@@ -145,7 +142,7 @@ class HomeoType(Record):
     __slots__ = ("b_plus", "b_minus", "description", "exotic_note")
 
     def __init__(self, b_plus: int, b_minus: int, description: str, exotic_note: str = ""):
-        setfields(self, b_plus, b_minus, description, exotic_note)
+        super().__init__(b_plus, b_minus, description, exotic_note)
 
 
 def _parity_from_signature(signature: int) -> Parity:

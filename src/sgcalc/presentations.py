@@ -13,7 +13,7 @@ import enum
 from math import gcd
 from typing import Iterable, Sequence
 
-from .records import Record, setfield
+from .records import Record
 from .words import Alphabet, Word, matches_relator, relator_texts
 
 
@@ -30,9 +30,7 @@ class Presentation(Record):
     __slots__ = ("alphabet", "relators", "exactness")
 
     def __init__(self, alphabet: Alphabet, relators: Iterable[Word] = (), exactness: Exactness = Exactness.EXACT):
-        setfield(self, "alphabet", alphabet)
-        setfield(self, "relators", tuple(relators))
-        setfield(self, "exactness", exactness)
+        super().__init__(alphabet, tuple(relators), exactness)
         for r in self.relators:
             if r.alphabet is not alphabet and r.alphabet != alphabet:
                 raise PresentationError(f"relator {r} is not over the presentation alphabet")

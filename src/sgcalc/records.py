@@ -1,9 +1,12 @@
 """Frozen records: ``__slots__`` classes with a dataclass's ``repr``, equality
 and hashing by field values within one type, refused assignment and ``replace``.
 
-A record sets its fields in ``__init__``: one by one with :data:`setfield`
-where records are built in bulk, else with :func:`setfields`.  Unlike a
-dataclass, such a class costs nothing to create at start-up.
+A record's ``__slots__`` are its field list, inherited fields first, and
+``Record.__init__`` binds them: positional values in slot order, the rest by
+name, refusing what a dataclass's ``__init__`` refuses.  A record writes its
+own ``__init__`` only to check, convert or default a field, and binds through
+``super().__init__``.  Unlike a dataclass, such a class costs nothing to
+create at start-up.
 
 :func:`shown` is how an error message echoes a piece of input.  It lives here
 because every command loads this module, while ``script``, which also uses
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from typing import TypeVar
 
-setfield = object.__setattr__  # sets one field past Record.__setattr__
+_setfield = object.__setattr__  # sets one field past Record.__setattr__
 
 R = TypeVar("R", bound="Record")
 
@@ -25,6 +28,22 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._fields
+        if named or len(values) != len(fields):  # else every field is given, in order
+            where = type(self).__qualname__
+            if len(values) > len(fields):
+                raise TypeError(f"{where} takes {len(fields)} fields but {len(values)} values were given")
+            try:
+                values += tuple([named.pop(name) for name in fields[len(values):]])
+            except KeyError as missing:
+                raise TypeError(f"{where} is missing field {missing}") from None
+            for name in named:  # each left is a field given by position too, or no field
+                problem = "got two values for field" if name in fields else "has no field"
+                raise TypeError(f"{where} {problem} {name!r}")
+        for name, value in zip(fields, values):
+            _setfield(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -50,12 +69,6 @@ class Record:
     def replace(self: R, **changes: object) -> R:
         """A copy with the named fields changed, built and checked by ``__init__``."""
         return type(self)(**{name: changes.pop(name, getattr(self, name)) for name in self._fields}, **changes)
-
-
-def setfields(record: Record, *values: object) -> None:
-    """Set every field of a record under construction, in field order."""
-    for name, value in zip(record._fields, values, strict=True):
-        setfield(record, name, value)
 
 
 def shown(text: str, value: object = None) -> str:

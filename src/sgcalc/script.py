@@ -68,7 +68,7 @@ from .presentations import (
     PresentationError,
     quotient_by,
 )
-from .records import Record, setfield, setfields, shown
+from .records import Record, shown
 from .words import Alphabet, Word, WordError, _keep_text, free_reduce, inverse_codes
 
 
@@ -173,9 +173,6 @@ def _tokenize(text: str) -> list[Token]:
 class Ref(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        setfield(self, "name", name)
-
 
 # An argument value is an int, a str, a tuple of values (a list literal) or a
 # Ref, which names a bound identifier.
@@ -185,20 +182,9 @@ Value = Union[Ref, int, str, tuple]
 class Let(Record):
     __slots__ = ("name", "op", "args", "line")
 
-    def __init__(self, name: str, op: str, args: tuple[tuple[str, Value], ...], line: int):
-        setfield(self, "name", name)
-        setfield(self, "op", op)
-        setfield(self, "args", args)
-        setfield(self, "line", line)
-
 
 class Check(Record):
-    __slots__ = ("kind", "args", "line")
-
-    def __init__(self, kind: str, args: tuple[Value, ...], line: int):
-        setfield(self, "kind", kind)  # a check of construction.CHECKS
-        setfield(self, "args", args)
-        setfield(self, "line", line)
+    __slots__ = ("kind", "args", "line")  # kind: a check of construction.CHECKS
 
 
 Statement = Union[Let, Check]
@@ -206,9 +192,6 @@ Statement = Union[Let, Check]
 
 class Script(Record):
     __slots__ = ("statements",)
-
-    def __init__(self, statements: tuple[Statement, ...]):
-        setfield(self, "statements", statements)
 
 
 class _Parser:
@@ -523,7 +506,7 @@ class Budgets(Record):
 
     def __init__(self, max_cosets: int = MAX_COSETS):
         check_max_cosets(max_cosets)
-        setfields(self, max_cosets)
+        super().__init__(max_cosets)
 
 
 _KINDS = {"state": (ManifoldState, "a manifold state"), "int": (int, "an integer"),

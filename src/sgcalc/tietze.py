@@ -37,7 +37,7 @@ from itertools import count
 from typing import Sequence, Union
 
 from .presentations import Presentation, PresentationError, solve_relator
-from .records import Record, setfield, setfields
+from .records import Record
 from .words import Alphabet, Word, WordError, _cyclic_reduction, free_reduce, inverse_codes, is_rotation
 from .words import rotations  # noqa: F401  unused here; bench/tracing.py wraps tietze.rotations by name
 
@@ -50,33 +50,17 @@ _HEAD_LETTERS = 16  # a rotation's head is at most this long, so a relator's hea
 class Eliminate(Record):
     __slots__ = ("gen", "relator_index", "definition")
 
-    def __init__(self, gen: str, relator_index: int, definition: Word):
-        setfield(self, "gen", gen)
-        setfield(self, "relator_index", relator_index)
-        setfield(self, "definition", definition)
-
 
 class RemoveTrivial(Record):
     __slots__ = ("relator_index",)
-
-    def __init__(self, relator_index: int):
-        setfield(self, "relator_index", relator_index)
 
 
 class RemoveDuplicate(Record):
     __slots__ = ("relator_index", "kept_index")
 
-    def __init__(self, relator_index: int, kept_index: int):
-        setfield(self, "relator_index", relator_index)
-        setfield(self, "kept_index", kept_index)
-
 
 class CyclicReduce(Record):
     __slots__ = ("relator_index", "prefix")
-
-    def __init__(self, relator_index: int, prefix: Word):
-        setfield(self, "relator_index", relator_index)
-        setfield(self, "prefix", prefix)
 
 
 class Shorten(Record):
@@ -89,23 +73,12 @@ class Shorten(Record):
 
     __slots__ = ("target", "other", "inverted", "rotation", "position", "overlap")
 
-    def __init__(self, target: int, other: int, inverted: bool, rotation: int, position: int, overlap: int):
-        setfield(self, "target", target)
-        setfield(self, "other", other)
-        setfield(self, "inverted", inverted)
-        setfield(self, "rotation", rotation)
-        setfield(self, "position", position)
-        setfield(self, "overlap", overlap)
-
 
 TietzeStep = Union[Eliminate, RemoveTrivial, RemoveDuplicate, CyclicReduce, Shorten]
 
 
 class DerivationTrace(Record):
     __slots__ = ("steps", "complete")
-
-    def __init__(self, steps: tuple[TietzeStep, ...], complete: bool):
-        setfields(self, steps, complete)
 
     def eliminated_generators(self) -> list[str]:
         return [s.gen for s in self.steps if isinstance(s, Eliminate)]
@@ -306,6 +279,12 @@ def _next_step(state: _State) -> TietzeStep | None:
     return _find_duplicate(derived) or _find_elimination(state, derived) or _find_shortening(derived)
 
 
+def check_tietze_budget(budget: int) -> None:
+    """Refuse a step budget that is not an ``int`` of at least 1 (a ``bool`` is not one)."""
+    if type(budget) is not int or budget < 1:
+        raise PresentationError("budget must be an int of at least 1")
+
+
 def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> tuple[Presentation, DerivationTrace]:
     """Greedily simplify ``p``, recording a replayable trace.
 
@@ -313,8 +292,7 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> tuple[Prese
     exhausted budget returns the best presentation so far with the trace
     flagged incomplete.
     """
-    if budget <= 0:
-        raise PresentationError("budget must be positive")
+    check_tietze_budget(budget)
     state = _State(p)
     steps: list[TietzeStep] = []
     while (step := _next_step(state)) is not None:

@@ -2,11 +2,10 @@
 
 A word stores its freely reduced letter codes, ``2*rank`` for ``g`` and
 ``2*rank + 1`` for ``g^-1``, and every algorithm works on these codes.
-Syllables ``(name, exponent)`` enter through ``Alphabet.word`` and are read
-back through ``Word.syllables``.  Words over different alphabets never
-combine; a word moves to another alphabet through ``substitute``.  Code
-that works on raw letter codes reduces and inverts them with
-``free_reduce`` and ``inverse_codes``.
+Syllables ``(name, exponent)`` enter through ``Alphabet.word``.  Words over
+different alphabets never combine; a word moves to another alphabet through
+``substitute``.  Code that works on raw letter codes reduces and inverts
+them with ``free_reduce`` and ``inverse_codes``.
 
 Rotation tests read code texts, one ``chr`` per letter code: codes are a
 rotation of others of equal length exactly when their text is a substring
@@ -25,7 +24,6 @@ algorithm read the codes alone.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .records import shown
@@ -204,17 +202,6 @@ class Word:
         """The letters as ``(name, +-1)``."""
         names = self.alphabet.names
         return ((names[c >> 1], -1 if c & 1 else 1) for c in self._codes)
-
-    @property
-    def syllables(self) -> tuple[Syllable, ...]:
-        """Maximal runs of one letter as ``(name, exponent)``; in a reduced
-        word, each is a run of one letter code."""
-        names = self.alphabet.names
-        out = []
-        for c, run in groupby(self._codes):
-            n = len(list(run))
-            out.append((names[c >> 1], -n if c & 1 else n))
-        return tuple(out)
 
     def __str__(self) -> str:
         """The syllables as ``g`` or ``g^e``, space separated, read off the codes in one pass

@@ -1,6 +1,8 @@
 """Mutation runner for the coset enumerator, Tietze simplification, free-group
-words, the word readers and the verdict rule: do the tests notice a broken
-kernel, a misread word, a wrongly kept word text or a wrong verdict?
+words, the word readers, Smith normal form, the minimality rules, the
+kill-order replay, the record constructor and the verdict rule: do the tests
+notice a broken kernel, a misread word, a wrongly kept word text, a wrongly
+bound field or a wrong verdict?
 
 Each entry of :data:`MUTANTS` names one source file, an exact snippet that
 occurs once in it, the snippet's replacement, and the test node ids expected
@@ -244,6 +246,42 @@ MUTANTS = (
             f"{WORDS_TESTS}::test_same_relator_is_conjugacy_up_to_inversion",
             f"{WORDS_TESTS}::test_rotation_tests_on_edge_cases",
         ),
+    ),
+    Mutant(
+        "snf-pivot-ignores-sign",  # a negative pivot's quotient taken against |p|: rows are not cleared
+        "src/sgcalc/presentations.py",
+        "                q = row[j] // p\n",
+        "                q = row[j] // abs(p)\n",
+        # only this test: other tests run for minutes under this mutant
+        ("tests/test_presentations.py::test_snf_matches_minor_gcd_oracle_randomized",),
+    ),
+    Mutant(
+        "r3-reads-the-wrong-side",  # R3 asks the flagged surface's own side, not the one across, to be minimal
+        "src/sgcalc/manifolds.py",
+        "((mark2, s1), (mark1, s2))",
+        "((mark2, s2), (mark1, s1))",
+        ("tests/test_manifolds.py::test_r3_reads_the_side_across_from_the_flagged_surface",),
+    ),
+    Mutant(
+        "blow-up-keeps-r3-flag-off-the-surface",  # a -1 sphere off every surface leaves their flags standing
+        "src/sgcalc/manifolds.py",
+        "    surfaces = tuple(m.replace(no_minus_one_sphere_off_surface=False) for m in s.surfaces)\n",
+        "    surfaces = s.surfaces\n",
+        ("tests/test_manifolds.py::test_blow_up_on_g_of_a_minimal_state_flags_g",),
+    ),
+    Mutant(
+        "kill-replay-skips-cancellation-check",  # a mobile generator with nonzero exponent sum is commuted away
+        "src/sgcalc/construction.py",
+        "            if word.exponent_sum(mobile) != 0:\n",
+        "            if False:\n",
+        ("tests/test_construction.py::test_replay_refuses_a_mutated_kill_script[no-cancel]",),
+    ),
+    Mutant(
+        "record-binds-keywords-by-position",  # Shorten(other=2, target=1) read as target=2
+        "src/sgcalc/records.py",
+        "named.pop(name) for name in fields[len(values):]",
+        "named.pop(next(iter(named))) for name in fields[len(values):]",
+        ("tests/test_records.py::test_the_constructor_binds_by_position_then_by_name",),
     ),
     Mutant(
         "inconclusive-read-as-pass",  # an exhausted budget reported as a proof

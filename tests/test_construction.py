@@ -31,9 +31,9 @@ from sgcalc.construction import (
     replay_kill_order,
     verify_main_theorem,
 )
-from sgcalc.coset_enum import MAX_COSETS, TrivialityCertificate, certify_trivial, todd_coxeter
+from sgcalc.coset_enum import MAX_COSETS, EnumerationError, TrivialityCertificate, certify_trivial, todd_coxeter
 from sgcalc.manifolds import Minimality, Parity
-from sgcalc.presentations import Presentation, homology_invariants
+from sgcalc.presentations import Presentation, PresentationError, homology_invariants
 from sgcalc.tietze import tietze_simplify
 from sgcalc.words import (
     Alphabet,
@@ -488,6 +488,22 @@ def test_verify_main_theorem_budget_exhaustion_is_inconclusive():
     report = verify_main_theorem(max_cosets=10)
     assert report.verdict == "INCONCLUSIVE"
     assert report.certificate is None
+
+
+@pytest.mark.parametrize("budgets, error", [
+    ({"max_cosets": 0}, EnumerationError),
+    ({"max_cosets": True}, EnumerationError),
+    ({"tietze_budget": 0}, PresentationError),
+    ({"tietze_budget": True}, PresentationError),
+    ({"tietze_budget": 2.5}, PresentationError),
+], ids=["cosets-0", "cosets-True", "tietze-0", "tietze-True", "tietze-2.5"])
+def test_verify_main_theorem_refuses_a_bad_budget_before_any_work(monkeypatch, budgets, error):
+    def never(*args, **kwargs):
+        raise AssertionError("assemble_x ran before the budgets were checked")
+
+    monkeypatch.setattr(construction, "assemble_x", never)
+    with pytest.raises(error):
+        verify_main_theorem(**budgets)
 
 
 def test_verify_report_dict_is_serializable():

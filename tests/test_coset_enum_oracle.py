@@ -58,7 +58,7 @@ def sympy_indices(p, subgroup_gens, felsch):
 
     def convert(w):
         out = free.identity
-        for name, exp in w.syllables:
+        for name, exp in w.letters():
             out = out * by_name[name] ** exp
         return out
 

@@ -1,9 +1,12 @@
 """Every frozen record keeps a dataclass's contract: repr, equality, hashing,
-refused assignment and ``replace``."""
+refused assignment and ``replace``; ``Record.__init__`` binds the fields that
+``__slots__`` declares, and a record's own ``__init__`` does more than bind."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ import sgcalc
 from sgcalc.construction import KILL_SCRIPT, assemble_v, complement_data, verify_main_theorem
 from sgcalc.records import Record
 from sgcalc.script import Budgets, Ref, Script, execute, parse
-from sgcalc.tietze import CyclicReduce, RemoveTrivial
+from sgcalc.tietze import CyclicReduce, RemoveDuplicate, RemoveTrivial
 from sgcalc.words import Alphabet
 
 MODULES = [
@@ -35,7 +38,9 @@ def _records_in(value, out: dict) -> None:
 
 
 def _fields(cls) -> list[str]:
-    """The field names, read off ``__init__``'s signature."""
+    """The field names: ``_fields`` where ``Record.__init__`` binds them, else the record's own signature."""
+    if cls.__init__ is Record.__init__:
+        return list(cls._fields)
     return list(inspect.signature(cls.__init__).parameters)[1:]
 
 
@@ -67,7 +72,9 @@ def test_every_record_class_has_a_sample(samples):
 def test_record_contract(cls, samples):
     r = samples[cls]
     names = _fields(cls)
-    assert sorted(names) == sorted(n for c in cls.__mro__ for n in vars(c).get("__slots__", ()))
+    # a record's own __init__ takes the fields in slot order: a permuted signature would swap them
+    assert names == list(cls._fields)
+    assert cls._fields == tuple(n for c in reversed(cls.__mro__) for n in vars(c).get("__slots__", ()))
     kwargs = {n: getattr(r, n) for n in names}
 
     # repr keeps the dataclass shape
@@ -119,3 +126,45 @@ def test_record_contract(cls, samples):
 def test_same_fields_in_different_record_types_are_unequal():
     assert Ref("x") != Script("x")
     assert RemoveTrivial(3) != Budgets(3)
+
+
+def test_no_record_writes_an_init_that_only_binds_its_fields():
+    """Each ``__init__`` of a record checks, converts or defaults a field; one
+    that passes its parameters on unchanged is ``Record.__init__`` written out."""
+    names = {c.__name__ for c in RECORDS}
+    binders = {"super().__init__", "setfield", "setfields", "_setfield", "object.__setattr__"}
+    only_binding = []
+    for path in sorted(Path(sgcalc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ClassDef) and node.name in names):
+                continue
+            for init in node.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                params = {a.arg for a in init.args.args}
+                calls = [s.value for s in init.body if isinstance(s, ast.Expr) and isinstance(s.value, ast.Call)]
+                if (len(calls) == len(init.body) and not init.args.defaults
+                        and all(ast.unparse(c.func) in binders for c in calls)
+                        and all(isinstance(a, ast.Name) and a.id in params or isinstance(a, ast.Constant)
+                                for c in calls for a in c.args)):
+                    only_binding.append(f"{path.name}:{node.name}")
+    assert only_binding == []
+
+
+def test_the_constructor_binds_by_position_then_by_name():
+    assert RemoveDuplicate(3, kept_index=1) == RemoveDuplicate(3, 1) == RemoveDuplicate(kept_index=1, relator_index=3)
+    step = RemoveDuplicate(kept_index=1, relator_index=3)
+    assert (step.relator_index, step.kept_index) == (3, 1)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((3, 1, 4), {}, "RemoveDuplicate takes 2 fields but 3 values were given"),
+    ((3,), {}, "RemoveDuplicate is missing field 'kept_index'"),
+    ((), {"kept_index": 1}, "RemoveDuplicate is missing field 'relator_index'"),
+    ((3, 1), {"no_such_field": 0}, "RemoveDuplicate has no field 'no_such_field'"),
+    ((3,), {"kept_index": 1, "relator_index": 3}, "RemoveDuplicate got two values for field 'relator_index'"),
+], ids=["too-many", "missing-last", "missing-first", "unknown", "twice"])
+def test_the_constructor_refuses_what_a_dataclass_refuses(args, kwargs, message):
+    with pytest.raises(TypeError) as info:
+        RemoveDuplicate(*args, **kwargs)
+    assert str(info.value) == message

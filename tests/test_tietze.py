@@ -57,8 +57,9 @@ def test_budget_exhaustion_flags_incomplete():
     final, trace = tietze_simplify(p, budget=1)
     assert not trace.complete
     assert len(trace.steps) == 1
-    with pytest.raises(PresentationError):
-        tietze_simplify(p, budget=0)
+    for bad in (0, -1, True, 2.5, "3"):  # unchecked, True would run as a 1-step budget and 2.5 as a 3-step one
+        with pytest.raises(PresentationError, match="budget must be an int of at least 1"):
+            tietze_simplify(p, budget=bad)
 
 
 def test_trace_replays_to_final():

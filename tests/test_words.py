@@ -54,7 +54,7 @@ def test_reduce_cancellation(xyab):
 def test_reduce_keeps_reduced_word(xyab):
     b, a = xyab.gen("b"), xyab.gen("a")
     w = b * a * ~b
-    assert w.syllables == (("b", 1), ("a", 1), ("b", -1))
+    assert tuple(w.letters()) == (("b", 1), ("a", 1), ("b", -1))
     assert str(w) == "b a b^-1"
 
 
@@ -82,7 +82,7 @@ def test_multiply_derived_example():
     # [s1^-1, x1^-1] * y1^-1 expands to s1^-1 x1^-1 s1 x1 y1^-1 by hand
     ab = Alphabet(("x1", "y1", "s1", "t1"))
     w = commutator(ab.gen("s1", -1), ab.gen("x1", -1)) * ab.gen("y1", -1)
-    assert w.syllables == (("s1", -1), ("x1", -1), ("s1", 1), ("x1", 1), ("y1", -1))
+    assert tuple(w.letters()) == (("s1", -1), ("x1", -1), ("s1", 1), ("x1", 1), ("y1", -1))
 
 
 def test_multiply_alphabet_mismatch(xyab):
@@ -217,7 +217,7 @@ def test_codes(xyab):
     for _ in range(200):
         w = random_word(rng, xyab)
         assert Word(xyab, w.codes()) == w
-        assert xyab.word(w.syllables) == w
+        assert xyab.word(w.letters()) == w
 
 
 def _brute_conjugate(u: Word, v: Word) -> bool:
@@ -358,7 +358,7 @@ def test_algebra_laws_randomized(xyab):
         u = random_word(rng, xyab)
         v = random_word(rng, xyab)
         w = random_word(rng, xyab)
-        assert reduce(xyab, u.syllables) == u
+        assert reduce(xyab, u.letters()) == u
         assert (u * v) * w == u * (v * w)
         assert ~(~u) == u
         assert (u * ~u).is_identity
