@@ -59,6 +59,7 @@ from .words import (
     conjugate,
     cyclic_core,
     matches_relator,
+    relabel,
     relator_texts,
     substitute,
 )
@@ -68,6 +69,25 @@ class ComplementData(Record):
     """Torus triples and relations of the two-torus complement over some alphabet."""
 
     __slots__ = ("alphabet", "t1", "t2", "universal_relators", "closure_relators")
+
+
+def _complement_template() -> tuple[Word, ...]:
+    """Over x, y, a, b: mu, m, l of T1, of T2, then the six universal relators."""
+    base = Alphabet(("x", "y", "a", "b"))
+    x, y, a, b = (base.gen(n) for n in base.names)
+    return (
+        commutator(~b, ~y), x, a,
+        commutator(~x, b), y, b * a * ~b,
+        commutator(x, a),
+        commutator(y, a),
+        commutator(y, b * a * ~b),
+        commutator(commutator(x, y), b),
+        commutator(x, commutator(a, b)),
+        commutator(y, commutator(a, b)),
+    )
+
+
+_TEMPLATE = _complement_template()
 
 
 def complement_data(
@@ -80,49 +100,47 @@ def complement_data(
     distinct generators of one alphabet, so the assignment is invertible and
     relations pull back faithfully.  A free-group homomorphism preserves
     products, so the data written over the images is the base data pushed
-    through the assignment.  Each closed factor in ``closures`` adds the
+    through the assignment: each word of the base data, derived once at
+    import, is relabelled letter by letter, x to x's image and x^-1 to its
+    inverse.  An injective relabelling that commutes with inversion keeps a
+    reduced word reduced.  Each closed factor in ``closures`` adds the
     commutator of its (positive) image generators in declaration order;
     commutation of two elements is insensitive to inversion and swap, so
     this is the same relation.  Without ``images`` the data is over x, y, a, b.
     """
     if images is None:
-        base = Alphabet(("x", "y", "a", "b"))
+        base = _TEMPLATE[0].alphabet
         images = {n: base.gen(n) for n in base.names}
     alphabet: Alphabet | None = None
-    bases: dict[str, str] = {}
+    bases: dict[str, int] = {}  # the rank of each image's generator
+    letter: list[int] = []  # the image of each base letter code
     for name in "xyab":
         if name not in images:
             raise WordError(f"no image for generator {name!r}")
         image = images[name]
-        letter = image.as_letter()
-        if letter is None:
+        if len(image) != 1:
             raise WordError(f"image of {name!r} is not a single signed generator: {image}")
         if alphabet is None:
             alphabet = image.alphabet
         elif image.alphabet is not alphabet and image.alphabet != alphabet:
             raise WordError("images span different alphabets")
-        bases[name] = letter[0]
+        code = image._codes[0]
+        bases[name] = code >> 1
+        letter += (code, code ^ 1)
     if len(set(bases.values())) != len(bases):
         raise WordError("assignment is not invertible: images share a base generator")
-    x, y, a, b = (images[n] for n in "xyab")
+    mu1, m1, l1, mu2, m2, l2, *universal = (relabel(w, letter, alphabet) for w in _TEMPLATE)
 
     def closure(g: str, h: str) -> Word:
-        u, v = sorted((bases[g], bases[h]), key=alphabet.rank)
-        return commutator(alphabet.gen(u), alphabet.gen(v))
+        u, v = sorted((bases[g], bases[h]))
+        return Word(alphabet, (2 * u, 2 * v, 2 * u + 1, 2 * v + 1))  # reduced here: a pair may name one base twice
 
     return ComplementData(
-        alphabet=alphabet,
-        t1=LagrangianTorusMark("T1", mu=commutator(~b, ~y), m=x, l=a),
-        t2=LagrangianTorusMark("T2", mu=commutator(~x, b), m=y, l=b * a * ~b),
-        universal_relators=(
-            commutator(x, a),
-            commutator(y, a),
-            commutator(y, b * a * ~b),
-            commutator(commutator(x, y), b),
-            commutator(x, commutator(a, b)),
-            commutator(y, commutator(a, b)),
-        ),
-        closure_relators=tuple(closure(g, h) for g, h in closures),
+        alphabet,
+        LagrangianTorusMark("T1", mu1, m1, l1),
+        LagrangianTorusMark("T2", mu2, m2, l2),
+        tuple(universal),
+        tuple(closure(g, h) for g, h in closures),
     )
 
 

@@ -30,7 +30,7 @@ from math import gcd
 from .coset_enum import TrivialityCertificate
 from .presentations import Exactness, Presentation, quotient_by
 from .records import Record, shown
-from .words import Word, merge_alphabets, substitute
+from .words import Word, merge_alphabets, relabel, substitute
 
 
 class ManifoldError(ValueError):
@@ -100,11 +100,12 @@ class ManifoldState(Record):
                  minimality_rules: tuple[str, ...] = (), parity: Parity = Parity.UNKNOWN,
                  surfaces: tuple[SurfaceMark, ...] = (), tori: tuple[LagrangianTorusMark, ...] = (),
                  transverse_pairs: tuple[tuple[str, str], ...] = (), two_torus_pattern: bool = False, name: str = ""):
+        alphabet = pi1.alphabet
         for kind, marks in (("surface", surfaces), ("torus", tori)):
             for mark in marks:
-                words = mark.boundary_generators if kind == "surface" else (mark.mu, mark.m, mark.l)
-                if any(w.alphabet is not pi1.alphabet and w.alphabet != pi1.alphabet for w in words):
-                    raise ManifoldError(f"{kind} {mark.id!r} carries foreign words")
+                for w in mark.boundary_generators if kind == "surface" else (mark.mu, mark.m, mark.l):
+                    if w.alphabet is not alphabet and w.alphabet != alphabet:
+                        raise ManifoldError(f"{kind} {mark.id!r} carries foreign words")
             ids = [m.id for m in marks]
             if len(set(ids)) < len(ids):
                 raise ManifoldError(f"two {kind} marks share an id: {sorted({i for i in ids if ids.count(i) > 1})}")
@@ -267,7 +268,8 @@ def symplectic_sum(
     depend on the case.  With a killed second side the first side's
     alphabet is kept and each generator of the second side, all of which
     must be paired boundary letters, goes to its partner's word.  Otherwise
-    the alphabets union, each side maps identically, and the pairing adds
+    the alphabets union, each side's generators keep their names (its
+    letter codes are relabelled into the union), and the pairing adds
     identification relators.  Each side then brings its own relators, its
     surface marks but the glued one, and its transverse pairs not naming the
     glued surface, all moved through its images; a kept mark keeps R3's flag
@@ -303,7 +305,7 @@ def symplectic_sum(
         pairing = tuple((j, i) for i, j in pairing)
     pairs = _paired_words(mark1, mark2, pairing)
 
-    # each side's generator images over the result alphabet; None keeps its words as they are
+    # how each side's words move to the result alphabet
     if mark2.meridian_killed:
         alphabet = s1.pi1.alphabet
         donor: dict[str, Word] = {}
@@ -317,30 +319,29 @@ def symplectic_sum(
         unpaired = [n for n in s2.pi1.alphabet.names if n not in donor]
         if unpaired:
             raise ManifoldError(f"killed-meridian side {mark2.id!r} has generators off the glued surface: {unpaired}")
-        images, identified = (None, donor), []
+        moves, identified = (lambda w: w, lambda w: substitute(w, donor, alphabet)), []
     else:
         alphabet = merge_alphabets(s1.pi1.alphabet, s2.pi1.alphabet)
-        images = tuple(None if s.pi1.alphabet == alphabet else {n: alphabet.gen(n) for n in s.pi1.alphabet.names}
-                       for s in (s1, s2))
+        # the result lists the first side's generators, then the second's: each keeps its name
+        first = 2 * len(s1.pi1.alphabet)
+        moves = (lambda w: relabel(w, range(first), alphabet),
+                 lambda w: relabel(w, range(first, 2 * len(alphabet)), alphabet))
         identified = pairs
-
-    def move(w: Word, side_images: dict[str, Word] | None) -> Word:
-        return w if side_images is None else substitute(w, side_images, alphabet)
 
     relators: list[Word] = []
     surfaces: list[SurfaceMark] = []
     transverse: list[tuple[str, str]] = []
     halves: list[list[SurfaceMark]] = []  # each side's kept marks that meet its glued surface once
-    for side, glued, side_images, other in zip((s1, s2), (surface1, surface2), images, (s2, s1)):
-        relators += (move(r, side_images) for r in side.pi1.relators)
-        marks = [m.replace(boundary_generators=tuple(move(w, side_images) for w in m.boundary_generators),
+    for side, glued, move, other in zip((s1, s2), (surface1, surface2), moves, (s2, s1)):
+        relators += (move(r) for r in side.pi1.relators)
+        marks = [m.replace(boundary_generators=tuple(move(w) for w in m.boundary_generators),
                            no_minus_one_sphere_off_surface=m.no_minus_one_sphere_off_surface
                            and other.minimality is Minimality.MINIMAL)
                  for m in side.surfaces if m.id != glued]
         halves.append([m for m in marks if {m.id, glued} in map(set, side.transverse_pairs)])
         surfaces += marks
         transverse += (pair for pair in side.transverse_pairs if glued not in pair)
-    relators += (move(w1, images[0]) * ~move(w2, images[1]) for w1, w2 in identified)
+    relators += (moves[0](w1) * ~moves[1](w2) for w1, w2 in identified)
     if len(halves[0]) == len(halves[1]) == 1:
         (a,), (b,) = halves
         joined = SurfaceMark(a.id if a.id == b.id else f"{a.id}#{b.id}", a.genus + b.genus,

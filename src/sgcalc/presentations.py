@@ -14,7 +14,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .records import Record
-from .words import Alphabet, Word, matches_relator, relator_texts
+from .words import Alphabet, Word, free_reduce, matches_relator, relator_texts
 
 
 class PresentationError(ValueError):
@@ -84,15 +84,20 @@ def solve_relator(relator: Word, gen: str) -> Word:
 
 # -- commutation rewriting ---------------------------------------------------
 
+def _commutator_ranks(w: Word) -> tuple[int, int] | None:
+    """If ``w`` is the commutator of two signed single generators, the ranks of their bases."""
+    codes = w._codes
+    if len(codes) == 4:
+        g, h, g2, h2 = codes
+        if g2 == g ^ 1 and h2 == h ^ 1 and g >> 1 != h >> 1:
+            return g >> 1, h >> 1
+    return None
+
+
 def simple_commutator_pair(w: Word) -> tuple[str, str] | None:
     """If ``w`` is the commutator of two signed single generators, the bases."""
-    codes = w.codes()
-    if len(codes) != 4:
-        return None
-    g, h, g2, h2 = codes
-    if g2 == g ^ 1 and h2 == h ^ 1 and g >> 1 != h >> 1:
-        return (w.alphabet.names[g >> 1], w.alphabet.names[h >> 1])
-    return None
+    hit = _commutator_ranks(w)
+    return None if hit is None else (w.alphabet.names[hit[0]], w.alphabet.names[hit[1]])
 
 
 def commuting_pairs(relators: Iterable[Word]) -> frozenset[frozenset[str]]:
@@ -112,36 +117,46 @@ def commutation_normal_form(w: Word, pairs: frozenset[frozenset[str]]) -> Word:
     whose bases commute, then freely reduces; the (length, inversions)
     measure strictly drops, so the loop terminates deterministically.
     """
-    names = w.alphabet.names
-    word = w
-    while True:
-        codes = word.codes()
-        for i in range(len(codes) - 1):
-            g, h = codes[i] >> 1, codes[i + 1] >> 1
-            if h < g and frozenset((names[g], names[h])) in pairs:
-                codes[i], codes[i + 1] = codes[i + 1], codes[i]
-                break
+    ranks = w.alphabet.ranks
+    swaps = set()
+    for pair in pairs:
+        if len(pair) == 2 and all(name in ranks for name in pair):
+            low, high = sorted(ranks[name] for name in pair)
+            swaps.add((high, low))
+    return _commuted(w, swaps)
+
+
+def _commuted(w: Word, swaps: set[tuple[int, int]]) -> Word:
+    """:func:`commutation_normal_form` with the pairs as ``(left, right)`` ranks of the bases
+    a pass swaps: the passes rewrite one code list, and only a rewritten word is built anew."""
+    codes, i, swapped = list(w._codes), 0, False
+    while i < len(codes) - 1:
+        if (codes[i] >> 1, codes[i + 1] >> 1) in swaps:
+            codes[i], codes[i + 1] = codes[i + 1], codes[i]
+            codes, i, swapped = free_reduce(codes), 0, True
         else:
-            return word
-        word = Word(w.alphabet, codes)
+            i += 1
+    return Word(w.alphabet, tuple(codes), True) if swapped else w
 
 
 def prune_redundant(relators: Sequence[Word]) -> list[Word]:
-    """The relators that do not restate what the remaining ones already say.
+    """The relators, all over one alphabet, that do not restate what the remaining ones already say.
 
     A relator goes when, rewriting with the commuting pairs declared by the
     *other* relators, it either becomes trivial or coincides (up to rotation
     and inversion) with an earlier kept relator.  Removal only ever weakens a
-    presentation, which is sound for surjective bounds.
+    presentation, which is sound for surjective bounds.  Each relator's
+    commuting pair is read once.
     """
+    # each relator's pair as the swap it allows, or None
+    declared = [None if hit is None else (max(hit), min(hit)) for hit in map(_commutator_ranks, relators)]
     kept = [True] * len(relators)
     for i, r in enumerate(relators):
-        others = [s for j, s in enumerate(relators) if j != i and kept[j]]
-        pairs = commuting_pairs(others)
-        nf = commutation_normal_form(r, pairs)
+        swaps = {pair for j, pair in enumerate(declared) if pair and kept[j] and j != i}
+        nf = _commuted(r, swaps)
         # a nontrivial nf is never the same relator as a trivial normal form
         kept[i] = not nf.is_identity and not matches_relator(
-            nf, relator_texts(commutation_normal_form(relators[j], pairs) for j in range(i) if kept[j]))
+            nf, relator_texts(_commuted(relators[j], swaps) for j in range(i) if kept[j]))
     return [r for i, r in enumerate(relators) if kept[i]]
 
 
@@ -181,10 +196,13 @@ def _invariant_factors(rows: list[dict[int, int]]) -> list[int]:
     factor 1: the column operations that would clear it touch no other row.
     A non-unit pivot also reduces its own row by column operations on the
     rows still holding its column, and leaves once its row and column are
-    clear; until then each step leaves an entry smaller than it.  A final
-    gcd/lcm pass turns the diagonal into the chain of invariant factors.
+    clear; until then each step leaves an entry smaller than it, so the next
+    pivot is smaller: a pivot that is not raises ``ArithmeticError`` rather
+    than loop.  A final gcd/lcm pass turns the diagonal into the chain of
+    invariant factors.
     """
     ones, diagonal = 0, []
+    bound = None  # a kept non-unit pivot's magnitude, which the next pivot must undercut
     while rows:
         pivot = None
         for row in rows:
@@ -197,6 +215,9 @@ def _invariant_factors(rows: list[dict[int, int]]) -> list[int]:
         else:
             j = next(c for c, v in pivot.items() if v == 1 or v == -1)
         p = pivot[j]
+        if bound is not None and abs(p) >= bound:
+            raise ArithmeticError(f"Smith form: pivot {p} does not undercut the kept pivot of magnitude {bound}")
+        bound = None
         left = []
         for row in rows:
             if row is pivot:
@@ -227,6 +248,7 @@ def _invariant_factors(rows: list[dict[int, int]]) -> list[int]:
                         del row[c]
         if holders or len(pivot) > 1:
             rows.append(pivot)
+            bound = abs(p)
         else:
             diagonal.append(abs(p))
     for i in range(len(diagonal)):

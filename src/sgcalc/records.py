@@ -4,7 +4,8 @@ and hashing by field values within one type, refused assignment and ``replace``.
 A record's ``__slots__`` are its field list, inherited fields first, and
 ``Record.__init__`` binds them: positional values in slot order, the rest by
 name, refusing what a dataclass's ``__init__`` refuses.  A record writes its
-own ``__init__`` only to check, convert or default a field, and binds through
+own ``__init__`` only to check, convert or default a field, takes the fields
+in slot order (``replace`` passes them by position), and binds through
 ``super().__init__``.  Unlike a dataclass, such a class costs nothing to
 create at start-up.
 
@@ -17,17 +18,17 @@ from __future__ import annotations
 
 from typing import TypeVar
 
-_setfield = object.__setattr__  # sets one field past Record.__setattr__
-
 R = TypeVar("R", bound="Record")
 
 
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()  # every field, inherited ones first
+    _setters: tuple = ()  # each field's slot setter, past Record.__setattr__
 
     def __init_subclass__(cls) -> None:
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *values: object, **named: object) -> None:
         fields = self._fields
@@ -42,8 +43,8 @@ class Record:
             for name in named:  # each left is a field given by position too, or no field
                 problem = "got two values for field" if name in fields else "has no field"
                 raise TypeError(f"{where} {problem} {name!r}")
-        for name, value in zip(fields, values):
-            _setfield(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -67,8 +68,12 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def replace(self: R, **changes: object) -> R:
-        """A copy with the named fields changed, built and checked by ``__init__``."""
-        return type(self)(**{name: changes.pop(name, getattr(self, name)) for name in self._fields}, **changes)
+        """A copy with the named fields changed, built and checked by ``__init__``, which
+        takes every field by position: a record's own ``__init__`` lists them in field order."""
+        values = [changes.pop(name) if name in changes else getattr(self, name) for name in self._fields]
+        if changes:
+            raise TypeError(f"{type(self).__qualname__} has no field {next(iter(changes))!r}")
+        return type(self)(*values)
 
 
 def shown(text: str, value: object = None) -> str:

@@ -129,9 +129,11 @@ class Word:
     are, so the caller must have proved them a tuple of letter codes below
     ``2 * len(alphabet)`` with no letter next to its inverse.
     ``Alphabet.word``, the products, inverse, powers, ``commutator``,
-    ``conjugate`` and ``cyclic_core`` here, ``presentations.solve_relator``,
-    ``tietze._State`` and ``script.parse_word`` use it; every other
-    caller validates.
+    ``conjugate``, ``cyclic_core``, ``substitute`` and ``relabel`` here,
+    ``presentations.solve_relator`` and ``commutation_normal_form``,
+    ``construction.complement_data`` and ``manifolds.symplectic_sum``
+    (through ``relabel``), ``tietze._State`` and ``script.parse_word`` use
+    it; every other caller validates.
 
     ``str`` renders the word once and keeps the text in ``_text``, which a
     reader may also set from its input (``_keep_text``).  The text is not
@@ -307,8 +309,19 @@ def substitute(w: Word, images: Mapping[str, Word], target: Alphabet | None = No
                 raise WordError(f"no image for generator {name!r}")
             image = images[name]._codes
             pieces[c] = inverse_codes(image) if c & 1 else image
-        out += pieces[c]
-    return Word(target, out)
+        free_reduce(pieces[c], out)
+    return Word(target, tuple(out), True)  # reduced images over ``target``, reduced as they join
+
+
+def relabel(w: Word, letters: Sequence[int], alphabet: Alphabet) -> Word:
+    """``w`` over ``alphabet`` with each letter code ``c`` replaced by ``letters[c]``.
+
+    Package-private, like ``Word``'s third argument: ``letters`` must be
+    injective, below ``2 * len(alphabet)`` and commute with inversion
+    (``letters[c ^ 1] == letters[c] ^ 1``), so a reduced word stays reduced
+    and nothing is checked.
+    """
+    return Word(alphabet, tuple([letters[c] for c in w._codes]), True)
 
 
 def _cyclic_reduction(codes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,8 +1,9 @@
 """Mutation runner for the coset enumerator, Tietze simplification, free-group
-words, the word readers, Smith normal form, the minimality rules, the
-kill-order replay, the record constructor and the verdict rule: do the tests
-notice a broken kernel, a misread word, a wrongly kept word text, a wrongly
-bound field or a wrong verdict?
+words, the word readers, Smith normal form, the minimality rules, the block
+builders' relabelling and commutation rewriting, the kill-order replay, the
+record constructor and ``replace``, and the verdict rule: do the tests notice
+a broken kernel, a misread word, a wrongly kept word text, a wrongly bound
+field or a wrong verdict?
 
 Each entry of :data:`MUTANTS` names one source file, an exact snippet that
 occurs once in it, the snippet's replacement, and the test node ids expected
@@ -252,8 +253,11 @@ MUTANTS = (
         "src/sgcalc/presentations.py",
         "                q = row[j] // p\n",
         "                q = row[j] // abs(p)\n",
-        # only this test: other tests run for minutes under this mutant
-        ("tests/test_presentations.py::test_snf_matches_minor_gcd_oracle_randomized",),
+        (
+            "tests/test_presentations.py::test_snf_matches_minor_gcd_oracle_randomized",
+            "tests/test_presentations_properties.py::test_unit_and_least_pivots_agree_with_sympy_and_the_minor_gcd_oracle",
+            "tests/test_presentations_properties.py::test_sparse_wide_matrices_agree_with_sympy",
+        ),
     ),
     Mutant(
         "r3-reads-the-wrong-side",  # R3 asks the flagged surface's own side, not the one across, to be minimal
@@ -282,6 +286,53 @@ MUTANTS = (
         "named.pop(name) for name in fields[len(values):]",
         "named.pop(next(iter(named))) for name in fields[len(values):]",
         ("tests/test_records.py::test_the_constructor_binds_by_position_then_by_name",),
+    ),
+    Mutant(
+        "replace-accepts-an-unknown-field",  # r.replace(nme="V2") returns r unchanged
+        "src/sgcalc/records.py",
+        "        if changes:\n",
+        "        if False:\n",
+        ("tests/test_records.py::test_replace_refuses_an_unknown_field_and_binds_the_rest_by_position",),
+    ),
+    Mutant(
+        "relabel-ignores-an-image-sign",  # x -> t^-1 read as x -> t
+        "src/sgcalc/construction.py",
+        "        letter += (code, code ^ 1)\n",
+        "        letter += (code & ~1, code | 1)\n",
+        (
+            "tests/test_construction.py::test_relabel_through_quarter_turn",
+            "tests/test_construction_properties.py::test_the_relabelled_template_is_the_word_arithmetic",
+        ),
+    ),
+    Mutant(
+        "normal-form-skips-the-reduction-after-a-swap",  # x x^-1 left standing in a word built as reduced
+        "src/sgcalc/presentations.py",
+        "codes, i, swapped = free_reduce(codes), 0, True",
+        "codes, i, swapped = codes, 0, True",
+        (
+            "tests/test_presentations.py::test_commutation_rewriting",
+            "tests/test_presentations.py::test_commutation_normal_form_matches_the_word_by_word_reference",
+        ),
+    ),
+    Mutant(
+        "prune-rewrites-a-relator-with-its-own-pair",  # every simple commutator rewrites itself away
+        "src/sgcalc/presentations.py",
+        "if pair and kept[j] and j != i}",
+        "if pair and kept[j]}",
+        (
+            "tests/test_presentations.py::test_prune_redundant_rewrites_a_relator_with_the_other_relators_pairs_only",
+            "tests/test_construction.py::test_v_relators_match_golden",
+        ),
+    ),
+    Mutant(
+        "substitute-skips-free-reduce",  # b a b^-1 with a -> 1 left as b b^-1
+        "src/sgcalc/words.py",
+        "        free_reduce(pieces[c], out)\n",
+        "        out += pieces[c]\n",
+        (
+            f"{WORDS_TESTS}::test_substitute_kills_conjugate_of_identity",
+            f"{WORDS_TESTS}::test_substitute_reduces_as_the_constructor_would",
+        ),
     ),
     Mutant(
         "inconclusive-read-as-pass",  # an exhausted budget reported as a proof

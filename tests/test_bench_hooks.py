@@ -69,6 +69,34 @@ def test_traced_assemble_x_records_both_symplectic_sums():
     assert [span[0] for span in tracer.spans].count("manifolds.symplectic_sum") == 2
 
 
+# Word objects built by one traced run, counted as the bench counts ``words.word_objects``.
+# Upper bounds: a change may lower them, and must not raise them.
+ASSEMBLE_X_WORDS = 193
+SCRIPT_VERDICT_WORDS = 193
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "exotic_cp2_3.sgc"
+
+
+def _word_objects(run) -> int:
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.counting = True
+    restore = tracing.install(tracer)
+    try:
+        run()
+    finally:
+        restore()
+    return tracer.counts["words.word_objects"]
+
+
+def test_one_assemble_x_builds_at_most_its_pinned_word_count():
+    assert _word_objects(assemble_x) <= ASSEMBLE_X_WORDS
+
+
+def test_one_script_verdict_builds_at_most_its_pinned_word_count():
+    text = SCRIPT.read_text(encoding="utf-8")
+    assert _word_objects(lambda: script.execute(script.parse(text))) <= SCRIPT_VERDICT_WORDS
+
+
 def test_traced_presentation_script_reads_one_word_per_relator():
     """``script.parse_ms`` times each relator's ``script.parse_word`` span; each relator builds one ``Word``."""
     tracing = _load_tracing()

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from conftest import random_word
 from sgcalc import presentations
 from sgcalc.presentations import (
     Exactness,
@@ -19,7 +20,7 @@ from sgcalc.presentations import (
     smith_normal_form,
     solve_relator,
 )
-from sgcalc.words import Alphabet, commutator
+from sgcalc.words import Alphabet, Word, commutator
 
 
 def stq_alphabet():
@@ -100,6 +101,48 @@ def test_prune_redundant_drops_conjugated_restatement():
         commutator(t1, t2 * s2 * ~t2),
     ]
     assert prune_redundant(relators) == relators[:4]
+
+
+def test_prune_redundant_rewrites_a_relator_with_the_other_relators_pairs_only():
+    ab = stq_alphabet()
+    s1, t1, s2, t2 = (ab.gen(n) for n in ab.names)
+    # each commutator is its own pair's only source: rewritten by itself, it would vanish
+    assert prune_redundant([commutator(s1, t1)]) == [commutator(s1, t1)]
+    assert prune_redundant([commutator(s1, t1), commutator(s2, t2)]) == [commutator(s1, t1), commutator(s2, t2)]
+    # of two restatements the first goes, and its pair no longer rewrites the second
+    assert prune_redundant([commutator(s1, t1), commutator(t1, s1)]) == [commutator(t1, s1)]
+
+
+def reference_commutation_normal_form(w, pairs):
+    """The normal form one validated ``Word`` per swap: the leftmost rank-lowering swap of
+    adjacent letters whose bases commute, then a free reduction, until no swap is left."""
+    names = w.alphabet.names
+    word = w
+    while True:
+        codes = word.codes()
+        for i in range(len(codes) - 1):
+            g, h = codes[i] >> 1, codes[i + 1] >> 1
+            if h < g and frozenset((names[g], names[h])) in pairs:
+                codes[i], codes[i + 1] = codes[i + 1], codes[i]
+                break
+        else:
+            return word
+        word = Word(w.alphabet, codes)
+
+
+def test_commutation_normal_form_matches_the_word_by_word_reference():
+    rng = random.Random(38)
+    ab = Alphabet(("a", "b", "c", "d", "e"))
+    every_pair = [frozenset(p) for p in combinations(ab.names, 2)]
+    for _ in range(400):
+        pairs = frozenset(rng.sample(every_pair, rng.randint(0, len(every_pair))))
+        w = random_word(rng, ab, 16)
+        got = commutation_normal_form(w, pairs)
+        assert got == reference_commutation_normal_form(w, pairs)
+        assert got.codes() == Word(ab, got.codes()).codes()  # built trusted, so it must be reduced
+    # a pair naming a generator outside the alphabet, or one generator, rewrites nothing
+    w = commutator(ab.gen("b"), ab.gen("a"))
+    assert commutation_normal_form(w, frozenset({frozenset(("a", "z")), frozenset(("b",))})) == w
 
 
 # -- abelianization -----------------------------------------------------------
@@ -236,6 +279,18 @@ def test_h1_of_the_paper_blocks_and_the_drop_family_takes_unit_pivots_alone(monk
     answers = [homology_invariants(p) for p in groups + drops]
     assert calls == []
     assert answers[0] == (0, []) and all(a == (1, []) for a in answers[6:])
+
+
+def test_a_pivot_rule_that_keeps_its_pivot_raises_instead_of_looping(monkeypatch):
+    """A kept non-unit pivot leaves an entry smaller than it, so the next pivot must be smaller;
+    a pivot rule that picks the same entry again would loop forever, and raises."""
+    def largest(rows):
+        row = max(rows, key=lambda row: max(map(abs, row.values())))
+        return row, max(row, key=lambda c: abs(row[c]))
+
+    monkeypatch.setattr(presentations, "_least_pivot", largest)
+    with pytest.raises(ArithmeticError, match="does not undercut"):
+        smith_normal_form([[2, 3]])
 
 
 # -- homology -----------------------------------------------------------------

@@ -168,3 +168,16 @@ def test_the_constructor_refuses_what_a_dataclass_refuses(args, kwargs, message)
     with pytest.raises(TypeError) as info:
         RemoveDuplicate(*args, **kwargs)
     assert str(info.value) == message
+
+
+def test_replace_refuses_an_unknown_field_and_binds_the_rest_by_position():
+    step = RemoveDuplicate(3, 1)
+    with pytest.raises(TypeError) as info:
+        step.replace(kept_index=2, no_such_field=0)
+    assert str(info.value) == "RemoveDuplicate has no field 'no_such_field'"
+    assert step.replace(kept_index=2) == RemoveDuplicate(3, 2)
+    state = assemble_v().state  # a record with its own __init__, which takes the fields in order
+    with pytest.raises(TypeError, match="ManifoldState has no field 'nme'"):
+        state.replace(nme="V2")
+    renamed = state.replace(name="V2", euler=1)
+    assert (renamed.name, renamed.euler, renamed.pi1) == ("V2", 1, state.pi1)

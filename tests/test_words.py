@@ -23,6 +23,7 @@ from sgcalc.words import (
     invert,
     matches_relator,
     reduce,
+    relabel,
     relator_texts,
     rotations,
     same_relator,
@@ -439,3 +440,24 @@ def test_solve_relator_slices_as_the_constructor_would(p, q, z):
     p, q = relator.codes()[:i], relator.codes()[i + 1 :]
     raw = q + p if z & 1 else list(inverse_codes(p)) + list(inverse_codes(q))
     assert solve_relator(relator, "z") == validated(raw)
+
+
+@PROPERTY
+@given(words, st.lists(words, min_size=3, max_size=3))
+def test_substitute_reduces_as_the_constructor_would(w, images):
+    named = dict(zip(XYZ.names, images))
+    pieces = [named[XYZ.names[c >> 1]].codes() for c in w.codes()]
+    raw = [c for code, piece in zip(w.codes(), pieces) for c in (inverse_codes(piece) if code & 1 else piece)]
+    assert substitute(w, named) == validated(raw)
+
+
+@PROPERTY
+@given(words, st.permutations(XYZ.names), st.lists(st.sampled_from((1, -1)), min_size=3, max_size=3))
+def test_relabel_by_signed_generators_is_the_substitution(w, order, signs):
+    letters = []
+    for name, sign in zip(order, signs):
+        code = 2 * XYZ.rank(name) + (sign < 0)
+        letters += (code, code ^ 1)
+    moved = relabel(w, letters, XYZ)
+    assert moved == validated(letters[c] for c in w.codes())
+    assert moved == substitute(w, {n: XYZ.gen(g, e) for n, g, e in zip(XYZ.names, order, signs)})
